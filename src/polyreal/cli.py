@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional, Sequence
 
@@ -27,7 +28,7 @@ from .lattice_crystal import (
     format_element,
     ftilde,
 )
-from .forms import LinearForm
+from .forms import LinearForm, site_form
 from . import eyd as eyd_mod
 from . import reyd as reyd_mod
 from . import young_wall as wall_mod
@@ -86,28 +87,11 @@ def _dump(data) -> str:
 
 def _window_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list:
     """Generator objects fitting a bound x bound window."""
-    n = seq.root_system.n
-    if kind == "eyd":
-        out = []
-        for T in eyd_mod.enumerate_eyd(k, bound * bound):
-            if len(T.ys) <= bound and all(k - v <= bound for v in T.ys):
-                out.append(T)
-        return out
-    if kind == "reyd":
-        flavor = verify_mod._reyd_flavor(seq)
-        out = []
-        for T in reyd_mod.enumerate_reyd(flavor, n, k, bound * bound):
-            devs = [k + min(t, 0) - T.y(t) for t in range(T.t_lo, T.t_hi + 1)]
-            devs = [d for d in devs if d > 0]
-            if len(devs) <= bound and all(d <= bound for d in devs):
-                out.append(T)
-        return out
-    wall_kind = verify_mod._wall_kind(seq, k)
-    out = []
-    for Y in wall_mod.enumerate_walls(wall_kind, bound * (bound + 1)):
-        if len(Y.halves) <= bound and all(h - 1 <= bound for h in Y.halves):
-            out.append(Y)
-    return out
+    return [
+        obj
+        for obj in verify_mod.enumerate_objects(seq, kind, k, bound * bound)
+        if len(obj.columns()) <= bound and max(obj.columns(), default=0) <= bound
+    ]
 
 
 def cmd_inequalities(args: argparse.Namespace) -> int:
@@ -124,7 +108,7 @@ def cmd_inequalities(args: argparse.Namespace) -> int:
         raise UsageError("--s must be at least 1")
     kind = kinds[args.k]
     forms = {
-        verify_mod.generator_form(seq, kind, obj, args.s)
+        site_form(verify_mod.MODULES[kind].sites(seq, obj), args.s)
         for obj in _window_objects(seq, kind, args.k, args.bound)
     }
     ordered = sorted(forms, key=LinearForm.sort_key)
@@ -258,7 +242,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return _print_enumeration(seq, args)
 
 
-_SUBSCRIPTS = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
+_SUBSCRIPTS = str.maketrans("₀₁₂₃₄₅₆₇₈₉−", "0123456789-")
+
+# Per render kind: the object's class and picture, its integer keys with their
+# defaults (None when required), its list key, the JSON key of its flavor, and
+# whether the user may give that flavor explicitly.
+_RENDER = {
+    "eyd": (eyd_mod.ExtendedYoungDiagram, eyd_mod.render_eyd, {"charge": None}, "ys", None, False),
+    "reyd": (
+        reyd_mod.RevisedEYD, reyd_mod.render_reyd, {"k": None, "t_lo": 0}, "ys", "flavor", True
+    ),
+    "wall": (wall_mod.YoungWall, wall_mod.render_wall, {"ground": 1}, "halves", "family", False),
+}
 
 
 def _key_int(pairs: dict, key: str, default: Optional[int] = None) -> int:
@@ -267,10 +262,9 @@ def _key_int(pairs: dict, key: str, default: Optional[int] = None) -> int:
             raise UsageError(f"missing {key}")
         return default
     raw = pairs[key].translate(_SUBSCRIPTS)
-    digits = "".join(ch for ch in raw.replace("−", "-") if ch.isdigit() or ch == "-")
-    if not digits or digits == "-":
+    if not re.fullmatch(r"-?[0-9]+", raw):
         raise UsageError(f"{key} must be an integer, got {pairs[key]!r}")
-    return int(digits)
+    return int(raw)
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -281,49 +275,30 @@ def cmd_render(args: argparse.Namespace) -> int:
     if not tokens:
         raise UsageError("render needs an object kind: eyd, reyd, or wall")
     kind, rest = tokens[0], tokens[1:]
+    if kind not in _RENDER:
+        raise UsageError(f"unknown render kind {kind!r}")
     pairs = {}
     for idx in range(0, len(rest), 2):
         key = rest[idx]
         value = rest[idx + 1] if idx + 1 < len(rest) else ""
         pairs[key] = value
-    if kind == "eyd":
-        charge = _key_int(pairs, "charge")
-        ys = _parse_ints(pairs.get("ys", ""))
-        obj = eyd_mod.make_eyd(charge, ys)
-        text = eyd_mod.render_eyd(obj)
-    elif kind == "reyd":
-        if "flavor" in pairs:
-            flavor = pairs["flavor"]
-        elif args.family == "A2":
-            flavor = "A2"
-        elif args.family == "C1":
-            flavor = "D2target"
-        else:
-            raise UsageError("reyd rendering needs --family A2 or C1, or an explicit flavor")
-        obj = reyd_mod.make_reyd(
-            flavor,
-            args.n,
-            _key_int(pairs, "k"),
-            _key_int(pairs, "t_lo", 0),
-            _parse_ints(pairs.get("ys", "")),
-        )
-        text = reyd_mod.render_reyd(obj)
-    elif kind == "wall":
-        if args.family == "A2":
-            wall_family = "A2wall"
-        elif args.family == "C1":
-            wall_family = "D2wall"
-        else:
-            raise UsageError("wall rendering needs --family A2 or C1")
-        wall_kind = wall_mod.WallKind(wall_family, args.n, _key_int(pairs, "ground", 1))
-        obj = wall_mod.make_wall(wall_kind, _parse_ints(pairs.get("halves", "")))
-        text = wall_mod.render_wall(obj)
-    else:
-        raise UsageError(f"unknown render kind {kind!r}")
+    cls, picture, int_keys, list_key, flavor_key, explicit = _RENDER[kind]
+    data = {key: _key_int(pairs, key, default) for key, default in int_keys.items()}
+    data[list_key] = _parse_ints(pairs.get(list_key, ""))
+    data["n"] = args.n
+    if flavor_key:
+        flavor, _ = verify_mod.family_generators(args.family, args.n).get(kind, (None, None))
+        if explicit:
+            flavor = pairs.get("flavor", flavor)
+        if flavor is None:
+            hint = ", or an explicit flavor" if explicit else ""
+            raise UsageError(f"{kind} rendering needs --family A2 or C1{hint}")
+        data[flavor_key] = flavor
+    obj = cls.from_json(data)
     if args.json:
         print(_dump(obj.to_json()))
     else:
-        print(text)
+        print(picture(obj))
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .root_data import AdaptedSequence, RootDataError, fold, p_table
-from .forms import LinearForm
+from .forms import LinearForm, Move, Site, site_form, site_move
 
 
 class EYDError(ValueError):
@@ -44,6 +44,10 @@ class ExtendedYoungDiagram:
 
     def boxes(self) -> int:
         return sum(self.charge - v for v in self.ys)
+
+    def columns(self) -> List[int]:
+        """Depths of the nonempty columns."""
+        return [self.charge - v for v in self.ys]
 
     def to_json(self) -> dict:
         return {"charge": self.charge, "ys": list(self.ys)}
@@ -76,42 +80,58 @@ def corners(T: ExtendedYoungDiagram) -> List[Corner]:
     return out
 
 
-def corner_address(
-    seq: AdaptedSequence, charge: int, x: int, y: int, fold_kind: str, s: int
-) -> Tuple[int, int]:
-    """The (occurrence, color) pair a corner contributes to the assignment."""
-    d = x + y
-    occ = s + p_table(seq, fold_kind, charge, d) + min(charge - y, x)
-    return occ, fold(fold_kind, seq.root_system.n, d)
+_FOLDS = {"A1": "overline", "D2": "pi"}
 
 
-def _assign(
-    seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int, fold_kind: str
-) -> LinearForm:
-    total = LinearForm.zero()
+def _fold_kind(seq: AdaptedSequence) -> str:
+    fam = seq.root_system.algebra.family
+    if fam not in _FOLDS:
+        raise RootDataError(f"assignment needs family A1 or D2, got {fam}")
+    return _FOLDS[fam]
+
+
+def _address(seq: AdaptedSequence, fold_kind: str, charge: int, c: Corner) -> Site:
+    """The (coeff, offset, color) term of a corner: +1 when concave, -1 when convex."""
+    d = c.x + c.y
+    offset = p_table(seq, fold_kind, charge, d) + min(charge - c.y, c.x)
+    return (1 if c.kind == "concave" else -1), offset, fold(fold_kind, seq.root_system.n, d)
+
+
+def sites(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> List[Site]:
+    """One term per corner; the assigned form at s is their site_form at s."""
+    fold_kind = _fold_kind(seq)
+    return [_address(seq, fold_kind, T.charge, c) for c in corners(T)]
+
+
+def moves(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Iterator[Move]:
+    """One (T2, coeff, offset, color) per corner toggle.
+
+    assign(T2, s) = assign(T, s) - coeff * beta_{s+offset, color}, with coeff
+    +1 for adding a box at a concave corner and -1 for removing one at a
+    convex corner.
+    """
+    fold_kind = _fold_kind(seq)
     for c in corners(T):
-        occ, color = corner_address(seq, T.charge, c.x, c.y, fold_kind, s)
-        term = LinearForm.x(occ, color)
-        total = total + term if c.kind == "concave" else total - term
-    return total
+        site = _address(seq, fold_kind, T.charge, c)
+        toggle = toggle_concave if c.kind == "concave" else toggle_convex
+        yield site_move(toggle(T, c), site[0], site)
 
 
-def _require_family(seq: AdaptedSequence, family: str) -> None:
+def _assign(seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int, family: str) -> LinearForm:
     fam = seq.root_system.algebra.family
     if fam != family:
         raise RootDataError(f"assignment needs family {family}, got {fam}")
+    return site_form(sites(seq, T), s)
 
 
 def assign_a1(seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int) -> LinearForm:
     """Assignment map for the cyclic family, folding diagonals with period n."""
-    _require_family(seq, "A1")
-    return _assign(seq, T, s, "overline")
+    return _assign(seq, T, s, "A1")
 
 
 def assign_d2(seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int) -> LinearForm:
     """Assignment map for the D2 family, folding diagonals with period 2n-2."""
-    _require_family(seq, "D2")
-    return _assign(seq, T, s, "pi")
+    return _assign(seq, T, s, "D2")
 
 
 def toggle_concave(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:

@@ -16,6 +16,12 @@ from .root_data import AdaptedSequence, RootDataError, index_to_pair, pair_to_in
 from .lattice_crystal import LatticeElement
 
 Pair = Tuple[int, int]
+# (coeff, offset, color): a generator object's term coeff * x_{s+offset, color}
+# in its form at s.
+Site = Tuple[int, int, int]
+# (obj2, coeff, offset, color): a toggle of obj with
+# form(obj2, s) = form(obj, s) - coeff * beta_{s+offset, color}.
+Move = Tuple[object, int, int, int]
 Terms = Union[Dict[Pair, int], Iterable[Tuple[Pair, int]], None]
 
 
@@ -103,6 +109,21 @@ class LinearForm:
     @classmethod
     def from_json(cls, data: dict) -> "LinearForm":
         return cls([((int(t["s"]), int(t["l"])), int(t["c"])) for t in data["terms"]])
+
+
+def site_form(sites: Iterable[Site], s: int) -> LinearForm:
+    """The form sum of coeff * x_{s+offset, color} over (coeff, offset, color) sites."""
+    return LinearForm([((s + offset, color), coeff) for coeff, offset, color in sites])
+
+
+def site_move(obj2: object, coeff: int, site: Site) -> Move:
+    """The move to obj2 that toggles a site by coeff units.
+
+    An add (coeff > 0) shifts the form by beta at the site's address; a
+    remove shifts it by beta one occurrence below.
+    """
+    _, offset, color = site
+    return obj2, coeff, (offset if coeff > 0 else offset - 1), color
 
 
 def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:

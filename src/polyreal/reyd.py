@@ -16,10 +16,10 @@ congruence class; a double contributes its coordinate twice to the form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .root_data import AdaptedSequence, RootDataError, fold, p_table
-from .forms import LinearForm
+from .forms import LinearForm, Move, Site, site_form, site_move
 
 FLAVORS = ("A2", "D2target")
 
@@ -67,6 +67,11 @@ class RevisedEYD:
     def units(self) -> int:
         return sum(self.k + min(t, 0) - self.y(t) for t in range(self.t_lo, self.t_hi + 1))
 
+    def columns(self) -> List[int]:
+        """Depths of the columns lowered below the highest diagram."""
+        depths = (self.k + min(t, 0) - self.y(t) for t in range(self.t_lo, self.t_hi + 1))
+        return [d for d in depths if d > 0]
+
     def to_json(self) -> dict:
         return {
             "flavor": self.flavor,
@@ -104,14 +109,15 @@ def _relaxed(flavor: str, n: int, k: int, t: int) -> bool:
 
 
 def _pair_ok(flavor: str, n: int, k: int, t: int, yt: int, yt1: int) -> bool:
-    """Whether the step from y_t to y_{t+1} is allowed at position t."""
+    """Whether the step from y_t to y_{t+1} is allowed at position t.
+
+    No valid charge relaxes position 0, so a relaxed t is nonzero.
+    """
     if not _relaxed(flavor, n, k, t):
         return yt1 - yt in (0, 1)
     if t > 0:
         return yt1 >= yt
-    if t < 0:
-        return yt1 <= yt + 1
-    return yt1 - yt in (0, 1)  # unreachable for valid charges
+    return yt1 <= yt + 1
 
 
 def make_reyd(flavor: str, n: int, k: int, t_lo: int, ys: Sequence[int]) -> RevisedEYD:
@@ -168,8 +174,8 @@ def phi_reyd(flavor: str, n: int, k: int) -> RevisedEYD:
 def validate(T: RevisedEYD) -> List[str]:
     """Violation messages for a diagram built by hand; empty when valid."""
     try:
-        _validate(T)
         _check_parameters(T.flavor, T.n, T.k)
+        _validate(T)
     except REYDError as e:
         return [str(e)]
     return []
@@ -236,24 +242,49 @@ def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
     return out
 
 
-def assign(seq: AdaptedSequence, T: RevisedEYD, s: int) -> LinearForm:
-    """The form attached to a revised diagram at base occurrence s."""
+def _check_sequence(seq: AdaptedSequence, T: RevisedEYD) -> None:
     fam = seq.root_system.algebra.family
     if fam != _FAMILY[T.flavor]:
         raise RootDataError(f"flavor {T.flavor} needs family {_FAMILY[T.flavor]}, got {fam}")
     if seq.root_system.n != T.n:
         raise RootDataError(f"rank mismatch: diagram n={T.n}, sequence n={seq.root_system.n}")
-    variant = _VARIANT[T.flavor]
+
+
+def _address(seq: AdaptedSequence, T: RevisedEYD, pt: MarkedPoint) -> Site:
+    """The (coeff, offset, color) term of a point, +mult when admissible, -mult when removable.
+
+    The point's column t is x for an admissible point and x - 1 for a
+    removable one; the offset is P^k(t + k) + min(t, 0) + k - y.
+    """
     k = T.k
-    total = LinearForm.zero()
+    t = pt.x if pt.role == "admissible" else pt.x - 1
+    offset = p_table(seq, _VARIANT[T.flavor], k, t + k) + min(t, 0) + k - pt.y
+    coeff = pt.multiplicity if pt.role == "admissible" else -pt.multiplicity
+    return coeff, offset, pt.color
+
+
+def sites(seq: AdaptedSequence, T: RevisedEYD) -> List[Site]:
+    """One term per marked point; the assigned form at s is their site_form at s."""
+    _check_sequence(seq, T)
+    return [_address(seq, T, pt) for pt in classify_points(T)]
+
+
+def moves(seq: AdaptedSequence, T: RevisedEYD) -> Iterator[Move]:
+    """One (T2, coeff, offset, color) per marked point toggle.
+
+    assign(T2, s) = assign(T, s) - coeff * beta_{s+offset, color}.  A toggle
+    moves one unit, so coeff is +1 at an admissible point and -1 at a
+    removable one, even at a double point.
+    """
+    _check_sequence(seq, T)
     for pt in classify_points(T):
-        if pt.role == "admissible":
-            occ = s + p_table(seq, variant, k, pt.x + k) + min(pt.x, 0) + (k - pt.y)
-            total = total + pt.multiplicity * LinearForm.x(occ, pt.color)
-        else:
-            occ = s + p_table(seq, variant, k, pt.x + k - 1) + min(pt.x - 1, 0) + (k - pt.y)
-            total = total - pt.multiplicity * LinearForm.x(occ, pt.color)
-    return total
+        site = _address(seq, T, pt)
+        yield site_move(toggle_point(T, pt), 1 if site[0] > 0 else -1, site)
+
+
+def assign(seq: AdaptedSequence, T: RevisedEYD, s: int) -> LinearForm:
+    """The form attached to a revised diagram at base occurrence s."""
+    return site_form(sites(seq, T), s)
 
 
 def toggle_point(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .root_data import AdaptedSequence, p_table
+from .root_data import AdaptedSequence
 from .lattice_crystal import (
     LatticeElement,
     enumerate_image,
@@ -31,6 +31,7 @@ from .forms import (
     check_xi_positivity,
     closure,
     evaluate,
+    site_form,
 )
 from . import eyd as eyd_mod
 from . import reyd as reyd_mod
@@ -70,47 +71,63 @@ def _note(witnesses: List[str], message: str) -> None:
         witnesses.append(message)
 
 
+# The module of each generator kind, with its sites(seq, obj) and
+# moves(seq, obj).  Held as modules so that a call finds a function rebound
+# on its module, as the benchmark's tracer does.
+MODULES = {"eyd": eyd_mod, "reyd": reyd_mod, "wall": wall_mod}
+
+# The enumerator of each kind, called with a flavor, rank n, charge k and bound.
+_ENUMERATE = {
+    "eyd": lambda flavor, n, k, bound: eyd_mod.enumerate_eyd(k, bound),
+    "reyd": lambda flavor, n, k, bound: reyd_mod.enumerate_reyd(flavor, n, k, bound),
+    "wall": lambda flavor, n, k, bound: wall_mod.enumerate_walls(
+        wall_mod.WallKind(flavor, n, k), bound
+    ),
+}
+
+
+def family_generators(family: str, n: int) -> Dict[str, Tuple[Optional[str], Sequence[int]]]:
+    """The (flavor, charges) of each generator kind of an algebra family at rank n.
+
+    The flavor is the reyd flavor or the wall family.  Diagrams of kind eyd
+    have none: their fold (overline for A1, pi for D2) follows from the
+    sequence's family.
+    """
+    return {
+        "A1": {"eyd": (None, range(1, n + 1))},
+        "D2": {"eyd": (None, range(1, n + 1))},
+        "A2": {"wall": ("A2wall", [1]), "reyd": ("A2", range(2, n + 1))},
+        "C1": {"wall": ("D2wall", [1, n]), "reyd": ("D2target", range(2, n))},
+    }[family]
+
+
 def generator_kinds(seq: AdaptedSequence) -> List[Tuple[str, int]]:
     """The (kind, charge) pairs whose assignment images generate the system."""
-    fam = seq.root_system.algebra.family
-    n = seq.root_system.n
-    if fam in ("A1", "D2"):
-        return [("eyd", k) for k in range(1, n + 1)]
-    if fam == "A2":
-        return [("wall", 1)] + [("reyd", k) for k in range(2, n + 1)]
-    return [("wall", 1), ("wall", n)] + [("reyd", k) for k in range(2, n)]
+    rs = seq.root_system
+    generators = family_generators(rs.algebra.family, rs.n)
+    return [(kind, k) for kind, (_, ks) in generators.items() for k in ks]
 
 
-def _reyd_flavor(seq: AdaptedSequence) -> str:
-    return "A2" if seq.root_system.algebra.family == "A2" else "D2target"
+def enumerate_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list:
+    """Objects of one kind and charge, up to a bound in the kind's own unit.
 
-
-def _wall_kind(seq: AdaptedSequence, k: int) -> wall_mod.WallKind:
-    fam = seq.root_system.algebra.family
-    family = "A2wall" if fam == "A2" else "D2wall"
-    return wall_mod.WallKind(family, seq.root_system.n, k)
+    The unit is a box for eyd, a unit for reyd and a half for walls, as in
+    enumerate_eyd, enumerate_reyd and enumerate_walls.
+    """
+    rs = seq.root_system
+    flavor, _ = family_generators(rs.algebra.family, rs.n)[kind]
+    return _ENUMERATE[kind](flavor, rs.n, k, bound)
 
 
 def generator_objects(seq: AdaptedSequence, kind: str, k: int, size_bound: int) -> list:
-    """Generator objects of the given kind with at most size_bound toggle steps."""
-    n = seq.root_system.n
-    if kind == "eyd":
-        return eyd_mod.enumerate_eyd(k, size_bound)
-    if kind == "reyd":
-        return reyd_mod.enumerate_reyd(_reyd_flavor(seq), n, k, size_bound)
-    walls = wall_mod.enumerate_walls(_wall_kind(seq, k), 2 * size_bound)
+    """Generator objects of the given kind with at most size_bound toggle steps.
+
+    A wall's step moves one block, which may span two halves.
+    """
+    if kind != "wall":
+        return enumerate_objects(seq, kind, k, size_bound)
+    walls = enumerate_objects(seq, kind, k, 2 * size_bound)
     return [Y for Y in walls if Y.block_count() <= size_bound]
-
-
-def generator_form(seq: AdaptedSequence, kind: str, obj, s: int) -> LinearForm:
-    if kind == "eyd":
-        fam = seq.root_system.algebra.family
-        if fam == "A1":
-            return eyd_mod.assign_a1(seq, obj, s)
-        return eyd_mod.assign_d2(seq, obj, s)
-    if kind == "reyd":
-        return reyd_mod.assign(seq, obj, s)
-    return wall_mod.assign_wall(seq, obj, s)
 
 
 def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]) -> set:
@@ -118,8 +135,8 @@ def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[in
     out = set()
     for kind, k in generator_kinds(seq):
         for obj in generator_objects(seq, kind, k, size_bound):
-            for s in s_values:
-                out.add(generator_form(seq, kind, obj, s))
+            sites = MODULES[kind].sites(seq, obj)
+            out.update(site_form(sites, s) for s in s_values)
     return out
 
 
@@ -129,83 +146,27 @@ def check_step_identities(
     size_bound: int = 6,
     wall_halves: int = 8,
 ) -> VerificationReport:
-    """Every legal toggle shifts the assigned form by exactly minus or plus beta."""
+    """Every legal toggle shifts the assigned form by exactly minus or plus beta.
+
+    Walls are enumerated up to wall_halves halves, the other kinds up to
+    size_bound steps.
+    """
     fam = seq.root_system.algebra.family
     n = seq.root_system.n
     checked = 0
     witnesses: List[str] = []
-
-    def expect_match(label: str, actual: LinearForm, expected: LinearForm) -> None:
-        nonlocal checked
-        checked += 1
-        if actual != expected:
-            _note(witnesses, f"{label}: got {actual}, expected {expected}")
-
     for kind, k in generator_kinds(seq):
-        if kind == "eyd":
-            fold_kind = "overline" if fam == "A1" else "pi"
-            assigner = eyd_mod.assign_a1 if fam == "A1" else eyd_mod.assign_d2
-            for T in eyd_mod.enumerate_eyd(k, size_bound):
-                for corner in eyd_mod.corners(T):
-                    for s in s_values:
-                        base = assigner(seq, T, s)
-                        if corner.kind == "concave":
-                            T2 = eyd_mod.toggle_concave(T, corner)
-                            occ, color = eyd_mod.corner_address(
-                                seq, k, corner.x, corner.y, fold_kind, s
-                            )
-                            expected = base - beta_pair(seq, occ, color)
-                        else:
-                            T2 = eyd_mod.toggle_convex(T, corner)
-                            occ, color = eyd_mod.corner_address(
-                                seq, k, corner.x - 1, corner.y + 1, fold_kind, s
-                            )
-                            expected = base + beta_pair(seq, occ, color)
-                        expect_match(
-                            f"eyd k={k} {corner} s={s} of {T.ys}", assigner(seq, T2, s), expected
-                        )
-        elif kind == "reyd":
-            variant = "pi1" if fam == "A2" else "pi2"
-            for T in reyd_mod.enumerate_reyd(_reyd_flavor(seq), n, k, size_bound):
-                for pt in reyd_mod.classify_points(T):
-                    T2 = reyd_mod.toggle_point(T, pt)
-                    for s in s_values:
-                        base = reyd_mod.assign(seq, T, s)
-                        if pt.role == "admissible":
-                            occ = s + p_table(seq, variant, k, pt.x + k) + min(pt.x, 0) + k - pt.y
-                            expected = base - beta_pair(seq, occ, pt.color)
-                        else:
-                            occ = (
-                                s
-                                + p_table(seq, variant, k, pt.x + k - 1)
-                                + min(pt.x - 1, 0)
-                                + k
-                                - pt.y
-                                - 1
-                            )
-                            expected = base + beta_pair(seq, occ, pt.color)
-                        expect_match(
-                            f"reyd k={k} {pt} s={s} of {T.ys}", reyd_mod.assign(seq, T2, s), expected
-                        )
-        else:
-            kind_obj = _wall_kind(seq, k)
-            for Y in wall_mod.enumerate_walls(kind_obj, wall_halves):
-                singles = wall_mod.legal_single_adds(Y) + wall_mod.legal_single_removes(Y)
-                doubles = [st for st in wall_mod.classify_sites(Y) if st.multiplicity == 2]
-                for site in singles + doubles:
-                    Y2 = wall_mod.toggle_block(Y, site)
-                    sign = -1 if site.role == "slot" else 1
-                    for s in s_values:
-                        base = wall_mod.assign_wall(seq, Y, s)
-                        occ = s + p_table(seq, "pi_prime", k, site.row) + site.column - 1
-                        expected = base + sign * site.multiplicity * beta_pair(
-                            seq, occ, site.color
-                        )
-                        expect_match(
-                            f"wall k={k} {site} s={s} of {Y.halves}",
-                            wall_mod.assign_wall(seq, Y2, s),
-                            expected,
-                        )
+        module = MODULES[kind]
+        for obj in enumerate_objects(seq, kind, k, wall_halves if kind == "wall" else size_bound):
+            before = {s: site_form(module.sites(seq, obj), s) for s in s_values}
+            for obj2, coeff, offset, color in module.moves(seq, obj):
+                after = module.sites(seq, obj2)
+                for s in s_values:
+                    checked += 1
+                    got = site_form(after, s)
+                    expected = before[s] - coeff * beta_pair(seq, s + offset, color)
+                    if got != expected:
+                        _note(witnesses, f"{obj} -> {obj2} s={s}: got {got}, expected {expected}")
 
     status = "pass" if not witnesses else "fail"
     return VerificationReport(
@@ -226,13 +187,12 @@ def check_closure_equality(
 ) -> VerificationReport:
     """Closure of {x_{s,k}} equals the assignment image of size-bounded generators."""
     fam = seq.root_system.algebra.family
-    if index_bound is None:
-        index_bound = seq.L * 6
     seed = LinearForm.x(s, k)
     closed, pruned = closure(seq, [seed], depth, index_bound)
     kind = dict((kk, kd) for kd, kk in generator_kinds(seq))[k]
     images = {
-        generator_form(seq, kind, obj, s) for obj in generator_objects(seq, kind, k, depth)
+        site_form(MODULES[kind].sites(seq, obj), s)
+        for obj in generator_objects(seq, kind, k, depth)
     }
     extra = sorted(closed - images, key=LinearForm.sort_key)
     missing = sorted(images - closed, key=LinearForm.sort_key)
@@ -241,7 +201,8 @@ def check_closure_equality(
         witnesses.append(f"image-only: {f}")
     status = "pass" if not (extra or missing or pruned) else "fail"
     if pruned:
-        witnesses.insert(0, f"{pruned} forms pruned at index bound {index_bound}")
+        bound = "L*(depth+2)" if index_bound is None else index_bound
+        witnesses.insert(0, f"{pruned} forms pruned at index bound {bound}")
     return VerificationReport(
         "closure-equality",
         {

@@ -20,10 +20,10 @@ from the right) in row l to +x_{s+P^k(l)+i, c(l)} and a removable block to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .root_data import AdaptedSequence, RootDataError, fold, p_table
-from .forms import LinearForm
+from .forms import LinearForm, Move, Site, site_form, site_move
 
 WALL_FAMILIES = ("A2wall", "D2wall")
 
@@ -75,6 +75,10 @@ class YoungWall:
 
     def added_halves(self) -> int:
         return sum(h - 1 for h in self.halves)
+
+    def columns(self) -> List[int]:
+        """Halves added above the ground in each nonbare column."""
+        return [h - 1 for h in self.halves]
 
     def block_count(self) -> int:
         """Number of blocks above the ground, counting a unit row once."""
@@ -158,85 +162,43 @@ def _can_set(Y: YoungWall, j: int, new_h: int) -> bool:
     return not _violations(Y.kind, vals)
 
 
-def _add_site(Y: YoungWall, j: int) -> Optional[WallSite]:
+def _single_move(Y: YoungWall, j: int, remove: bool) -> Optional[WallSite]:
+    """The one-block move at column j: a unit block, or one half of a split row."""
     kind = Y.kind
     h = Y.height(j)
-    l = kind.row_of_half(h + 1)
-    color = kind.row_color(l)
-    if h % 2 == 0:
-        if not kind.is_split(l):
-            if _can_set(Y, j, h + 2):
-                return WallSite("slot", j, l, 1, color, 2)
-            return None
-        if _can_set(Y, j, h + 2):
-            return WallSite("slot", j, l, 2, color, 2)
-        if _can_set(Y, j, h + 1):
-            return WallSite("slot", j, l, 1, color, 1)
+    if remove and h <= 1:
         return None
-    if _can_set(Y, j, h + 1):
-        return WallSite("slot", j, l, 1, color, 1)
-    return None
+    l = kind.row_of_half(h if remove else h + 1)
+    delta = 2 if (h % 2 == 0 and not kind.is_split(l)) else 1
+    if not _can_set(Y, j, h - delta if remove else h + delta):
+        return None
+    return WallSite("block" if remove else "slot", j, l, 1, kind.row_color(l), delta)
 
 
-def _remove_site(Y: YoungWall, j: int) -> Optional[WallSite]:
+def _site(Y: YoungWall, j: int, remove: bool) -> Optional[WallSite]:
+    """The double move when the row is split and the double is legal, else the single move."""
     kind = Y.kind
     h = Y.height(j)
-    if h <= 1:
-        return None
-    l = kind.row_of_half(h)
-    color = kind.row_color(l)
-    if h % 2 == 1:
-        if _can_set(Y, j, h - 1):
-            return WallSite("block", j, l, 1, color, 1)
-        return None
-    if not kind.is_split(l):
-        if _can_set(Y, j, h - 2):
-            return WallSite("block", j, l, 1, color, 2)
-        return None
-    if l > kind.ground:
-        if _can_set(Y, j, h - 2):
-            return WallSite("block", j, l, 2, color, 2)
-        if _can_set(Y, j, h - 1):
-            return WallSite("block", j, l, 1, color, 1)
-        return None
-    if _can_set(Y, j, h - 1):
-        return WallSite("block", j, l, 1, color, 1)
-    return None
+    l = kind.row_of_half(h if remove else h + 1)
+    if h % 2 == 0 and kind.is_split(l) and _can_set(Y, j, h - 2 if remove else h + 2):
+        return WallSite("block" if remove else "slot", j, l, 2, kind.row_color(l), 2)
+    return _single_move(Y, j, remove)
 
 
 def classify_sites(Y: YoungWall) -> List[WallSite]:
     """Admissible slots and removable blocks, doubles merged."""
     sites: List[WallSite] = []
     for j in range(1, len(Y.halves) + 2):
-        site = _add_site(Y, j)
-        if site:
-            sites.append(site)
-        if j <= len(Y.halves):
-            site = _remove_site(Y, j)
+        for remove in (False, True):
+            site = _site(Y, j, remove)
             if site:
                 sites.append(site)
     return sites
 
 
 def _one_block_moves(Y: YoungWall, remove: bool) -> List[WallSite]:
-    out: List[WallSite] = []
-    kind = Y.kind
-    cols = range(1, len(Y.halves) + (1 if remove else 2))
-    for j in cols:
-        h = Y.height(j)
-        if remove:
-            if h <= 1:
-                continue
-            l = kind.row_of_half(h)
-            delta = 2 if (h % 2 == 0 and not kind.is_split(l)) else 1
-            if _can_set(Y, j, h - delta):
-                out.append(WallSite("block", j, l, 1, kind.row_color(l), delta))
-        else:
-            l = kind.row_of_half(h + 1)
-            delta = 2 if (h % 2 == 0 and not kind.is_split(l)) else 1
-            if _can_set(Y, j, h + delta):
-                out.append(WallSite("slot", j, l, 1, kind.row_color(l), delta))
-    return out
+    cols = range(1, len(Y.halves) + 2)
+    return [m for m in (_single_move(Y, j, remove) for j in cols) if m]
 
 
 def legal_single_adds(Y: YoungWall) -> List[WallSite]:
@@ -260,8 +222,7 @@ def toggle_block(Y: YoungWall, site: WallSite) -> YoungWall:
     return make_wall(Y.kind, vals)
 
 
-def assign_wall(seq: AdaptedSequence, Y: YoungWall, s: int) -> LinearForm:
-    """The form attached to a wall at base occurrence s."""
+def _check_sequence(seq: AdaptedSequence, Y: YoungWall) -> None:
     kind = Y.kind
     fam = seq.root_system.algebra.family
     if fam != _SEQ_FAMILY[kind.family]:
@@ -270,16 +231,39 @@ def assign_wall(seq: AdaptedSequence, Y: YoungWall, s: int) -> LinearForm:
         )
     if seq.root_system.n != kind.n:
         raise RootDataError(f"rank mismatch: wall n={kind.n}, sequence n={seq.root_system.n}")
-    k = kind.ground
-    total = LinearForm.zero()
-    for site in classify_sites(Y):
-        i = site.column - 1
-        base = s + p_table(seq, "pi_prime", k, site.row)
-        if site.role == "slot":
-            total = total + site.multiplicity * LinearForm.x(base + i, site.color)
-        else:
-            total = total - site.multiplicity * LinearForm.x(base + i + 1, site.color)
-    return total
+
+
+def _address(seq: AdaptedSequence, Y: YoungWall, site: WallSite) -> Site:
+    """The (coeff, offset, color) term of a site: +mult at a slot, -mult at a block."""
+    offset = p_table(seq, "pi_prime", Y.kind.ground, site.row) + site.column - 1
+    if site.role == "slot":
+        return site.multiplicity, offset, site.color
+    return -site.multiplicity, offset + 1, site.color
+
+
+def sites(seq: AdaptedSequence, Y: YoungWall) -> List[Site]:
+    """One term per classified site; the assigned form at s is their site_form at s."""
+    _check_sequence(seq, Y)
+    return [_address(seq, Y, site) for site in classify_sites(Y)]
+
+
+def moves(seq: AdaptedSequence, Y: YoungWall) -> Iterator[Move]:
+    """One (Y2, coeff, offset, color) per single-block move and per double site.
+
+    assign(Y2, s) = assign(Y, s) - coeff * beta_{s+offset, color}, with coeff
+    +multiplicity for adding at a slot and -multiplicity for removing a block.
+    """
+    _check_sequence(seq, Y)
+    singles = legal_single_adds(Y) + legal_single_removes(Y)
+    doubles = [site for site in classify_sites(Y) if site.multiplicity == 2]
+    for site in singles + doubles:
+        address = _address(seq, Y, site)
+        yield site_move(toggle_block(Y, site), address[0], address)
+
+
+def assign_wall(seq: AdaptedSequence, Y: YoungWall, s: int) -> LinearForm:
+    """The form attached to a wall at base occurrence s."""
+    return site_form(sites(seq, Y), s)
 
 
 def enumerate_walls(kind: WallKind, max_halves: int) -> List[YoungWall]:

@@ -216,6 +216,12 @@ class TestRender:
         code, _, err = run(capsys, "render")
         assert code == EXIT_USAGE
         assert "render needs an object kind" in err
+        code, out, err = run(capsys, "render", "--json", "eyd", "charge", "1x2")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: charge must be an integer, got '1x2'\n"
+        code, out, err = run(capsys, "render", "--json", "eyd", "charge", "1_2")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: charge must be an integer, got '1_2'\n"
 
     def test_improper_object_is_usage_error(self, capsys):
         code, _, err = run(capsys, "render", "--family", "A2", "wall", "halves", "2,2")
@@ -238,9 +244,11 @@ class TestUsage:
         assert code == EXIT_USAGE
 
     def test_verify_fail_exit_code(self, capsys):
-        # depth 8 overflows the default index bound, and the pruning is
-        # reported as a failure instead of a silent pass
-        code, out, _ = run(capsys, "verify", "closure", "--k", "1", "--depth", "8")
+        # a seed at s=5 with depth 8 overflows the default index bound
+        # L*(depth+2), and the pruning is reported as a failure instead of a
+        # silent pass.  This input prunes only because that default ignores
+        # s (an open ROADMAP item); a fix there needs a new pruning input.
+        code, out, _ = run(capsys, "verify", "closure", "--k", "1", "--depth", "8", "--s", "5")
         assert code == EXIT_FAIL
         assert "closure-equality: fail" in out
         assert "pruned" in out

@@ -72,6 +72,10 @@ class TestShapes:
     def test_validate_reports_violations(self):
         bad = RevisedEYD("A2", 3, 2, 0, (0, 2))
         assert validate(bad)
+        # charge 3 relaxes position 0 for n = 3; the charge is reported first
+        assert validate(RevisedEYD("D2target", 3, 3, 0, (3,))) == [
+            "flavor D2target needs charge in 2..2, got 3"
+        ]
         assert validate(phi_reyd("A2", 3, 2)) == []
 
     def test_units(self):

@@ -104,6 +104,14 @@ class TestClosureEquality:
                 "symmetric_difference": 0,
             }
 
+    def test_default_index_bound_is_closures(self):
+        # closure's default index bound L*(depth+2) applies; L*6 would prune
+        # two forms here
+        seq = make_seq("C1", 4, [2, 1, 3, 4])
+        r = check_closure_equality(seq, 4, depth=12)
+        assert r.ok, r.witnesses
+        assert r.counts["pruned"] == 0 and r.counts["symmetric_difference"] == 0
+
     def test_tiny_index_bound_reported(self, a1_n3):
         r = check_closure_equality(a1_n3, 1, depth=4, index_bound=4)
         assert not r.ok
