@@ -17,7 +17,6 @@ from .root_data import (
     AdaptedSequence,
     AlgebraType,
     FAMILIES,
-    RootDataError,
     build_adapted,
     build_root_system,
 )
@@ -39,25 +38,36 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-CHECK_NAMES = {
-    "step-identities": "steps",
-    "steps": "steps",
-    "closure": "closure",
-    "image": "image",
-    "axioms": "axioms",
-    "crystal-axioms": "axioms",
-    "positivity": "positivity",
-    "xi-positivity": "positivity",
-    "beta": "beta",
-    "beta-agreement": "beta",
-    "sigma": "sigma",
-    "sigma-difference": "sigma",
-    "all": "all",
+# The verification suites in the order of "all": short name to report name,
+# verify function name, and the keywords it takes from the verify flags (each
+# flag's dest is its keyword).  Held by name so that a call finds a function
+# rebound on verify, as the benchmark's tracer does.
+SUITES = {
+    "steps": ("step-identities", "check_step_identities", ("size_bound",)),
+    "closure": ("closure-equality", "check_closure_equality", ("depth", "s")),
+    "image": ("image-equality", "check_image_equality", ("max_weight", "size_bound")),
+    "axioms": ("crystal-axioms", "check_crystal_axioms", ("depth",)),
+    "positivity": ("xi-positivity", "check_positivity", ("depth",)),
+    "beta": ("beta-agreement", "check_beta_agreement", ()),
+    "sigma": ("sigma-difference", "check_sigma_difference", ()),
 }
 
 
 class UsageError(Exception):
     pass
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least low.  argparse reports text that
+    is not an integer as an "invalid integer value", after the function's name."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _parse_ints(text: str) -> List[int]:
@@ -96,17 +106,7 @@ def _window_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list
 
 def cmd_inequalities(args: argparse.Namespace) -> int:
     seq = build_sequence(args)
-    kinds = dict((k, kd) for kd, k in verify_mod.generator_kinds(seq))
-    if args.k not in kinds:
-        raise UsageError(
-            f"k={args.k} has no generator family for {args.family} n={args.n}; "
-            f"valid charges: {sorted(kinds)}"
-        )
-    if args.bound < 0:
-        raise UsageError("--bound must be nonnegative")
-    if args.s < 1:
-        raise UsageError("--s must be at least 1")
-    kind = kinds[args.k]
+    kind = verify_mod.charge_kind(seq, args.k)
     forms = {
         site_form(verify_mod.MODULES[kind].sites(seq, obj), args.s)
         for obj in _window_objects(seq, kind, args.k, args.bound)
@@ -120,53 +120,28 @@ def cmd_inequalities(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_checks(seq: AdaptedSequence, names: List[str], args: argparse.Namespace) -> list:
-    reports = []
-    for name in names:
-        if name == "steps":
-            reports.append(
-                verify_mod.check_step_identities(seq, size_bound=args.size or 6)
-            )
-        elif name == "closure":
-            ks = [args.k] if args.k is not None else [k for _, k in verify_mod.generator_kinds(seq)]
-            for k in ks:
-                reports.append(
-                    verify_mod.check_closure_equality(seq, k, depth=args.depth or 4, s=args.s)
-                )
-        elif name == "image":
-            reports.append(
-                verify_mod.check_image_equality(
-                    seq, max_weight=args.weight or 4, size_bound=args.size
-                )
-            )
-        elif name == "axioms":
-            reports.append(verify_mod.check_crystal_axioms(seq, depth=args.depth or 4))
-        elif name == "positivity":
-            reports.append(verify_mod.check_positivity(seq, depth=args.depth or 6))
-        elif name == "beta":
-            reports.append(verify_mod.check_beta_agreement(seq))
-        elif name == "sigma":
-            reports.append(verify_mod.check_sigma_difference(seq))
-    return reports
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    requested = args.checks or ["all"]
+    names = {alias: [short] for short, (name, _, _) in SUITES.items() for alias in (short, name)}
+    names["all"] = list(SUITES)
     resolved: List[str] = []
-    for raw in requested:
-        if raw not in CHECK_NAMES:
-            raise UsageError(f"unknown check {raw!r}; choose from {sorted(set(CHECK_NAMES))}")
-        name = CHECK_NAMES[raw]
-        targets = (
-            ["steps", "closure", "image", "axioms", "positivity", "beta", "sigma"]
-            if name == "all"
-            else [name]
-        )
-        for t in targets:
-            if t not in resolved:
-                resolved.append(t)
+    for raw in args.checks or ["all"]:
+        if raw not in names:
+            raise UsageError(f"unknown check {raw!r}; choose from {sorted(names)}")
+        resolved += [short for short in names[raw] if short not in resolved]
     seq = build_sequence(args)
-    reports = _run_checks(seq, resolved, args)
+    charges = [k for _, k in verify_mod.generator_kinds(seq)]
+    if args.k is not None:
+        verify_mod.charge_kind(seq, args.k)
+        charges = [args.k]
+    reports = []
+    for short in resolved:
+        _, function, keywords = SUITES[short]
+        check = getattr(verify_mod, function)
+        kwargs = {kw: getattr(args, kw) for kw in keywords if getattr(args, kw) is not None}
+        if short == "closure":
+            reports.extend(check(seq, k, **kwargs) for k in charges)
+        else:
+            reports.append(check(seq, **kwargs))
     if args.json:
         print(_dump([r.to_json() for r in reports]))
     else:
@@ -224,14 +199,11 @@ def cmd_crystal(args: argparse.Namespace) -> int:
 
 
 def _print_enumeration(seq: AdaptedSequence, args: argparse.Namespace) -> int:
-    depth = args.depth if args.depth is not None else 2
-    if depth < 0:
-        raise UsageError("--depth must be nonnegative")
-    elems = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
+    elems = sorted(enumerate_image(seq, args.depth), key=LatticeElement.items)
     if args.json:
         print(_dump([a.to_json() for a in elems]))
     else:
-        print(f"{len(elems)} elements at depth {depth}")
+        print(f"{len(elems)} elements at depth {args.depth}")
         for a in elems:
             print(format_element(seq, a))
     return EXIT_OK
@@ -303,6 +275,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    nonneg, positive = _int_at_least(0), _int_at_least(1)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--family", choices=list(FAMILIES), default="A1")
     common.add_argument("--n", type=int, default=3)
@@ -317,27 +290,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ineq = sub.add_parser("inequalities", parents=[common], help="emit generator forms")
     p_ineq.add_argument("--k", type=int, required=True, help="charge of the generator family")
-    p_ineq.add_argument("--s", type=int, default=1, help="base occurrence index")
-    p_ineq.add_argument("--bound", type=int, default=2, help="window size for enumerated shapes")
+    p_ineq.add_argument("--s", type=positive, default=1, help="base occurrence index")
+    p_ineq.add_argument("--bound", type=nonneg, default=2, help="window size for enumerated shapes")
     p_ineq.set_defaults(func=cmd_inequalities)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
     p_verify.add_argument("checks", nargs="*", help="check names, default all")
     p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--s", type=int, default=1)
-    p_verify.add_argument("--depth", "--dep", dest="depth", type=int, default=None)
-    p_verify.add_argument("--weight", "--w", dest="weight", type=int, default=None)
-    p_verify.add_argument("--size", type=int, default=None)
+    p_verify.add_argument("--s", type=positive, default=None)
+    p_verify.add_argument("--depth", "--dep", dest="depth", type=nonneg, default=None)
+    p_verify.add_argument("--weight", "--w", dest="max_weight", type=nonneg, default=None)
+    p_verify.add_argument("--size", dest="size_bound", type=nonneg, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_crystal = sub.add_parser("crystal", parents=[common], help="apply operators or enumerate")
     p_crystal.add_argument("ops_positional", nargs="*", metavar="op", help="e.g. apply f1 f2")
     p_crystal.add_argument("--ops", type=str, default=None)
-    p_crystal.add_argument("--depth", "--dep", dest="depth", type=int, default=None)
+    p_crystal.add_argument("--depth", "--dep", dest="depth", type=nonneg, default=2)
     p_crystal.set_defaults(func=cmd_crystal)
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="list reachable elements")
-    p_enum.add_argument("--depth", "--dep", dest="depth", type=int, default=2)
+    p_enum.add_argument("--depth", "--dep", dest="depth", type=nonneg, default=2)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_render = sub.add_parser("render", parents=[common], help="render a diagram or wall")
@@ -356,14 +329,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return code
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RootDataError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

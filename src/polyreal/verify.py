@@ -2,9 +2,11 @@
 
 Each check returns a VerificationReport with a status of "pass", "fail", or
 "inconclusive", witness strings for the first few failures, and counters.
-The converse half of the image check can only be sampled at finite generator
-bounds, so a candidate that satisfies every sampled inequality without being
-reachable is reported as inconclusive rather than as a silent pass.
+A report passes only when something was examined and nothing failed.  A
+sampling limit is inconclusive rather than a silent pass: the converse half
+of the image check can only be sampled at finite generator bounds, and the
+positivity check's closures may be pruned at their index bound.  The closure
+check reports its own pruning as a failure.
 """
 
 from __future__ import annotations
@@ -71,6 +73,29 @@ def _note(witnesses: List[str], message: str) -> None:
         witnesses.append(message)
 
 
+def _pruning_note(pruned: int, index_bound: Optional[int]) -> str:
+    bound = "L*(depth+2)" if index_bound is None else index_bound
+    return f"{pruned} forms pruned at index bound {bound}"
+
+
+def _report(
+    check: str,
+    seq: AdaptedSequence,
+    params: dict,
+    counts: Dict[str, int],
+    witnesses: List[str],
+    failed: int,
+    examined: int,
+    doubtful: bool = False,
+) -> VerificationReport:
+    """The one verdict rule: "fail" when anything failed, else "inconclusive"
+    when a sampling limit was hit or nothing was examined, else "pass"."""
+    status = "fail" if failed else "inconclusive" if doubtful or examined == 0 else "pass"
+    rs = seq.root_system
+    params = {"family": rs.algebra.family, "n": rs.n, "word": list(seq.word), **params}
+    return VerificationReport(check, params, status, counts, witnesses)
+
+
 # The module of each generator kind, with its sites(seq, obj) and
 # moves(seq, obj).  Held as modules so that a call finds a function rebound
 # on its module, as the benchmark's tracer does.
@@ -106,6 +131,18 @@ def generator_kinds(seq: AdaptedSequence) -> List[Tuple[str, int]]:
     rs = seq.root_system
     generators = family_generators(rs.algebra.family, rs.n)
     return [(kind, k) for kind, (_, ks) in generators.items() for k in ks]
+
+
+def charge_kind(seq: AdaptedSequence, k: int) -> str:
+    """The generator kind of charge k; a ValueError names the valid charges."""
+    kinds = dict((c, kind) for kind, c in generator_kinds(seq))
+    if k not in kinds:
+        rs = seq.root_system
+        raise ValueError(
+            f"k={k} has no generator family for {rs.algebra.family} n={rs.n}; "
+            f"valid charges: {sorted(kinds)}"
+        )
+    return kinds[k]
 
 
 def enumerate_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list:
@@ -151,8 +188,6 @@ def check_step_identities(
     Walls are enumerated up to wall_halves halves, the other kinds up to
     size_bound steps.
     """
-    fam = seq.root_system.algebra.family
-    n = seq.root_system.n
     checked = 0
     witnesses: List[str] = []
     for kind, k in generator_kinds(seq):
@@ -168,13 +203,14 @@ def check_step_identities(
                     if got != expected:
                         _note(witnesses, f"{obj} -> {obj2} s={s}: got {got}, expected {expected}")
 
-    status = "pass" if not witnesses else "fail"
-    return VerificationReport(
+    return _report(
         "step-identities",
-        {"family": fam, "n": n, "word": list(seq.word), "size_bound": size_bound},
-        status,
+        seq,
+        {"size_bound": size_bound},
         {"toggles_checked": checked, "failures": len(witnesses)},
         witnesses,
+        len(witnesses),
+        checked,
     )
 
 
@@ -186,10 +222,9 @@ def check_closure_equality(
     index_bound: Optional[int] = None,
 ) -> VerificationReport:
     """Closure of {x_{s,k}} equals the assignment image of size-bounded generators."""
-    fam = seq.root_system.algebra.family
     seed = LinearForm.x(s, k)
     closed, pruned = closure(seq, [seed], depth, index_bound)
-    kind = dict((kk, kd) for kd, kk in generator_kinds(seq))[k]
+    kind = charge_kind(seq, k)
     images = {
         site_form(MODULES[kind].sites(seq, obj), s)
         for obj in generator_objects(seq, kind, k, depth)
@@ -199,28 +234,22 @@ def check_closure_equality(
     witnesses = [f"closure-only: {f}" for f in extra[:MAX_WITNESSES]]
     for f in missing[: MAX_WITNESSES - len(witnesses)]:
         witnesses.append(f"image-only: {f}")
-    status = "pass" if not (extra or missing or pruned) else "fail"
     if pruned:
-        bound = "L*(depth+2)" if index_bound is None else index_bound
-        witnesses.insert(0, f"{pruned} forms pruned at index bound {bound}")
-    return VerificationReport(
+        witnesses.insert(0, _pruning_note(pruned, index_bound))
+    difference = len(extra) + len(missing)
+    return _report(
         "closure-equality",
-        {
-            "family": fam,
-            "n": seq.root_system.n,
-            "word": list(seq.word),
-            "k": k,
-            "s": s,
-            "depth": depth,
-        },
-        status,
+        seq,
+        {"k": k, "s": s, "depth": depth},
         {
             "closure_size": len(closed),
             "image_size": len(images),
             "pruned": pruned,
-            "symmetric_difference": len(extra) + len(missing),
+            "symmetric_difference": difference,
         },
         witnesses,
+        difference + pruned,
+        len(closed),
     )
 
 
@@ -254,7 +283,6 @@ def check_image_equality(
     of the reachable set is itself reachable; a miss is inconclusive since it
     may only reflect the finite sample.
     """
-    fam = seq.root_system.algebra.family
     if size_bound is None:
         size_bound = max_weight + 2
     if s_bound is None:
@@ -281,23 +309,10 @@ def check_image_equality(
         if all(evaluate(seq, f, a) >= 0 for f in forms):
             converse_bad += 1
             _note(witnesses, f"unreachable {a} satisfies all {len(forms)} sampled forms")
-    if forward_bad:
-        status = "fail"
-    elif converse_bad:
-        status = "inconclusive"
-    else:
-        status = "pass"
-    return VerificationReport(
+    return _report(
         "image-equality",
-        {
-            "family": fam,
-            "n": seq.root_system.n,
-            "word": list(seq.word),
-            "max_weight": max_weight,
-            "size_bound": size_bound,
-            "s_bound": s_bound,
-        },
-        status,
+        seq,
+        {"max_weight": max_weight, "size_bound": size_bound, "s_bound": s_bound},
         {
             "image_size": len(image),
             "forms": len(forms),
@@ -306,10 +321,13 @@ def check_image_equality(
             "converse_misses": converse_bad,
         },
         witnesses,
+        forward_bad,
+        len(forms),
+        doubtful=converse_bad > 0,
     )
 
 
-def check_crystal_axioms(seq: AdaptedSequence, depth: int = 5) -> VerificationReport:
+def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationReport:
     """Kashiwara axioms and operator inverses on the reachable set."""
     image = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
     witnesses: List[str] = []
@@ -342,18 +360,14 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 5) -> VerificationRe
                 x, raises = x2, raises + 1
             if raises != eps:
                 _note(witnesses, f"epsilon_{i}({a}) = {eps} but {raises} raises apply")
-    status = "pass" if not witnesses else "fail"
-    return VerificationReport(
+    return _report(
         "crystal-axioms",
-        {
-            "family": seq.root_system.algebra.family,
-            "n": seq.root_system.n,
-            "word": list(seq.word),
-            "depth": depth,
-        },
-        status,
+        seq,
+        {"depth": depth},
         {"elements": len(image), "pairs_checked": checked, "failures": len(witnesses)},
         witnesses,
+        len(witnesses),
+        checked,
     )
 
 
@@ -365,28 +379,28 @@ def check_positivity(
 ) -> VerificationReport:
     """No closure form carries a negative coefficient at a first occurrence."""
     witnesses: List[str] = []
-    total = 0
+    total = pruned = 0
     for k in seq.root_system.index_set:
         for s in range(1, s_max + 1):
-            closed, _ = closure(seq, [LinearForm.x(s, k)], depth, index_bound)
+            closed, lost = closure(seq, [LinearForm.x(s, k)], depth, index_bound)
             total += len(closed)
+            pruned += lost
             ok, bad = check_xi_positivity(seq, closed)
             if not ok:
                 for f, pair, c in bad:
                     _note(witnesses, f"seed x[{s},{k}]: {f} has coefficient {c} at {pair}")
-    status = "pass" if not witnesses else "fail"
-    return VerificationReport(
+    failures = len(witnesses)
+    if pruned:
+        witnesses.insert(0, _pruning_note(pruned, index_bound))
+    return _report(
         "xi-positivity",
-        {
-            "family": seq.root_system.algebra.family,
-            "n": seq.root_system.n,
-            "word": list(seq.word),
-            "depth": depth,
-            "s_max": s_max,
-        },
-        status,
-        {"forms_checked": total, "failures": len(witnesses)},
+        seq,
+        {"depth": depth, "s_max": s_max},
+        {"forms_checked": total, "failures": failures},
         witnesses,
+        failures,
+        total,
+        doubtful=pruned > 0,
     )
 
 
@@ -395,22 +409,19 @@ def check_beta_agreement(seq: AdaptedSequence, max_index: int = 30) -> Verificat
     witnesses: List[str] = []
     from .root_data import index_to_pair
 
-    for j in range(1, max_index + 1):
+    indices = range(1, max_index + 1)
+    for j in indices:
         s, l = index_to_pair(seq, j)
         if beta_index(seq, j) != beta_pair(seq, s, l):
             _note(witnesses, f"beta mismatch at j={j} (s={s}, l={l})")
-    status = "pass" if not witnesses else "fail"
-    return VerificationReport(
+    return _report(
         "beta-agreement",
-        {
-            "family": seq.root_system.algebra.family,
-            "n": seq.root_system.n,
-            "word": list(seq.word),
-            "max_index": max_index,
-        },
-        status,
-        {"indices_checked": max_index, "failures": len(witnesses)},
+        seq,
+        {"max_index": max_index},
+        {"indices_checked": len(indices), "failures": len(witnesses)},
         witnesses,
+        len(witnesses),
+        len(indices),
     )
 
 
@@ -433,16 +444,12 @@ def check_sigma_difference(
         checked += 1
         if value != diff:
             _note(witnesses, f"sigma difference mismatch at j={j} on {a}")
-    status = "pass" if not witnesses else "fail"
-    return VerificationReport(
+    return _report(
         "sigma-difference",
-        {
-            "family": seq.root_system.algebra.family,
-            "n": seq.root_system.n,
-            "word": list(seq.word),
-            "samples": samples,
-        },
-        status,
+        seq,
+        {"samples": samples},
         {"samples_checked": checked, "failures": len(witnesses)},
         witnesses,
+        len(witnesses),
+        checked,
     )

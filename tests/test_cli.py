@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, golden output, JSON round trips."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyreal import LatticeElement, LinearForm
 from polyreal.cli import (
@@ -85,6 +88,47 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "bogus")
         assert code == EXIT_USAGE
         assert "unknown check" in err
+        assert "'closure-equality'" in err and "'image-equality'" in err
+
+    def test_report_names_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "closure-equality", "image-equality", "--depth", "2")
+        assert code == EXIT_OK
+        assert out.count("closure-equality: pass") == 3 and "image-equality: pass" in out
+
+    @pytest.mark.parametrize(
+        "argv", [("closure", "--k", "9"), ("closure", "--k", "0"), ("beta", "--k", "9")]
+    )
+    def test_invalid_charge_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "valid charges: [1, 2, 3]" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("closure", "--depth", "-1"),
+            ("image", "--w", "-1"),
+            ("steps", "--size", "-1"),
+            ("axioms", "--depth", "-3"),
+            ("closure", "--s", "0"),
+        ],
+    )
+    def test_bound_out_of_range_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "must be at least" in err
+
+    @pytest.mark.parametrize(
+        "argv,count",
+        [
+            (("positivity", "--depth", "0"), "forms_checked=6"),
+            (("steps", "--size", "0"), "toggles_checked=6"),
+        ],
+    )
+    def test_zero_bound_is_used(self, capsys, argv, count):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == EXIT_OK
+        assert count in out
 
     def test_inconclusive_exit_code(self, capsys):
         code, out, _ = run(capsys, "verify", "image", "--w", "2", "--size", "0")
@@ -267,3 +311,45 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+# Fuzz vocabulary: suite and object names, flags with a small int, and
+# garbage.  Each subcommand starts from small bounds so that a run stays cheap;
+# a fuzzed flag given later overrides them.
+_NAMES = [
+    "steps", "closure", "image", "axioms", "positivity", "beta", "sigma", "all",
+    "step-identities", "closure-equality", "image-equality", "crystal-axioms",
+    "xi-positivity", "beta-agreement", "sigma-difference", "--json", "A2", "C1", "D2",
+    "2,1,3", "1,2", "3,1,2", "2,1,3,2,3,1", "apply", "f1", "e2", "f3", "eyd", "reyd", "wall",
+    "charge", "ys", "halves", "k", "t_lo", "ground", "flavor", "-1,0", "1,1,2", "8,4,2",
+]
+_FLAGS = [
+    "--k", "--s", "--depth", "--dep", "--w", "--weight", "--size", "--bound", "--n",
+    "--family", "--word", "--ops",
+]
+_TOKENS = st.one_of(
+    st.tuples(st.sampled_from(_FLAGS), st.integers(-3, 3).map(str)).map(list),
+    st.sampled_from(_NAMES).map(lambda t: [t]),
+    st.text(max_size=4).map(lambda t: [t]),
+)
+_SMALL = {
+    "verify": ["--depth", "2", "--w", "2", "--size", "2"],
+    "inequalities": ["--bound", "2"],
+    "crystal": ["--depth", "2"],
+    "enumerate": ["--depth", "2"],
+    "render": [],
+}
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(_SMALL)), st.lists(_TOKENS, max_size=6))
+    def test_exit_codes(self, command, tokens):
+        argv = [command] + _SMALL[command] + [t for group in tokens for t in group]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE), argv
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_FAIL:
+            assert ": fail (" in out.getvalue() or '"status": "fail"' in out.getvalue(), argv

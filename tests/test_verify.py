@@ -1,5 +1,7 @@
 """Verification harness: reports, dispatch, and the checks on small bounds."""
 
+import itertools
+
 import pytest
 
 from polyreal import LatticeElement, LinearForm, enumerate_image
@@ -40,6 +42,26 @@ class TestReport:
     def test_summary(self):
         r = VerificationReport("closure-equality", {}, "pass", {"b": 2, "a": 1})
         assert r.summary() == "closure-equality: pass (a=1 b=2)"
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda seq: check_beta_agreement(seq, max_index=0),
+            lambda seq: check_sigma_difference(seq, samples=0),
+            lambda seq: check_step_identities(seq, size_bound=-1),
+            lambda seq: check_image_equality(seq, max_weight=-1),
+        ],
+        ids=["beta", "sigma", "steps", "image"],
+    )
+    def test_zero_work_is_inconclusive(self, a1_n3, check):
+        r = check(a1_n3)
+        assert r.status == "inconclusive"
+        assert r.counts.get("failures", 0) == 0 and r.witnesses == []
+        assert {key: r.params[key] for key in ("family", "n", "word")} == {
+            "family": "A1",
+            "n": 3,
+            "word": [2, 1, 3],
+        }
 
 
 class TestDispatch:
@@ -160,6 +182,13 @@ class TestPositivity:
         assert r.ok, r.witnesses
         assert r.counts["forms_checked"] > 0
 
+    def test_pruning_is_inconclusive(self, a1_n3):
+        r = check_positivity(a1_n3, depth=4, index_bound=4)
+        assert r.status == "inconclusive"
+        assert r.counts["failures"] == 0
+        pruned, rest = r.witnesses[0].split(" ", 1)
+        assert int(pruned) > 0 and rest == "forms pruned at index bound 4"
+
 
 class TestBetaAgreement:
     @pytest.mark.parametrize("family,n", STANDARD)
@@ -180,3 +209,21 @@ class TestSigmaDifference:
         a = check_sigma_difference(a1_n3, samples=10, depth=3, seed=5)
         b = check_sigma_difference(a1_n3, samples=10, depth=3, seed=5)
         assert a.to_json() == b.to_json()
+
+
+class TestPermutationWords:
+    # every permutation of 1..3 is an adapted word in each family
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    @pytest.mark.parametrize(
+        "word", list(itertools.permutations((1, 2, 3))), ids=lambda w: ",".join(map(str, w))
+    )
+    def test_suites_pass(self, family, word):
+        seq = make_seq(family, 3, list(word))
+        reports = [
+            check_step_identities(seq, size_bound=3, wall_halves=4),
+            check_image_equality(seq, max_weight=2),
+        ]
+        reports += [check_closure_equality(seq, k, depth=3) for k in seq.root_system.index_set]
+        for r in reports:
+            assert r.ok, (r.check, r.params, r.witnesses)
+            assert (r.params["family"], r.params["n"], r.params["word"]) == (family, 3, list(word))
