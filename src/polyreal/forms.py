@@ -181,13 +181,16 @@ def closure(
     """Iterate S' from the seeds for the given number of rounds.
 
     S' is applied at every nonzero coefficient position of every known form.
-    Forms whose support exceeds index_bound (default L * (depth + 2)) are
-    dropped; the count of distinct dropped forms is returned alongside the
-    closed set.
+    Forms whose support exceeds index_bound are dropped; the count of
+    distinct dropped forms is returned alongside the closed set.  The
+    default bound is L * (depth + 2) past the start of the period holding
+    the seeds' largest single index, so L * (depth + 2) for seeds in the
+    first period.
     """
-    if index_bound is None:
-        index_bound = seq.L * (depth + 2)
     seen: Set[LinearForm] = set(seeds)
+    if index_bound is None:
+        top = max((max_single_index(seq, f) for f in seen), default=0)
+        index_bound = seq.L * (max(top - 1, 0) // seq.L + depth + 2)
     pruned: Set[LinearForm] = set()
     frontier = list(seen)
     for _ in range(depth):

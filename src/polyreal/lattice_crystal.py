@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .root_data import AdaptedSequence, RootDataError, index_to_pair
+from .root_data import AdaptedSequence, index_to_pair
 
 Entries = Union[Dict[int, int], Iterable[Tuple[int, int]], None]
 
@@ -91,18 +91,24 @@ def sigma(seq: AdaptedSequence, a: LatticeElement, j: int) -> int:
     return val
 
 
-def _color_positions(seq: AdaptedSequence, i: int, lo: int, hi: int) -> List[int]:
-    return [j for j in range(lo, hi + 1) if seq.color_of(j) == i]
+def _reach(seq: AdaptedSequence, a: LatticeElement, i: int) -> Tuple[int, List[int]]:
+    """epsilon_i(a) and the i-colored positions in 1..max_index+L where sigma reaches it.
+
+    Every color occurs in each L consecutive positions, and sigma is 0 past
+    the support, so the maximum is at least 0 and is reached at least once.
+    """
+    values = [
+        (j, sigma(seq, a, j))
+        for j in range(1, a.max_index() + seq.L + 1)
+        if seq.color_of(j) == i
+    ]
+    eps = max(v for _, v in values)
+    return eps, [j for j, v in values if v == eps]
 
 
 def epsilon(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
     """epsilon_i(a) = max(0, max sigma over i-colored positions)."""
-    best = 0
-    for j in _color_positions(seq, i, 1, a.max_index()):
-        s = sigma(seq, a, j)
-        if s > best:
-            best = s
-    return best
+    return _reach(seq, a, i)[0]
 
 
 def weight_coeffs(seq: AdaptedSequence, a: LatticeElement) -> Dict[int, int]:
@@ -126,11 +132,7 @@ def phi(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
 
 def ftilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> LatticeElement:
     """Lowering operator: add 1 at the smallest i-position where sigma = epsilon_i."""
-    eps = epsilon(seq, a, i)
-    for j in _color_positions(seq, i, 1, a.max_index() + seq.L):
-        if sigma(seq, a, j) == eps:
-            return a.bump(j, 1)
-    raise RootDataError(f"no position attains epsilon_{i}")  # pragma: no cover
+    return a.bump(_reach(seq, a, i)[1][0], 1)
 
 
 def etilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> Optional[LatticeElement]:
@@ -138,15 +140,8 @@ def etilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> Optional[LatticeE
 
     Returns None when epsilon_i(a) = 0.
     """
-    eps = epsilon(seq, a, i)
-    if eps == 0:
-        return None
-    best = None
-    for j in _color_positions(seq, i, 1, a.max_index()):
-        if sigma(seq, a, j) == eps:
-            best = j
-    assert best is not None
-    return a.bump(best, -1)
+    eps, positions = _reach(seq, a, i)
+    return a.bump(positions[-1], -1) if eps else None
 
 
 def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeElement]:

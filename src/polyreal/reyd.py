@@ -3,9 +3,9 @@
 A revised diagram of charge k is a two-sided integer sequence (y_t) equal to
 the staircase k + t far left and to k far right.  Steps y_{t+1} - y_t must
 lie in {0, 1} except at congruence-relaxed positions: when k + t falls in
-the relaxed residue class, the step is only bounded below (t > 0) or above
-by 1 (t < 0).  The A2 flavor has modulus 2n-1 and relaxed residue {0}; the
-D2target flavor has modulus 2n and relaxed residues {0, n}.
+the special residue class, the step is only bounded below (t > 0) or above
+by 1 (t < 0).  The A2 flavor has modulus 2n-1 and special residue {0}; the
+D2target flavor has modulus 2n and special residues {0, n}.
 
 A point (i, y_i) is admissible when lowering y_i keeps the diagram valid;
 (i, y_{i-1}) is removable when raising y_{i-1} does.  A marking is double
@@ -102,22 +102,23 @@ def _check_parameters(flavor: str, n: int, k: int) -> None:
         raise REYDError(f"flavor {flavor} needs charge in 2..{hi}, got {k}")
 
 
-def _relaxed(flavor: str, n: int, k: int, t: int) -> bool:
-    if flavor == "A2":
-        return (k + t) % (2 * n - 1) == 0
-    return (k + t) % (2 * n) in (0, n)
+def _special(T: RevisedEYD, value: int) -> bool:
+    """Whether value is 0 mod the modulus, or n mod it for D2target."""
+    r = value % T.modulus
+    return r == 0 or (T.flavor == "D2target" and r == T.n)
 
 
-def _pair_ok(flavor: str, n: int, k: int, t: int, yt: int, yt1: int) -> bool:
+def _pair_ok(T: RevisedEYD, t: int, yt: int, yt1: int) -> bool:
     """Whether the step from y_t to y_{t+1} is allowed at position t.
 
-    No valid charge relaxes position 0, so a relaxed t is nonzero.
+    Steps 0 and 1 are allowed everywhere.  At a relaxed position, one whose
+    k + t is special, the step is only bounded below by 0 (t > 0) or above
+    by 1 (t < 0); no valid charge relaxes position 0.
     """
-    if not _relaxed(flavor, n, k, t):
-        return yt1 - yt in (0, 1)
-    if t > 0:
-        return yt1 >= yt
-    return yt1 <= yt + 1
+    step = yt1 - yt
+    if step in (0, 1):
+        return True
+    return _special(T, T.k + t) and (step >= 0 if t > 0 else step <= 1)
 
 
 def make_reyd(flavor: str, n: int, k: int, t_lo: int, ys: Sequence[int]) -> RevisedEYD:
@@ -159,7 +160,7 @@ def _validate(T: RevisedEYD) -> None:
         raise REYDError(f"window endpoints must meet the staircase and the charge: {T}")
     M = T.modulus
     for t in range(T.t_lo - M - 1, T.t_hi + M + 1):
-        if not _pair_ok(T.flavor, T.n, T.k, t, T.y(t), T.y(t + 1)):
+        if not _pair_ok(T, t, T.y(t), T.y(t + 1)):
             raise REYDError(
                 f"step {T.y(t)} -> {T.y(t + 1)} at position {t} violates the conditions"
             )
@@ -183,43 +184,24 @@ def validate(T: RevisedEYD) -> List[str]:
 
 def _lower_ok(T: RevisedEYD, i: int) -> bool:
     yi = T.y(i) - 1
-    return _pair_ok(T.flavor, T.n, T.k, i - 1, T.y(i - 1), yi) and _pair_ok(
-        T.flavor, T.n, T.k, i, yi, T.y(i + 1)
-    )
+    return _pair_ok(T, i - 1, T.y(i - 1), yi) and _pair_ok(T, i, yi, T.y(i + 1))
 
 
 def _raise_ok(T: RevisedEYD, i: int) -> bool:
     yi1 = T.y(i - 1) + 1
-    return _pair_ok(T.flavor, T.n, T.k, i - 2, T.y(i - 2), yi1) and _pair_ok(
-        T.flavor, T.n, T.k, i - 1, yi1, T.y(i)
-    )
-
-
-def _double_residue(T: RevisedEYD, value: int, side: int) -> bool:
-    """side +1: the residue test for i > 0; side -1: the shifted test for i < 0."""
-    M = T.modulus
-    specials = (0,) if T.flavor == "A2" else (0, T.n)
-    for l in specials:
-        target = l if side > 0 else l + 1
-        if value % M == target % M:
-            return True
-    return False
+    return _pair_ok(T, i - 2, T.y(i - 2), yi1) and _pair_ok(T, i - 1, yi1, T.y(i))
 
 
 def _double_adm(T: RevisedEYD, i: int) -> bool:
     if not (T.y(i - 1) < T.y(i) == T.y(i + 1)):
         return False
-    if i > 0 and _double_residue(T, i + T.k, +1):
-        return True
-    return i < 0 and _double_residue(T, i + T.k, -1)
+    return (i > 0 and _special(T, i + T.k)) or (i < 0 and _special(T, i + T.k - 1))
 
 
 def _double_rem(T: RevisedEYD, i: int) -> bool:
     if not (T.y(i - 2) == T.y(i - 1) < T.y(i)):
         return False
-    if i > 1 and _double_residue(T, i + T.k - 1, -1):
-        return True
-    return i < 1 and _double_residue(T, i + T.k - 1, +1)
+    return (i > 1 and _special(T, i + T.k - 2)) or (i < 1 and _special(T, i + T.k - 1))
 
 
 def classify_points(T: RevisedEYD) -> List[MarkedPoint]:

@@ -74,7 +74,7 @@ def _note(witnesses: List[str], message: str) -> None:
 
 
 def _pruning_note(pruned: int, index_bound: Optional[int]) -> str:
-    bound = "L*(depth+2)" if index_bound is None else index_bound
+    bound = "L*(depth+2) past the seeds' period" if index_bound is None else index_bound
     return f"{pruned} forms pruned at index bound {bound}"
 
 
@@ -292,21 +292,19 @@ def check_image_equality(
         generator_forms(seq, size_bound, range(1, s_bound + 1)), key=LinearForm.sort_key
     )
     witnesses: List[str] = []
-    forward_bad = 0
-    for a in sorted(image, key=LatticeElement.items):
-        for f in forms:
-            if evaluate(seq, f, a) < 0:
-                forward_bad += 1
-                _note(witnesses, f"reachable {a} violates {f}")
-                break
     window = sorted({j for a in image for j in a.support()})
-    converse_bad = 0
-    tested = 0
+    forward_bad = converse_bad = tested = 0
+    # Every image element is a candidate: it is nonnegative, its total is at
+    # most max_weight (each lowering step adds 1), and its support lies in
+    # the window.
     for a in _candidates(window, max_weight):
         tested += 1
+        bad = next((f for f in forms if evaluate(seq, f, a) < 0), None)
         if a in image:
-            continue
-        if all(evaluate(seq, f, a) >= 0 for f in forms):
+            if bad is not None:
+                forward_bad += 1
+                _note(witnesses, f"reachable {a} violates {bad}")
+        elif bad is None:
             converse_bad += 1
             _note(witnesses, f"unreachable {a} satisfies all {len(forms)} sampled forms")
     return _report(

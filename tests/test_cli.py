@@ -1,13 +1,14 @@
 """Command-line interface: exit codes, golden output, JSON round trips."""
 
 import contextlib
+import functools
 import io
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyreal import LatticeElement, LinearForm
+from polyreal import LatticeElement, LinearForm, verify
 from polyreal.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -287,12 +288,16 @@ class TestUsage:
         code, _, _ = run(capsys)
         assert code == EXIT_USAGE
 
-    def test_verify_fail_exit_code(self, capsys):
-        # a seed at s=5 with depth 8 overflows the default index bound
-        # L*(depth+2), and the pruning is reported as a failure instead of a
-        # silent pass.  This input prunes only because that default ignores
-        # s (an open ROADMAP item); a fix there needs a new pruning input.
-        code, out, _ = run(capsys, "verify", "closure", "--k", "1", "--depth", "8", "--s", "5")
+    def test_verify_fail_exit_code(self, capsys, monkeypatch):
+        # a tiny index bound prunes the closure, and the pruning is reported
+        # as a failure instead of a silent pass.  The cli looks the check up
+        # by name at call time, so it runs the patched one.
+        monkeypatch.setattr(
+            verify,
+            "check_closure_equality",
+            functools.partial(verify.check_closure_equality, index_bound=4),
+        )
+        code, out, _ = run(capsys, "verify", "closure", "--k", "1", "--depth", "4")
         assert code == EXIT_FAIL
         assert "closure-equality: fail" in out
         assert "pruned" in out

@@ -1,5 +1,7 @@
 """Crystal structure on finitely supported integer sequences."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,14 +138,27 @@ class TestSigma:
         assert sigma(a1_n3, a, 1) == 1
         assert sigma(a1_n3, a, 4) == 0
 
-    def test_epsilon_is_max_sigma(self, a1_n3):
-        a = e(1, 2, 4)
-        hi = a.max_index()
-        for i in a1_n3.root_system.index_set:
-            positions = [j for j in range(1, hi + 1) if a1_n3.color_of(j) == i]
-            assert epsilon(a1_n3, a, i) == max(
-                0, max(sigma(a1_n3, a, j) for j in positions)
-            )
+    def test_epsilon_is_max_sigma(self):
+        # epsilon_i is the largest sigma over i-colored positions (at least
+        # 0); ftilde_i acts at the first position reaching it, etilde_i at
+        # the last one in the support
+        for family in ("A1", "C1", "A2", "D2"):
+            seq = make_seq(family, 3)
+            elements = sorted(enumerate_image(seq, 4), key=LatticeElement.items) + [e(1, 2, 4)]
+            for a in elements:
+                for i in seq.root_system.index_set:
+                    colored = [j for j in range(1, a.max_index() + 1) if seq.color_of(j) == i]
+                    eps = max([0] + [sigma(seq, a, j) for j in colored])
+                    first = next(
+                        j
+                        for j in itertools.count(1)
+                        if seq.color_of(j) == i and sigma(seq, a, j) == eps
+                    )
+                    reached = [j for j in colored if sigma(seq, a, j) == eps]
+                    assert epsilon(seq, a, i) == eps, (family, a, i)
+                    assert ftilde(seq, a, i) == a.bump(first, 1), (family, a, i)
+                    expected = a.bump(reached[-1], -1) if eps else None
+                    assert etilde(seq, a, i) == expected, (family, a, i)
 
 
 class TestEnumeration:

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from polyreal import LatticeElement, LinearForm, enumerate_image
+from polyreal import LatticeElement, LinearForm, enumerate_image, verify
 from polyreal.verify import (
     VerificationReport,
     check_beta_agreement,
@@ -134,6 +134,14 @@ class TestClosureEquality:
         assert r.ok, r.witnesses
         assert r.counts["pruned"] == 0 and r.counts["symmetric_difference"] == 0
 
+    @pytest.mark.parametrize("s", range(1, 12))
+    def test_default_index_bound_follows_s(self, a1_n3, s):
+        # the default bound counts from the period holding the seed x[s,1];
+        # counted from position 1 it pruned every s >= 5 at depth 8
+        r = check_closure_equality(a1_n3, 1, depth=8, s=s)
+        assert r.ok, r.witnesses
+        assert r.counts["pruned"] == 0
+
     def test_tiny_index_bound_reported(self, a1_n3):
         r = check_closure_equality(a1_n3, 1, depth=4, index_bound=4)
         assert not r.ok
@@ -148,6 +156,17 @@ class TestImageEquality:
         assert r.ok, r.witnesses
         assert r.counts["forward_violations"] == 0
         assert r.counts["converse_misses"] == 0
+
+    def test_forward_violation_fails(self, a1_n2, monkeypatch):
+        # a sampled form that the reachable elements with a_1 > 0 violate
+        forms = verify.generator_forms
+        monkeypatch.setattr(
+            verify, "generator_forms", lambda *args: forms(*args) | {-x(1, 1)}
+        )
+        r = check_image_equality(a1_n2, max_weight=2)
+        assert r.status == "fail"
+        assert r.counts["forward_violations"] == 3
+        assert r.witnesses[0] == "reachable LatticeElement({1: 1}) violates -x[1,1]"
 
     def test_weight_zero(self, a1_n2):
         r = check_image_equality(a1_n2, max_weight=0)
