@@ -10,7 +10,8 @@ and fixes the form at a zero coefficient.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .root_data import AdaptedSequence, RootDataError, index_to_pair, pair_to_index
 from .lattice_crystal import LatticeElement
@@ -212,6 +213,59 @@ def closure(
 def evaluate(seq: AdaptedSequence, form: LinearForm, a: LatticeElement) -> int:
     """Value of the form on a lattice element."""
     return sum(c * a.get(pair_to_index(seq, s, l)) for (s, l), c in form.items())
+
+
+def window_solutions(
+    seq: AdaptedSequence,
+    forms: Iterable[LinearForm],
+    window: Sequence[int],
+    max_total: int,
+) -> List[Tuple[int, ...]]:
+    """The nonnegative vectors on the window with total <= max_total on which
+    every form is >= 0, as tuples of window values in lexicographic order.
+
+    Each form is compiled once to its terms at window positions (a term off
+    the window reads 0) and filed under the last window position it uses.
+    A depth-first search then assigns the window in order.  At each position
+    the forms that end there bound the value to an interval, so a form is
+    computed once per search node at its last position and no value it rules
+    out is tried.  An empty window holds one vector, the empty tuple,
+    whatever max_total is.
+    """
+    place = {j: p for p, j in enumerate(window)}
+    ending: List[Set[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]] = [set() for _ in window]
+    for f in forms:
+        terms = sorted(
+            (place[j], c) for (s, l), c in f.items() if (j := pair_to_index(seq, s, l)) in place
+        )
+        # a form without a negative term is >= 0 on every nonnegative vector
+        if any(c < 0 for _, c in terms):
+            last, c = terms.pop()
+            ending[last].add((c, tuple(q for q, _ in terms), tuple(d for _, d in terms)))
+    values = [0] * len(window)
+    found: List[Tuple[int, ...]] = []
+
+    def walk(p: int, remaining: int) -> None:
+        if p == len(values):
+            found.append(tuple(values))
+            return
+        lo, hi = 0, remaining
+        for c, positions, coeffs in ending[p]:
+            partial = sum(map(mul, map(values.__getitem__, positions), coeffs))
+            if c > 0:
+                least = -(partial // c)
+                if least > lo:
+                    lo = least
+            else:
+                most = partial // -c
+                if most < hi:
+                    hi = most
+        for v in range(lo, hi + 1):
+            values[p] = v
+            walk(p + 1, remaining - v)
+
+    walk(0, max_total)
+    return found
 
 
 def check_xi_positivity(

@@ -17,7 +17,10 @@ Entries = Union[Dict[int, int], Iterable[Tuple[int, int]], None]
 
 
 class LatticeElement:
-    """A finitely supported integer sequence indexed by positions j >= 1."""
+    """A finitely supported integer sequence indexed by positions j >= 1.
+
+    The values given for a repeated position are summed.
+    """
 
     __slots__ = ("_entries", "_key")
 
@@ -29,7 +32,9 @@ class LatticeElement:
             if j < 1:
                 raise ValueError(f"position must be >= 1, got {j}")
             if v:
-                d[j] = v
+                d[j] = d.get(j, 0) + v
+                if not d[j]:
+                    del d[j]
         self._entries = d
         self._key = tuple(sorted(d.items()))
 
@@ -53,9 +58,19 @@ class LatticeElement:
         return sum(v for _, v in self._key)
 
     def bump(self, j: int, delta: int) -> "LatticeElement":
+        """This element with delta added at position j."""
+        if j < 1:
+            raise ValueError(f"position must be >= 1, got {j}")
         d = dict(self._entries)
         d[j] = d.get(j, 0) + delta
-        return LatticeElement(d)
+        if not d[j]:
+            del d[j]
+        # every ftilde and etilde bumps, so skip __init__'s pass over entries
+        # that are already checked
+        out = LatticeElement.__new__(LatticeElement)
+        out._entries = d
+        out._key = tuple(sorted(d.items()))
+        return out
 
     def is_zero(self) -> bool:
         return not self._key

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .root_data import AdaptedSequence
+from .root_data import AdaptedSequence, index_to_pair
 from .lattice_crystal import (
     LatticeElement,
     enumerate_image,
@@ -34,6 +35,7 @@ from .forms import (
     closure,
     evaluate,
     site_form,
+    window_solutions,
 )
 from . import eyd as eyd_mod
 from . import reyd as reyd_mod
@@ -253,23 +255,6 @@ def check_closure_equality(
     )
 
 
-def _candidates(window: Sequence[int], max_total: int) -> Iterable[LatticeElement]:
-    """All nonnegative vectors supported on the window with total <= max_total."""
-
-    def rec(pos: int, remaining: int, acc: List[Tuple[int, int]]):
-        if pos == len(window):
-            yield LatticeElement(list(acc))
-            return
-        for v in range(remaining + 1):
-            if v:
-                acc.append((window[pos], v))
-            yield from rec(pos + 1, remaining - v, acc)
-            if v:
-                acc.pop()
-
-    yield from rec(0, max_total, [])
-
-
 def check_image_equality(
     seq: AdaptedSequence,
     max_weight: int = 4,
@@ -282,6 +267,13 @@ def check_image_equality(
     Converse: every solution of the sampled system within the support window
     of the reachable set is itself reachable; a miss is inconclusive since it
     may only reflect the finite sample.
+
+    The box is every nonnegative vector on the window with total at most
+    max_weight; `candidates` counts it in closed form, C(max_weight + m, m)
+    for a window of length m.  `window_solutions` lists the solutions in it
+    without walking the whole box.  Witnesses come in the lexicographic order
+    of the box, and a forward witness names the first form, in sorted order,
+    that the element violates.
     """
     if size_bound is None:
         size_bound = max_weight + 2
@@ -291,22 +283,26 @@ def check_image_equality(
     forms = sorted(
         generator_forms(seq, size_bound, range(1, s_bound + 1)), key=LinearForm.sort_key
     )
-    witnesses: List[str] = []
+    # Every image element lies in the box: it is nonnegative, its total is at
+    # most max_weight (each lowering step adds 1), and its support lies in the
+    # window.
     window = sorted({j for a in image for j in a.support()})
-    forward_bad = converse_bad = tested = 0
-    # Every image element is a candidate: it is nonnegative, its total is at
-    # most max_weight (each lowering step adds 1), and its support lies in
-    # the window.
-    for a in _candidates(window, max_weight):
-        tested += 1
-        bad = next((f for f in forms if evaluate(seq, f, a) < 0), None)
-        if a in image:
-            if bad is not None:
-                forward_bad += 1
-                _note(witnesses, f"reachable {a} violates {bad}")
-        elif bad is None:
-            converse_bad += 1
-            _note(witnesses, f"unreachable {a} satisfies all {len(forms)} sampled forms")
+    reached = {tuple(a.get(j) for j in window): a for a in image}
+    solved = set(window_solutions(seq, forms, window, max_weight))
+    forward = [t for t in reached if t not in solved]
+    converse = [t for t in solved if t not in reached]
+    witnesses: List[str] = []
+    for t in sorted(forward + converse)[:MAX_WITNESSES]:
+        if t in reached:
+            a = reached[t]
+            bad = next(f for f in forms if evaluate(seq, f, a) < 0)
+            witnesses.append(f"reachable {a} violates {bad}")
+        else:
+            a = LatticeElement(zip(window, t))
+            witnesses.append(f"unreachable {a} satisfies all {len(forms)} sampled forms")
+    # A negative max_weight leaves the window empty, and the box then holds
+    # the zero vector alone, as the search finds.
+    m = len(window)
     return _report(
         "image-equality",
         seq,
@@ -314,14 +310,14 @@ def check_image_equality(
         {
             "image_size": len(image),
             "forms": len(forms),
-            "candidates": tested,
-            "forward_violations": forward_bad,
-            "converse_misses": converse_bad,
+            "candidates": comb(max(max_weight, 0) + m, m),
+            "forward_violations": len(forward),
+            "converse_misses": len(converse),
         },
         witnesses,
-        forward_bad,
+        len(forward),
         len(forms),
-        doubtful=converse_bad > 0,
+        doubtful=bool(converse),
     )
 
 
@@ -405,8 +401,6 @@ def check_positivity(
 def check_beta_agreement(seq: AdaptedSequence, max_index: int = 30) -> VerificationReport:
     """The single- and double-index beta constructions coincide."""
     witnesses: List[str] = []
-    from .root_data import index_to_pair
-
     indices = range(1, max_index + 1)
     for j in indices:
         s, l = index_to_pair(seq, j)

@@ -47,6 +47,17 @@ class TestLatticeElement:
         a = e(1).bump(1, 1).bump(4, -2)
         assert a.items() == ((1, 2), (4, -2))
         assert a.bump(4, 2).items() == ((1, 2),)
+        assert a.bump(4, 2) == e(1, 1) and hash(a.bump(4, 2)) == hash(e(1, 1))
+        with pytest.raises(ValueError):
+            a.bump(0, 1)
+
+    def test_repeated_positions_summed(self):
+        # as LinearForm sums repeated terms; a zero value no longer hides the
+        # value before it, and a sum of 0 drops the position
+        assert LatticeElement([(1, 3), (1, 2)]) == LatticeElement({1: 5})
+        assert LatticeElement([(1, 3), (1, 0)]) == LatticeElement({1: 3})
+        assert LatticeElement([(1, 3), (2, 1), (1, -3)]).items() == ((2, 1),)
+        assert LatticeElement.from_json([[2, 1], [2, 1]]) == LatticeElement({2: 2})
 
     def test_items_sorted(self):
         a = LatticeElement([(7, 1), (2, 3), (5, -1)])

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from polyreal import LatticeElement, LinearForm, enumerate_image, verify
+from polyreal import LatticeElement, LinearForm, enumerate_image, evaluate, verify
 from polyreal.verify import (
     VerificationReport,
     check_beta_agreement,
@@ -149,7 +149,91 @@ class TestClosureEquality:
         assert "pruned" in r.witnesses[0]
 
 
+def reference_image_check(seq, max_weight, size_bound, s_bound):
+    """The image check by brute force: every sampled form on every vector of
+    the weight box, the box walked in lexicographic order of window values."""
+    image = enumerate_image(seq, max_weight)
+    forms = sorted(
+        verify.generator_forms(seq, size_bound, range(1, s_bound + 1)), key=LinearForm.sort_key
+    )
+    window = sorted({j for a in image for j in a.support()})
+
+    def box(pos, remaining):
+        if pos == len(window):
+            yield ()
+            return
+        for v in range(remaining + 1):
+            for rest in box(pos + 1, remaining - v):
+                yield (v,) + rest
+
+    witnesses = []
+    forward = converse = tested = 0
+    for values in box(0, max_weight):
+        a = LatticeElement(zip(window, values))
+        tested += 1
+        bad = next((f for f in forms if evaluate(seq, f, a) < 0), None)
+        if a in image and bad is not None:
+            forward += 1
+            witnesses.append(f"reachable {a} violates {bad}")
+        elif a not in image and bad is None:
+            converse += 1
+            witnesses.append(f"unreachable {a} satisfies all {len(forms)} sampled forms")
+    counts = {
+        "image_size": len(image),
+        "forms": len(forms),
+        "candidates": tested,
+        "forward_violations": forward,
+        "converse_misses": converse,
+    }
+    status = "fail" if forward else "inconclusive" if converse or not forms else "pass"
+    return counts, status, witnesses[: verify.MAX_WITNESSES]
+
+
+IMAGE_CASES = [
+    (family, 3, w, None, None, ()) for family in ("A1", "C1", "A2", "D2") for w in range(4)
+]
+IMAGE_CASES += [
+    ("A1", 2, 5, None, None, ()),
+    # converse misses only
+    ("A1", 3, 3, 0, 1, ()),
+    ("C1", 3, 2, 0, 1, ()),
+    # forward violations only
+    ("A1", 2, 3, None, None, ((1, 1),)),
+    ("D2", 3, 2, None, None, ((1, 1),)),
+    # both kinds (12 forward, 37 converse)
+    ("A2", 3, 3, 0, 1, ((1, 2),)),
+    # both kinds among the first witnesses: 7 converse, then 3 forward
+    ("A1", 2, 4, 1, 1, ((2, 1),)),
+    # an empty window still holds one candidate
+    ("A1", 3, -1, None, None, ()),
+]
+
+
 class TestImageEquality:
+    @pytest.mark.parametrize("family,n,w,size_bound,s_bound,negated", IMAGE_CASES)
+    def test_matches_reference(self, family, n, w, size_bound, s_bound, negated, monkeypatch):
+        forms = verify.generator_forms
+        extra = {-x(s, l) for s, l in negated}
+        monkeypatch.setattr(verify, "generator_forms", lambda *args: forms(*args) | extra)
+        seq = make_seq(family, n)
+        size_bound = w + 2 if size_bound is None else size_bound
+        s_bound = w + 1 if s_bound is None else s_bound
+        r = check_image_equality(seq, max_weight=w, size_bound=size_bound, s_bound=s_bound)
+        assert (r.counts, r.status, r.witnesses) == reference_image_check(
+            seq, w, size_bound, s_bound
+        )
+
+    def test_weight_six(self, a1_n3):
+        r = check_image_equality(a1_n3, max_weight=6)
+        assert r.ok, r.witnesses
+        assert r.counts == {
+            "image_size": 379,
+            "forms": 924,
+            "candidates": 27132,
+            "forward_violations": 0,
+            "converse_misses": 0,
+        }
+
     @pytest.mark.parametrize("family,n", STANDARD)
     def test_pass_at_weight_two(self, family, n):
         r = check_image_equality(make_seq(family, n), max_weight=2)
