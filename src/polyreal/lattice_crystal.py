@@ -5,10 +5,16 @@ colored by the word.  The operators are defined through the local quantities
 sigma_j(a) = a_j + sum_{j' > j} a_{c(j),c(j')} a_{j'}; the raising and
 lowering operators act at the extremal positions where sigma attains
 epsilon_i, lowering at the smallest and raising at the largest.
+
+The operators find these positions in one right-to-left pass over the
+support.  Between two supported positions sigma is the same at every
+i-colored position, so the pass reads only the supported i-positions and
+the first and last i-position of each gap.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .root_data import AdaptedSequence, index_to_pair
@@ -22,7 +28,7 @@ class LatticeElement:
     The values given for a repeated position are summed.
     """
 
-    __slots__ = ("_entries", "_key")
+    __slots__ = ("_key",)
 
     def __init__(self, entries: Entries = None):
         d: Dict[int, int] = {}
@@ -35,7 +41,6 @@ class LatticeElement:
                 d[j] = d.get(j, 0) + v
                 if not d[j]:
                     del d[j]
-        self._entries = d
         self._key = tuple(sorted(d.items()))
 
     @classmethod
@@ -43,7 +48,9 @@ class LatticeElement:
         return cls()
 
     def get(self, j: int) -> int:
-        return self._entries.get(j, 0)
+        key = self._key
+        k = bisect_left(key, (j,))
+        return key[k][1] if k < len(key) and key[k][0] == j else 0
 
     def items(self) -> Tuple[Tuple[int, int], ...]:
         return self._key
@@ -61,15 +68,17 @@ class LatticeElement:
         """This element with delta added at position j."""
         if j < 1:
             raise ValueError(f"position must be >= 1, got {j}")
-        d = dict(self._entries)
-        d[j] = d.get(j, 0) + delta
-        if not d[j]:
-            del d[j]
-        # every ftilde and etilde bumps, so skip __init__'s pass over entries
-        # that are already checked
+        # every ftilde and etilde bumps, so change the one entry of the sorted
+        # key in place of __init__'s pass over entries that are already checked
+        key = self._key
+        k = bisect_left(key, (j,))
+        if k < len(key) and key[k][0] == j:
+            v = key[k][1] + delta
+            key = key[:k] + ((j, v),) + key[k + 1 :] if v else key[:k] + key[k + 1 :]
+        elif delta:
+            key = key[:k] + ((j, delta),) + key[k:]
         out = LatticeElement.__new__(LatticeElement)
-        out._entries = d
-        out._key = tuple(sorted(d.items()))
+        out._key = key
         return out
 
     def is_zero(self) -> bool:
@@ -106,19 +115,47 @@ def sigma(seq: AdaptedSequence, a: LatticeElement, j: int) -> int:
     return val
 
 
-def _reach(seq: AdaptedSequence, a: LatticeElement, i: int) -> Tuple[int, List[int]]:
-    """epsilon_i(a) and the i-colored positions in 1..max_index+L where sigma reaches it.
+def _reach(seq: AdaptedSequence, a: LatticeElement, i: int) -> Tuple[int, int, int]:
+    """epsilon_i(a) and the first and last i-positions in 1..max_index+L where sigma reaches it.
 
     Every color occurs in each L consecutive positions, and sigma is 0 past
     the support, so the maximum is at least 0 and is reached at least once.
+    One pass from the right keeps s, the sum over the supported positions
+    already passed of a_{i,c(j')} a_{j'}.  At every i-position of the gap
+    below them sigma equals s, so of a gap only its first and last
+    i-position are read; a supported i-position j reads a_j + s.
     """
-    values = [
-        (j, sigma(seq, a, j))
-        for j in range(1, a.max_index() + seq.L + 1)
-        if seq.color_of(j) == i
-    ]
-    eps = max(v for _, v in values)
-    return eps, [j for j, v in values if v == eps]
+    L = seq.L
+    row, nxt, prv = seq._row[i], seq._next[i], seq._prev[i]
+    key = a.items()
+    # hi is the lowest position above the current gap; the gap above the
+    # support is hi..hi+L-1, where sigma is 0
+    hi = key[-1][0] + 1 if key else 1
+    eps, first, last = 0, hi + nxt[(hi - 1) % L], hi + L - 1 - prv[(hi - 2) % L]
+    s = 0
+    for j, v in reversed(key):
+        lo = j + 1 + nxt[j % L]
+        if lo < hi:
+            if s > eps:
+                eps, first, last = s, lo, hi - 1 - prv[(hi - 2) % L]
+            elif s == eps:
+                first = lo
+        r = (j - 1) % L
+        if not nxt[r]:
+            t = v + s
+            if t > eps:
+                eps, first, last = t, j, j
+            elif t == eps:
+                first = j
+        s += row[r] * v
+        hi = j
+    lo = 1 + nxt[0]
+    if lo < hi:
+        if s > eps:
+            eps, first, last = s, lo, hi - 1 - prv[(hi - 2) % L]
+        elif s == eps:
+            first = lo
+    return eps, first, last
 
 
 def epsilon(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
@@ -129,8 +166,9 @@ def epsilon(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
 def weight_coeffs(seq: AdaptedSequence, a: LatticeElement) -> Dict[int, int]:
     """Coefficients c_i with wt(a) = -sum_i c_i alpha_i."""
     c = {i: 0 for i in seq.root_system.index_set}
+    word, L = seq.word, seq.L
     for j, v in a.items():
-        c[seq.color_of(j)] += v
+        c[word[(j - 1) % L]] += v
     return c
 
 
@@ -147,7 +185,7 @@ def phi(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
 
 def ftilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> LatticeElement:
     """Lowering operator: add 1 at the smallest i-position where sigma = epsilon_i."""
-    return a.bump(_reach(seq, a, i)[1][0], 1)
+    return a.bump(_reach(seq, a, i)[1], 1)
 
 
 def etilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> Optional[LatticeElement]:
@@ -155,23 +193,24 @@ def etilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> Optional[LatticeE
 
     Returns None when epsilon_i(a) = 0.
     """
-    eps, positions = _reach(seq, a, i)
-    return a.bump(positions[-1], -1) if eps else None
+    eps, _, last = _reach(seq, a, i)
+    return a.bump(last, -1) if eps else None
 
 
 def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeElement]:
     """All elements reachable from 0 by at most max_word_length lowering steps."""
     zero = LatticeElement.zero()
+    index_set = seq.root_system.index_set
     seen: Set[LatticeElement] = {zero}
-    frontier: Set[LatticeElement] = {zero}
+    frontier: List[LatticeElement] = [zero]
     for _ in range(max_word_length):
-        nxt: Set[LatticeElement] = set()
+        nxt: List[LatticeElement] = []
         for a in frontier:
-            for i in seq.root_system.index_set:
+            for i in index_set:
                 b = ftilde(seq, a, i)
                 if b not in seen:
-                    nxt.add(b)
-        seen |= nxt
+                    seen.add(b)
+                    nxt.append(b)
         frontier = nxt
     return seen
 

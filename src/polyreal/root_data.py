@@ -152,6 +152,16 @@ class AdaptedSequence:
             i: tuple(m for m, c in enumerate(self.word) if c == i)
             for i in root_system.index_set
         }
+        # For each color i and residue r = (j-1) mod L: a_{i,c(j)}, and the
+        # distances from position j to the nearest i-position at or after it
+        # and at or before it (the sigma sweep of lattice_crystal reads these)
+        self._row: Dict[int, Tuple[int, ...]] = {}
+        self._next: Dict[int, Tuple[int, ...]] = {}
+        self._prev: Dict[int, Tuple[int, ...]] = {}
+        for i in root_system.index_set:
+            self._row[i] = tuple(root_system.a(i, c) for c in self.word)
+            self._next[i] = _distances(self.word, i)
+            self._prev[i] = _distances(self.word[::-1], i)[::-1]
         self.p = self._orientation()
         self._pt_cache: Dict[Tuple[str, int], Dict[int, int]] = {}
 
@@ -212,6 +222,19 @@ class AdaptedSequence:
 
     def to_json(self) -> dict:
         return {"word": list(self.word)}
+
+
+def _distances(word: Tuple[int, ...], i: int) -> Tuple[int, ...]:
+    """For each cyclic position of word, the distance to the next i at or after it."""
+    L = len(word)
+    out = [0] * L
+    d = 0
+    # the first lap only finds an i; every color occurs in the word
+    for r in range(2 * L - 1, -1, -1):
+        d = 0 if word[r % L] == i else d + 1
+        if r < L:
+            out[r] = d
+    return tuple(out)
 
 
 def build_adapted(root_system: RootSystem, word: Sequence[int]) -> AdaptedSequence:

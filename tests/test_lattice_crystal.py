@@ -1,6 +1,7 @@
 """Crystal structure on finitely supported integer sequences."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from polyreal import (
     weight_coeffs,
     weight_pairing,
 )
+from polyreal.cli import default_word
 from conftest import make_seq
 
 
@@ -50,6 +52,16 @@ class TestLatticeElement:
         assert a.bump(4, 2) == e(1, 1) and hash(a.bump(4, 2)) == hash(e(1, 1))
         with pytest.raises(ValueError):
             a.bump(0, 1)
+        b = LatticeElement({2: 1, 5: 3, 9: -1})
+        cases = [
+            (b.bump(7, 2), {2: 1, 5: 3, 7: 2, 9: -1}),  # new position between two
+            (b.bump(5, -3), {2: 1, 9: -1}),  # zeroes a middle entry
+            (b.bump(4, 0), {2: 1, 5: 3, 9: -1}),  # zero delta at an absent position
+        ]
+        for got, entries in cases:
+            fresh = LatticeElement(entries)
+            assert got.items() == fresh.items()
+            assert got == fresh and hash(got) == hash(fresh)
 
     def test_repeated_positions_summed(self):
         # as LinearForm sums repeated terms; a zero value no longer hides the
@@ -152,10 +164,17 @@ class TestSigma:
     def test_epsilon_is_max_sigma(self):
         # epsilon_i is the largest sigma over i-colored positions (at least
         # 0); ftilde_i acts at the first position reaching it, etilde_i at
-        # the last one in the support
-        for family in ("A1", "C1", "A2", "D2"):
-            seq = make_seq(family, 3)
-            elements = sorted(enumerate_image(seq, 4), key=LatticeElement.items) + [e(1, 2, 4)]
+        # the last one in the support.  Negative entries put the maximum
+        # inside a gap, tie it across gaps or leave it in the gap above the
+        # support.
+        seqs = [make_seq(family, n) for family in ("A1", "C1", "A2", "D2") for n in (3, 4)]
+        seqs += [make_seq(family, 4, [1, 2, 3, 4]) for family in ("A1", "C1", "A2", "D2")]
+        seqs.append(make_seq("C1", 3, [2, 1, 3, 2, 3, 1]))
+        for seq in seqs:
+            family = seq.root_system.algebra.family
+            image = sorted(enumerate_image(seq, 4), key=LatticeElement.items)
+            elements = image + [e(1, 2, 4)]
+            elements += [a.bump(j, d) for a in image for j in (1, 2, 5) for d in (-1, 2)]
             for a in elements:
                 for i in seq.root_system.index_set:
                     colored = [j for j in range(1, a.max_index() + 1) if seq.color_of(j) == i]
@@ -172,7 +191,34 @@ class TestSigma:
                     assert etilde(seq, a, i) == expected, (family, a, i)
 
 
+def a1_counts(n, depth):
+    """q^h coefficients, h <= depth, of prod_h (1 - q^h)^(-N(h)), N(h) = n - 1 if n | h else n.
+
+    This is the principally graded character of U_q^- of affine A_{n-1}: n
+    positive real roots at each height not divisible by n, and the imaginary
+    root of multiplicity n - 1 at each multiple of n.
+    """
+    c = [1] + [0] * depth
+    for h in range(1, depth + 1):
+        for _ in range(n - 1 if h % n == 0 else n):
+            for t in range(h, depth + 1):
+                c[t] += c[t - h]
+    return c
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n, depth", [(2, 7), (3, 7), (4, 6), (5, 6)])
+    def test_a1_counts_by_total(self, n, depth):
+        # every element of total h is h lowering steps from 0, so the image
+        # to depth d holds all of B(infinity) up to height d
+        for word in (list(range(1, n + 1)), default_word(n)):
+            seq = make_seq("A1", n, word)
+            totals = Counter(a.total() for a in enumerate_image(seq, depth))
+            assert [totals[h] for h in range(depth + 1)] == a1_counts(n, depth), word
+
+    def test_a1_counts_golden(self):
+        assert a1_counts(3, 7) == [1, 3, 9, 21, 48, 99, 198, 375]
+
     def test_counts_a1_n2(self, a1_n2):
         assert len(enumerate_image(a1_n2, 0)) == 1
         assert len(enumerate_image(a1_n2, 1)) == 3
