@@ -70,14 +70,21 @@ def _int_at_least(low: int):
     return integer
 
 
+_SUBSCRIPTS = str.maketrans("₀₁₂₃₄₅₆₇₈₉−", "0123456789-")
+
+
+def _integer(text: str, error: str) -> int:
+    """The cli's one integer rule: an optional minus, then ASCII digits, after _SUBSCRIPTS."""
+    raw = text.translate(_SUBSCRIPTS)
+    if not re.fullmatch(r"-?[0-9]+", raw):
+        raise UsageError(error)
+    return int(raw)
+
+
 def _parse_ints(text: str) -> List[int]:
-    """Parse a comma or space separated integer list; empty text means []."""
-    cleaned = text.replace("−", "-").replace("[", " ").replace("]", " ")
-    parts = [p for chunk in cleaned.split(",") for p in chunk.split()]
-    try:
-        return [int(p) for p in parts]
-    except ValueError as exc:
-        raise UsageError(f"expected integers, got {text!r}") from exc
+    """Parse a comma, space or bracket separated integer list; empty text means []."""
+    error = f"expected integers, got {text!r}"
+    return [_integer(p, error) for p in re.findall(r"[^\s,\[\]]+", text)]
 
 
 def default_word(n: int) -> List[int]:
@@ -173,12 +180,10 @@ def cmd_crystal(args: argparse.Namespace) -> int:
         return _print_enumeration(seq, args)
     a: Optional[LatticeElement] = LatticeElement.zero()
     for op in ops:
-        if len(op) < 2 or op[0] not in ("f", "e"):
-            raise UsageError(f"operator {op!r} must look like f1 or e2")
-        try:
-            i = int(op[1:])
-        except ValueError as exc:
-            raise UsageError(f"operator {op!r} must look like f1 or e2") from exc
+        error = f"operator {op!r} must look like f1 or e2"
+        if op[0] not in ("f", "e"):
+            raise UsageError(error)
+        i = _integer(op[1:], error)
         if i not in seq.root_system.index_set:
             raise UsageError(f"color {i} outside index set {seq.root_system.index_set}")
         if op[0] == "f":
@@ -214,8 +219,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return _print_enumeration(seq, args)
 
 
-_SUBSCRIPTS = str.maketrans("₀₁₂₃₄₅₆₇₈₉−", "0123456789-")
-
 # Per render kind: the object's class and picture, its integer keys with their
 # defaults (None when required), its list key, the JSON key of its flavor, and
 # whether the user may give that flavor explicitly.
@@ -233,10 +236,7 @@ def _key_int(pairs: dict, key: str, default: Optional[int] = None) -> int:
         if default is None:
             raise UsageError(f"missing {key}")
         return default
-    raw = pairs[key].translate(_SUBSCRIPTS)
-    if not re.fullmatch(r"-?[0-9]+", raw):
-        raise UsageError(f"{key} must be an integer, got {pairs[key]!r}")
-    return int(raw)
+    return _integer(pairs[key], f"{key} must be an integer, got {pairs[key]!r}")
 
 
 def cmd_render(args: argparse.Namespace) -> int:

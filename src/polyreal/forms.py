@@ -182,26 +182,27 @@ def closure(
     """Iterate S' from the seeds for the given number of rounds.
 
     S' is applied at every nonzero coefficient position of every known form.
-    Forms whose support exceeds index_bound are dropped; the count of
-    distinct dropped forms is returned alongside the closed set.  The
-    default bound is L * (depth + 2) past the start of the period holding
-    the seeds' largest single index, so L * (depth + 2) for seeds in the
-    first period.
+    Without index_bound there is no cap.  With it, forms whose support
+    passes the bound are dropped, and the count of distinct dropped forms
+    is returned alongside the closed set.
+
+    No cap is needed: a round raises a form's largest single index by at
+    most L.  S' at (s, l), single index j in the support, subtracts
+    beta_{s,l} or adds beta_{s-1,l}.  beta_{s,l} ends at x_{s+1,l}, the next
+    occurrence of l, at most j + L; its neighbor terms lie between the two
+    occurrences, as beta_index lists them.  beta_{s-1,l} ends at j itself.
     """
     seen: Set[LinearForm] = set(seeds)
-    if index_bound is None:
-        top = max((max_single_index(seq, f) for f in seen), default=0)
-        index_bound = seq.L * (max(top - 1, 0) // seq.L + depth + 2)
     pruned: Set[LinearForm] = set()
     frontier = list(seen)
     for _ in range(depth):
         nxt: List[LinearForm] = []
-        for f in sorted(frontier, key=LinearForm.sort_key):
+        for f in frontier:
             for pair, _ in f.items():
                 g = s_prime(seq, f, pair)
-                if g == f or g in seen or g in pruned:
+                if g in seen or g in pruned:
                     continue
-                if max_single_index(seq, g) > index_bound:
+                if index_bound is not None and max_single_index(seq, g) > index_bound:
                     pruned.add(g)
                     continue
                 seen.add(g)

@@ -4,9 +4,9 @@ Each check returns a VerificationReport with a status of "pass", "fail", or
 "inconclusive", witness strings for the first few failures, and counters.
 A report passes only when something was examined and nothing failed.  A
 sampling limit is inconclusive rather than a silent pass: the converse half
-of the image check can only be sampled at finite generator bounds, and the
-positivity check's closures may be pruned at their index bound.  The closure
-check reports its own pruning as a failure.
+of the image check can only be sampled at finite generator bounds.  Closures
+have no cap unless a caller passes index_bound to the closure check, which
+reports the forms pruned at it as failures.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ class VerificationReport:
 def _note(witnesses: List[str], message: str) -> None:
     if len(witnesses) < MAX_WITNESSES:
         witnesses.append(message)
-
-
-def _pruning_note(pruned: int, index_bound: Optional[int]) -> str:
-    bound = "L*(depth+2) past the seeds' period" if index_bound is None else index_bound
-    return f"{pruned} forms pruned at index bound {bound}"
 
 
 def _report(
@@ -223,7 +218,9 @@ def check_closure_equality(
     s: int = 1,
     index_bound: Optional[int] = None,
 ) -> VerificationReport:
-    """Closure of {x_{s,k}} equals the assignment image of size-bounded generators."""
+    """Closure of {x_{s,k}} equals the assignment image of size-bounded generators.
+
+    The closure has no cap unless index_bound is given; forms pruned at it fail."""
     seed = LinearForm.x(s, k)
     closed, pruned = closure(seq, [seed], depth, index_bound)
     kind = charge_kind(seq, k)
@@ -237,7 +234,7 @@ def check_closure_equality(
     for f in missing[: MAX_WITNESSES - len(witnesses)]:
         witnesses.append(f"image-only: {f}")
     if pruned:
-        witnesses.insert(0, _pruning_note(pruned, index_bound))
+        witnesses.insert(0, f"{pruned} forms pruned at index bound {index_bound}")
     difference = len(extra) + len(missing)
     return _report(
         "closure-equality",
@@ -365,36 +362,26 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
     )
 
 
-def check_positivity(
-    seq: AdaptedSequence,
-    depth: int = 6,
-    s_max: int = 2,
-    index_bound: Optional[int] = None,
-) -> VerificationReport:
+def check_positivity(seq: AdaptedSequence, depth: int = 6, s_max: int = 2) -> VerificationReport:
     """No closure form carries a negative coefficient at a first occurrence."""
     witnesses: List[str] = []
-    total = pruned = 0
+    total = 0
     for k in seq.root_system.index_set:
         for s in range(1, s_max + 1):
-            closed, lost = closure(seq, [LinearForm.x(s, k)], depth, index_bound)
+            closed, _ = closure(seq, [LinearForm.x(s, k)], depth)
             total += len(closed)
-            pruned += lost
             ok, bad = check_xi_positivity(seq, closed)
             if not ok:
                 for f, pair, c in bad:
                     _note(witnesses, f"seed x[{s},{k}]: {f} has coefficient {c} at {pair}")
-    failures = len(witnesses)
-    if pruned:
-        witnesses.insert(0, _pruning_note(pruned, index_bound))
     return _report(
         "xi-positivity",
         seq,
         {"depth": depth, "s_max": s_max},
-        {"forms_checked": total, "failures": failures},
+        {"forms_checked": total, "failures": len(witnesses)},
         witnesses,
-        failures,
+        len(witnesses),
         total,
-        doubtful=pruned > 0,
     )
 
 

@@ -2,13 +2,32 @@
 
 import pytest
 
-from polyreal import AlgebraType, build_adapted, build_root_system
+from polyreal import AlgebraType, RootDataError, build_adapted, build_root_system
 
 
 def make_seq(family: str, n: int, word=None):
     if word is None:
         word = [1, 2] if n == 2 else [2, 1] + list(range(3, n + 1))
     return build_adapted(build_root_system(AlgebraType(family, n)), word)
+
+
+def adapted_words(family: str, n: int, length: int):
+    """The adapted words of a length that are not a shorter word repeated,
+    in lexicographic order."""
+    system = build_root_system(AlgebraType(family, n))
+    words = [()]
+    for _ in range(length):
+        words = [w + (c,) for w in words for c in range(1, n + 1) if not w or c != w[-1]]
+    found = []
+    for w in words:
+        if any(w == w[:p] * (length // p) for p in range(1, length) if length % p == 0):
+            continue
+        try:
+            build_adapted(system, w)
+        except RootDataError:
+            continue
+        found.append(w)
+    return found
 
 
 @pytest.fixture

@@ -187,6 +187,10 @@ class TestCrystal:
         code, _, err = run(capsys, "crystal", "g1")
         assert code == EXIT_USAGE
         assert "must look like" in err
+        for op in ("f+1", "f1_0", "f"):
+            code, out, err = run(capsys, "crystal", op)
+            assert code == EXIT_USAGE and out == ""
+            assert err == f"error: operator {op!r} must look like f1 or e2\n"
 
     def test_color_out_of_range(self, capsys):
         code, _, err = run(capsys, "crystal", "f7")
@@ -267,6 +271,9 @@ class TestRender:
         code, out, err = run(capsys, "render", "--json", "eyd", "charge", "1_2")
         assert code == EXIT_USAGE and out == ""
         assert err == "error: charge must be an integer, got '1_2'\n"
+        code, out, err = run(capsys, "render", "eyd", "charge", "1", "ys", "-1_0,0")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: expected integers, got '-1_0,0'\n"
 
     def test_improper_object_is_usage_error(self, capsys):
         code, _, err = run(capsys, "render", "--family", "A2", "wall", "halves", "2,2")
@@ -283,6 +290,14 @@ class TestUsage:
         code, _, err = run(capsys, "enumerate", "--word", "1,2,1,3")
         assert code == EXIT_USAGE
         assert "not adapted" in err
+
+    def test_word_letters_follow_the_integer_rule(self, capsys):
+        # a word letter is an optional minus and ASCII digits, as in render
+        for word in ("2,+1,3", "2,1_0,3", "2,１,3"):
+            code, out, err = run(capsys, "enumerate", "--word", word)
+            assert code == EXIT_USAGE and out == ""
+            assert err == f"error: expected integers, got {word!r}\n"
+        assert run(capsys, "enumerate", "--word", "₂,₁,₃") == run(capsys, "enumerate")
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = run(capsys)
@@ -327,6 +342,7 @@ _NAMES = [
     "xi-positivity", "beta-agreement", "sigma-difference", "--json", "A2", "C1", "D2",
     "2,1,3", "1,2", "3,1,2", "2,1,3,2,3,1", "apply", "f1", "e2", "f3", "eyd", "reyd", "wall",
     "charge", "ys", "halves", "k", "t_lo", "ground", "flavor", "-1,0", "1,1,2", "8,4,2",
+    "+1", "1_0",
 ]
 _FLAGS = [
     "--k", "--s", "--depth", "--dep", "--w", "--weight", "--size", "--bound", "--n",

@@ -16,7 +16,8 @@ from polyreal import (
     s_prime,
 )
 from polyreal.forms import max_single_index
-from conftest import make_seq
+from polyreal.root_data import MIN_RANK
+from conftest import adapted_words, make_seq
 
 x = LinearForm.x
 
@@ -117,10 +118,37 @@ class TestClosure:
         _, pruned = closure(a1_n3, [x(1, 1)], 4, index_bound=4)
         assert pruned > 0
 
-    def test_standard_bound_no_pruning(self, a1_n3):
+    def test_uncapped_closure_no_pruning(self, a1_n3):
+        # without an index_bound the closure has no cap to prune at
         for k in (1, 2, 3):
             _, pruned = closure(a1_n3, [x(1, k)], 4)
             assert pruned == 0
+
+    def test_round_raises_top_index_by_at_most_l(self):
+        # the growth bound of closure's docstring, on every non-periodic
+        # adapted word of lengths n and 2n at n <= 4: no S' application of
+        # a depth-3 closure raises a form's largest single index by more
+        # than L.  Those applications act on the forms of the depth-2 closure.
+        grid = [
+            make_seq(family, n, word)
+            for family in ("A1", "C1", "A2", "D2")
+            for n in range(MIN_RANK[family], 5)
+            for length in (n, 2 * n)
+            for word in adapted_words(family, n, length)
+        ]
+        assert len(grid) == 524
+        applications = 0
+        for seq in grid:
+            seeds = [x(s, k) for k in seq.root_system.index_set for s in (1, 3)]
+            closed, pruned = closure(seq, seeds, 2)
+            assert pruned == 0
+            for f in closed:
+                top = max_single_index(seq, f) + seq.L
+                for pair, _ in f.items():
+                    g = s_prime(seq, f, pair)
+                    applications += 1
+                    assert max_single_index(seq, g) <= top, (seq, f, pair, g)
+        assert applications == 33828
 
     def test_max_single_index(self, a1_n3):
         assert max_single_index(a1_n3, LinearForm.zero()) == 0

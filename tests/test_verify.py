@@ -18,7 +18,7 @@ from polyreal.verify import (
     generator_kinds,
     generator_objects,
 )
-from conftest import make_seq
+from conftest import adapted_words, make_seq
 
 x = LinearForm.x
 
@@ -126,9 +126,9 @@ class TestClosureEquality:
                 "symmetric_difference": 0,
             }
 
-    def test_default_index_bound_is_closures(self):
-        # closure's default index bound L*(depth+2) applies; L*6 would prune
-        # two forms here
+    def test_uncapped_deep_closure_passes(self):
+        # the closure runs without a cap; a cap of L*6 would prune two forms
+        # here
         seq = make_seq("C1", 4, [2, 1, 3, 4])
         r = check_closure_equality(seq, 4, depth=12)
         assert r.ok, r.witnesses
@@ -136,8 +136,9 @@ class TestClosureEquality:
 
     @pytest.mark.parametrize("s", range(1, 12))
     def test_default_index_bound_follows_s(self, a1_n3, s):
-        # the default bound counts from the period holding the seed x[s,1];
-        # counted from position 1 it pruned every s >= 5 at depth 8
+        # the closure's default is no cap, so no seed x[s,1] is pruned at
+        # any s; a cap of L*(depth+2) counted from position 1 would prune
+        # every s >= 5 here
         r = check_closure_equality(a1_n3, 1, depth=8, s=s)
         assert r.ok, r.witnesses
         assert r.counts["pruned"] == 0
@@ -285,13 +286,6 @@ class TestPositivity:
         assert r.ok, r.witnesses
         assert r.counts["forms_checked"] > 0
 
-    def test_pruning_is_inconclusive(self, a1_n3):
-        r = check_positivity(a1_n3, depth=4, index_bound=4)
-        assert r.status == "inconclusive"
-        assert r.counts["failures"] == 0
-        pruned, rest = r.witnesses[0].split(" ", 1)
-        assert int(pruned) > 0 and rest == "forms pruned at index bound 4"
-
 
 class TestBetaAgreement:
     @pytest.mark.parametrize("family,n", STANDARD)
@@ -314,17 +308,26 @@ class TestSigmaDifference:
         assert a.to_json() == b.to_json()
 
 
+# Every permutation of 1..3 is an adapted word in each family.  The
+# non-periodic adapted words of length 6 at n=3 are six each for C1, A2 and
+# D2; A1 has none.
+_N3_WORDS = [
+    (family, word)
+    for family in ("A1", "C1", "A2", "D2")
+    for word in list(itertools.permutations((1, 2, 3))) + adapted_words(family, 3, 6)
+]
+
+
 class TestPermutationWords:
-    # every permutation of 1..3 is an adapted word in each family
-    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
     @pytest.mark.parametrize(
-        "word", list(itertools.permutations((1, 2, 3))), ids=lambda w: ",".join(map(str, w))
+        "family,word", _N3_WORDS, ids=[f"{','.join(map(str, w))}-{f}" for f, w in _N3_WORDS]
     )
     def test_suites_pass(self, family, word):
         seq = make_seq(family, 3, list(word))
         reports = [
             check_step_identities(seq, size_bound=3, wall_halves=4),
             check_image_equality(seq, max_weight=2),
+            check_positivity(seq, depth=3),
         ]
         reports += [check_closure_equality(seq, k, depth=3) for k in seq.root_system.index_set]
         for r in reports:
