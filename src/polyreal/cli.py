@@ -53,18 +53,17 @@ SUITES = {
 }
 
 
-class UsageError(Exception):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """A bad command line, reported by main, or by argparse when an argument type raises it."""
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer of at least low.  argparse reports text that
-    is not an integer as an "invalid integer value", after the function's name."""
+def _int_type(low: Optional[int] = None):
+    """An argparse type: an integer by _integer's rule, and at least low when given."""
 
     def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        value = _integer(text, f"invalid integer value: {text!r}")
+        if low is not None and value < low:
+            raise UsageError(f"must be at least {low}, got {value}")
         return value
 
     return integer
@@ -275,10 +274,10 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    nonneg, positive = _int_at_least(0), _int_at_least(1)
+    integer, nonneg, positive = _int_type(), _int_type(0), _int_type(1)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--family", choices=list(FAMILIES), default="A1")
-    common.add_argument("--n", type=int, default=3)
+    common.add_argument("--n", type=integer, default=3)
     common.add_argument("--word", type=str, default=None, help="comma-separated colors, e.g. 2,1,3")
     common.add_argument("--json", action="store_true")
 
@@ -289,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ineq = sub.add_parser("inequalities", parents=[common], help="emit generator forms")
-    p_ineq.add_argument("--k", type=int, required=True, help="charge of the generator family")
+    p_ineq.add_argument("--k", type=integer, required=True, help="charge of the generator family")
     p_ineq.add_argument("--s", type=positive, default=1, help="base occurrence index")
     p_ineq.add_argument("--bound", type=nonneg, default=2, help="window size for enumerated shapes")
     p_ineq.set_defaults(func=cmd_inequalities)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
     p_verify.add_argument("checks", nargs="*", help="check names, default all")
-    p_verify.add_argument("--k", type=int, default=None)
+    p_verify.add_argument("--k", type=integer, default=None)
     p_verify.add_argument("--s", type=positive, default=None)
     p_verify.add_argument("--depth", "--dep", dest="depth", type=nonneg, default=None)
     p_verify.add_argument("--weight", "--w", dest="max_weight", type=nonneg, default=None)

@@ -1,22 +1,25 @@
 """Revised extended Young diagrams and their assignment maps.
 
 A revised diagram of charge k is a two-sided integer sequence (y_t) equal to
-the staircase k + t far left and to k far right.  Steps y_{t+1} - y_t must
-lie in {0, 1} except at congruence-relaxed positions: when k + t falls in
-the special residue class, the step is only bounded below (t > 0) or above
-by 1 (t < 0).  The A2 flavor has modulus 2n-1 and special residue {0}; the
-D2target flavor has modulus 2n and special residues {0, n}.
+the staircase k + t left of its canonical window [t_lo, t_hi], which holds
+position 0, and to k right of it.  Steps y_{t+1} - y_t must lie in {0, 1}
+except at congruence-relaxed positions: when k + t falls in the special
+residue class, the step is only bounded below (t > 0) or above by 1 (t < 0).
+The A2 flavor has modulus 2n-1 and special residue {0}; the D2target flavor
+has modulus 2n and special residues {0, n}.
 
 A point (i, y_i) is admissible when lowering y_i keeps the diagram valid;
 (i, y_{i-1}) is removable when raising y_{i-1} does.  A marking is double
 when the neighboring values form the flat pattern and i sits in the special
 congruence class; a double contributes its coordinate twice to the form.
+Diagrams are validated and classified on their window alone: outside it
+every step is 1 or 0, and no point can lie there (see classify_points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .root_data import AdaptedSequence, RootDataError, fold, p_table
 from .forms import LinearForm, Move, Site, site_form, site_move
@@ -124,46 +127,37 @@ def _pair_ok(T: RevisedEYD, t: int, yt: int, yt1: int) -> bool:
 def make_reyd(flavor: str, n: int, k: int, t_lo: int, ys: Sequence[int]) -> RevisedEYD:
     """Validate and canonicalize a windowed value list."""
     _check_parameters(flavor, n, k)
-    vals = [int(v) for v in ys]
+    vals = tuple(int(v) for v in ys)
     if not vals:
         return phi_reyd(flavor, n, k)
-    ydict = {t_lo + m: v for m, v in enumerate(vals)}
-    return _canonical(flavor, n, k, ydict)
+    return _canonical(RevisedEYD(flavor, n, k, t_lo, vals))
 
 
-def _canonical(flavor: str, n: int, k: int, ydict: Dict[int, int]) -> RevisedEYD:
-    a0, b0 = min(ydict), max(ydict)
-    lo_scan = min(a0, 0) - 1
-    hi_scan = max(b0, 0) + 1
-    full = {}
-    for u in range(lo_scan, hi_scan + 1):
-        if u in ydict:
-            full[u] = ydict[u]
-        else:
-            full[u] = k + u if u < a0 else k
-    t = lo_scan
-    while t <= 0 and full[t] == k + t:
+def _canonical(raw: RevisedEYD) -> RevisedEYD:
+    """Trim a raw diagram to its canonical window and validate it."""
+    k = raw.k
+    t = min(raw.t_lo, 0)
+    while t <= 0 and raw.y(t) == k + t:
         t += 1
     lo = min(t - 1, 0)
-    t = hi_scan
-    while t >= 0 and full[t] == k:
+    t = max(raw.t_hi, 0)
+    while t >= 0 and raw.y(t) == k:
         t -= 1
     hi = max(t + 1, 0)
-    vals = tuple(full[u] for u in range(lo, hi + 1))
-    T = RevisedEYD(flavor, n, k, lo, vals)
+    T = RevisedEYD(raw.flavor, raw.n, k, lo, tuple(raw.y(u) for u in range(lo, hi + 1)))
     _validate(T)
     return T
 
 
 def _validate(T: RevisedEYD) -> None:
+    """Raise unless T is valid.  Below t_lo every step is 1 and from t_hi on
+    every step is 0, allowed anywhere, so past the endpoint test only the
+    steps at t_lo..t_hi-1 can fail."""
     if T.y(T.t_lo) != T.k + T.t_lo or T.y(T.t_hi) != T.k:
         raise REYDError(f"window endpoints must meet the staircase and the charge: {T}")
-    M = T.modulus
-    for t in range(T.t_lo - M - 1, T.t_hi + M + 1):
-        if not _pair_ok(T, t, T.y(t), T.y(t + 1)):
-            raise REYDError(
-                f"step {T.y(t)} -> {T.y(t + 1)} at position {t} violates the conditions"
-            )
+    for t, (yt, yt1) in enumerate(zip(T.ys, T.ys[1:]), T.t_lo):
+        if not _pair_ok(T, t, yt, yt1):
+            raise REYDError(f"step {yt} -> {yt1} at position {t} violates the conditions")
 
 
 def phi_reyd(flavor: str, n: int, k: int) -> RevisedEYD:
@@ -205,22 +199,24 @@ def _double_rem(T: RevisedEYD, i: int) -> bool:
 
 
 def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
-    """All admissible and removable points with multiplicities and colors."""
-    M = T.modulus
+    """All admissible and removable points with multiplicities and colors.
+
+    Only t_lo..t_hi can hold one.  Lowering or raising a value below t_lo
+    makes a step of 2 at a negative position (t_lo <= 0); lowering one above
+    t_hi, or raising one from t_hi on, makes a step of -1 at a position >= 0
+    (t_hi >= 0).  _pair_ok allows neither: a relaxed position bounds a step
+    by 1 above when negative and by 0 below when positive, and no valid
+    charge relaxes position 0.
+    """
     out: List[MarkedPoint] = []
-    for i in range(T.t_lo - M - 1, T.t_hi + M + 2):
+    k, n, variant = T.k, T.n, _VARIANT[T.flavor]
+    for i in range(T.t_lo, T.t_hi + 1):
         if _lower_ok(T, i):
             mult = 2 if _double_adm(T, i) else 1
-            out.append(
-                MarkedPoint("admissible", i, T.y(i), mult, fold(_VARIANT[T.flavor], T.n, i + T.k))
-            )
+            out.append(MarkedPoint("admissible", i, T.y(i), mult, fold(variant, n, i + k)))
         if _raise_ok(T, i):
             mult = 2 if _double_rem(T, i) else 1
-            out.append(
-                MarkedPoint(
-                    "removable", i, T.y(i - 1), mult, fold(_VARIANT[T.flavor], T.n, i + T.k - 1)
-                )
-            )
+            out.append(MarkedPoint("removable", i, T.y(i - 1), mult, fold(variant, n, i + k - 1)))
     return out
 
 
@@ -281,11 +277,10 @@ def toggle_point(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
         target, delta = point.x - 1, 1
     else:
         raise REYDError(f"unknown role {point.role!r}")
-    lo = min(T.t_lo, target - 1) - 1
-    hi = max(T.t_hi, target + 1) + 1
-    ydict = {t: T.y(t) for t in range(lo, hi + 1)}
-    ydict[target] += delta
-    return _canonical(T.flavor, T.n, T.k, ydict)
+    lo = min(T.t_lo, target)
+    ys = [T.y(t) for t in range(lo, max(T.t_hi, target) + 1)]
+    ys[target - lo] += delta
+    return _canonical(RevisedEYD(T.flavor, T.n, T.k, lo, tuple(ys)))
 
 
 def enumerate_reyd(flavor: str, n: int, k: int, max_units: int) -> List[RevisedEYD]:

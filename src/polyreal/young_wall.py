@@ -10,11 +10,12 @@ half sits in a split row.  A wall is proper when no two columns of even
 (full) height coincide.
 
 An admissible slot is a position where one block fits; a removable block is
-one that can be taken away; each keeps the wall proper.  On a split row
-above the ground, a move of both halves at once is a double site and counts
-its coordinate twice.  The assignment map sends a slot at column i (0-based
-from the right) in row l to +x_{s+P^k(l)+i, c(l)} and a removable block to
--x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity.
+one that can be taken away; each keeps the wall proper.  On a split row above
+the ground, a move of both halves at once is a double site and counts its
+coordinate twice; one rule gives each column's single and double move.  The
+assignment map sends a slot at column i (0-based from the right) in row l to
++x_{s+P^k(l)+i, c(l)} and a removable block to -x_{s+P^k(l)+i+1, c(l)},
+weighted by multiplicity.
 """
 
 from __future__ import annotations
@@ -162,53 +163,39 @@ def _can_set(Y: YoungWall, j: int, new_h: int) -> bool:
     return not _violations(Y.kind, vals)
 
 
-def _single_move(Y: YoungWall, j: int, remove: bool) -> Optional[WallSite]:
-    """The one-block move at column j: a unit block, or one half of a split row."""
-    kind = Y.kind
-    h = Y.height(j)
-    if remove and h <= 1:
-        return None
-    l = kind.row_of_half(h if remove else h + 1)
-    delta = 2 if (h % 2 == 0 and not kind.is_split(l)) else 1
-    if not _can_set(Y, j, h - delta if remove else h + delta):
-        return None
-    return WallSite("block" if remove else "slot", j, l, 1, kind.row_color(l), delta)
+def _column_moves(Y: YoungWall, remove: bool) -> List[Tuple[Optional[WallSite], ...]]:
+    """The (single, double) moves of each column from the right, None when illegal.
 
-
-def _site(Y: YoungWall, j: int, remove: bool) -> Optional[WallSite]:
-    """The double move when the row is split and the double is legal, else the single move."""
-    kind = Y.kind
-    h = Y.height(j)
-    l = kind.row_of_half(h if remove else h + 1)
-    if h % 2 == 0 and kind.is_split(l) and _can_set(Y, j, h - 2 if remove else h + 2):
-        return WallSite("block" if remove else "slot", j, l, 2, kind.row_color(l), 2)
-    return _single_move(Y, j, remove)
+    A single move is a unit block or one half of a split row, a double both halves
+    of a split row at even height; _can_set alone decides legality, bare columns included.
+    """
+    kind, out = Y.kind, []
+    for j in range(1, len(Y.halves) + 2):
+        h = Y.height(j)
+        l = kind.row_of_half(h if remove else h + 1)
+        split = h % 2 == 0 and kind.is_split(l)
+        sign, delta = (-1 if remove else 1), (1 if split or h % 2 else 2)
+        role, c = ("block" if remove else "slot"), kind.row_color(l)
+        single = WallSite(role, j, l, 1, c, delta) if _can_set(Y, j, h + sign * delta) else None
+        double = WallSite(role, j, l, 2, c, 2) if split and _can_set(Y, j, h + 2 * sign) else None
+        out.append((single, double))
+    return out
 
 
 def classify_sites(Y: YoungWall) -> List[WallSite]:
-    """Admissible slots and removable blocks, doubles merged."""
-    sites: List[WallSite] = []
-    for j in range(1, len(Y.halves) + 2):
-        for remove in (False, True):
-            site = _site(Y, j, remove)
-            if site:
-                sites.append(site)
-    return sites
-
-
-def _one_block_moves(Y: YoungWall, remove: bool) -> List[WallSite]:
-    cols = range(1, len(Y.halves) + 2)
-    return [m for m in (_single_move(Y, j, remove) for j in cols) if m]
+    """Admissible slots and removable blocks, a legal double in place of its single."""
+    both = zip(_column_moves(Y, False), _column_moves(Y, True))
+    return [double or single for pair in both for single, double in pair if double or single]
 
 
 def legal_single_adds(Y: YoungWall) -> List[WallSite]:
     """Every way to add one block (a unit block, or one half of a split row)."""
-    return _one_block_moves(Y, remove=False)
+    return [single for single, _ in _column_moves(Y, False) if single]
 
 
 def legal_single_removes(Y: YoungWall) -> List[WallSite]:
     """Every way to remove one block."""
-    return _one_block_moves(Y, remove=True)
+    return [single for single, _ in _column_moves(Y, True) if single]
 
 
 def toggle_block(Y: YoungWall, site: WallSite) -> YoungWall:
@@ -254,9 +241,9 @@ def moves(seq: AdaptedSequence, Y: YoungWall) -> Iterator[Move]:
     +multiplicity for adding at a slot and -multiplicity for removing a block.
     """
     _check_sequence(seq, Y)
-    singles = legal_single_adds(Y) + legal_single_removes(Y)
-    doubles = [site for site in classify_sites(Y) if site.multiplicity == 2]
-    for site in singles + doubles:
+    adds, removes = _column_moves(Y, False), _column_moves(Y, True)
+    doubles = [double for pair in zip(adds, removes) for _, double in pair]
+    for site in filter(None, [single for single, _ in adds + removes] + doubles):
         address = _address(seq, Y, site)
         yield site_move(toggle_block(Y, site), address[0], address)
 

@@ -299,6 +299,24 @@ class TestUsage:
             assert err == f"error: expected integers, got {word!r}\n"
         assert run(capsys, "enumerate", "--word", "₂,₁,₃") == run(capsys, "enumerate")
 
+    @pytest.mark.parametrize(
+        "argv,option,text",
+        [
+            (("enumerate", "--depth", "1_0", "--n", "+3"), "--depth/--dep", "1_0"),
+            (("enumerate", "--n", "+3"), "--n", "+3"),
+            (("enumerate", "--depth", "１"), "--depth/--dep", "１"),
+            (("inequalities", "--k", "+1"), "--k", "+1"),
+            (("verify", "beta", "--k", " 1"), "--k", " 1"),
+        ],
+    )
+    def test_options_follow_the_integer_rule(self, capsys, argv, option, text):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.endswith(f"error: argument {option}: invalid integer value: {text!r}\n")
+
+    def test_options_read_subscript_digits(self, capsys):
+        assert run(capsys, "enumerate", "--depth", "₂", "--n", "₃") == run(capsys, "enumerate")
+
     def test_missing_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == EXIT_USAGE

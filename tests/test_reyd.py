@@ -2,7 +2,8 @@
 
 import pytest
 
-from polyreal import LinearForm, RootDataError, p_table
+from polyreal import LinearForm, RootDataError, fold, p_table
+from polyreal import reyd
 from polyreal.reyd import (
     MarkedPoint,
     REYDError,
@@ -203,3 +204,56 @@ class TestRender:
         assert "admissible (-1,1) color 1 double" in text
         assert "removable (1,1) color 2" in text
         assert text.splitlines()[0].startswith("t:")
+
+
+def reference_validate(T):
+    """validate as it was before the window argument: every step up to one
+    modulus past the window is tested."""
+    try:
+        reyd._check_parameters(T.flavor, T.n, T.k)
+    except REYDError as e:
+        return [str(e)]
+    if T.y(T.t_lo) != T.k + T.t_lo or T.y(T.t_hi) != T.k:
+        return [f"window endpoints must meet the staircase and the charge: {T}"]
+    M = T.modulus
+    for t in range(T.t_lo - M - 1, T.t_hi + M + 1):
+        if not reyd._pair_ok(T, t, T.y(t), T.y(t + 1)):
+            return [f"step {T.y(t)} -> {T.y(t + 1)} at position {t} violates the conditions"]
+    return []
+
+
+def reference_classify_points(T):
+    """classify_points as it was before the window argument: every position
+    up to one modulus past the window is tried."""
+    M, variant = T.modulus, reyd._VARIANT[T.flavor]
+    out = []
+    for i in range(T.t_lo - M - 1, T.t_hi + M + 2):
+        if reyd._lower_ok(T, i):
+            mult = 2 if reyd._double_adm(T, i) else 1
+            out.append(MarkedPoint("admissible", i, T.y(i), mult, fold(variant, T.n, i + T.k)))
+        if reyd._raise_ok(T, i):
+            mult = 2 if reyd._double_rem(T, i) else 1
+            color = fold(variant, T.n, i + T.k - 1)
+            out.append(MarkedPoint("removable", i, T.y(i - 1), mult, color))
+    return out
+
+
+class TestWindowScans:
+    """validate and classify_points read only the canonical window; the
+    scans one modulus past it agree on every diagram and on every one-value
+    change of a diagram."""
+
+    @pytest.mark.parametrize("flavor", ["A2", "D2target"])
+    def test_equal_to_the_wide_scans(self, flavor):
+        for n in (3, 4, 5):
+            for k in range(2, (n if flavor == "A2" else n - 1) + 1):
+                for T in enumerate_reyd(flavor, n, k, 5):
+                    assert validate(T) == reference_validate(T) == []
+                    assert classify_points(T) == reference_classify_points(T)
+                    for m in range(len(T.ys)):
+                        for d in (-2, -1, 1, 2):
+                            ys = T.ys[:m] + (T.ys[m] + d,) + T.ys[m + 1 :]
+                            U = RevisedEYD(flavor, n, k, T.t_lo, ys)
+                            assert validate(U) == reference_validate(U)
+                            if not validate(U):
+                                assert classify_points(U) == reference_classify_points(U)

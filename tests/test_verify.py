@@ -308,13 +308,14 @@ class TestSigmaDifference:
         assert a.to_json() == b.to_json()
 
 
-# Every permutation of 1..3 is an adapted word in each family.  The
-# non-periodic adapted words of length 6 at n=3 are six each for C1, A2 and
-# D2; A1 has none.
+# Every permutation of 1..3 is an adapted word in each family, and so is
+# each permutation written twice.  The non-periodic adapted words of length 6
+# at n=3 are six each for C1, A2 and D2; A1 has none.
+_PERMUTATIONS = list(itertools.permutations((1, 2, 3)))
 _N3_WORDS = [
     (family, word)
     for family in ("A1", "C1", "A2", "D2")
-    for word in list(itertools.permutations((1, 2, 3))) + adapted_words(family, 3, 6)
+    for word in _PERMUTATIONS + adapted_words(family, 3, 6) + [p * 2 for p in _PERMUTATIONS]
 ]
 
 

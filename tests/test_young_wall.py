@@ -3,6 +3,8 @@
 import pytest
 
 from polyreal import LinearForm, RootDataError
+from polyreal import young_wall
+from polyreal.forms import site_move
 from polyreal.young_wall import (
     WallError,
     WallKind,
@@ -15,6 +17,7 @@ from polyreal.young_wall import (
     legal_single_adds,
     legal_single_removes,
     make_wall,
+    moves,
     render_wall,
     toggle_block,
     validate_proper,
@@ -258,3 +261,63 @@ class TestRender:
         kind = WallKind("D2wall", 3, 1)
         text = render_wall(make_wall(kind, [5]))
         assert "[__]" in text
+
+
+def _reference_single(Y, j, remove):
+    """The one-block move at column j as listed before the one column rule."""
+    kind = Y.kind
+    h = Y.height(j)
+    if remove and h <= 1:
+        return None
+    l = kind.row_of_half(h if remove else h + 1)
+    delta = 2 if (h % 2 == 0 and not kind.is_split(l)) else 1
+    if not young_wall._can_set(Y, j, h - delta if remove else h + delta):
+        return None
+    return WallSite("block" if remove else "slot", j, l, 1, kind.row_color(l), delta)
+
+
+def _reference_site(Y, j, remove):
+    """The double move when the row is split and the double is legal, else the single."""
+    kind = Y.kind
+    h = Y.height(j)
+    l = kind.row_of_half(h if remove else h + 1)
+    if h % 2 == 0 and kind.is_split(l) and young_wall._can_set(Y, j, h - 2 if remove else h + 2):
+        return WallSite("block" if remove else "slot", j, l, 2, kind.row_color(l), 2)
+    return _reference_single(Y, j, remove)
+
+
+def reference_listing(seq, Y):
+    """classify_sites, legal_single_adds, legal_single_removes and moves as
+    listed before the one column rule, each column tried once per function."""
+    cols = range(1, len(Y.halves) + 2)
+    sites = [_reference_site(Y, j, r) for j in cols for r in (False, True)]
+    sites = [site for site in sites if site]
+    adds = [m for m in (_reference_single(Y, j, False) for j in cols) if m]
+    removes = [m for m in (_reference_single(Y, j, True) for j in cols) if m]
+    doubles = [site for site in sites if site.multiplicity == 2]
+    move_list = []
+    for site in adds + removes + doubles:
+        address = young_wall._address(seq, Y, site)
+        move_list.append(site_move(toggle_block(Y, site), address[0], address))
+    return sites, adds, removes, move_list
+
+
+class TestColumnRule:
+    """One rule gives each column's single and double move; the listings
+    agree, in order, with the two rules they replace."""
+
+    @pytest.mark.parametrize("family", ["A2wall", "D2wall"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_equal_to_the_reference_listing(self, family, n):
+        seq = make_seq("A2" if family == "A2wall" else "C1", n)
+        for ground in (1,) if family == "A2wall" else (1, n):
+            # 12 halves reach the D2wall (10, 4): its remove double, in column
+            # 1, comes before the add double of column 2
+            for Y in enumerate_walls(WallKind(family, n, ground), 12 if n == 3 else 10):
+                listing = (
+                    classify_sites(Y),
+                    legal_single_adds(Y),
+                    legal_single_removes(Y),
+                    list(moves(seq, Y)),
+                )
+                assert listing == reference_listing(seq, Y)
