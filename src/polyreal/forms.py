@@ -5,7 +5,8 @@ double indices (s, l): the s-th occurrence of color l.  The beta form at
 (s, l) is x_{s,l} + x_{s+1,l} + sum over neighbors j of l of
 a_{l,j} x_{s+p_{j,l}, j}.  The operator S'_d subtracts beta_d at a positive
 coefficient, adds the predecessor beta at a negative one (identity at s = 1),
-and fixes the form at a zero coefficient.
+and fixes the form at a zero coefficient.  The constructor checks its terms;
+sums, differences, site and beta forms, whose terms are checked, skip that.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .root_data import AdaptedSequence, RootDataError, index_to_pair, pair_to_index
+from .root_data import AdaptedSequence, RootDataError, exact_int, index_to_pair, pair_to_index
 from .lattice_crystal import LatticeElement
 
 Pair = Tuple[int, int]
@@ -26,24 +27,41 @@ Move = Tuple[object, int, int, int]
 Terms = Union[Dict[Pair, int], Iterable[Tuple[Pair, int]], None]
 
 
+def _occurring(terms: List[Tuple[Pair, int]]) -> List[Tuple[Pair, int]]:
+    """The (pair, c) terms, after a ValueError if one lies at an occurrence below 1."""
+    if terms and min(terms)[0][0] < 1:
+        raise ValueError(f"occurrence index must be >= 1, got {min(terms)[0][0]}")
+    return terms
+
+
+def _accumulate(d: Dict[Pair, int], terms: Iterable[Tuple[Pair, int]], sign: int = 1) -> dict:
+    """d with sign * c added at each (pair, c) of terms; a pair summing to 0 is dropped."""
+    for pair, c in terms:
+        c = d.get(pair, 0) + sign * c
+        if c:
+            d[pair] = c
+        else:
+            d.pop(pair, None)
+    return d
+
+
 class LinearForm:
     """An integer linear form sum c_{s,l} x_{s,l} with finitely many terms."""
 
     __slots__ = ("_terms", "_key")
 
     def __init__(self, terms: Terms = None):
-        d: Dict[Pair, int] = {}
         items = terms.items() if isinstance(terms, dict) else (terms or ())
-        for (s, l), c in items:
-            s, l, c = int(s), int(l), int(c)
-            if s < 1:
-                raise ValueError(f"occurrence index must be >= 1, got {s}")
-            if c:
-                d[(s, l)] = d.get((s, l), 0) + c
-                if not d[(s, l)]:
-                    del d[(s, l)]
-        self._terms = d
-        self._key = tuple(sorted(d.items()))
+        checked = [((exact_int(s), exact_int(l)), exact_int(c)) for (s, l), c in items]
+        self._terms = _accumulate({}, _occurring(checked))
+        self._key = tuple(sorted(self._terms.items()))
+
+    @staticmethod
+    def _of(d: Dict[Pair, int]) -> "LinearForm":
+        """The form of d, whose terms are integer, nonzero and at s >= 1, taken as is."""
+        f = object.__new__(LinearForm)
+        f._terms, f._key = d, tuple(sorted(d.items()))
+        return f
 
     @classmethod
     def zero(cls) -> "LinearForm":
@@ -66,16 +84,13 @@ class LinearForm:
         return self._key
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        d = dict(self._terms)
-        for pair, c in other._key:
-            d[pair] = d.get(pair, 0) + c
-        return LinearForm(d)
+        return LinearForm._of(_accumulate(dict(self._terms), other._key))
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
+        return LinearForm._of(_accumulate(dict(self._terms), other._key, -1))
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm({pair: -c for pair, c in self._key})
+        return LinearForm._of({pair: -c for pair, c in self._key})
 
     def __mul__(self, scalar: int) -> "LinearForm":
         return LinearForm({pair: scalar * c for pair, c in self._key})
@@ -109,12 +124,13 @@ class LinearForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "LinearForm":
-        return cls([((int(t["s"]), int(t["l"])), int(t["c"])) for t in data["terms"]])
+        return cls([((t["s"], t["l"]), t["c"]) for t in data["terms"]])
 
 
 def site_form(sites: Iterable[Site], s: int) -> LinearForm:
     """The form sum of coeff * x_{s+offset, color} over (coeff, offset, color) sites."""
-    return LinearForm([((s + offset, color), coeff) for coeff, offset, color in sites])
+    terms = [((s + offset, color), coeff) for coeff, offset, color in sites]
+    return LinearForm._of(_accumulate({}, _occurring(terms)))
 
 
 def site_move(obj2: object, coeff: int, site: Site) -> Move:
@@ -132,13 +148,12 @@ def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:
     if s < 1:
         raise RootDataError(f"beta needs s >= 1, got {s}")
     rs = seq.root_system
-    terms: Dict[Pair, int] = {(s, l): 1}
-    terms[(s + 1, l)] = terms.get((s + 1, l), 0) + 1
+    # the neighbor terms have distinct colors j != l, so no two terms meet
+    terms: Dict[Pair, int] = {(s, l): 1, (s + 1, l): 1}
     for j in rs.index_set:
         if j != l and rs.a(l, j) < 0:
-            pair = (s + seq.p[(j, l)], j)
-            terms[pair] = terms.get(pair, 0) + rs.a(l, j)
-    return LinearForm(terms)
+            terms[(s + seq.p[(j, l)], j)] = rs.a(l, j)
+    return LinearForm._of(terms)
 
 
 def beta_index(seq: AdaptedSequence, j: int) -> LinearForm:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .root_data import AdaptedSequence, index_to_pair
+from .root_data import AdaptedSequence, exact_int, index_to_pair
 
 Entries = Union[Dict[int, int], Iterable[Tuple[int, int]], None]
 
@@ -34,7 +34,7 @@ class LatticeElement:
         d: Dict[int, int] = {}
         items = entries.items() if isinstance(entries, dict) else (entries or ())
         for j, v in items:
-            j, v = int(j), int(v)
+            j, v = exact_int(j), exact_int(v)
             if j < 1:
                 raise ValueError(f"position must be >= 1, got {j}")
             if v:
@@ -101,7 +101,7 @@ class LatticeElement:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "LatticeElement":
-        return cls([(int(j), int(v)) for j, v in data])
+        return cls([(j, v) for j, v in data])
 
 
 def sigma(seq: AdaptedSequence, a: LatticeElement, j: int) -> int:

@@ -61,11 +61,13 @@ class RevisedEYD:
         return 2 * self.n - 1 if self.flavor == "A2" else 2 * self.n
 
     def y(self, t: int) -> int:
-        if t < self.t_lo:
+        # the hottest call of classify_points: compare with len(ys), not t_hi
+        i = t - self.t_lo
+        if i < 0:
             return self.k + t
-        if t > self.t_hi:
+        if i >= len(self.ys):
             return self.k
-        return self.ys[t - self.t_lo]
+        return self.ys[i]
 
     def units(self) -> int:
         return sum(self.k + min(t, 0) - self.y(t) for t in range(self.t_lo, self.t_hi + 1))

@@ -29,6 +29,14 @@ class NotAdaptedError(RootDataError):
     """The word fails the alternation condition for some neighbor pair."""
 
 
+def exact_int(v: object) -> int:
+    """v as an int; ValueError when it is not integral, so nothing is truncated."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class AlgebraType:
     """One of the four supported affine families at rank parameter n."""

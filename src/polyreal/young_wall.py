@@ -7,7 +7,8 @@ period 2n-2; rows whose color is special (color 1, and color n for the
 D2wall family) are split into two half-unit blocks, all other rows are
 single unit blocks.  A column of odd height is allowed only when its top
 half sits in a split row.  A wall is proper when no two columns of even
-(full) height coincide.
+(full) height coincide; a move changes one column, so it is tested at that
+column's neighbours, where equal heights of a decreasing wall must meet.
 
 An admissible slot is a position where one block fits; a removable block is
 one that can be taken away; each keeps the wall proper.  On a split row above
@@ -153,14 +154,17 @@ def validate_proper(Y: YoungWall) -> List[str]:
     return _violations(Y.kind, Y.halves)
 
 
-def _can_set(Y: YoungWall, j: int, new_h: int) -> bool:
-    vals = list(Y.halves)
-    while len(vals) < j:
-        vals.append(1)
-    vals[j - 1] = new_h
-    while vals and vals[-1] == 1:
-        vals.pop()
-    return not _violations(Y.kind, vals)
+def _can_set(Y: YoungWall, j: int, h: int) -> bool:
+    """Whether the proper wall Y stays proper with column j at height h: heights
+    weakly decrease at j's neighbours (so h >= 1), an odd h > 1 ends in a split
+    row, and an even h equals neither neighbour."""
+    left = Y.height(j + 1)
+    right = Y.height(j - 1) if j > 1 else h + 1  # column 1 has no right neighbour
+    if not right >= h >= left:
+        return False
+    if h % 2:
+        return h == 1 or Y.kind.is_split(Y.kind.row_of_half(h))
+    return h != left and h != right
 
 
 def _column_moves(Y: YoungWall, remove: bool) -> List[Tuple[Optional[WallSite], ...]]:

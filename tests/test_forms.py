@@ -15,7 +15,7 @@ from polyreal import (
     index_to_pair,
     s_prime,
 )
-from polyreal.forms import max_single_index
+from polyreal.forms import max_single_index, site_form
 from polyreal.root_data import MIN_RANK
 from conftest import adapted_words, make_seq
 
@@ -56,6 +56,71 @@ class TestLinearForm:
         forms = [x(2, 1), x(1, 2), x(1, 1)]
         assert sorted(forms, key=LinearForm.sort_key) == [x(1, 1), x(1, 2), x(2, 1)]
 
+    @pytest.mark.parametrize(
+        "terms",
+        [{(1, 1): 1.5}, {(1.9, 1): 1}, {(1, 2.5): 1}, [((2, 1), 0.5)]],
+        ids=["coefficient", "occurrence", "color", "pairs"],
+    )
+    def test_fractional_input_rejected(self, terms):
+        with pytest.raises(ValueError):
+            LinearForm(terms)
+
+    def test_fractional_scalar_rejected(self):
+        with pytest.raises(ValueError):
+            x(1, 1) * 2.5
+        with pytest.raises(ValueError):
+            0.5 * x(1, 1)
+
+    def test_integral_floats_accepted(self):
+        assert LinearForm({(1.0, 2.0): 3.0}) == 3 * x(1, 2)
+        assert x(1, 1) * 2.0 == 2 * x(1, 1)
+        f = LinearForm.from_json({"terms": [{"s": 2.0, "l": 1, "c": -1.0}]})
+        assert f == -x(2, 1) and LinearForm.from_json(f.to_json()) == f
+
+    # (a, b) with shared, cancelling and disjoint terms
+    PAIRS = [
+        ({(1, 1): 1, (2, 1): 2}, {(2, 1): 3, (1, 2): -1}),
+        ({(1, 1): 1, (2, 1): 2}, {(2, 1): -2, (3, 3): 4}),
+        ({(1, 1): 1}, {(4, 2): -5}),
+        ({(1, 1): 2, (2, 3): -1}, {(1, 1): 2, (2, 3): -1}),
+        ({}, {(2, 2): 1}),
+    ]
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_arithmetic_equals_public_build(self, a, b):
+        fa, fb = LinearForm(a), LinearForm(b)
+        cases = [
+            (fa + fb, {p: a.get(p, 0) + b.get(p, 0) for p in {**a, **b}}),
+            (fa - fb, {p: a.get(p, 0) - b.get(p, 0) for p in {**a, **b}}),
+            (-fa, {p: -c for p, c in a.items()}),
+        ]
+        for got, terms in cases:
+            built = LinearForm(terms)
+            assert got.items() == built.items()
+            assert got == built and hash(got) == hash(built)
+            assert all(c for _, c in got.items())
+
+    def test_difference_cancels_to_zero(self):
+        f = LinearForm({(1, 1): 2, (3, 2): -1})
+        for got in (f - f, f + (-f), -f + f):
+            assert got.items() == () and got.is_zero()
+            assert got == LinearForm.zero() and hash(got) == hash(LinearForm.zero())
+
+    def test_site_form_sums_and_cancels(self):
+        sites = [(1, 0, 1), (2, 0, 1), (1, 1, 2), (-1, 1, 2), (-1, 2, 3)]
+        f = site_form(sites, 2)
+        built = LinearForm({(2, 1): 3, (4, 3): -1})
+        assert f.items() == built.items() and f == built and hash(f) == hash(built)
+        assert site_form([], 1).is_zero()
+
+    def test_site_form_below_one_rejected(self):
+        with pytest.raises(ValueError, match="occurrence index must be >= 1"):
+            site_form([(1, 0, 1), (1, -1, 2)], 1)
+        # the term below 1 cancels, yet the site is still rejected
+        with pytest.raises(ValueError):
+            site_form([(1, -2, 1), (-1, -2, 1)], 2)
+        assert site_form([(1, -1, 2)], 2) == x(1, 2)
+
 
 class TestBeta:
     def test_a1_rank2_golden(self, a1_n2):
@@ -72,6 +137,22 @@ class TestBeta:
     def test_s_below_one_rejected(self, a1_n3):
         with pytest.raises(RootDataError):
             beta_pair(a1_n3, 0, 1)
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_equals_public_build(self, family):
+        seq = make_seq(family, 4)
+        rs = seq.root_system
+        for s in (1, 2, 5):
+            for l in rs.index_set:
+                terms = [((s, l), 1), ((s + 1, l), 1)]
+                terms += [
+                    ((s + seq.p[(j, l)], j), rs.a(l, j))
+                    for j in rs.index_set
+                    if j != l and rs.a(l, j) < 0
+                ]
+                got, built = beta_pair(seq, s, l), LinearForm(terms)
+                assert got.items() == built.items()
+                assert got == built and hash(got) == hash(built)
 
     @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
     def test_single_and_double_index_agree(self, family):

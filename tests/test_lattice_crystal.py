@@ -41,6 +41,15 @@ class TestLatticeElement:
         with pytest.raises(ValueError):
             LatticeElement({-3: 1})
 
+    def test_fractional_input_rejected(self):
+        for entries in ({1: 1.5}, {1.9: 1}, [(2, 0.5)]):
+            with pytest.raises(ValueError):
+                LatticeElement(entries)
+        with pytest.raises(ValueError):
+            LatticeElement.from_json([[1, 2.5]])
+        assert LatticeElement({2.0: 3.0}) == LatticeElement({2: 3})
+        assert LatticeElement.from_json([[2.0, 3.0]]) == LatticeElement({2: 3})
+
     def test_zero(self):
         z = LatticeElement.zero()
         assert z.is_zero() and z.max_index() == 0 and z.total() == 0

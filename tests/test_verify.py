@@ -106,6 +106,30 @@ class TestStepIdentities:
         assert r.counts["failures"] == 0 and r.counts["toggles_checked"] > 0
 
 
+class TestWriteSideCounts:
+    """The step and closure counts on word 2,1,3,4 at n=4, pinned so that a
+    faster generator or form kernel cannot change the work it checks."""
+
+    TOGGLES = {"A1": 568, "C1": 552, "A2": 514, "D2": 568}
+    SIZES = {
+        "A1": (26, 26, 26, 26),
+        "C1": (14, 30, 30, 14),
+        "A2": (14, 29, 26, 18),
+        "D2": (18, 25, 25, 18),
+    }
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_counts(self, family):
+        seq = make_seq(family, 4, [2, 1, 3, 4])
+        r = check_step_identities(seq, size_bound=5, wall_halves=10)
+        assert r.ok, r.witnesses
+        assert r.counts == {"toggles_checked": self.TOGGLES[family], "failures": 0}
+        for k, size in zip((1, 2, 3, 4), self.SIZES[family]):
+            r = check_closure_equality(seq, k, depth=6)
+            assert r.ok, (k, r.witnesses)
+            assert (r.counts["closure_size"], r.counts["image_size"]) == (size, size)
+
+
 class TestClosureEquality:
     @pytest.mark.parametrize("family,n", STANDARD)
     def test_pass_at_depth_three(self, family, n):

@@ -321,3 +321,32 @@ class TestColumnRule:
                     list(moves(seq, Y)),
                 )
                 assert listing == reference_listing(seq, Y)
+
+
+def _full_scan_can_set(Y, j, new_h):
+    """_can_set as a copy of the wall and a scan of every column."""
+    vals = list(Y.halves)
+    while len(vals) < j:
+        vals.append(1)
+    vals[j - 1] = new_h
+    while vals and vals[-1] == 1:
+        vals.pop()
+    return not young_wall._violations(Y.kind, vals)
+
+
+class TestLocalProperness:
+    """_can_set tests only the changed column's neighbours; it must answer as
+    the full scan does on every proper wall."""
+
+    @pytest.mark.parametrize("family", ["A2wall", "D2wall"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_equal_to_the_full_scan(self, family, n):
+        for ground in (1,) if family == "A2wall" else (1, n):
+            walls = enumerate_walls(WallKind(family, n, ground), 12 if n == 3 else 10)
+            for Y in walls:
+                for j in range(1, len(Y.halves) + 2):
+                    h = Y.height(j)
+                    for new_h in range(h - 2, h + 3):
+                        assert young_wall._can_set(Y, j, new_h) == _full_scan_can_set(
+                            Y, j, new_h
+                        ), (Y.halves, j, new_h)
