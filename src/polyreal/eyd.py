@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .root_data import AdaptedSequence, RootDataError, fold, p_table
+from .root_data import AdaptedSequence, RootDataError, exact_int, fold, p_table
 from .forms import LinearForm, Move, Site, site_form, site_move
 
 
@@ -54,12 +54,13 @@ class ExtendedYoungDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtendedYoungDiagram":
-        return make_eyd(int(data["charge"]), [int(v) for v in data["ys"]])
+        return make_eyd(data["charge"], data["ys"])
 
 
 def make_eyd(charge: int, ys: Sequence[int]) -> ExtendedYoungDiagram:
     """Validate and canonicalize column values."""
-    vals = [int(v) for v in ys]
+    charge = exact_int(charge, EYDError)
+    vals = [exact_int(v, EYDError) for v in ys]
     for a, b in zip(vals, vals[1:]):
         if a > b:
             raise EYDError(f"column values must be weakly increasing, got {vals}")

@@ -6,15 +6,18 @@ double indices (s, l): the s-th occurrence of color l.  The beta form at
 a_{l,j} x_{s+p_{j,l}, j}.  The operator S'_d subtracts beta_d at a positive
 coefficient, adds the predecessor beta at a negative one (identity at s = 1),
 and fixes the form at a zero coefficient.  The constructor checks its terms;
-sums, differences, site and beta forms, whose terms are checked, skip that.
+sums, differences, scalar multiples (whose scalar is checked), site and beta
+forms, whose terms are checked, skip that.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .root_data import AdaptedSequence, RootDataError, exact_int, index_to_pair, pair_to_index
+from .root_data import (
+    AdaptedSequence, RootDataError, exact_int, index_to_pair, pair_to_index, reachable
+)
 from .lattice_crystal import LatticeElement
 
 Pair = Tuple[int, int]
@@ -93,7 +96,8 @@ class LinearForm:
         return LinearForm._of({pair: -c for pair, c in self._key})
 
     def __mul__(self, scalar: int) -> "LinearForm":
-        return LinearForm({pair: scalar * c for pair, c in self._key})
+        scalar = exact_int(scalar)
+        return LinearForm._of({pair: scalar * c for pair, c in self._key} if scalar else {})
 
     __rmul__ = __mul__
 
@@ -199,7 +203,8 @@ def closure(
     S' is applied at every nonzero coefficient position of every known form.
     Without index_bound there is no cap.  With it, forms whose support
     passes the bound are dropped, and the count of distinct dropped forms
-    is returned alongside the closed set.
+    is returned alongside the closed set.  The cap is tested only on forms
+    neither seen nor dropped before.
 
     No cap is needed: a round raises a form's largest single index by at
     most L.  S' at (s, l), single index j in the support, subtracts
@@ -209,21 +214,17 @@ def closure(
     """
     seen: Set[LinearForm] = set(seeds)
     pruned: Set[LinearForm] = set()
-    frontier = list(seen)
-    for _ in range(depth):
-        nxt: List[LinearForm] = []
-        for f in frontier:
-            for pair, _ in f.items():
-                g = s_prime(seq, f, pair)
-                if g in seen or g in pruned:
-                    continue
-                if index_bound is not None and max_single_index(seq, g) > index_bound:
+
+    def images(f: LinearForm) -> Iterator[LinearForm]:
+        for pair, _ in f.items():
+            g = s_prime(seq, f, pair)
+            if g not in seen and g not in pruned:
+                if index_bound is None or max_single_index(seq, g) <= index_bound:
+                    yield g
+                else:
                     pruned.add(g)
-                    continue
-                seen.add(g)
-                nxt.append(g)
-        frontier = nxt
-    return seen, len(pruned)
+
+    return reachable(seen, images, depth), len(pruned)
 
 
 def evaluate(seq: AdaptedSequence, form: LinearForm, a: LatticeElement) -> int:

@@ -15,9 +15,9 @@ the first and last i-position of each gap.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
-from .root_data import AdaptedSequence, exact_int, index_to_pair
+from .root_data import AdaptedSequence, exact_int, index_to_pair, reachable
 
 Entries = Union[Dict[int, int], Iterable[Tuple[int, int]], None]
 
@@ -199,20 +199,10 @@ def etilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> Optional[LatticeE
 
 def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeElement]:
     """All elements reachable from 0 by at most max_word_length lowering steps."""
-    zero = LatticeElement.zero()
     index_set = seq.root_system.index_set
-    seen: Set[LatticeElement] = {zero}
-    frontier: List[LatticeElement] = [zero]
-    for _ in range(max_word_length):
-        nxt: List[LatticeElement] = []
-        for a in frontier:
-            for i in index_set:
-                b = ftilde(seq, a, i)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return seen
+    return reachable(
+        {LatticeElement.zero()}, lambda a: [ftilde(seq, a, i) for i in index_set], max_word_length
+    )
 
 
 def format_element(seq: AdaptedSequence, a: LatticeElement) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .root_data import AdaptedSequence, RootDataError, fold, p_table
+from .root_data import AdaptedSequence, RootDataError, exact_int, fold, p_table, reachable
 from .forms import LinearForm, Move, Site, site_form, site_move
 
 FLAVORS = ("A2", "D2target")
@@ -88,23 +88,20 @@ class RevisedEYD:
 
     @classmethod
     def from_json(cls, data: dict) -> "RevisedEYD":
-        return make_reyd(
-            str(data["flavor"]),
-            int(data["n"]),
-            int(data["k"]),
-            int(data["t_lo"]),
-            [int(v) for v in data["ys"]],
-        )
+        return make_reyd(str(data["flavor"]), data["n"], data["k"], data["t_lo"], data["ys"])
 
 
-def _check_parameters(flavor: str, n: int, k: int) -> None:
+def _check_parameters(flavor: str, n: int, k: int) -> Tuple[int, int]:
+    """n and k as ints; a REYDError unless they are integers that suit the flavor."""
     if flavor not in FLAVORS:
         raise REYDError(f"unknown flavor {flavor!r}, expected one of {FLAVORS}")
+    n, k = exact_int(n, REYDError), exact_int(k, REYDError)
     if n < 3:
         raise REYDError(f"need n >= 3, got {n}")
     hi = n if flavor == "A2" else n - 1
     if not 2 <= k <= hi:
         raise REYDError(f"flavor {flavor} needs charge in 2..{hi}, got {k}")
+    return n, k
 
 
 def _special(T: RevisedEYD, value: int) -> bool:
@@ -128,11 +125,11 @@ def _pair_ok(T: RevisedEYD, t: int, yt: int, yt1: int) -> bool:
 
 def make_reyd(flavor: str, n: int, k: int, t_lo: int, ys: Sequence[int]) -> RevisedEYD:
     """Validate and canonicalize a windowed value list."""
-    _check_parameters(flavor, n, k)
-    vals = tuple(int(v) for v in ys)
+    n, k = _check_parameters(flavor, n, k)
+    vals = tuple(exact_int(v, REYDError) for v in ys)
     if not vals:
         return phi_reyd(flavor, n, k)
-    return _canonical(RevisedEYD(flavor, n, k, t_lo, vals))
+    return _canonical(RevisedEYD(flavor, n, k, exact_int(t_lo, REYDError), vals))
 
 
 def _canonical(raw: RevisedEYD) -> RevisedEYD:
@@ -164,7 +161,7 @@ def _validate(T: RevisedEYD) -> None:
 
 def phi_reyd(flavor: str, n: int, k: int) -> RevisedEYD:
     """The highest diagram: pure staircase joined to the flat charge line."""
-    _check_parameters(flavor, n, k)
+    n, k = _check_parameters(flavor, n, k)
     return RevisedEYD(flavor, n, k, 0, (k,))
 
 
@@ -287,21 +284,12 @@ def toggle_point(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
 
 def enumerate_reyd(flavor: str, n: int, k: int, max_units: int) -> List[RevisedEYD]:
     """All diagrams with at most max_units boxes below the highest one."""
-    start = phi_reyd(flavor, n, k)
-    seen = {start}
-    frontier = [start]
-    for _ in range(max_units):
-        nxt: List[RevisedEYD] = []
-        for T in frontier:
-            for pt in classify_points(T):
-                if pt.role != "admissible":
-                    continue
-                T2 = toggle_point(T, pt)
-                if T2 not in seen:
-                    seen.add(T2)
-                    nxt.append(T2)
-        frontier = nxt
-    return sorted(seen, key=lambda T: (T.units(), T.t_lo, T.ys))
+
+    def lowerings(T: RevisedEYD) -> Iterator[RevisedEYD]:
+        return (toggle_point(T, pt) for pt in classify_points(T) if pt.role == "admissible")
+
+    found = reachable({phi_reyd(flavor, n, k)}, lowerings, max_units)
+    return sorted(found, key=lambda T: (T.units(), T.t_lo, T.ys))
 
 
 def render_reyd(T: RevisedEYD) -> str:

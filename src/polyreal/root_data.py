@@ -6,13 +6,15 @@ parameter n, an index set I = {1, ..., n}, and an integer Cartan matrix
 "adapted": its restriction to any Dynkin-neighbor pair strictly alternates.
 The alternation is recorded by the orientation data p_{i,j} in {0, 1} with
 p_{i,j} + p_{j,i} = 1, and accumulated along folded color paths by the
-P^k tables that every assignment map uses for its s-offsets.
+P^k tables that every assignment map uses for its s-offsets.  `reachable` is
+the one breadth-first search: the crystal image, the S' closures and the
+revised-diagram and Young-wall enumerations each pass it only their step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 FAMILIES = ("A1", "C1", "A2", "D2")
 
@@ -29,12 +31,27 @@ class NotAdaptedError(RootDataError):
     """The word fails the alternation condition for some neighbor pair."""
 
 
-def exact_int(v: object) -> int:
-    """v as an int; ValueError when it is not integral, so nothing is truncated."""
+def exact_int(v: object, error: type = ValueError) -> int:
+    """v as an int; error, a ValueError, when it is not integral, so nothing is truncated."""
     i = int(v)
     if i != v:
-        raise ValueError(f"expected an integer, got {v!r}")
+        raise error(f"expected an integer, got {v!r}")
     return i
+
+
+def reachable(seen: set, step: Callable[[Any], Iterable], depth: int) -> set:
+    """seen, grown in place by everything reached from it in at most depth
+    rounds of step; a successor joins seen as soon as step yields it."""
+    frontier = list(seen)
+    for _ in range(depth):
+        nxt = []
+        for a in frontier:
+            for b in step(a):
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
 
 
 @dataclass(frozen=True)
@@ -47,6 +64,7 @@ class AlgebraType:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise RootDataError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        object.__setattr__(self, "n", exact_int(self.n, RootDataError))
         if self.n < MIN_RANK[self.family]:
             raise RootDataError(
                 f"family {self.family} needs n >= {MIN_RANK[self.family]}, got {self.n}"
@@ -57,7 +75,7 @@ class AlgebraType:
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraType":
-        return cls(str(data["family"]), int(data["n"]))
+        return cls(str(data["family"]), data["n"])
 
 
 # Edge multiplicities (a_{1,2}, a_{2,1}) and (a_{n-1,n}, a_{n,n-1}) at the two
@@ -153,7 +171,7 @@ class AdaptedSequence:
 
     def __init__(self, root_system: RootSystem, word: Sequence[int]):
         self.root_system = root_system
-        self.word = tuple(int(c) for c in word)
+        self.word = tuple(exact_int(c, RootDataError) for c in word)
         self.L = len(self.word)
         self._validate()
         self._occ: Dict[int, Tuple[int, ...]] = {

@@ -1,7 +1,8 @@
 """Verification suites tying the combinatorial families to the closure machinery.
 
 Each check returns a VerificationReport with a status of "pass", "fail", or
-"inconclusive", witness strings for the first few failures, and counters.
+"inconclusive", counters, and witness strings for the first MAX_WITNESSES
+failures; a check counts every failure.
 A report passes only when something was examined and nothing failed.  A
 sampling limit is inconclusive rather than a silent pass: the converse half
 of the image check can only be sampled at finite generator bounds.  Closures
@@ -70,11 +71,6 @@ class VerificationReport:
         return f"{self.check}: {self.status} ({counts})"
 
 
-def _note(witnesses: List[str], message: str) -> None:
-    if len(witnesses) < MAX_WITNESSES:
-        witnesses.append(message)
-
-
 def _report(
     check: str,
     seq: AdaptedSequence,
@@ -86,11 +82,12 @@ def _report(
     doubtful: bool = False,
 ) -> VerificationReport:
     """The one verdict rule: "fail" when anything failed, else "inconclusive"
-    when a sampling limit was hit or nothing was examined, else "pass"."""
+    when a sampling limit was hit or nothing was examined, else "pass".  The
+    first MAX_WITNESSES witnesses are kept."""
     status = "fail" if failed else "inconclusive" if doubtful or examined == 0 else "pass"
     rs = seq.root_system
     params = {"family": rs.algebra.family, "n": rs.n, "word": list(seq.word), **params}
-    return VerificationReport(check, params, status, counts, witnesses)
+    return VerificationReport(check, params, status, counts, witnesses[:MAX_WITNESSES])
 
 
 # The module of each generator kind, with its sites(seq, obj) and
@@ -186,11 +183,12 @@ def check_step_identities(
     size_bound steps.
     """
     checked = 0
-    witnesses: List[str] = []
+    failures: List[str] = []
     for kind, k in generator_kinds(seq):
         module = MODULES[kind]
         for obj in enumerate_objects(seq, kind, k, wall_halves if kind == "wall" else size_bound):
-            before = {s: site_form(module.sites(seq, obj), s) for s in s_values}
+            sites = module.sites(seq, obj)
+            before = {s: site_form(sites, s) for s in s_values}
             for obj2, coeff, offset, color in module.moves(seq, obj):
                 after = module.sites(seq, obj2)
                 for s in s_values:
@@ -198,15 +196,15 @@ def check_step_identities(
                     got = site_form(after, s)
                     expected = before[s] - coeff * beta_pair(seq, s + offset, color)
                     if got != expected:
-                        _note(witnesses, f"{obj} -> {obj2} s={s}: got {got}, expected {expected}")
+                        failures.append(f"{obj} -> {obj2} s={s}: got {got}, expected {expected}")
 
     return _report(
         "step-identities",
         seq,
         {"size_bound": size_bound},
-        {"toggles_checked": checked, "failures": len(witnesses)},
-        witnesses,
-        len(witnesses),
+        {"toggles_checked": checked, "failures": len(failures)},
+        failures,
+        len(failures),
         checked,
     )
 
@@ -230,11 +228,8 @@ def check_closure_equality(
     }
     extra = sorted(closed - images, key=LinearForm.sort_key)
     missing = sorted(images - closed, key=LinearForm.sort_key)
-    witnesses = [f"closure-only: {f}" for f in extra[:MAX_WITNESSES]]
-    for f in missing[: MAX_WITNESSES - len(witnesses)]:
-        witnesses.append(f"image-only: {f}")
-    if pruned:
-        witnesses.insert(0, f"{pruned} forms pruned at index bound {index_bound}")
+    witnesses = [f"{pruned} forms pruned at index bound {index_bound}"] if pruned else []
+    witnesses += [f"closure-only: {f}" for f in extra] + [f"image-only: {f}" for f in missing]
     difference = len(extra) + len(missing)
     return _report(
         "closure-equality",
@@ -321,7 +316,7 @@ def check_image_equality(
 def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationReport:
     """Kashiwara axioms and operator inverses on the reachable set."""
     image = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
-    witnesses: List[str] = []
+    failures: List[str] = []
     checked = 0
     for a in image:
         for i in seq.root_system.index_set:
@@ -330,19 +325,19 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
             ph = phi(seq, a, i)
             b = ftilde(seq, a, i)
             if etilde(seq, b, i) != a:
-                _note(witnesses, f"etilde_{i} ftilde_{i} != id at {a}")
+                failures.append(f"etilde_{i} ftilde_{i} != id at {a}")
             if epsilon(seq, b, i) != eps + 1 or phi(seq, b, i) != ph - 1:
-                _note(witnesses, f"epsilon/phi do not step under ftilde_{i} at {a}")
+                failures.append(f"epsilon/phi do not step under ftilde_{i} at {a}")
             ca, cb = weight_coeffs(seq, a), weight_coeffs(seq, b)
             if any(cb[l] - ca[l] != (1 if l == i else 0) for l in ca):
-                _note(witnesses, f"weight does not drop by alpha_{i} under ftilde_{i} at {a}")
+                failures.append(f"weight does not drop by alpha_{i} under ftilde_{i} at {a}")
             e = etilde(seq, a, i)
             if eps == 0:
                 if e is not None:
-                    _note(witnesses, f"etilde_{i} defined at epsilon 0 at {a}")
+                    failures.append(f"etilde_{i} defined at epsilon 0 at {a}")
             else:
                 if e is None or ftilde(seq, e, i) != a:
-                    _note(witnesses, f"ftilde_{i} etilde_{i} != id at {a}")
+                    failures.append(f"ftilde_{i} etilde_{i} != id at {a}")
             x, raises = a, 0
             while raises <= eps + 1:
                 x2 = etilde(seq, x, i)
@@ -350,21 +345,21 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
                     break
                 x, raises = x2, raises + 1
             if raises != eps:
-                _note(witnesses, f"epsilon_{i}({a}) = {eps} but {raises} raises apply")
+                failures.append(f"epsilon_{i}({a}) = {eps} but {raises} raises apply")
     return _report(
         "crystal-axioms",
         seq,
         {"depth": depth},
-        {"elements": len(image), "pairs_checked": checked, "failures": len(witnesses)},
-        witnesses,
-        len(witnesses),
+        {"elements": len(image), "pairs_checked": checked, "failures": len(failures)},
+        failures,
+        len(failures),
         checked,
     )
 
 
 def check_positivity(seq: AdaptedSequence, depth: int = 6, s_max: int = 2) -> VerificationReport:
     """No closure form carries a negative coefficient at a first occurrence."""
-    witnesses: List[str] = []
+    failures: List[str] = []
     total = 0
     for k in seq.root_system.index_set:
         for s in range(1, s_max + 1):
@@ -373,33 +368,33 @@ def check_positivity(seq: AdaptedSequence, depth: int = 6, s_max: int = 2) -> Ve
             ok, bad = check_xi_positivity(seq, closed)
             if not ok:
                 for f, pair, c in bad:
-                    _note(witnesses, f"seed x[{s},{k}]: {f} has coefficient {c} at {pair}")
+                    failures.append(f"seed x[{s},{k}]: {f} has coefficient {c} at {pair}")
     return _report(
         "xi-positivity",
         seq,
         {"depth": depth, "s_max": s_max},
-        {"forms_checked": total, "failures": len(witnesses)},
-        witnesses,
-        len(witnesses),
+        {"forms_checked": total, "failures": len(failures)},
+        failures,
+        len(failures),
         total,
     )
 
 
 def check_beta_agreement(seq: AdaptedSequence, max_index: int = 30) -> VerificationReport:
     """The single- and double-index beta constructions coincide."""
-    witnesses: List[str] = []
+    failures: List[str] = []
     indices = range(1, max_index + 1)
     for j in indices:
         s, l = index_to_pair(seq, j)
         if beta_index(seq, j) != beta_pair(seq, s, l):
-            _note(witnesses, f"beta mismatch at j={j} (s={s}, l={l})")
+            failures.append(f"beta mismatch at j={j} (s={s}, l={l})")
     return _report(
         "beta-agreement",
         seq,
         {"max_index": max_index},
-        {"indices_checked": len(indices), "failures": len(witnesses)},
-        witnesses,
-        len(witnesses),
+        {"indices_checked": len(indices), "failures": len(failures)},
+        failures,
+        len(failures),
         len(indices),
     )
 
@@ -410,7 +405,7 @@ def check_sigma_difference(
     """beta_j(a) = sigma_j(a) - sigma_{j+}(a) on random reachable elements."""
     rng = random.Random(seed)
     pool = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
-    witnesses: List[str] = []
+    failures: List[str] = []
     checked = 0
     for _ in range(samples):
         a = pool[rng.randrange(len(pool))]
@@ -422,13 +417,13 @@ def check_sigma_difference(
         diff = sigma(seq, a, j) - sigma(seq, a, jplus)
         checked += 1
         if value != diff:
-            _note(witnesses, f"sigma difference mismatch at j={j} on {a}")
+            failures.append(f"sigma difference mismatch at j={j} on {a}")
     return _report(
         "sigma-difference",
         seq,
         {"samples": samples},
-        {"samples_checked": checked, "failures": len(witnesses)},
-        witnesses,
-        len(witnesses),
+        {"samples_checked": checked, "failures": len(failures)},
+        failures,
+        len(failures),
         checked,
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .root_data import AdaptedSequence, RootDataError, fold, p_table
+from .root_data import AdaptedSequence, RootDataError, exact_int, fold, p_table, reachable
 from .forms import LinearForm, Move, Site, site_form, site_move
 
 WALL_FAMILIES = ("A2wall", "D2wall")
@@ -47,6 +47,8 @@ class WallKind:
     def __post_init__(self) -> None:
         if self.family not in WALL_FAMILIES:
             raise WallError(f"unknown wall family {self.family!r}")
+        object.__setattr__(self, "n", exact_int(self.n, WallError))
+        object.__setattr__(self, "ground", exact_int(self.ground, WallError))
         if self.n < 3:
             raise WallError(f"need n >= 3, got {self.n}")
         allowed = (1,) if self.family == "A2wall" else (1, self.n)
@@ -103,8 +105,8 @@ class YoungWall:
 
     @classmethod
     def from_json(cls, data: dict) -> "YoungWall":
-        kind = WallKind(str(data["family"]), int(data["n"]), int(data["ground"]))
-        return make_wall(kind, [int(h) for h in data["halves"]])
+        kind = WallKind(str(data["family"]), data["n"], data["ground"])
+        return make_wall(kind, data["halves"])
 
 
 class WallSite(NamedTuple):
@@ -136,7 +138,7 @@ def _violations(kind: WallKind, halves: Sequence[int]) -> List[str]:
 
 def make_wall(kind: WallKind, halves: Sequence[int]) -> YoungWall:
     """Validate and canonicalize a list of column heights."""
-    vals = [int(h) for h in halves]
+    vals = [exact_int(h, WallError) for h in halves]
     while vals and vals[-1] == 1:
         vals.pop()
     problems = _violations(kind, vals)
@@ -259,21 +261,14 @@ def assign_wall(seq: AdaptedSequence, Y: YoungWall, s: int) -> LinearForm:
 
 def enumerate_walls(kind: WallKind, max_halves: int) -> List[YoungWall]:
     """All proper walls with at most max_halves half-units above the ground."""
-    start = ground_wall(kind)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt: List[YoungWall] = []
-        for Y in frontier:
-            for site in legal_single_adds(Y):
-                if Y.added_halves() + site.halves > max_halves:
-                    continue
-                Y2 = toggle_block(Y, site)
-                if Y2 not in seen:
-                    seen.add(Y2)
-                    nxt.append(Y2)
-        frontier = nxt
-    return sorted(seen, key=lambda Y: (Y.added_halves(), Y.halves))
+
+    def adds(Y: YoungWall) -> Iterator[YoungWall]:
+        room = max_halves - Y.added_halves()
+        return (toggle_block(Y, site) for site in legal_single_adds(Y) if site.halves <= room)
+
+    # every add moves at least one half, so max_halves rounds of adds reach every wall
+    found = reachable({ground_wall(kind)}, adds, max_halves)
+    return sorted(found, key=lambda Y: (Y.added_halves(), Y.halves))
 
 
 def render_wall(Y: YoungWall) -> str:

@@ -88,6 +88,18 @@ class TestConstruction:
         T = make_eyd(2, [0, 1])
         assert ExtendedYoungDiagram.from_json(T.to_json()) == T
 
+    def test_fractional_input_rejected(self):
+        with pytest.raises(EYDError):
+            make_eyd(1, [-1.5, 0.7])
+        with pytest.raises(EYDError):
+            make_eyd(1.5, [0])
+        with pytest.raises(EYDError):
+            ExtendedYoungDiagram.from_json({"charge": 1.5, "ys": [0]})
+
+    def test_integral_floats_accepted(self):
+        T = make_eyd(1.0, [-1.0, 0.0])
+        assert T == make_eyd(1, [-1, 0]) and type(T.charge) is int
+
 
 class TestCorners:
     def test_empty_diagram(self):

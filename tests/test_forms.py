@@ -15,6 +15,7 @@ from polyreal import (
     index_to_pair,
     s_prime,
 )
+from polyreal import forms
 from polyreal.forms import max_single_index, site_form
 from polyreal.root_data import MIN_RANK
 from conftest import adapted_words, make_seq
@@ -106,6 +107,22 @@ class TestLinearForm:
             assert got.items() == () and got.is_zero()
             assert got == LinearForm.zero() and hash(got) == hash(LinearForm.zero())
 
+    def test_scalar_is_checked_not_the_products(self):
+        # every product of 0.5 with 2 x[1,1] is integral, yet the scalar is not
+        with pytest.raises(ValueError):
+            (2 * x(1, 1)) * 0.5
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_scalar_multiple_equals_public_build(self, a, b):
+        for f in (LinearForm(a), LinearForm(b)):
+            for c in (-3, -1, 0, 1, 2, 2.0):
+                got = f * c
+                built = LinearForm({p: c * v for p, v in f.items()})
+                assert got.items() == built.items()
+                assert got == built and hash(got) == hash(built)
+                assert all(type(v) is int and v for _, v in got.items())
+            assert (f * 0).is_zero() and (0 * f).items() == ()
+
     def test_site_form_sums_and_cancels(self):
         sites = [(1, 0, 1), (2, 0, 1), (1, 1, 2), (-1, 1, 2), (-1, 2, 3)]
         f = site_form(sites, 2)
@@ -194,6 +211,30 @@ class TestClosure:
     def test_deterministic(self, c1_n3):
         runs = [closure(c1_n3, [x(1, 3)], 3) for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_negative_depth_is_seeds(self, a1_n3):
+        seeds = {x(1, 1), x(2, 3)}
+        got, pruned = closure(a1_n3, seeds, -1)
+        assert got == seeds and pruned == 0
+
+    def test_capped_pruned_counts(self, a1_n3):
+        # distinct forms dropped from x[1,1] at depth 4 under caps 4..8
+        counts = [closure(a1_n3, [x(1, 1)], 4, index_bound=b)[1] for b in range(4, 9)]
+        assert counts == [1, 2, 2, 2, 1]
+
+    def test_cap_tested_once_per_new_form(self, a1_n3, monkeypatch):
+        # forms already seen or already dropped skip the cap
+        tested = []
+
+        def counted(seq, f):
+            tested.append(f)
+            return max_single_index(seq, f)
+
+        monkeypatch.setattr(forms, "max_single_index", counted)
+        for bound in (6, 9, 12):
+            tested.clear()
+            closed, pruned = closure(a1_n3, [x(1, 1)], 5, index_bound=bound)
+            assert len(tested) == len(set(tested)) == len(closed) - 1 + pruned
 
     def test_tiny_bound_prunes(self, a1_n3):
         _, pruned = closure(a1_n3, [x(1, 1)], 4, index_bound=4)

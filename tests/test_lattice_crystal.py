@@ -228,6 +228,10 @@ class TestEnumeration:
     def test_a1_counts_golden(self):
         assert a1_counts(3, 7) == [1, 3, 9, 21, 48, 99, 198, 375]
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_no_steps_gives_zero(self, a2_n3, bound):
+        assert enumerate_image(a2_n3, bound) == {LatticeElement.zero()}
+
     def test_counts_a1_n2(self, a1_n2):
         assert len(enumerate_image(a1_n2, 0)) == 1
         assert len(enumerate_image(a1_n2, 1)) == 3

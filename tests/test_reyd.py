@@ -44,6 +44,29 @@ class TestParameters:
         with pytest.raises(REYDError):
             phi_reyd("A2", 2, 2)
 
+    @pytest.mark.parametrize(
+        "n,k,t_lo,ys",
+        [(3.9, 2, 0, [2]), (3, 2.5, 0, [2]), (3, 2, 0.5, [2]), (3, 2, -1, [1, 2.2])],
+        ids=["rank", "charge", "t_lo", "value"],
+    )
+    def test_fractional_input_rejected(self, n, k, t_lo, ys):
+        with pytest.raises(REYDError):
+            make_reyd("A2", n, k, t_lo, ys)
+        data = {"flavor": "A2", "n": n, "k": k, "t_lo": t_lo, "ys": ys}
+        with pytest.raises(REYDError):
+            RevisedEYD.from_json(data)
+
+    def test_fractional_parameters_rejected(self):
+        with pytest.raises(REYDError):
+            phi_reyd("A2", 3.5, 2)
+        assert validate(RevisedEYD("A2", 3.9, 2, 0, (2,))) != []
+
+    def test_integral_floats_accepted(self):
+        T = make_reyd("A2", 3.0, 2.0, -1.0, [1.0, 1.0, 2.0])
+        assert T == make_reyd("A2", 3, 2, -1, [1, 1, 2])
+        assert all(type(v) is int for v in (T.n, T.k, T.t_lo, *T.ys))
+        assert phi_reyd("A2", 3.0, 2.0) == phi_reyd("A2", 3, 2)
+
 
 class TestShapes:
     def test_phi_window(self):
@@ -191,6 +214,10 @@ class TestEnumeration:
         assert all(validate(T) == [] for T in out)
         keys = [(T.units(), T.t_lo, T.ys) for T in out]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_no_units_gives_the_highest_diagram(self, bound):
+        assert enumerate_reyd("D2target", 4, 3, bound) == [phi_reyd("D2target", 4, 3)]
 
     def test_monotone_in_bound(self):
         small = set(enumerate_reyd("A2", 3, 2, 2))

@@ -14,6 +14,7 @@ from polyreal import (
     p_table,
     pair_to_index,
 )
+from polyreal.root_data import reachable
 from conftest import make_seq
 
 
@@ -37,6 +38,51 @@ class TestAlgebraType:
     def test_json_round_trip(self):
         t = AlgebraType("A2", 4)
         assert AlgebraType.from_json(t.to_json()) == t
+
+    def test_fractional_rank_rejected(self):
+        with pytest.raises(RootDataError):
+            AlgebraType("A1", 3.5)
+        with pytest.raises(RootDataError):
+            AlgebraType.from_json({"family": "A1", "n": 3.7})
+
+    def test_integral_float_rank_accepted(self):
+        t = AlgebraType("A1", 3.0)
+        assert t == AlgebraType("A1", 3) and type(t.n) is int
+        assert build_root_system(t) == build_root_system(AlgebraType("A1", 3))
+
+
+class TestReachable:
+    def test_rounds_grow_the_set_in_place(self):
+        seen = {0}
+        assert reachable(seen, lambda a: (a + 1, a + 3), 2) is seen
+        assert seen == {0, 1, 2, 3, 4, 6}
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_no_rounds(self, depth):
+        assert reachable({5, 7}, lambda a: (a + 1,), depth) == {5, 7}
+
+    def test_each_round_steps_from_the_last_one_only(self):
+        stepped = []
+
+        def step(a):
+            stepped.append(a)
+            return ((a + 1) % 3,)
+
+        assert reachable({0}, step, 5) == {0, 1, 2}
+        assert stepped == [0, 1, 2]
+
+    def test_successor_joins_as_it_is_yielded(self):
+        # a step that reads the set sees the successors it yielded before
+        seen = {0}
+        looked = []
+
+        def step(a):
+            for b in (1, 2, 1):
+                looked.append(b in seen)
+                yield b
+
+        reachable(seen, step, 1)
+        assert looked == [False, False, True]
 
 
 class TestCartan:
@@ -134,6 +180,12 @@ class TestAdapted:
         rs = build_root_system(AlgebraType("A1", 3))
         with pytest.raises(RootDataError):
             build_adapted(rs, [])
+
+    def test_fractional_letter_rejected(self):
+        rs = build_root_system(AlgebraType("A1", 3))
+        with pytest.raises(RootDataError):
+            build_adapted(rs, [2.5, 1, 3])
+        assert build_adapted(rs, [2.0, 1, 3.0]).word == (2, 1, 3)
 
     def test_color_of_is_periodic(self, a1_n3):
         for j in range(1, 20):

@@ -106,6 +106,44 @@ class TestStepIdentities:
         assert r.counts["failures"] == 0 and r.counts["toggles_checked"] > 0
 
 
+class TestFailureCounts:
+    """A check counts every failure, and its report keeps the first
+    MAX_WITNESSES of them as witnesses."""
+
+    def test_every_beta_failure_counted(self, monkeypatch):
+        seq = make_seq("A1", 3)
+        beta_index = verify.beta_index
+        monkeypatch.setattr(verify, "beta_index", lambda seq, j: beta_index(seq, j) + x(1, 1))
+        r = check_beta_agreement(seq, max_index=30)
+        assert r.status == "fail" and r.counts["failures"] == 30
+        assert len(r.witnesses) == verify.MAX_WITNESSES
+        assert r.witnesses[0].startswith("beta mismatch at j=1 ")
+
+    @pytest.mark.parametrize("bound", [4, 6, 8])
+    def test_pruned_closure_keeps_ten_witnesses(self, bound):
+        seq = make_seq("A1", 4, [2, 1, 3, 4])
+        r = check_closure_equality(seq, 1, depth=6, index_bound=bound)
+        assert r.status == "fail" and r.counts["pruned"] > 0
+        assert len(r.witnesses) == verify.MAX_WITNESSES
+        assert r.witnesses[0] == f"{r.counts['pruned']} forms pruned at index bound {bound}"
+
+    def test_step_check_reads_each_object_once(self, monkeypatch):
+        # the forms at every s come from one sites list per object
+        seq = make_seq("A2", 3)
+        calls = []
+        for module in verify.MODULES.values():
+            monkeypatch.setattr(
+                module, "sites", lambda seq, obj, f=module.sites: calls.append(obj) or f(seq, obj)
+            )
+        r = check_step_identities(seq, s_values=(1, 2, 3), size_bound=3, wall_halves=6)
+        assert r.ok, r.witnesses
+        objects = sum(
+            len(verify.enumerate_objects(seq, kind, k, 6 if kind == "wall" else 3))
+            for kind, k in generator_kinds(seq)
+        )
+        assert len(calls) == objects + r.counts["toggles_checked"] // 3
+
+
 class TestWriteSideCounts:
     """The step and closure counts on word 2,1,3,4 at n=4, pinned so that a
     faster generator or form kernel cannot change the work it checks."""

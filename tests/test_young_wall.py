@@ -49,6 +49,16 @@ class TestWallKind:
         with pytest.raises(WallError):
             WallKind("A2wall", 2, 1)
 
+    def test_fractional_parameters_rejected(self):
+        with pytest.raises(WallError):
+            WallKind("A2wall", 3.5, 1)
+        with pytest.raises(WallError):
+            WallKind("D2wall", 3, 1.5)
+
+    def test_integral_floats_accepted(self):
+        kind = WallKind("D2wall", 3.0, 3.0)
+        assert kind == WallKind("D2wall", 3, 3) and type(kind.n) is type(kind.ground) is int
+
     def test_row_colors_fold(self):
         assert [A2_KIND.row_color(l) for l in range(1, 6)] == [1, 2, 3, 2, 1]
 
@@ -101,6 +111,19 @@ class TestConstruction:
     def test_json_round_trip(self):
         Y = make_wall(A2_KIND, [4, 2])
         assert YoungWall.from_json(Y.to_json()) == Y
+
+    def test_fractional_heights_rejected(self):
+        with pytest.raises(WallError):
+            make_wall(A2_KIND, [2.9])
+        data = {"family": "A2wall", "n": 3, "ground": 1, "halves": [4, 2.5]}
+        with pytest.raises(WallError):
+            YoungWall.from_json(data)
+        with pytest.raises(WallError):
+            YoungWall.from_json({**data, "n": 3.2, "halves": [2]})
+
+    def test_integral_float_heights_accepted(self):
+        Y = make_wall(A2_KIND, [4.0, 2.0, 1.0])
+        assert Y == make_wall(A2_KIND, [4, 2]) and all(type(h) is int for h in Y.halves)
 
 
 class TestCounts:
@@ -232,6 +255,11 @@ class TestEnumeration:
         got = set(enumerate_walls(kind, 8))
         want = walls_oracle(kind, 8)
         assert got == want
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_no_halves_gives_the_ground(self, bound):
+        kind = WallKind("D2wall", 4, 4)
+        assert enumerate_walls(kind, bound) == [ground_wall(kind)]
 
     def test_sorted_and_distinct(self):
         out = enumerate_walls(A2_KIND, 8)
