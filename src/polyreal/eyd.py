@@ -7,6 +7,9 @@ k - y_t.  Corners live on diagonals d = x + y: a concave corner sits at
 corner sits at (t+1, y_t).  The assignment map sends a diagram to the sum of
 x_{s + P^k(x+y) + min(k-y, x), c(x+y)} over concave corners minus the same
 expression over convex corners, with c the folded color.
+A move is decided once, by the corners at one column (_corners_at), for
+corners and for the toggles alike; a toggle changes one value and keeps the
+diagram valid, and only make_eyd and from_json check a whole diagram.
 """
 
 from __future__ import annotations
@@ -71,14 +74,19 @@ def make_eyd(charge: int, ys: Sequence[int]) -> ExtendedYoungDiagram:
     return ExtendedYoungDiagram(charge, tuple(vals))
 
 
+def _corners_at(T: ExtendedYoungDiagram, x: int) -> List[Corner]:
+    """The corners at x: concave (0, y_0), and where column x ends above
+    column x - 1, concave (x, y_x) then convex (x, y_{x-1})."""
+    if x == 0:
+        return [Corner("concave", 0, T.y(0))]
+    if x < 0 or T.y(x - 1) >= T.y(x):
+        return []
+    return [Corner("concave", x, T.y(x)), Corner("convex", x, T.y(x - 1))]
+
+
 def corners(T: ExtendedYoungDiagram) -> List[Corner]:
     """All corners ordered by x, concave before convex at equal x."""
-    out = [Corner("concave", 0, T.y(0))]
-    for t in range(len(T.ys)):
-        if T.y(t) < T.y(t + 1):
-            out.append(Corner("concave", t + 1, T.y(t + 1)))
-            out.append(Corner("convex", t + 1, T.y(t)))
-    return out
+    return [c for x in range(len(T.ys) + 1) for c in _corners_at(T, x)]
 
 
 _FOLDS = {"A1": "overline", "D2": "pi"}
@@ -137,22 +145,22 @@ def assign_d2(seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int) -> LinearFo
 
 def toggle_concave(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:
     """Add a box at a concave corner."""
-    if corner not in corners(T) or corner.kind != "concave":
+    if corner not in _corners_at(T, corner.x) or corner.kind != "concave":
         raise EYDError(f"{corner} is not a concave corner of {T}")
-    vals = list(T.ys)
-    while len(vals) <= corner.x:
-        vals.append(T.charge)
+    vals = list(T.ys) + [T.charge] * (corner.x + 1 - len(T.ys))
     vals[corner.x] -= 1
-    return make_eyd(T.charge, vals)
+    return ExtendedYoungDiagram(T.charge, tuple(vals))
 
 
 def toggle_convex(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:
     """Remove the box at a convex corner."""
-    if corner not in corners(T) or corner.kind != "convex":
+    if corner not in _corners_at(T, corner.x) or corner.kind != "convex":
         raise EYDError(f"{corner} is not a convex corner of {T}")
     vals = list(T.ys)
     vals[corner.x - 1] += 1
-    return make_eyd(T.charge, vals)
+    if vals[-1] == T.charge:
+        vals.pop()
+    return ExtendedYoungDiagram(T.charge, tuple(vals))
 
 
 def _partitions(m: int, largest: int) -> Iterator[Tuple[int, ...]]:

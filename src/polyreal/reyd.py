@@ -14,6 +14,9 @@ when the neighboring values form the flat pattern and i sits in the special
 congruence class; a double contributes its coordinate twice to the form.
 Diagrams are validated and classified on their window alone: outside it
 every step is 1 or 0, and no point can lie there (see classify_points).
+A move is decided once, by _can_set on the two steps beside the changed
+value, in classify_points and in toggle_point alike; only make_reyd,
+from_json and validate check a whole diagram.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ class RevisedEYD:
         return 2 * self.n - 1 if self.flavor == "A2" else 2 * self.n
 
     def y(self, t: int) -> int:
-        # the hottest call of classify_points: compare with len(ys), not t_hi
         i = t - self.t_lo
         if i < 0:
             return self.k + t
@@ -123,40 +125,42 @@ def _pair_ok(T: RevisedEYD, t: int, yt: int, yt1: int) -> bool:
     return _special(T, T.k + t) and (step >= 0 if t > 0 else step <= 1)
 
 
+def _can_set(T: RevisedEYD, t: int, before: int, value: int, after: int) -> bool:
+    """Whether y_t = value keeps both steps beside it allowed, given y_{t-1} and y_{t+1}."""
+    return _pair_ok(T, t - 1, before, value) and _pair_ok(T, t, value, after)
+
+
 def make_reyd(flavor: str, n: int, k: int, t_lo: int, ys: Sequence[int]) -> RevisedEYD:
     """Validate and canonicalize a windowed value list."""
     n, k = _check_parameters(flavor, n, k)
+    t_lo = exact_int(t_lo, REYDError)
     vals = tuple(exact_int(v, REYDError) for v in ys)
     if not vals:
         return phi_reyd(flavor, n, k)
-    return _canonical(RevisedEYD(flavor, n, k, exact_int(t_lo, REYDError), vals))
+    return _validate(_trimmed(RevisedEYD(flavor, n, k, t_lo, vals)))
 
 
-def _canonical(raw: RevisedEYD) -> RevisedEYD:
-    """Trim a raw diagram to its canonical window and validate it."""
-    k = raw.k
-    t = min(raw.t_lo, 0)
+def _trimmed(raw: RevisedEYD) -> RevisedEYD:
+    """Cut a raw diagram to its canonical window; nothing is validated."""
+    k, t, u = raw.k, min(raw.t_lo, 0), max(raw.t_hi, 0)
     while t <= 0 and raw.y(t) == k + t:
         t += 1
-    lo = min(t - 1, 0)
-    t = max(raw.t_hi, 0)
-    while t >= 0 and raw.y(t) == k:
-        t -= 1
-    hi = max(t + 1, 0)
-    T = RevisedEYD(raw.flavor, raw.n, k, lo, tuple(raw.y(u) for u in range(lo, hi + 1)))
-    _validate(T)
-    return T
+    while u >= 0 and raw.y(u) == k:
+        u -= 1
+    lo, hi = min(t - 1, 0), max(u + 1, 0)
+    return RevisedEYD(raw.flavor, raw.n, k, lo, tuple(raw.y(v) for v in range(lo, hi + 1)))
 
 
-def _validate(T: RevisedEYD) -> None:
-    """Raise unless T is valid.  Below t_lo every step is 1 and from t_hi on
-    every step is 0, allowed anywhere, so past the endpoint test only the
-    steps at t_lo..t_hi-1 can fail."""
+def _validate(T: RevisedEYD) -> RevisedEYD:
+    """T, or a REYDError when it is invalid.  Below t_lo every step is 1 and
+    from t_hi on every step is 0, allowed anywhere, so past the endpoint test
+    only the steps at t_lo..t_hi-1 can fail."""
     if T.y(T.t_lo) != T.k + T.t_lo or T.y(T.t_hi) != T.k:
         raise REYDError(f"window endpoints must meet the staircase and the charge: {T}")
     for t, (yt, yt1) in enumerate(zip(T.ys, T.ys[1:]), T.t_lo):
         if not _pair_ok(T, t, yt, yt1):
             raise REYDError(f"step {yt} -> {yt1} at position {t} violates the conditions")
+    return T
 
 
 def phi_reyd(flavor: str, n: int, k: int) -> RevisedEYD:
@@ -175,28 +179,6 @@ def validate(T: RevisedEYD) -> List[str]:
     return []
 
 
-def _lower_ok(T: RevisedEYD, i: int) -> bool:
-    yi = T.y(i) - 1
-    return _pair_ok(T, i - 1, T.y(i - 1), yi) and _pair_ok(T, i, yi, T.y(i + 1))
-
-
-def _raise_ok(T: RevisedEYD, i: int) -> bool:
-    yi1 = T.y(i - 1) + 1
-    return _pair_ok(T, i - 2, T.y(i - 2), yi1) and _pair_ok(T, i - 1, yi1, T.y(i))
-
-
-def _double_adm(T: RevisedEYD, i: int) -> bool:
-    if not (T.y(i - 1) < T.y(i) == T.y(i + 1)):
-        return False
-    return (i > 0 and _special(T, i + T.k)) or (i < 0 and _special(T, i + T.k - 1))
-
-
-def _double_rem(T: RevisedEYD, i: int) -> bool:
-    if not (T.y(i - 2) == T.y(i - 1) < T.y(i)):
-        return False
-    return (i > 1 and _special(T, i + T.k - 2)) or (i < 1 and _special(T, i + T.k - 1))
-
-
 def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
     """All admissible and removable points with multiplicities and colors.
 
@@ -208,14 +190,21 @@ def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
     charge relaxes position 0.
     """
     out: List[MarkedPoint] = []
-    k, n, variant = T.k, T.n, _VARIANT[T.flavor]
-    for i in range(T.t_lo, T.t_hi + 1):
-        if _lower_ok(T, i):
-            mult = 2 if _double_adm(T, i) else 1
-            out.append(MarkedPoint("admissible", i, T.y(i), mult, fold(variant, n, i + k)))
-        if _raise_ok(T, i):
-            mult = 2 if _double_rem(T, i) else 1
-            out.append(MarkedPoint("removable", i, T.y(i - 1), mult, fold(variant, n, i + k - 1)))
+    lo, k, n, variant = T.t_lo, T.k, T.n, _VARIANT[T.flavor]
+    v = [k + lo - 2, k + lo - 1, *T.ys, k]  # y_{t_lo-2} .. y_{t_hi+1}, read once
+    for i, (a, b, c, d) in enumerate(zip(v, v[1:], v[2:], v[3:]), lo):  # y_{i-2} .. y_{i+1}
+        if _can_set(T, i, b, c - 1, d):
+            double = b < c == d and (
+                (i > 0 and _special(T, i + k)) or (i < 0 and _special(T, i + k - 1))
+            )
+            color = fold(variant, n, i + k)
+            out.append(MarkedPoint("admissible", i, c, 2 if double else 1, color))
+        if _can_set(T, i - 1, a, b + 1, c):
+            double = a == b < c and (
+                (i > 1 and _special(T, i + k - 2)) or (i < 1 and _special(T, i + k - 1))
+            )
+            color = fold(variant, n, i + k - 1)
+            out.append(MarkedPoint("removable", i, b, 2 if double else 1, color))
     return out
 
 
@@ -265,21 +254,16 @@ def assign(seq: AdaptedSequence, T: RevisedEYD, s: int) -> LinearForm:
 
 
 def toggle_point(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
-    """Lower at an admissible point or raise at a removable one."""
-    if point.role == "admissible":
-        if not (_lower_ok(T, point.x) and T.y(point.x) == point.y):
-            raise REYDError(f"{point} is not an admissible point of {T}")
-        target, delta = point.x, -1
-    elif point.role == "removable":
-        if not (_raise_ok(T, point.x) and T.y(point.x - 1) == point.y):
-            raise REYDError(f"{point} is not a removable point of {T}")
-        target, delta = point.x - 1, 1
-    else:
-        raise REYDError(f"unknown role {point.role!r}")
-    lo = min(T.t_lo, target)
-    ys = [T.y(t) for t in range(lo, max(T.t_hi, target) + 1)]
-    ys[target - lo] += delta
-    return _canonical(RevisedEYD(T.flavor, T.n, T.k, lo, tuple(ys)))
+    """Lower at an admissible point or raise at a removable one; only the two
+    steps beside the changed value are checked, by the rule of classify_points."""
+    t, delta = (point.x, -1) if point.role == "admissible" else (point.x - 1, 1)
+    legal = point.role in ("admissible", "removable") and T.y(t) == point.y
+    if not (legal and _can_set(T, t, T.y(t - 1), point.y + delta, T.y(t + 1))):
+        raise REYDError(f"{point} is not an admissible or removable point of {T}")
+    lo = min(T.t_lo, t)
+    ys = [T.y(u) for u in range(lo, max(T.t_hi, t) + 1)]
+    ys[t - lo] += delta
+    return _trimmed(RevisedEYD(T.flavor, T.n, T.k, lo, tuple(ys)))
 
 
 def enumerate_reyd(flavor: str, n: int, k: int, max_units: int) -> List[RevisedEYD]:

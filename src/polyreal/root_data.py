@@ -33,10 +33,12 @@ class NotAdaptedError(RootDataError):
 
 def exact_int(v: object, error: type = ValueError) -> int:
     """v as an int; error, a ValueError, when it is not integral, so nothing is truncated."""
-    i = int(v)
-    if i != v:
-        raise error(f"expected an integer, got {v!r}")
-    return i
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"expected an integer, got {v!r}")
 
 
 def reachable(seen: set, step: Callable[[Any], Iterable], depth: int) -> set:

@@ -13,10 +13,11 @@ column's neighbours, where equal heights of a decreasing wall must meet.
 An admissible slot is a position where one block fits; a removable block is
 one that can be taken away; each keeps the wall proper.  On a split row above
 the ground, a move of both halves at once is a double site and counts its
-coordinate twice; one rule gives each column's single and double move.  The
-assignment map sends a slot at column i (0-based from the right) in row l to
-+x_{s+P^k(l)+i, c(l)} and a removable block to -x_{s+P^k(l)+i+1, c(l)},
-weighted by multiplicity.
+coordinate twice.  One rule (_column_move) gives each column's single and
+double move, to the site lists and to toggle_block alike; only make_wall,
+from_json and validate_proper scan a whole wall.  The assignment map sends a
+slot at column i (0-based from the right) in row l to +x_{s+P^k(l)+i, c(l)}
+and a removable block to -x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity.
 """
 
 from __future__ import annotations
@@ -169,23 +170,25 @@ def _can_set(Y: YoungWall, j: int, h: int) -> bool:
     return h != left and h != right
 
 
-def _column_moves(Y: YoungWall, remove: bool) -> List[Tuple[Optional[WallSite], ...]]:
-    """The (single, double) moves of each column from the right, None when illegal.
+def _column_move(Y: YoungWall, j: int, remove: bool) -> Tuple[Optional[WallSite], ...]:
+    """The (single, double) move of column j, None when illegal.
 
     A single move is a unit block or one half of a split row, a double both halves
     of a split row at even height; _can_set alone decides legality, bare columns included.
     """
-    kind, out = Y.kind, []
-    for j in range(1, len(Y.halves) + 2):
-        h = Y.height(j)
-        l = kind.row_of_half(h if remove else h + 1)
-        split = h % 2 == 0 and kind.is_split(l)
-        sign, delta = (-1 if remove else 1), (1 if split or h % 2 else 2)
-        role, c = ("block" if remove else "slot"), kind.row_color(l)
-        single = WallSite(role, j, l, 1, c, delta) if _can_set(Y, j, h + sign * delta) else None
-        double = WallSite(role, j, l, 2, c, 2) if split and _can_set(Y, j, h + 2 * sign) else None
-        out.append((single, double))
-    return out
+    kind, h = Y.kind, Y.height(j)
+    l = kind.row_of_half(h if remove else h + 1)
+    split = h % 2 == 0 and kind.is_split(l)
+    sign, delta = (-1 if remove else 1), (1 if split or h % 2 else 2)
+    role, c = ("block" if remove else "slot"), kind.row_color(l)
+    single = WallSite(role, j, l, 1, c, delta) if _can_set(Y, j, h + sign * delta) else None
+    double = WallSite(role, j, l, 2, c, 2) if split and _can_set(Y, j, h + 2 * sign) else None
+    return single, double
+
+
+def _column_moves(Y: YoungWall, remove: bool) -> List[Tuple[Optional[WallSite], ...]]:
+    """The (single, double) moves of columns 1..len+1; no column past the first bare one has one."""
+    return [_column_move(Y, j, remove) for j in range(1, len(Y.halves) + 2)]
 
 
 def classify_sites(Y: YoungWall) -> List[WallSite]:
@@ -205,14 +208,16 @@ def legal_single_removes(Y: YoungWall) -> List[WallSite]:
 
 
 def toggle_block(Y: YoungWall, site: WallSite) -> YoungWall:
-    """Apply a site: add at a slot, remove at a block; doubles move both halves."""
+    """Apply a site: add at a slot, remove at a block; doubles move both halves.
+    Only a move that _column_move lists is applied, so the result stays proper."""
     j = site.column
-    delta = site.halves if site.role == "slot" else -site.halves
-    vals = list(Y.halves)
-    while len(vals) < j:
-        vals.append(1)
-    vals[j - 1] += delta
-    return make_wall(Y.kind, vals)
+    if j < 1 or site not in _column_move(Y, j, site.role == "block"):
+        raise WallError(f"{site} is not a legal move of {Y}")
+    vals = list(Y.halves) + [1] * (j - len(Y.halves))
+    vals[j - 1] += site.halves if site.role == "slot" else -site.halves
+    while vals and vals[-1] == 1:
+        vals.pop()
+    return YoungWall(Y.kind, tuple(vals))
 
 
 def _check_sequence(seq: AdaptedSequence, Y: YoungWall) -> None:

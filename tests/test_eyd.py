@@ -94,6 +94,8 @@ class TestConstruction:
         with pytest.raises(EYDError):
             make_eyd(1.5, [0])
         with pytest.raises(EYDError):
+            make_eyd("x", [])
+        with pytest.raises(EYDError):
             ExtendedYoungDiagram.from_json({"charge": 1.5, "ys": [0]})
 
     def test_integral_floats_accepted(self):

@@ -46,8 +46,14 @@ class TestParameters:
 
     @pytest.mark.parametrize(
         "n,k,t_lo,ys",
-        [(3.9, 2, 0, [2]), (3, 2.5, 0, [2]), (3, 2, 0.5, [2]), (3, 2, -1, [1, 2.2])],
-        ids=["rank", "charge", "t_lo", "value"],
+        [
+            (3.9, 2, 0, [2]),
+            (3, 2.5, 0, [2]),
+            (3, 2, 0.5, [2]),
+            (3, 2, -1, [1, 2.2]),
+            (3, 2, 1.5, []),
+        ],
+        ids=["rank", "charge", "t_lo", "value", "t_lo_no_values"],
     )
     def test_fractional_input_rejected(self, n, k, t_lo, ys):
         with pytest.raises(REYDError):
@@ -249,17 +255,39 @@ def reference_validate(T):
     return []
 
 
+def lower_ok(T, i):
+    yi = T.y(i) - 1
+    return reyd._pair_ok(T, i - 1, T.y(i - 1), yi) and reyd._pair_ok(T, i, yi, T.y(i + 1))
+
+
+def raise_ok(T, i):
+    yi1 = T.y(i - 1) + 1
+    return reyd._pair_ok(T, i - 2, T.y(i - 2), yi1) and reyd._pair_ok(T, i - 1, yi1, T.y(i))
+
+
+def double_adm(T, i):
+    if not (T.y(i - 1) < T.y(i) == T.y(i + 1)):
+        return False
+    return (i > 0 and reyd._special(T, i + T.k)) or (i < 0 and reyd._special(T, i + T.k - 1))
+
+
+def double_rem(T, i):
+    if not (T.y(i - 2) == T.y(i - 1) < T.y(i)):
+        return False
+    return (i > 1 and reyd._special(T, i + T.k - 2)) or (i < 1 and reyd._special(T, i + T.k - 1))
+
+
 def reference_classify_points(T):
     """classify_points as it was before the window argument: every position
-    up to one modulus past the window is tried."""
+    up to one modulus past the window is tried, each value read through T.y."""
     M, variant = T.modulus, reyd._VARIANT[T.flavor]
     out = []
     for i in range(T.t_lo - M - 1, T.t_hi + M + 2):
-        if reyd._lower_ok(T, i):
-            mult = 2 if reyd._double_adm(T, i) else 1
+        if lower_ok(T, i):
+            mult = 2 if double_adm(T, i) else 1
             out.append(MarkedPoint("admissible", i, T.y(i), mult, fold(variant, T.n, i + T.k)))
-        if reyd._raise_ok(T, i):
-            mult = 2 if reyd._double_rem(T, i) else 1
+        if raise_ok(T, i):
+            mult = 2 if double_rem(T, i) else 1
             color = fold(variant, T.n, i + T.k - 1)
             out.append(MarkedPoint("removable", i, T.y(i - 1), mult, color))
     return out

@@ -43,6 +43,8 @@ class TestAlgebraType:
         with pytest.raises(RootDataError):
             AlgebraType("A1", 3.5)
         with pytest.raises(RootDataError):
+            AlgebraType("A1", None)
+        with pytest.raises(RootDataError):
             AlgebraType.from_json({"family": "A1", "n": 3.7})
 
     def test_integral_float_rank_accepted(self):
