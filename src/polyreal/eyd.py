@@ -43,6 +43,9 @@ class ExtendedYoungDiagram:
     ys: Tuple[int, ...]
 
     def y(self, t: int) -> int:
+        """The value of column t >= 0: the charge past the stored columns."""
+        if t < 0:
+            raise EYDError(f"column index must be >= 0, got {t}")
         return self.ys[t] if t < len(self.ys) else self.charge
 
     def boxes(self) -> int:

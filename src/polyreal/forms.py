@@ -12,7 +12,6 @@ forms, whose terms are checked, skip that.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .root_data import (
@@ -242,23 +241,36 @@ def window_solutions(
     every form is >= 0, as tuples of window values in lexicographic order.
 
     Each form is compiled once to its terms at window positions (a term off
-    the window reads 0) and filed under the last window position it uses.
-    A depth-first search then assigns the window in order.  At each position
-    the forms that end there bound the value to an interval, so a form is
-    computed once per search node at its last position and no value it rules
-    out is tried.  An empty window holds one vector, the empty tuple,
-    whatever max_total is.
+    the window reads 0); a form without a negative term is dropped, and so is
+    a repeated term list.  The form is filed under the last window position
+    it uses, with its coefficient there (`ending`), and under each of its
+    other positions, with the coefficient there (`touching`).  A depth-first
+    search then assigns the window in order, keeping one accumulator per
+    form.  When the search reaches position p, each form's accumulator equals
+    its partial sum over the positions before p.  So the forms that end at p
+    bound the value there to an interval read off their accumulators, no
+    value they rule out is tried, and an empty interval ends the branch.
+    Raising the value at p by d adds d times each `touching[p]` coefficient
+    to its form's accumulator, and leaving p takes the value back off, so a
+    node whose value stays 0 touches no accumulator.  An empty window holds
+    one vector, the empty tuple, whatever max_total is.
     """
     place = {j: p for p, j in enumerate(window)}
-    ending: List[Set[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]] = [set() for _ in window]
+    compiled: Set[Tuple[Tuple[int, int], ...]] = set()
     for f in forms:
         terms = sorted(
             (place[j], c) for (s, l), c in f.items() if (j := pair_to_index(seq, s, l)) in place
         )
         # a form without a negative term is >= 0 on every nonnegative vector
         if any(c < 0 for _, c in terms):
-            last, c = terms.pop()
-            ending[last].add((c, tuple(q for q, _ in terms), tuple(d for _, d in terms)))
+            compiled.add(tuple(terms))
+    ending: List[List[Tuple[int, int]]] = [[] for _ in window]
+    touching: List[List[Tuple[int, int]]] = [[] for _ in window]
+    for k, (*before, (last, c)) in enumerate(compiled):
+        ending[last].append((k, c))
+        for p, d in before:
+            touching[p].append((k, d))
+    acc = [0] * len(compiled)
     values = [0] * len(window)
     found: List[Tuple[int, ...]] = []
 
@@ -267,19 +279,27 @@ def window_solutions(
             found.append(tuple(values))
             return
         lo, hi = 0, remaining
-        for c, positions, coeffs in ending[p]:
-            partial = sum(map(mul, map(values.__getitem__, positions), coeffs))
+        for k, c in ending[p]:
             if c > 0:
-                least = -(partial // c)
+                least = -(acc[k] // c)
                 if least > lo:
                     lo = least
             else:
-                most = partial // -c
+                most = acc[k] // -c
                 if most < hi:
                     hi = most
+        steps = touching[p]
+        held = 0  # the value at p that the accumulators include
         for v in range(lo, hi + 1):
+            if v != held:
+                for k, c in steps:
+                    acc[k] += (v - held) * c
+                held = v
             values[p] = v
             walk(p + 1, remaining - v)
+        if held:
+            for k, c in steps:
+                acc[k] -= held * c
 
     walk(0, max_total)
     return found

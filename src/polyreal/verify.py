@@ -143,8 +143,12 @@ def enumerate_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> li
     """Objects of one kind and charge, up to a bound in the kind's own unit.
 
     The unit is a box for eyd, a unit for reyd and a half for walls, as in
-    enumerate_eyd, enumerate_reyd and enumerate_walls.
+    enumerate_eyd, enumerate_reyd and enumerate_walls.  A negative bound
+    gives no objects, for every kind (enumerate_reyd and enumerate_walls by
+    themselves return the highest object for it).
     """
+    if bound < 0:
+        return []
     rs = seq.root_system
     flavor, _ = family_generators(rs.algebra.family, rs.n)[kind]
     return _ENUMERATE[kind](flavor, rs.n, k, bound)
@@ -218,9 +222,11 @@ def check_closure_equality(
 ) -> VerificationReport:
     """Closure of {x_{s,k}} equals the assignment image of size-bounded generators.
 
-    The closure has no cap unless index_bound is given; forms pruned at it fail."""
-    seed = LinearForm.x(s, k)
-    closed, pruned = closure(seq, [seed], depth, index_bound)
+    The closure has no cap unless index_bound is given; forms pruned at it fail.
+    The seed is the image of the highest object, of 0 steps, so a negative
+    depth compares two empty sets and is inconclusive."""
+    seeds = [LinearForm.x(s, k)] if depth >= 0 else []
+    closed, pruned = closure(seq, seeds, depth, index_bound)
     kind = charge_kind(seq, k)
     images = {
         site_form(MODULES[kind].sites(seq, obj), s)
@@ -263,9 +269,12 @@ def check_image_equality(
     The box is every nonnegative vector on the window with total at most
     max_weight; `candidates` counts it in closed form, C(max_weight + m, m)
     for a window of length m.  `window_solutions` lists the solutions in it
-    without walking the whole box.  Witnesses come in the lexicographic order
-    of the box, and a forward witness names the first form, in sorted order,
-    that the element violates.
+    without walking the whole box: it assigns the window position by position
+    and keeps one accumulator per form, which holds the form's partial sum
+    over the positions before the current one, so the forms that end at a
+    position bound its value without summing their terms.  Witnesses come in
+    the lexicographic order of the box, and a forward witness names the first
+    form, in sorted order, that the element violates.
     """
     if size_bound is None:
         size_bound = max_weight + 2

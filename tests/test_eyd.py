@@ -80,6 +80,10 @@ class TestConstruction:
         T = make_eyd(3, [1])
         assert T.y(0) == 1 and T.y(1) == 3 and T.y(7) == 3
 
+    def test_negative_column_rejected(self):
+        with pytest.raises(EYDError):
+            make_eyd(1, [-1, 0]).y(-1)
+
     def test_boxes(self):
         assert make_eyd(1, [-3, -2, -1, -1, 0]).boxes() == 12
         assert make_eyd(5, []).boxes() == 0

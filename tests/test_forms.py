@@ -1,7 +1,9 @@
 """Linear forms, beta forms, the operator S', and closure sets."""
 
+from itertools import product
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyreal import (
     LatticeElement,
@@ -16,7 +18,7 @@ from polyreal import (
     s_prime,
 )
 from polyreal import forms
-from polyreal.forms import max_single_index, site_form
+from polyreal.forms import max_single_index, site_form, window_solutions
 from polyreal.root_data import MIN_RANK
 from conftest import adapted_words, make_seq
 
@@ -294,6 +296,71 @@ class TestEvaluate:
         f, g = x(1, 1), x(2, 2)
         a = LatticeElement({1: 2, 5: 1})
         assert evaluate(seq, c1 * f + c2 * g, a) == c1 * evaluate(seq, f, a) + c2 * evaluate(seq, g, a)
+
+
+SEARCH_SEQ = make_seq("A1", 3)
+
+
+def indexed(terms):
+    """The form with coefficient c at single index j for each (j, c) of terms."""
+    return LinearForm({index_to_pair(SEARCH_SEQ, j): c for j, c in terms.items()})
+
+
+def box_solutions(forms, window, max_total):
+    """The weight box walked in lexicographic order, kept where every form is
+    >= 0; an empty window holds the empty tuple alone, whatever max_total is."""
+    if not window:
+        return [()]
+    box = (v for v in product(range(max_total + 1), repeat=len(window)) if sum(v) <= max_total)
+    return [
+        v
+        for v in box
+        if all(evaluate(SEARCH_SEQ, f, LatticeElement(zip(window, v))) >= 0 for f in forms)
+    ]
+
+
+@st.composite
+def search_systems(draw):
+    """A window in 1..8, forms with terms in 1..10 (so some lie off the
+    window), some of them repeated, and a total bound from -1 up."""
+    window = sorted(draw(st.sets(st.integers(1, 8), max_size=6)))
+    coeffs = st.sampled_from([-2, -1, 1, 2])
+    terms = st.dictionaries(st.integers(1, 10), coeffs, min_size=1, max_size=4)
+    forms = [indexed(t) for t in draw(st.lists(terms, max_size=6))]
+    if forms:
+        forms += draw(st.lists(st.sampled_from(forms), max_size=3))
+    return window, forms, draw(st.integers(-1, 4))
+
+
+class TestWindowSolutions:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(search_systems())
+    # an empty window, whatever the bound
+    @example(([], [indexed({1: 1, 2: -1})], 2))
+    @example(([], [], -1))
+    # a negative bound on a nonempty window
+    @example(([1, 2], [indexed({1: -1, 2: 1})], -1))
+    # three forms ending at position 3, one of them twice, a form with no
+    # negative term, and one whose only negative term is off the window
+    @example(
+        (
+            [1, 2, 3],
+            [
+                indexed({1: 1, 3: -1}),
+                indexed({2: 2, 3: -1}),
+                indexed({1: -1, 2: 1, 3: 1}),
+                indexed({1: 1, 3: -1}),
+                indexed({1: 1, 2: 1}),
+                indexed({3: 1, 9: -1}),
+            ],
+            4,
+        )
+    )
+    def test_matches_box_filter(self, system):
+        window, forms, max_total = system
+        assert window_solutions(SEARCH_SEQ, forms, window, max_total) == box_solutions(
+            forms, window, max_total
+        )
 
 
 class TestXiPositivity:

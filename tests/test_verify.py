@@ -48,20 +48,25 @@ class TestReport:
         [
             lambda seq: check_beta_agreement(seq, max_index=0),
             lambda seq: check_sigma_difference(seq, samples=0),
-            lambda seq: check_step_identities(seq, size_bound=-1),
+            # walls have a bound of their own, so both bounds are negative
+            lambda seq: check_step_identities(seq, size_bound=-1, wall_halves=-1),
             lambda seq: check_image_equality(seq, max_weight=-1),
+            lambda seq: check_image_equality(seq, max_weight=1, size_bound=-1),
+            lambda seq: check_closure_equality(seq, 2, depth=-1),
         ],
-        ids=["beta", "sigma", "steps", "image"],
+        ids=["beta", "sigma", "steps", "image", "image-no-objects", "closure"],
     )
-    def test_zero_work_is_inconclusive(self, a1_n3, check):
-        r = check(a1_n3)
-        assert r.status == "inconclusive"
-        assert r.counts.get("failures", 0) == 0 and r.witnesses == []
-        assert {key: r.params[key] for key in ("family", "n", "word")} == {
-            "family": "A1",
-            "n": 3,
-            "word": [2, 1, 3],
-        }
+    def test_zero_work_is_inconclusive(self, check):
+        # a negative bound gives no objects, whatever the generator kind
+        for family in ("A1", "C1", "A2", "D2"):
+            r = check(make_seq(family, 3))
+            assert r.status == "inconclusive", family
+            assert r.counts.get("failures", 0) == 0 and r.witnesses == []
+            assert {key: r.params[key] for key in ("family", "n", "word")} == {
+                "family": family,
+                "n": 3,
+                "word": [2, 1, 3],
+            }
 
 
 class TestDispatch:
@@ -70,6 +75,13 @@ class TestDispatch:
         assert generator_kinds(make_seq("D2", 3)) == [("eyd", 1), ("eyd", 2), ("eyd", 3)]
         assert generator_kinds(make_seq("A2", 3)) == [("wall", 1), ("reyd", 2), ("reyd", 3)]
         assert generator_kinds(make_seq("C1", 3)) == [("wall", 1), ("wall", 3), ("reyd", 2)]
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_negative_bound_gives_no_objects(self, family):
+        seq = make_seq(family, 3)
+        for kind, k in generator_kinds(seq):
+            assert verify.enumerate_objects(seq, kind, k, -1) == []
+            assert verify.enumerate_objects(seq, kind, k, 0) != []
 
     def test_kinds_rank4(self):
         assert generator_kinds(make_seq("C1", 4, [2, 1, 3, 4])) == [
@@ -314,6 +326,17 @@ class TestImageEquality:
         assert r.status == "fail"
         assert r.counts["forward_violations"] == 3
         assert r.witnesses[0] == "reachable LatticeElement({1: 1}) violates -x[1,1]"
+
+    def test_weight_eight(self, a1_n3):
+        r = check_image_equality(a1_n3, max_weight=8)
+        assert r.ok, r.witnesses
+        assert r.counts == {
+            "image_size": 1447,
+            "forms": 2214,
+            "candidates": 1081575,
+            "forward_violations": 0,
+            "converse_misses": 0,
+        }
 
     def test_weight_zero(self, a1_n2):
         r = check_image_equality(a1_n2, max_weight=0)
