@@ -176,7 +176,8 @@ def _partitions(m: int, largest: int) -> Iterator[Tuple[int, ...]]:
 
 
 def enumerate_eyd(charge: int, max_boxes: int) -> List[ExtendedYoungDiagram]:
-    """All diagrams of the given charge with at most max_boxes boxes."""
+    """All diagrams of the given charge with at most max_boxes boxes; none
+    for a negative max_boxes."""
     out = []
     for m in range(max_boxes + 1):
         for depths in _partitions(m, m):

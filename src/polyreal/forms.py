@@ -146,17 +146,22 @@ def site_move(obj2: object, coeff: int, site: Site) -> Move:
     return obj2, coeff, (offset if coeff > 0 else offset - 1), color
 
 
+def beta_sites(seq: AdaptedSequence, l: int) -> List[Site]:
+    """The sites of beta_{s,l} relative to s, the same at every s: x_{s,l},
+    x_{s+1,l} and a_{l,j} x_{s+p_{j,l}, j} for each neighbor j of l."""
+    row = seq.root_system.cartan[l - 1]
+    # a_{l,l} = 2, so the negative entries of row l are its neighbors
+    return [(1, 0, l), (1, 1, l)] + [
+        (c, seq.p[(j, l)], j) for j, c in enumerate(row, 1) if c < 0
+    ]
+
+
 def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:
     """beta_{s,l} in double-index coordinates."""
     if s < 1:
         raise RootDataError(f"beta needs s >= 1, got {s}")
-    rs = seq.root_system
-    # the neighbor terms have distinct colors j != l, so no two terms meet
-    terms: Dict[Pair, int] = {(s, l): 1, (s + 1, l): 1}
-    for j in rs.index_set:
-        if j != l and rs.a(l, j) < 0:
-            terms[(s + seq.p[(j, l)], j)] = rs.a(l, j)
-    return LinearForm._of(terms)
+    # the neighbor sites have distinct colors j != l, so no two sites meet
+    return LinearForm._of({(s + offset, j): c for c, offset, j in beta_sites(seq, l)})
 
 
 def beta_index(seq: AdaptedSequence, j: int) -> LinearForm:

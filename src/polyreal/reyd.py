@@ -267,7 +267,10 @@ def toggle_point(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
 
 
 def enumerate_reyd(flavor: str, n: int, k: int, max_units: int) -> List[RevisedEYD]:
-    """All diagrams with at most max_units boxes below the highest one."""
+    """All diagrams with at most max_units boxes below the highest one; none
+    for a negative max_units."""
+    if max_units < 0:
+        return []
 
     def lowerings(T: RevisedEYD) -> Iterator[RevisedEYD]:
         return (toggle_point(T, pt) for pt in classify_points(T) if pt.role == "admissible")

@@ -30,8 +30,11 @@ from .lattice_crystal import (
 )
 from .forms import (
     LinearForm,
+    Pair,
+    _accumulate,
     beta_index,
     beta_pair,
+    beta_sites,
     check_xi_positivity,
     closure,
     evaluate,
@@ -143,12 +146,8 @@ def enumerate_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> li
     """Objects of one kind and charge, up to a bound in the kind's own unit.
 
     The unit is a box for eyd, a unit for reyd and a half for walls, as in
-    enumerate_eyd, enumerate_reyd and enumerate_walls.  A negative bound
-    gives no objects, for every kind (enumerate_reyd and enumerate_walls by
-    themselves return the highest object for it).
+    enumerate_eyd, enumerate_reyd and enumerate_walls.
     """
-    if bound < 0:
-        return []
     rs = seq.root_system
     flavor, _ = family_generators(rs.algebra.family, rs.n)[kind]
     return _ENUMERATE[kind](flavor, rs.n, k, bound)
@@ -175,6 +174,19 @@ def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[in
     return out
 
 
+def _site_map(read: dict, seq: AdaptedSequence, module, obj) -> Dict[Pair, int]:
+    """obj's sites merged to {(offset, color): coeff}, read into read once."""
+    if obj not in read:
+        sites = module.sites(seq, obj)
+        read[obj] = _accumulate({}, (((offset, l), c) for c, offset, l in sites))
+    return read[obj]
+
+
+def _form_at(site_map: Dict[Pair, int], s: int) -> LinearForm:
+    """The form of a site map at s, as site_form gives it for the sites."""
+    return site_form([(c, offset, l) for (offset, l), c in site_map.items()], s)
+
+
 def check_step_identities(
     seq: AdaptedSequence,
     s_values: Sequence[int] = (1, 2),
@@ -184,31 +196,50 @@ def check_step_identities(
     """Every legal toggle shifts the assigned form by exactly minus or plus beta.
 
     Walls are enumerated up to wall_halves halves, the other kinds up to
-    size_bound steps.
+    size_bound steps.  A toggle counts once per s of s_values, and so does a
+    failure; its witness states the forms at that s.
+
+    Each toggle is checked once, in site coordinates, because the identity
+    holds at every s or at none.  An object's form at s is site_form(sites,
+    s): its sites merged to a map {(offset, color): coeff}, carried by
+    (offset, color) -> (s + offset, color).  beta_{s+offset, color} is
+    beta_sites(seq, color) with offset added to each site's offset, carried
+    by the same map.  That map is one-to-one, so it sends sums of site maps
+    to sums of forms and unequal maps to unequal forms.  So form(obj2, s) =
+    form(obj, s) - coeff * beta_{s+offset, color} holds exactly when the site
+    map of obj2 equals that of obj less coeff times the shifted beta sites,
+    and that equation does not mention s.  Each object's sites are read once
+    per call, whether it is enumerated or the target of a move.
     """
-    checked = 0
-    failures: List[str] = []
+    if s_values and min(s_values) < 1:
+        raise ValueError(f"occurrence index must be >= 1, got {min(s_values)}")
+    betas = {l: beta_sites(seq, l) for l in seq.root_system.index_set}
+    checked = failed = 0
+    witnesses: List[str] = []
     for kind, k in generator_kinds(seq):
         module = MODULES[kind]
+        read: Dict[object, Dict[Pair, int]] = {}
         for obj in enumerate_objects(seq, kind, k, wall_halves if kind == "wall" else size_bound):
-            sites = module.sites(seq, obj)
-            before = {s: site_form(sites, s) for s in s_values}
+            before = _site_map(read, seq, module, obj)
             for obj2, coeff, offset, color in module.moves(seq, obj):
-                after = module.sites(seq, obj2)
-                for s in s_values:
-                    checked += 1
-                    got = site_form(after, s)
-                    expected = before[s] - coeff * beta_pair(seq, s + offset, color)
-                    if got != expected:
-                        failures.append(f"{obj} -> {obj2} s={s}: got {got}, expected {expected}")
+                checked += len(s_values)
+                shifted = (((offset + o, l), c) for c, o, l in betas[color])
+                after = _site_map(read, seq, module, obj2)
+                if after == _accumulate(dict(before), shifted, -coeff):
+                    continue
+                failed += len(s_values)
+                for s in s_values[: MAX_WITNESSES - len(witnesses)]:
+                    got = _form_at(after, s)
+                    expected = _form_at(before, s) - coeff * beta_pair(seq, s + offset, color)
+                    witnesses.append(f"{obj} -> {obj2} s={s}: got {got}, expected {expected}")
 
     return _report(
         "step-identities",
         seq,
         {"size_bound": size_bound},
-        {"toggles_checked": checked, "failures": len(failures)},
-        failures,
-        len(failures),
+        {"toggles_checked": checked, "failures": failed},
+        witnesses,
+        failed,
         checked,
     )
 

@@ -265,7 +265,10 @@ def assign_wall(seq: AdaptedSequence, Y: YoungWall, s: int) -> LinearForm:
 
 
 def enumerate_walls(kind: WallKind, max_halves: int) -> List[YoungWall]:
-    """All proper walls with at most max_halves half-units above the ground."""
+    """All proper walls with at most max_halves half-units above the ground;
+    none for a negative max_halves."""
+    if max_halves < 0:
+        return []
 
     def adds(Y: YoungWall) -> Iterator[YoungWall]:
         room = max_halves - Y.added_halves()

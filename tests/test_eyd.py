@@ -201,6 +201,9 @@ class TestEnumeration:
             for b in range(7):
                 assert len(enumerate_eyd(charge, b)) == oracle[b]
 
+    def test_negative_bound_gives_none(self):
+        assert enumerate_eyd(2, -1) == []
+
     def test_all_distinct_and_within_bound(self):
         diagrams = enumerate_eyd(2, 5)
         assert len(set(diagrams)) == len(diagrams)

@@ -221,9 +221,13 @@ class TestEnumeration:
         keys = [(T.units(), T.t_lo, T.ys) for T in out]
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("bound", [0, -1])
+    @pytest.mark.parametrize("bound", [0])
     def test_no_units_gives_the_highest_diagram(self, bound):
         assert enumerate_reyd("D2target", 4, 3, bound) == [phi_reyd("D2target", 4, 3)]
+
+    @pytest.mark.parametrize("flavor,n,k", [("D2target", 4, 3), ("A2", 3, 2)])
+    def test_negative_bound_gives_none(self, flavor, n, k):
+        assert enumerate_reyd(flavor, n, k, -1) == []
 
     def test_monotone_in_bound(self):
         small = set(enumerate_reyd("A2", 3, 2, 2))

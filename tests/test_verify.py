@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from polyreal import LatticeElement, LinearForm, enumerate_image, evaluate, verify
+from polyreal.forms import beta_pair, site_form
 from polyreal.verify import (
     VerificationReport,
     check_beta_agreement,
@@ -110,12 +111,68 @@ class TestDispatch:
 STANDARD = [("A1", 2), ("A1", 3), ("A2", 3), ("C1", 3), ("D2", 3)]
 
 
+def _shift_removes(monkeypatch):
+    """Patch every generator module's moves so that a remove's beta sits one
+    occurrence higher, which breaks every remove toggle's identity."""
+    for module in verify.MODULES.values():
+        monkeypatch.setattr(
+            module,
+            "moves",
+            lambda seq, obj, f=module.moves: (
+                (obj2, coeff, offset + (coeff < 0), color) for obj2, coeff, offset, color in f(seq, obj)
+            ),
+        )
+
+
+def _reference_step_check(seq, s_values, size_bound, wall_halves):
+    """The step check as a form-level loop: every form built at every s."""
+    checked, failures = 0, []
+    for kind, k in generator_kinds(seq):
+        module = verify.MODULES[kind]
+        for obj in verify.enumerate_objects(seq, kind, k, wall_halves if kind == "wall" else size_bound):
+            sites = module.sites(seq, obj)
+            before = {s: site_form(sites, s) for s in s_values}
+            for obj2, coeff, offset, color in module.moves(seq, obj):
+                after = module.sites(seq, obj2)
+                for s in s_values:
+                    checked += 1
+                    got = site_form(after, s)
+                    expected = before[s] - coeff * beta_pair(seq, s + offset, color)
+                    if got != expected:
+                        failures.append(f"{obj} -> {obj2} s={s}: got {got}, expected {expected}")
+    counts = {"toggles_checked": checked, "failures": len(failures)}
+    params = {"size_bound": size_bound}
+    return verify._report("step-identities", seq, params, counts, failures, len(failures), checked)
+
+
 class TestStepIdentities:
     @pytest.mark.parametrize("family,n", STANDARD)
     def test_pass_on_small_bounds(self, family, n):
         r = check_step_identities(make_seq(family, n), size_bound=3, wall_halves=4)
         assert r.ok, r.witnesses
         assert r.counts["failures"] == 0 and r.counts["toggles_checked"] > 0
+
+    @pytest.mark.parametrize("mutated", [False, True], ids=["moves", "shifted-removes"])
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_matches_form_level_reference(self, family, mutated, monkeypatch):
+        # checking once in site coordinates gives the report of checking every form
+        if mutated:
+            _shift_removes(monkeypatch)
+        for word in itertools.permutations((1, 2, 3)):
+            seq = make_seq(family, 3, list(word))
+            got = check_step_identities(seq, s_values=(1, 2, 3), size_bound=4, wall_halves=6)
+            want = _reference_step_check(seq, (1, 2, 3), 4, 6)
+            assert got.to_json() == want.to_json(), word
+            assert (got.status, got.counts["failures"] > 0) == (
+                ("fail", True) if mutated else ("pass", False)
+            )
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    @pytest.mark.parametrize("s_values", [(0,), (-1,), (2, 0)])
+    def test_occurrence_below_one_rejected(self, family, s_values):
+        with pytest.raises(ValueError) as info:
+            check_step_identities(make_seq(family, 3), s_values=s_values)
+        assert str(info.value) == f"occurrence index must be >= 1, got {min(s_values)}"
 
 
 class TestFailureCounts:
@@ -139,8 +196,27 @@ class TestFailureCounts:
         assert len(r.witnesses) == verify.MAX_WITNESSES
         assert r.witnesses[0] == f"{r.counts['pruned']} forms pruned at index bound {bound}"
 
+    def test_every_step_failure_counted(self, monkeypatch):
+        # a bad toggle fails at every s, and each failure is counted
+        seq = make_seq("A1", 3)
+        _shift_removes(monkeypatch)
+        removes = sum(
+            coeff < 0
+            for kind, k in generator_kinds(seq)
+            for obj in verify.enumerate_objects(seq, kind, k, 3)
+            for _, coeff, _, _ in verify.MODULES[kind].moves(seq, obj)
+        )
+        r = check_step_identities(seq, s_values=(1, 2, 3), size_bound=3)
+        assert removes > 0 and r.status == "fail"
+        assert r.counts["failures"] == 3 * removes
+        assert len(r.witnesses) == verify.MAX_WITNESSES
+        assert r.witnesses[0] == (
+            "ExtendedYoungDiagram(charge=1, ys=(0,)) -> ExtendedYoungDiagram(charge=1, ys=()) "
+            "s=1: got x[1,1], expected x[1,3] + x[2,2] - x[2,3] + x[3,1] - x[3,2]"
+        )
+
     def test_step_check_reads_each_object_once(self, monkeypatch):
-        # the forms at every s come from one sites list per object
+        # every enumerated object and every move target is read exactly once
         seq = make_seq("A2", 3)
         calls = []
         for module in verify.MODULES.values():
@@ -149,11 +225,13 @@ class TestFailureCounts:
             )
         r = check_step_identities(seq, s_values=(1, 2, 3), size_bound=3, wall_halves=6)
         assert r.ok, r.witnesses
-        objects = sum(
-            len(verify.enumerate_objects(seq, kind, k, 6 if kind == "wall" else 3))
-            for kind, k in generator_kinds(seq)
-        )
-        assert len(calls) == objects + r.counts["toggles_checked"] // 3
+        objects = set()
+        for kind, k in generator_kinds(seq):
+            for obj in verify.enumerate_objects(seq, kind, k, 6 if kind == "wall" else 3):
+                objects.add(obj)
+                objects.update(move[0] for move in verify.MODULES[kind].moves(seq, obj))
+        assert len(calls) == len(set(calls))
+        assert set(calls) == objects
 
 
 class TestWriteSideCounts:

@@ -256,10 +256,14 @@ class TestEnumeration:
         want = walls_oracle(kind, 8)
         assert got == want
 
-    @pytest.mark.parametrize("bound", [0, -1])
+    @pytest.mark.parametrize("bound", [0])
     def test_no_halves_gives_the_ground(self, bound):
         kind = WallKind("D2wall", 4, 4)
         assert enumerate_walls(kind, bound) == [ground_wall(kind)]
+
+    @pytest.mark.parametrize("kind", [WallKind("D2wall", 4, 4), A2_KIND], ids=["D2wall", "A2wall"])
+    def test_negative_bound_gives_none(self, kind):
+        assert enumerate_walls(kind, -1) == []
 
     def test_sorted_and_distinct(self):
         out = enumerate_walls(A2_KIND, 8)
