@@ -151,9 +151,7 @@ def beta_sites(seq: AdaptedSequence, l: int) -> List[Site]:
     x_{s+1,l} and a_{l,j} x_{s+p_{j,l}, j} for each neighbor j of l."""
     row = seq.root_system.cartan[l - 1]
     # a_{l,l} = 2, so the negative entries of row l are its neighbors
-    return [(1, 0, l), (1, 1, l)] + [
-        (c, seq.p[(j, l)], j) for j, c in enumerate(row, 1) if c < 0
-    ]
+    return [(1, 0, l), (1, 1, l)] + [(c, seq.p[(j, l)], j) for j, c in enumerate(row, 1) if c < 0]
 
 
 def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:

@@ -175,7 +175,7 @@ def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[in
 
 
 def _site_map(read: dict, seq: AdaptedSequence, module, obj) -> Dict[Pair, int]:
-    """obj's sites merged to {(offset, color): coeff}, read into read once."""
+    """obj's sites merged to {(offset, color): coeff}, read once and kept in read."""
     if obj not in read:
         sites = module.sites(seq, obj)
         read[obj] = _accumulate({}, (((offset, l), c) for c, offset, l in sites))
@@ -223,8 +223,8 @@ def check_step_identities(
             before = _site_map(read, seq, module, obj)
             for obj2, coeff, offset, color in module.moves(seq, obj):
                 checked += len(s_values)
-                shifted = (((offset + o, l), c) for c, o, l in betas[color])
                 after = _site_map(read, seq, module, obj2)
+                shifted = (((offset + o, l), c) for c, o, l in betas[color])
                 if after == _accumulate(dict(before), shifted, -coeff):
                     continue
                 failed += len(s_values)

@@ -119,7 +119,7 @@ def _shift_removes(monkeypatch):
             module,
             "moves",
             lambda seq, obj, f=module.moves: (
-                (obj2, coeff, offset + (coeff < 0), color) for obj2, coeff, offset, color in f(seq, obj)
+                (obj2, c, offset + (c < 0), color) for obj2, c, offset, color in f(seq, obj)
             ),
         )
 
@@ -129,7 +129,8 @@ def _reference_step_check(seq, s_values, size_bound, wall_halves):
     checked, failures = 0, []
     for kind, k in generator_kinds(seq):
         module = verify.MODULES[kind]
-        for obj in verify.enumerate_objects(seq, kind, k, wall_halves if kind == "wall" else size_bound):
+        bound = wall_halves if kind == "wall" else size_bound
+        for obj in verify.enumerate_objects(seq, kind, k, bound):
             sites = module.sites(seq, obj)
             before = {s: site_form(sites, s) for s in s_values}
             for obj2, coeff, offset, color in module.moves(seq, obj):
