@@ -146,12 +146,11 @@ def site_move(obj2: object, coeff: int, site: Site) -> Move:
     return obj2, coeff, (offset if coeff > 0 else offset - 1), color
 
 
-def beta_sites(seq: AdaptedSequence, l: int) -> List[Site]:
+def beta_sites(seq: AdaptedSequence, l: int) -> Tuple[Site, ...]:
     """The sites of beta_{s,l} relative to s, the same at every s: x_{s,l},
-    x_{s+1,l} and a_{l,j} x_{s+p_{j,l}, j} for each neighbor j of l."""
-    row = seq.root_system.cartan[l - 1]
-    # a_{l,l} = 2, so the negative entries of row l are its neighbors
-    return [(1, 0, l), (1, 1, l)] + [(c, seq.p[(j, l)], j) for j, c in enumerate(row, 1) if c < 0]
+    x_{s+1,l} and a_{l,j} x_{s+p_{j,l}, j} for each neighbor j of l.  The
+    sequence builds them once per color."""
+    return seq._beta[l]
 
 
 def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:
@@ -159,7 +158,7 @@ def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:
     if s < 1:
         raise RootDataError(f"beta needs s >= 1, got {s}")
     # the neighbor sites have distinct colors j != l, so no two sites meet
-    return LinearForm._of({(s + offset, j): c for c, offset, j in beta_sites(seq, l)})
+    return LinearForm._of({(s + offset, j): c for c, offset, j in seq._beta[l]})
 
 
 def beta_index(seq: AdaptedSequence, j: int) -> LinearForm:

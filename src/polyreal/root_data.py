@@ -14,6 +14,7 @@ revised-diagram and Young-wall enumerations each pass it only their step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 FAMILIES = ("A1", "C1", "A2", "D2")
@@ -100,8 +101,9 @@ class RootSystem:
     def n(self) -> int:
         return self.algebra.n
 
-    @property
+    @cached_property
     def index_set(self) -> Tuple[int, ...]:
+        # kept in the instance dict, outside the fields, equality and hash
         return tuple(range(1, self.n + 1))
 
     def a(self, i: int, j: int) -> int:
@@ -180,17 +182,25 @@ class AdaptedSequence:
             i: tuple(m for m, c in enumerate(self.word) if c == i)
             for i in root_system.index_set
         }
+        self.p = self._orientation()
         # For each color i and residue r = (j-1) mod L: a_{i,c(j)}, and the
         # distances from position j to the nearest i-position at or after it
         # and at or before it (the sigma sweep of lattice_crystal reads these)
         self._row: Dict[int, Tuple[int, ...]] = {}
         self._next: Dict[int, Tuple[int, ...]] = {}
         self._prev: Dict[int, Tuple[int, ...]] = {}
+        # For each color i, the sites (coeff, offset, color) of beta_{s,i}
+        # relative to s (forms.beta_sites and beta_pair read these): x_{s,i},
+        # x_{s+1,i} and a_{i,j} x_{s+p_{j,i}, j} for each neighbor j of i
+        self._beta: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
         for i in root_system.index_set:
             self._row[i] = tuple(root_system.a(i, c) for c in self.word)
             self._next[i] = _distances(self.word, i)
             self._prev[i] = _distances(self.word[::-1], i)[::-1]
-        self.p = self._orientation()
+            # a_{i,i} = 2, so the negative entries of row i are its neighbors
+            self._beta[i] = ((1, 0, i), (1, 1, i)) + tuple(
+                (c, self.p[(j, i)], j) for j, c in enumerate(root_system.cartan[i - 1], 1) if c < 0
+            )
         self._pt_cache: Dict[Tuple[str, int], Dict[int, int]] = {}
 
     def _validate(self) -> None:

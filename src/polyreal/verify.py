@@ -20,11 +20,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .root_data import AdaptedSequence, index_to_pair
 from .lattice_crystal import (
     LatticeElement,
+    _reach,
     enumerate_image,
-    epsilon,
     etilde,
-    ftilde,
-    phi,
     sigma,
     weight_coeffs,
 )
@@ -354,36 +352,58 @@ def check_image_equality(
 
 
 def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationReport:
-    """Kashiwara axioms and operator inverses on the reachable set."""
+    """Kashiwara axioms and operator inverses on the reachable set.
+
+    Each element's weight_coeffs are read once, and for each color i the
+    check reads one sigma sweep (`_reach`, which epsilon, ftilde and etilde
+    each read once per call) per element it needs, taking every operator
+    value from it with the operators' own expressions:
+
+    - sweep(a) gives epsilon_i(a), phi_i(a) (the weight pairing plus
+      epsilon), b = ftilde_i(a) and e = etilde_i(a), the first raise;
+    - sweep(b) gives etilde_i(b), epsilon_i(b) and phi_i(b);
+    - sweep(e) gives ftilde_i(e) and etilde_i(e), the second raise.
+
+    The raise chain starts from e, and only its third and later raises
+    call etilde.
+    """
     image = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
+    cartan = seq.root_system.cartan
     failures: List[str] = []
     checked = 0
     for a in image:
+        ca = weight_coeffs(seq, a)
         for i in seq.root_system.index_set:
             checked += 1
-            eps = epsilon(seq, a, i)
-            ph = phi(seq, a, i)
-            b = ftilde(seq, a, i)
-            if etilde(seq, b, i) != a:
+            row = cartan[i - 1]
+            eps, first, last = _reach(seq, a, i)
+            ph = -sum(row[l - 1] * c for l, c in ca.items()) + eps
+            b = a.bump(first, 1)
+            e = a.bump(last, -1) if eps else None
+            eps_b, _, last_b = _reach(seq, b, i)
+            if not eps_b or b.bump(last_b, -1) != a:
                 failures.append(f"etilde_{i} ftilde_{i} != id at {a}")
-            if epsilon(seq, b, i) != eps + 1 or phi(seq, b, i) != ph - 1:
+            cb = weight_coeffs(seq, b)
+            if eps_b != eps + 1 or -sum(row[l - 1] * c for l, c in cb.items()) + eps_b != ph - 1:
                 failures.append(f"epsilon/phi do not step under ftilde_{i} at {a}")
-            ca, cb = weight_coeffs(seq, a), weight_coeffs(seq, b)
             if any(cb[l] - ca[l] != (1 if l == i else 0) for l in ca):
                 failures.append(f"weight does not drop by alpha_{i} under ftilde_{i} at {a}")
-            e = etilde(seq, a, i)
+            fe = e2 = None
+            if e is not None:
+                eps_e, first_e, last_e = _reach(seq, e, i)
+                fe, e2 = e.bump(first_e, 1), (e.bump(last_e, -1) if eps_e else None)
             if eps == 0:
                 if e is not None:
                     failures.append(f"etilde_{i} defined at epsilon 0 at {a}")
             else:
-                if e is None or ftilde(seq, e, i) != a:
+                if e is None or fe != a:
                     failures.append(f"ftilde_{i} etilde_{i} != id at {a}")
             x, raises = a, 0
             while raises <= eps + 1:
-                x2 = etilde(seq, x, i)
-                if x2 is None:
+                x = e if raises == 0 else e2 if raises == 1 else etilde(seq, x, i)
+                if x is None:
                     break
-                x, raises = x2, raises + 1
+                raises += 1
             if raises != eps:
                 failures.append(f"epsilon_{i}({a}) = {eps} but {raises} raises apply")
     return _report(

@@ -19,6 +19,7 @@ from polyreal import (
     weight_pairing,
 )
 from polyreal.cli import default_word
+from polyreal.lattice_crystal import _reach
 from conftest import make_seq
 
 
@@ -198,6 +199,24 @@ class TestSigma:
                     assert ftilde(seq, a, i) == a.bump(first, 1), (family, a, i)
                     expected = a.bump(reached[-1], -1) if eps else None
                     assert etilde(seq, a, i) == expected, (family, a, i)
+
+
+class TestOneSweep:
+    """check_crystal_axioms reads each operator value off one `_reach` sweep,
+    so the public operators must be exactly those views of it."""
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_operators_are_views_of_one_sweep(self, family):
+        seq = make_seq(family, 3)
+        for a in enumerate_image(seq, 4):
+            ca = weight_coeffs(seq, a)
+            for i in seq.root_system.index_set:
+                row = seq.root_system.cartan[i - 1]
+                eps, first, last = _reach(seq, a, i)
+                assert epsilon(seq, a, i) == eps
+                assert phi(seq, a, i) == -sum(row[l - 1] * c for l, c in ca.items()) + eps
+                assert ftilde(seq, a, i) == a.bump(first, 1)
+                assert etilde(seq, a, i) == (a.bump(last, -1) if eps else None)
 
 
 def a1_counts(n, depth):

@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from polyreal import LatticeElement, LinearForm, enumerate_image, evaluate, verify
+from polyreal import LatticeElement, LinearForm, enumerate_image, evaluate, lattice_crystal, verify
 from polyreal.forms import beta_pair, site_form
+from polyreal.lattice_crystal import epsilon, etilde, ftilde, phi, weight_coeffs
 from polyreal.verify import (
     VerificationReport,
     check_beta_agreement,
@@ -433,6 +434,58 @@ class TestImageEquality:
         assert r.counts["image_size"] == len(enumerate_image(a1_n2, 3))
 
 
+# Mutations of the sigma sweep, each as (epsilon, first, last) -> the
+# mutated triple; the position moves keep every position >= 1.
+_SWEEP_MUTATIONS = {
+    "etilde-up": lambda seq, r: (r[0], r[1], r[2] + seq.L),
+    "ftilde-up": lambda seq, r: (r[0], r[1] + seq.L, r[2]),
+    "epsilon-plus-one": lambda seq, r: (r[0] + 1, r[1], r[2]),
+}
+
+
+def _mutate_sweep(monkeypatch, name):
+    """Patch `_reach` wherever the operators and the axioms check read it."""
+    reach, mutate = lattice_crystal._reach, _SWEEP_MUTATIONS[name]
+    mutated = lambda seq, a, i: mutate(seq, reach(seq, a, i))  # noqa: E731
+    monkeypatch.setattr(lattice_crystal, "_reach", mutated)
+    monkeypatch.setattr(verify, "_reach", mutated)
+
+
+def _reference_axioms_check(seq, depth):
+    """The axioms check as an operator-level loop: every value from its own call."""
+    image = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
+    failures, checked = [], 0
+    for a in image:
+        for i in seq.root_system.index_set:
+            checked += 1
+            eps, ph, b = epsilon(seq, a, i), phi(seq, a, i), ftilde(seq, a, i)
+            if etilde(seq, b, i) != a:
+                failures.append(f"etilde_{i} ftilde_{i} != id at {a}")
+            if epsilon(seq, b, i) != eps + 1 or phi(seq, b, i) != ph - 1:
+                failures.append(f"epsilon/phi do not step under ftilde_{i} at {a}")
+            ca, cb = weight_coeffs(seq, a), weight_coeffs(seq, b)
+            if any(cb[l] - ca[l] != (1 if l == i else 0) for l in ca):
+                failures.append(f"weight does not drop by alpha_{i} under ftilde_{i} at {a}")
+            e = etilde(seq, a, i)
+            if eps == 0:
+                if e is not None:
+                    failures.append(f"etilde_{i} defined at epsilon 0 at {a}")
+            elif e is None or ftilde(seq, e, i) != a:
+                failures.append(f"ftilde_{i} etilde_{i} != id at {a}")
+            x, raises = a, 0
+            while raises <= eps + 1:
+                x2 = etilde(seq, x, i)
+                if x2 is None:
+                    break
+                x, raises = x2, raises + 1
+            if raises != eps:
+                failures.append(f"epsilon_{i}({a}) = {eps} but {raises} raises apply")
+    counts = {"elements": len(image), "pairs_checked": checked, "failures": len(failures)}
+    return verify._report(
+        "crystal-axioms", seq, {"depth": depth}, counts, failures, len(failures), checked
+    )
+
+
 class TestCrystalAxioms:
     @pytest.mark.parametrize("family,n", STANDARD)
     def test_pass_at_depth_three(self, family, n):
@@ -441,6 +494,26 @@ class TestCrystalAxioms:
         assert r.ok, r.witnesses
         assert r.counts["elements"] == len(enumerate_image(seq, 3))
         assert r.counts["pairs_checked"] == r.counts["elements"] * n
+
+    @pytest.mark.parametrize("mutation", [None, *_SWEEP_MUTATIONS])
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_matches_operator_level_reference(self, family, mutation, monkeypatch):
+        # reading each sweep once gives the report of calling every operator
+        if mutation:
+            _mutate_sweep(monkeypatch, mutation)
+        for word in itertools.permutations((1, 2, 3)):
+            seq = make_seq(family, 3, list(word))
+            got = check_crystal_axioms(seq, depth=4)
+            assert got.to_json() == _reference_axioms_check(seq, 4).to_json(), word
+            assert got.status == ("fail" if mutation else "pass")
+
+    def test_mutated_sweep_fails(self, monkeypatch):
+        # raising at the wrong position breaks both inverse laws
+        _mutate_sweep(monkeypatch, "etilde-up")
+        r = check_crystal_axioms(make_seq("A1", 3), depth=3)
+        assert r.status == "fail" and r.counts["failures"] == 153
+        assert len(r.witnesses) == verify.MAX_WITNESSES
+        assert r.witnesses[0] == "etilde_1 ftilde_1 != id at LatticeElement(0)"
 
 
 class TestPositivity:
