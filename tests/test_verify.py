@@ -446,7 +446,10 @@ _SWEEP_MUTATIONS = {
 def _mutate_sweep(monkeypatch, name):
     """Patch `_reach` wherever the operators and the axioms check read it."""
     reach, mutate = lattice_crystal._reach, _SWEEP_MUTATIONS[name]
-    mutated = lambda seq, a, i: mutate(seq, reach(seq, a, i))  # noqa: E731
+
+    def mutated(seq, a, i):
+        return mutate(seq, reach(seq, a, i))
+
     monkeypatch.setattr(lattice_crystal, "_reach", mutated)
     monkeypatch.setattr(verify, "_reach", mutated)
 
