@@ -93,7 +93,7 @@ def default_word(n: int) -> List[int]:
 def build_sequence(args: argparse.Namespace) -> AdaptedSequence:
     algebra = AlgebraType(args.family, args.n)
     system = build_root_system(algebra)
-    word = _parse_ints(args.word) if args.word else default_word(args.n)
+    word = default_word(args.n) if args.word is None else _parse_ints(args.word)
     return build_adapted(system, word)
 
 
@@ -248,12 +248,17 @@ def cmd_render(args: argparse.Namespace) -> int:
     kind, rest = tokens[0], tokens[1:]
     if kind not in _RENDER:
         raise UsageError(f"unknown render kind {kind!r}")
-    pairs = {}
-    for idx in range(0, len(rest), 2):
-        key = rest[idx]
-        value = rest[idx + 1] if idx + 1 < len(rest) else ""
-        pairs[key] = value
     cls, picture, int_keys, list_key, flavor_key, explicit = _RENDER[kind]
+    known = [*int_keys, list_key] + (["flavor"] if explicit else [])
+    if len(rest) % 2:
+        raise UsageError(f"{kind} key {rest[-1]!r} has no value")
+    pairs = {}
+    for key, value in zip(rest[::2], rest[1::2]):
+        if key not in known:
+            raise UsageError(f"unknown {kind} key {key!r}; expected one of {known}")
+        if key in pairs:
+            raise UsageError(f"{kind} key {key!r} given twice")
+        pairs[key] = value
     data = {key: _key_int(pairs, key, default) for key, default in int_keys.items()}
     data[list_key] = _parse_ints(pairs.get(list_key, ""))
     data["n"] = args.n

@@ -8,8 +8,10 @@ corner sits at (t+1, y_t).  The assignment map sends a diagram to the sum of
 x_{s + P^k(x+y) + min(k-y, x), c(x+y)} over concave corners minus the same
 expression over convex corners, with c the folded color.
 A move is decided once, by the corners at one column (_corners_at), for
-corners and for the toggles alike; a toggle changes one value and keeps the
-diagram valid, and only make_eyd and from_json check a whole diagram.
+corners and for toggle_corner alike.  The one toggle adds a box at a concave
+corner (x, y_x) by lowering y_x, or removes one at a convex corner
+(x, y_{x-1}) by raising y_{x-1}; it changes one value and keeps the diagram
+valid, and only make_eyd and from_json check a whole diagram.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .root_data import AdaptedSequence, RootDataError, exact_int, fold, p_table
+from .root_data import AdaptedSequence, RootDataError, check_family, exact_int, fold, p_table
 from .forms import LinearForm, Move, Site, site_form, site_move
 
 
@@ -125,14 +127,11 @@ def moves(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Iterator[Move]:
     fold_kind = _fold_kind(seq)
     for c in corners(T):
         site = _address(seq, fold_kind, T.charge, c)
-        toggle = toggle_concave if c.kind == "concave" else toggle_convex
-        yield site_move(toggle(T, c), site[0], site)
+        yield site_move(toggle_corner(T, c), site[0], site)
 
 
 def _assign(seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int, family: str) -> LinearForm:
-    fam = seq.root_system.algebra.family
-    if fam != family:
-        raise RootDataError(f"assignment needs family {family}, got {fam}")
+    check_family(seq, family)
     return site_form(sites(seq, T), s)
 
 
@@ -146,22 +145,16 @@ def assign_d2(seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int) -> LinearFo
     return _assign(seq, T, s, "D2")
 
 
-def toggle_concave(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:
-    """Add a box at a concave corner."""
-    if corner not in _corners_at(T, corner.x) or corner.kind != "concave":
-        raise EYDError(f"{corner} is not a concave corner of {T}")
-    vals = list(T.ys) + [T.charge] * (corner.x + 1 - len(T.ys))
-    vals[corner.x] -= 1
-    return ExtendedYoungDiagram(T.charge, tuple(vals))
-
-
-def toggle_convex(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:
-    """Remove the box at a convex corner."""
-    if corner not in _corners_at(T, corner.x) or corner.kind != "convex":
-        raise EYDError(f"{corner} is not a convex corner of {T}")
-    vals = list(T.ys)
-    vals[corner.x - 1] += 1
-    if vals[-1] == T.charge:
+def toggle_corner(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:
+    """Add a box at a concave corner, lowering y_x, or remove the box at a
+    convex corner, raising y_{x-1}; only a corner that _corners_at lists,
+    kind included, is toggled."""
+    if corner not in _corners_at(T, corner.x):
+        raise EYDError(f"{corner} is not a corner of {T}")
+    t, delta = (corner.x, -1) if corner.kind == "concave" else (corner.x - 1, 1)
+    vals = list(T.ys) + [T.charge] * (t + 1 - len(T.ys))
+    vals[t] += delta
+    while vals and vals[-1] == T.charge:
         vals.pop()
     return ExtendedYoungDiagram(T.charge, tuple(vals))
 

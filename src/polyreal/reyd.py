@@ -24,13 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .root_data import AdaptedSequence, RootDataError, exact_int, fold, p_table, reachable
+from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table, reachable
 from .forms import LinearForm, Move, Site, site_form, site_move
 
-FLAVORS = ("A2", "D2target")
-
-_VARIANT = {"A2": "pi1", "D2target": "pi2"}
-_FAMILY = {"A2": "A2", "D2target": "C1"}
+# Each flavor's sequence family and the fold of its colors and P^k table.
+FLAVORS = {"A2": ("A2", "pi1"), "D2target": ("C1", "pi2")}
 
 
 class REYDError(ValueError):
@@ -96,7 +94,7 @@ class RevisedEYD:
 def _check_parameters(flavor: str, n: int, k: int) -> Tuple[int, int]:
     """n and k as ints; a REYDError unless they are integers that suit the flavor."""
     if flavor not in FLAVORS:
-        raise REYDError(f"unknown flavor {flavor!r}, expected one of {FLAVORS}")
+        raise REYDError(f"unknown flavor {flavor!r}, expected one of {tuple(FLAVORS)}")
     n, k = exact_int(n, REYDError), exact_int(k, REYDError)
     if n < 3:
         raise REYDError(f"need n >= 3, got {n}")
@@ -190,7 +188,7 @@ def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
     charge relaxes position 0.
     """
     out: List[MarkedPoint] = []
-    lo, k, n, variant = T.t_lo, T.k, T.n, _VARIANT[T.flavor]
+    lo, k, n, variant = T.t_lo, T.k, T.n, FLAVORS[T.flavor][1]
     v = [k + lo - 2, k + lo - 1, *T.ys, k]  # y_{t_lo-2} .. y_{t_hi+1}, read once
     for i, (a, b, c, d) in enumerate(zip(v, v[1:], v[2:], v[3:]), lo):  # y_{i-2} .. y_{i+1}
         if _can_set(T, i, b, c - 1, d):
@@ -208,14 +206,6 @@ def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
     return out
 
 
-def _check_sequence(seq: AdaptedSequence, T: RevisedEYD) -> None:
-    fam = seq.root_system.algebra.family
-    if fam != _FAMILY[T.flavor]:
-        raise RootDataError(f"flavor {T.flavor} needs family {_FAMILY[T.flavor]}, got {fam}")
-    if seq.root_system.n != T.n:
-        raise RootDataError(f"rank mismatch: diagram n={T.n}, sequence n={seq.root_system.n}")
-
-
 def _address(seq: AdaptedSequence, T: RevisedEYD, pt: MarkedPoint) -> Site:
     """The (coeff, offset, color) term of a point, +mult when admissible, -mult when removable.
 
@@ -224,14 +214,14 @@ def _address(seq: AdaptedSequence, T: RevisedEYD, pt: MarkedPoint) -> Site:
     """
     k = T.k
     t = pt.x if pt.role == "admissible" else pt.x - 1
-    offset = p_table(seq, _VARIANT[T.flavor], k, t + k) + min(t, 0) + k - pt.y
+    offset = p_table(seq, FLAVORS[T.flavor][1], k, t + k) + min(t, 0) + k - pt.y
     coeff = pt.multiplicity if pt.role == "admissible" else -pt.multiplicity
     return coeff, offset, pt.color
 
 
 def sites(seq: AdaptedSequence, T: RevisedEYD) -> List[Site]:
     """One term per marked point; the assigned form at s is their site_form at s."""
-    _check_sequence(seq, T)
+    check_family(seq, FLAVORS[T.flavor][0], T.n, f"flavor {T.flavor}")
     return [_address(seq, T, pt) for pt in classify_points(T)]
 
 
@@ -242,7 +232,7 @@ def moves(seq: AdaptedSequence, T: RevisedEYD) -> Iterator[Move]:
     moves one unit, so coeff is +1 at an admissible point and -1 at a
     removable one, even at a double point.
     """
-    _check_sequence(seq, T)
+    check_family(seq, FLAVORS[T.flavor][0], T.n, f"flavor {T.flavor}")
     for pt in classify_points(T):
         site = _address(seq, T, pt)
         yield site_move(toggle_point(T, pt), 1 if site[0] > 0 else -1, site)

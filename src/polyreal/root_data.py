@@ -280,6 +280,15 @@ def build_adapted(root_system: RootSystem, word: Sequence[int]) -> AdaptedSequen
     return AdaptedSequence(root_system, word)
 
 
+def check_family(seq: AdaptedSequence, family: str, n: int | None = None, what: str = "") -> None:
+    """A RootDataError naming what unless seq has this family and, if n is given, rank n."""
+    fam, rank = seq.root_system.algebra.family, seq.root_system.n
+    if fam != family:
+        raise RootDataError(f"{what or 'assignment'} needs family {family}, got {fam}")
+    if n is not None and rank != n:
+        raise RootDataError(f"rank mismatch: {what} n={n}, sequence n={rank}")
+
+
 def index_to_pair(seq: AdaptedSequence, j: int) -> Tuple[int, int]:
     """Single index j >= 1 to the double index (s, l): s-th occurrence of color l."""
     if j < 1:
@@ -316,16 +325,15 @@ def p_table(seq: AdaptedSequence, variant: str, k: int, t: int) -> int:
         raise RootDataError(f"pi_prime table needs t >= {k}, got {t}")
     n = seq.root_system.n
     cache = seq._pt_cache.setdefault((variant, k), {k: 0})
-    if t in cache:
-        return cache[t]
-    if t > k:
-        base = max(u for u in cache if u <= t)
-        for u in range(base + 1, t + 1):
-            cache[u] = cache[u - 1] + _p_contrib(seq, fold(variant, n, u), fold(variant, n, u - 1))
-    else:
-        base = min(u for u in cache if u >= t)
-        for u in range(base - 1, t - 1, -1):
-            cache[u] = cache[u + 1] + _p_contrib(seq, fold(variant, n, u), fold(variant, n, u + 1))
+    # the filled entries are one interval around k: step back into it from t, fill out to t
+    step = 1 if t > k else -1
+    u = t
+    while u not in cache:
+        u -= step
+    while u != t:
+        u += step
+        here, back = fold(variant, n, u), fold(variant, n, u - step)
+        cache[u] = cache[u - step] + _p_contrib(seq, here, back)
     return cache[t]
 
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .root_data import AdaptedSequence, RootDataError, exact_int, fold, p_table, reachable
+from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table, reachable
 from .forms import LinearForm, Move, Site, site_form, site_move
 
-WALL_FAMILIES = ("A2wall", "D2wall")
-
-_SEQ_FAMILY = {"A2wall": "A2", "D2wall": "C1"}
+# Each wall family's sequence family.
+WALL_FAMILIES = {"A2wall": "A2", "D2wall": "C1"}
 
 
 class WallError(ValueError):
@@ -220,17 +219,6 @@ def toggle_block(Y: YoungWall, site: WallSite) -> YoungWall:
     return YoungWall(Y.kind, tuple(vals))
 
 
-def _check_sequence(seq: AdaptedSequence, Y: YoungWall) -> None:
-    kind = Y.kind
-    fam = seq.root_system.algebra.family
-    if fam != _SEQ_FAMILY[kind.family]:
-        raise RootDataError(
-            f"wall family {kind.family} needs sequence family {_SEQ_FAMILY[kind.family]}, got {fam}"
-        )
-    if seq.root_system.n != kind.n:
-        raise RootDataError(f"rank mismatch: wall n={kind.n}, sequence n={seq.root_system.n}")
-
-
 def _address(seq: AdaptedSequence, Y: YoungWall, site: WallSite) -> Site:
     """The (coeff, offset, color) term of a site: +mult at a slot, -mult at a block."""
     offset = p_table(seq, "pi_prime", Y.kind.ground, site.row) + site.column - 1
@@ -241,7 +229,7 @@ def _address(seq: AdaptedSequence, Y: YoungWall, site: WallSite) -> Site:
 
 def sites(seq: AdaptedSequence, Y: YoungWall) -> List[Site]:
     """One term per classified site; the assigned form at s is their site_form at s."""
-    _check_sequence(seq, Y)
+    check_family(seq, WALL_FAMILIES[Y.kind.family], Y.kind.n, f"wall family {Y.kind.family}")
     return [_address(seq, Y, site) for site in classify_sites(Y)]
 
 
@@ -251,7 +239,7 @@ def moves(seq: AdaptedSequence, Y: YoungWall) -> Iterator[Move]:
     assign(Y2, s) = assign(Y, s) - coeff * beta_{s+offset, color}, with coeff
     +multiplicity for adding at a slot and -multiplicity for removing a block.
     """
-    _check_sequence(seq, Y)
+    check_family(seq, WALL_FAMILIES[Y.kind.family], Y.kind.n, f"wall family {Y.kind.family}")
     adds, removes = _column_moves(Y, False), _column_moves(Y, True)
     doubles = [double for pair in zip(adds, removes) for _, double in pair]
     for site in filter(None, [single for single, _ in adds + removes] + doubles):

@@ -280,6 +280,27 @@ class TestRender:
         assert code == EXIT_USAGE
         assert "share a height" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("eyd", "charge", "1", "yss", "-1,0"), "unknown eyd key 'yss'"),
+            (("eyd", "charge", "1", "ys", "0", "extra"), "eyd key 'extra' has no value"),
+            (("eyd", "charge", "1", "ys"), "eyd key 'ys' has no value"),
+            (("eyd", "charge", "1", "charge", "2", "ys", "0"), "eyd key 'charge' given twice"),
+            (("--family", "A2", "wall", "halves", "2", "flavor", "A2wall"), "unknown wall key"),
+        ],
+    )
+    def test_only_the_kinds_keys_each_once_with_a_value(self, capsys, argv, message):
+        code, out, err = run(capsys, "render", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_reyd_takes_an_explicit_flavor(self, capsys):
+        argv = ("reyd", "flavor", "A2", "k", "2", "t_lo", "-1", "ys", "1,1,2")
+        code, out, _ = run(capsys, "render", "--json", *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["flavor"] == "A2"
+
 
 class TestUsage:
     def test_bad_family_rejected_by_parser(self, capsys):
@@ -290,6 +311,14 @@ class TestUsage:
         code, _, err = run(capsys, "enumerate", "--word", "1,2,1,3")
         assert code == EXIT_USAGE
         assert "not adapted" in err
+
+    @pytest.mark.parametrize("word", ["", ",", " "])
+    @pytest.mark.parametrize("argv", [("verify", "beta"), ("inequalities", "--k", "1")])
+    def test_empty_word_is_usage_error(self, capsys, argv, word):
+        # an empty --word is a word with no letters, not the default word
+        code, out, err = run(capsys, *argv, "--word", word)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: word must be nonempty\n"
 
     def test_word_letters_follow_the_integer_rule(self, capsys):
         # a word letter is an optional minus and ASCII digits, as in render

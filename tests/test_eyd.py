@@ -13,8 +13,7 @@ from polyreal.eyd import (
     enumerate_eyd,
     make_eyd,
     render_eyd,
-    toggle_concave,
-    toggle_convex,
+    toggle_corner,
 )
 
 x = LinearForm.x
@@ -130,9 +129,9 @@ class TestToggles:
         for c in corners(T):
             if c.kind != "concave":
                 continue
-            bigger = toggle_concave(T, c)
+            bigger = toggle_corner(T, c)
             assert bigger.boxes() == T.boxes() + 1
-            back = toggle_convex(bigger, Corner("convex", c.x + 1, c.y - 1))
+            back = toggle_corner(bigger, Corner("convex", c.x + 1, c.y - 1))
             assert back == T
 
     def test_remove_then_add_round_trip(self):
@@ -140,22 +139,26 @@ class TestToggles:
         for c in corners(T):
             if c.kind != "convex":
                 continue
-            smaller = toggle_convex(T, c)
+            smaller = toggle_corner(T, c)
             assert smaller.boxes() == T.boxes() - 1
-            assert toggle_concave(smaller, Corner("concave", c.x - 1, c.y + 1)) == T
+            assert toggle_corner(smaller, Corner("concave", c.x - 1, c.y + 1)) == T
 
     def test_non_corner_rejected(self):
         T = make_eyd(1, [0])
         with pytest.raises(EYDError):
-            toggle_concave(T, Corner("concave", 3, 1))
+            toggle_corner(T, Corner("concave", 3, 1))
         with pytest.raises(EYDError):
-            toggle_convex(T, Corner("convex", 1, 1))
+            toggle_corner(T, Corner("convex", 1, 1))
 
     def test_wrong_kind_rejected(self):
+        """A listed corner's (x, y) with the other kind is not a corner."""
         T = make_eyd(1, [0])
-        concave = next(c for c in corners(T) if c.kind == "concave")
-        with pytest.raises(EYDError):
-            toggle_convex(T, concave)
+        other = {"concave": "convex", "convex": "concave"}
+        listed = corners(T)
+        assert {c.kind for c in listed} == set(other)
+        for c in listed:
+            with pytest.raises(EYDError):
+                toggle_corner(T, Corner(other[c.kind], c.x, c.y))
 
 
 class TestAssignment:

@@ -19,6 +19,13 @@ from polyreal.reyd import (
 )
 from conftest import make_seq
 
+# Every entry point that reads a diagram against a sequence checks the sequence first.
+SEQUENCE_CALLS = (
+    lambda seq, T: assign(seq, T, 1),
+    reyd.sites,
+    lambda seq, T: list(reyd.moves(seq, T)),
+)
+
 x = LinearForm.x
 
 
@@ -167,13 +174,15 @@ class TestAssignment:
         assert assign(c1_n3, phi_reyd("D2target", 3, 2), 1) == x(1, 2)
 
     def test_family_mismatch_rejected(self, a1_n3):
-        with pytest.raises(RootDataError):
-            assign(a1_n3, phi_reyd("A2", 3, 2), 1)
+        for call in SEQUENCE_CALLS:
+            with pytest.raises(RootDataError):
+                call(a1_n3, phi_reyd("A2", 3, 2))
 
     def test_rank_mismatch_rejected(self):
         seq = make_seq("A2", 4, [2, 1, 3, 4])
-        with pytest.raises(RootDataError):
-            assign(seq, phi_reyd("A2", 3, 2), 1)
+        for call in SEQUENCE_CALLS:
+            with pytest.raises(RootDataError):
+                call(seq, phi_reyd("A2", 3, 2))
 
     @pytest.mark.parametrize("flavor,k", [("A2", 2), ("A2", 3), ("D2target", 2)])
     def test_occurrence_offsets_nonnegative(self, flavor, k):
@@ -284,7 +293,7 @@ def double_rem(T, i):
 def reference_classify_points(T):
     """classify_points as it was before the window argument: every position
     up to one modulus past the window is tried, each value read through T.y."""
-    M, variant = T.modulus, reyd._VARIANT[T.flavor]
+    M, variant = T.modulus, reyd.FLAVORS[T.flavor][1]
     out = []
     for i in range(T.t_lo - M - 1, T.t_hi + M + 2):
         if lower_ok(T, i):

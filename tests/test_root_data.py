@@ -14,7 +14,7 @@ from polyreal import (
     p_table,
     pair_to_index,
 )
-from polyreal.root_data import reachable
+from polyreal.root_data import check_family, reachable
 from conftest import make_seq
 
 
@@ -269,6 +269,58 @@ class TestPTables:
 
     def test_equal_folded_colors_contribute_zero(self, a2_n3):
         assert p_table(a2_n3, "pi1", 2, 0) == p_table(a2_n3, "pi1", 2, 1)
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_scrambled_queries_match_the_recurrence(self, family, n):
+        """Every variant and k, asked at t out of order on a fresh sequence, gives
+        the recurrence summed directly from k, or raises where it has no value."""
+        seq = make_seq(family, n)
+
+        def direct(variant, k, t):
+            if variant == "pi_prime" and t < k:
+                return None
+            step, total = (1 if t > k else -1), 0
+            for u in range(k + step, t + step, step):
+                a, b = fold(variant, n, u), fold(variant, n, u - step)
+                if a != b and (a, b) not in seq.p:
+                    return None  # a step between colors that are not neighbours
+                total += 0 if a == b else seq.p[(a, b)]
+            return total
+
+        for variant in ("overline", "pi", "pi1", "pi2", "pi_prime"):
+            for k in range(1, n + 1):
+                for t in (7, -5, 3, -9, 12, 0, 1, 20, -15):
+                    expected = direct(variant, k, t)
+                    if expected is None:
+                        with pytest.raises(RootDataError):
+                            p_table(seq, variant, k, t)
+                    else:
+                        assert p_table(seq, variant, k, t) == expected, (variant, k, t)
+
+    def test_non_neighbour_step_leaves_the_table_usable(self):
+        """overline on C1 joins colors n and 1, which are not neighbours."""
+        seq = make_seq("C1", 3)
+        with pytest.raises(RootDataError):
+            p_table(seq, "overline", 1, 4)
+        assert [p_table(seq, "overline", 1, t) for t in (3, 2, 1)] == [
+            seq.p[(3, 2)] + seq.p[(2, 1)],
+            seq.p[(2, 1)],
+            0,
+        ]
+        for t in (0, 5):
+            with pytest.raises(RootDataError):
+                p_table(seq, "overline", 1, t)
+
+
+class TestCheckFamily:
+    def test_family_and_rank(self, a2_n3):
+        check_family(a2_n3, "A2")
+        check_family(a2_n3, "A2", 3, "diagram")
+        with pytest.raises(RootDataError, match="needs family C1, got A2"):
+            check_family(a2_n3, "C1")
+        with pytest.raises(RootDataError, match="rank mismatch: diagram n=4, sequence n=3"):
+            check_family(a2_n3, "A2", 4, "diagram")
 
 
 class TestSequenceBasics:

@@ -1,9 +1,11 @@
-"""The benchmark's traced run resolves every per-layer metric it declares.
+"""The benchmark's traced run resolves every name and return shape it reads.
 
 perfbench/tracer.py wraps the public functions of polyreal by name, and a
 per-layer metric of BENCHMARK.json whose function is gone raises KeyError
-only in the traced benchmark run. This test resolves every such metric the
-way perfbench/run.py does, so a refactor that drops a traced name fails here.
+only in the traced benchmark run. These tests resolve every such metric, span
+and method the way perfbench/run.py does, and run one tiny call of each
+function whose return value the tracer reads, so a refactor that drops a
+traced name or changes a read return shape fails here.
 """
 
 import json
@@ -11,16 +13,23 @@ import sys
 from pathlib import Path
 
 import polyreal  # noqa: F401  (the tracer wraps the imported modules)
+from polyreal import forms, lattice_crystal, verify
+from conftest import make_seq
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_every_per_layer_metric_resolves():
+def _tracer_module():
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        from tracer import Tracer
+        import tracer
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    return tracer
+
+
+def test_every_per_layer_metric_resolves():
+    Tracer = _tracer_module().Tracer
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     tracer = Tracer()
     tracer.install()
@@ -34,3 +43,39 @@ def test_every_per_layer_metric_resolves():
         tracer.uninstall()
     assert len(values) == len(spec["per_layer"]) - 1
     assert all(isinstance(v, (int, float)) for v in values.values())
+
+
+def test_every_span_and_method_resolves():
+    tracer = _tracer_module()
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        for name in tracer.SPANS:
+            assert name in traced.stats, name
+        for _, _, _, name in tracer.METHODS:
+            assert name in traced.stats, name
+    finally:
+        traced.uninstall()
+
+
+def test_every_probed_counter_is_recorded():
+    """The boundary calls whose results the tracer reads still return what it reads."""
+    traced = _tracer_module().Tracer()
+    traced.install()
+    try:
+        seq = make_seq("A1", 3)
+        # read through the modules, where the tracer rebinds the names
+        lattice_crystal.enumerate_image(seq, 2)
+        forms.closure(seq, [forms.LinearForm.x(1, 1)], 2)
+        verify.check_image_equality(seq, max_weight=1, size_bound=1)
+        verify.check_step_identities(seq, size_bound=1)
+    finally:
+        traced.uninstall()
+    for name in (
+        "forms.closure.forms",
+        "forms.closure.pruned",
+        "lattice_crystal.enumerate_image.elements",
+        "verify.image.candidates",
+        "verify.steps.toggles_checked",
+    ):
+        assert name in traced.counters, name

@@ -24,6 +24,13 @@ from polyreal.young_wall import (
 )
 from conftest import make_seq
 
+# Every entry point that reads a wall against a sequence checks the sequence first.
+SEQUENCE_CALLS = (
+    lambda seq, Y: assign_wall(seq, Y, 1),
+    young_wall.sites,
+    lambda seq, Y: list(moves(seq, Y)),
+)
+
 x = LinearForm.x
 
 A2_KIND = WallKind("A2wall", 3, 1)
@@ -222,13 +229,15 @@ class TestAssignment:
         assert assign_wall(c1_n3, ground_wall(kind), 1) == x(1, 3)
 
     def test_family_mismatch_rejected(self, a1_n3):
-        with pytest.raises(RootDataError):
-            assign_wall(a1_n3, ground_wall(A2_KIND), 1)
+        for call in SEQUENCE_CALLS:
+            with pytest.raises(RootDataError):
+                call(a1_n3, ground_wall(A2_KIND))
 
     def test_rank_mismatch_rejected(self):
         seq = make_seq("A2", 4, [2, 1, 3, 4])
-        with pytest.raises(RootDataError):
-            assign_wall(seq, ground_wall(A2_KIND), 1)
+        for call in SEQUENCE_CALLS:
+            with pytest.raises(RootDataError):
+                call(seq, ground_wall(A2_KIND))
 
 
 def walls_oracle(kind, max_halves):
