@@ -1,14 +1,17 @@
 """Command-line surface: inequalities, verification, crystal operations, rendering.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 inconclusive-only verification.  Output is deterministic for a
-given invocation; --json switches every subcommand to machine-readable form.
+error, 3 inconclusive-only verification.  A suite that raises on valid input
+fails its report, with the exception as witness, and the other suites run.
+Output is deterministic for a given invocation; --json switches every
+subcommand to machine-readable form.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import List, Optional, Sequence
@@ -126,6 +129,20 @@ def cmd_inequalities(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _fault_report(
+    name: str, seq: AdaptedSequence, params: dict, exc: Exception
+) -> verify_mod.VerificationReport:
+    """A failed report for a suite that raised: the exception, then where it was raised."""
+    import traceback  # only on a fault, so that importing the cli stays cheap
+
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    witnesses = [
+        f"{type(exc).__name__}: {exc}",
+        f"raised at {os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+    ]
+    return verify_mod._report(name, seq, params, {}, witnesses, failed=1, examined=0)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     names = {alias: [short] for short, (name, _, _) in SUITES.items() for alias in (short, name)}
     names["all"] = list(SUITES)
@@ -141,13 +158,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         charges = [args.k]
     reports = []
     for short in resolved:
-        _, function, keywords = SUITES[short]
+        name, function, keywords = SUITES[short]
         check = getattr(verify_mod, function)
         kwargs = {kw: getattr(args, kw) for kw in keywords if getattr(args, kw) is not None}
-        if short == "closure":
-            reports.extend(check(seq, k, **kwargs) for k in charges)
-        else:
-            reports.append(check(seq, **kwargs))
+        calls = [((k,), {"k": k}) for k in charges] if short == "closure" else [((), {})]
+        for positional, params in calls:
+            try:
+                reports.append(check(seq, *positional, **kwargs))
+            except Exception as exc:
+                # the input was valid, so a raise is a fault of the engine:
+                # its suite fails and the other suites still run
+                reports.append(_fault_report(name, seq, {**params, **kwargs}, exc))
     if args.json:
         print(_dump([r.to_json() for r in reports]))
     else:

@@ -9,7 +9,9 @@ epsilon_i, lowering at the smallest and raising at the largest.
 The operators find these positions in one right-to-left pass over the
 support.  Between two supported positions sigma is the same at every
 i-colored position, so the pass reads only the supported i-positions and
-the first and last i-position of each gap.
+the first and last i-position of each gap.  `enumerate_image` makes each
+element of the image once, from the one parent that raising at the color of
+its largest index gives.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
-from .root_data import AdaptedSequence, exact_int, index_to_pair, reachable
+from .root_data import AdaptedSequence, exact_int, index_to_pair
 
 Entries = Union[Dict[int, int], Iterable[Tuple[int, int]], None]
 
@@ -198,11 +200,40 @@ def etilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> Optional[LatticeE
 
 
 def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeElement]:
-    """All elements reachable from 0 by at most max_word_length lowering steps."""
+    """All elements reachable from 0 by at most max_word_length lowering steps.
+
+    Each lowering adds 1 to the total, so the elements of total t are those
+    t steps from 0, and the walk goes one total at a time.  It makes each
+    element once, from one canonical parent (Avis and Fukuda's reverse
+    search), with no set probe: of the b = ftilde_i(a) for a of the last
+    total, it keeps only those where i is the color c of b's largest index
+    q.  With p the position ftilde_i bumps, q is p when p > max_index(a) and
+    max_index(a) otherwise.
+
+    Every b != 0 of total t is made exactly once.  Its entries are positive,
+    since every lowering adds 1, and nothing is supported above q, so
+    sigma_q(b) = b_q > 0 and etilde_c(b) exists.  It lies in the image, a
+    copy of B(infinity) and so closed under raising, has total t - 1, and
+    ftilde_c maps it back to b.  Because etilde_c ftilde_c = id, it is the
+    only a with ftilde_c(a) = b.
+    """
+    word, L = seq.word, seq.L
     index_set = seq.root_system.index_set
-    return reachable(
-        {LatticeElement.zero()}, lambda a: [ftilde(seq, a, i) for i in index_set], max_word_length
-    )
+    level = [LatticeElement.zero()]
+    image = set(level)
+    for _ in range(max_word_length):
+        lowered = []
+        for a in level:
+            m = a.max_index()
+            # at a = 0 (m = 0) every p > m, so top is never read
+            top = word[(m - 1) % L]
+            for i in index_set:
+                p = _reach(seq, a, i)[1]
+                if p > m or i == top:
+                    lowered.append(a.bump(p, 1))
+        image.update(lowered)
+        level = lowered
+    return image
 
 
 def format_element(seq: AdaptedSequence, a: LatticeElement) -> str:

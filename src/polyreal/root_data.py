@@ -7,8 +7,9 @@ parameter n, an index set I = {1, ..., n}, and an integer Cartan matrix
 The alternation is recorded by the orientation data p_{i,j} in {0, 1} with
 p_{i,j} + p_{j,i} = 1, and accumulated along folded color paths by the
 P^k tables that every assignment map uses for its s-offsets.  `reachable` is
-the one breadth-first search: the crystal image, the S' closures and the
-revised-diagram and Young-wall enumerations each pass it only their step.
+the one breadth-first search: the S' closures and the revised-diagram and
+Young-wall enumerations each pass it only their step.  The crystal image has
+its own walk, which makes each element once (`lattice_crystal.enumerate_image`).
 """
 
 from __future__ import annotations

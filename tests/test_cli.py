@@ -365,6 +365,52 @@ class TestUsage:
         assert "pruned" in out
 
 
+class TestSuiteFault:
+    """A suite that raises on valid input fails its report; the others still run."""
+
+    @staticmethod
+    def raising(exc):
+        def check(*args, **kwargs):
+            raise exc
+
+        return check
+
+    def test_raise_fails_its_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            verify, "check_beta_agreement", self.raising(ValueError("beta needs s >= 1, got 0"))
+        )
+        code, out, err = run(capsys, "verify", "--json", "--depth", "2", "--w", "2", "--size", "2")
+        assert code == EXIT_FAIL and err == ""
+        reports = json.loads(out)
+        assert [r["check"] for r in reports if r["check"] != "closure-equality"] == [
+            "step-identities",
+            "image-equality",
+            "crystal-axioms",
+            "xi-positivity",
+            "beta-agreement",
+            "sigma-difference",
+        ]
+        assert sum(r["check"] == "closure-equality" for r in reports) == 3
+        failed = [r for r in reports if r["status"] != "pass"]
+        assert [r["check"] for r in failed] == ["beta-agreement"]
+        assert failed[0]["status"] == "fail"
+        assert failed[0]["witnesses"][0] == "ValueError: beta needs s >= 1, got 0"
+        assert failed[0]["params"]["word"] == [2, 1, 3]
+
+    def test_key_error_fails_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "check_closure_equality", self.raising(KeyError("x")))
+        code, out, err = run(capsys, "verify", "closure", "sigma", "--depth", "2")
+        assert code == EXIT_FAIL and err == ""
+        assert out.count("closure-equality: fail") == 3
+        assert "  witness: KeyError: 'x'" in out
+        assert "sigma-difference: pass" in out
+
+    def test_bad_word_is_still_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--word", "1,2,1,3")
+        assert code == EXIT_USAGE and out == ""
+        assert "not adapted" in err and "Traceback" not in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -20,7 +20,8 @@ from polyreal import (
 )
 from polyreal.cli import default_word
 from polyreal.lattice_crystal import _reach
-from conftest import make_seq
+from polyreal.root_data import reachable
+from conftest import adapted_words, make_seq
 
 
 def e(*indices):
@@ -234,6 +235,28 @@ def a1_counts(n, depth):
     return c
 
 
+def image_by_search(seq, depth):
+    """The reference enumeration: a breadth-first search over ftilde at every
+    color, which makes every element once per way to reach it."""
+    index_set = seq.root_system.index_set
+    return reachable(
+        {LatticeElement.zero()}, lambda a: [ftilde(seq, a, i) for i in index_set], depth
+    )
+
+
+def permutation_words(n):
+    return [list(w) for w in itertools.permutations(range(1, n + 1))]
+
+
+# Elements of each total, the graded dimensions of U_q^- at heights 0..depth,
+# as (n, depth): counts; each is the same for every adapted word.
+FAMILY_COUNTS = {
+    "C1": {(3, 6): [1, 3, 8, 19, 41, 83, 161], (4, 5): [1, 4, 13, 36, 90, 208]},
+    "A2": {(3, 6): [1, 3, 8, 19, 41, 82, 158], (4, 5): [1, 4, 13, 36, 90, 208]},
+    "D2": {(3, 6): [1, 3, 8, 19, 41, 83, 161], (4, 5): [1, 4, 13, 36, 90, 208]},
+}
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n, depth", [(2, 7), (3, 7), (4, 6), (5, 6)])
     def test_a1_counts_by_total(self, n, depth):
@@ -243,6 +266,14 @@ class TestEnumeration:
             seq = make_seq("A1", n, word)
             totals = Counter(a.total() for a in enumerate_image(seq, depth))
             assert [totals[h] for h in range(depth + 1)] == a1_counts(n, depth), word
+
+    @pytest.mark.parametrize(
+        "family, n, depth", [(f, n, d) for f in FAMILY_COUNTS for (n, d) in FAMILY_COUNTS[f]]
+    )
+    def test_counts_by_total(self, family, n, depth):
+        for word in permutation_words(n):
+            totals = Counter(a.total() for a in enumerate_image(make_seq(family, n, word), depth))
+            assert [totals[h] for h in range(depth + 1)] == FAMILY_COUNTS[family][n, depth], word
 
     def test_a1_counts_golden(self):
         assert a1_counts(3, 7) == [1, 3, 9, 21, 48, 99, 198, 375]
@@ -267,6 +298,51 @@ class TestEnumeration:
     def test_totals_bounded_by_depth(self, c1_n3):
         for a in enumerate_image(c1_n3, 3):
             assert 0 <= a.total() <= 3
+
+
+class TestCanonicalParentWalk:
+    """enumerate_image makes each element once, from the parent that raising
+    at the color of its largest index gives; the breadth-first search over
+    every color is the reference."""
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    @pytest.mark.parametrize("n, depth", [(3, 6), (4, 5)])
+    def test_permutation_words_match_search(self, family, n, depth):
+        for word in permutation_words(n):
+            seq = make_seq(family, n, word)
+            assert enumerate_image(seq, depth) == image_by_search(seq, depth), word
+
+    def test_length_six_words_match_search(self):
+        # A1 at n = 3 has none: its three colors are pairwise neighbors
+        words = [(f, w) for f in ("A1", "C1", "A2", "D2") for w in adapted_words(f, 3, 6)]
+        assert len(words) == 18
+        for family, word in words:
+            seq = make_seq(family, 3, word)
+            assert enumerate_image(seq, 6) == image_by_search(seq, 6), (family, word)
+
+    @pytest.mark.parametrize("word", [[1, 2], [2, 1]])
+    def test_a1_rank_two_matches_search(self, word):
+        # off-diagonal Cartan entries of -2
+        seq = make_seq("A1", 2, word)
+        assert seq.root_system.a(1, 2) == -2
+        assert enumerate_image(seq, 7) == image_by_search(seq, 7)
+
+    @pytest.mark.parametrize("depth", [-1, 0])
+    def test_no_steps_match_search(self, a1_n3, depth):
+        assert enumerate_image(a1_n3, depth) == image_by_search(a1_n3, depth)
+
+    def test_each_element_made_once(self, d2_n3, monkeypatch):
+        made = []
+        bump = LatticeElement.bump
+
+        def recorded(a, j, delta):
+            made.append(bump(a, j, delta))
+            return made[-1]
+
+        monkeypatch.setattr(LatticeElement, "bump", recorded)
+        image = enumerate_image(d2_n3, 6)
+        assert len(made) == len(set(made)) == len(image) - 1
+        assert set(made) == image - {LatticeElement.zero()}
 
 
 @settings(max_examples=40, deadline=None)
