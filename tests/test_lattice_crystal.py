@@ -236,8 +236,8 @@ def a1_counts(n, depth):
 
 
 def image_by_search(seq, depth):
-    """The reference enumeration: a breadth-first search over ftilde at every
-    color, which makes every element once per way to reach it."""
+    """The reference enumeration: a breadth-first search that lowers every
+    element at every color and drops the repeats."""
     index_set = seq.root_system.index_set
     return reachable(
         {LatticeElement.zero()}, lambda a: [ftilde(seq, a, i) for i in index_set], depth
