@@ -169,6 +169,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 # the input was valid, so a raise is a fault of the engine:
                 # its suite fails and the other suites still run
                 reports.append(_fault_report(name, seq, {**params, **kwargs}, exc))
+        index_set = list(seq.root_system.index_set)
+        if short == "closure" and args.k is None and sorted(set(charges)) != index_set:
+            # the closure argument needs the closure of x_{s,k} for every k in I
+            missing = sorted(set(index_set) - set(charges))
+            witness = f"generator charges {sorted(set(charges))} are not the index set {index_set}"
+            counts = {"missing_charges": len(missing)}
+            reports.append(verify_mod._report(
+                name, seq, {}, counts, [f"{witness}; missing {missing}"], 1, examined=0))
     if args.json:
         print(_dump([r.to_json() for r in reports]))
     else:

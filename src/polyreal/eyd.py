@@ -6,7 +6,8 @@ k - y_t.  Corners live on diagonals d = x + y: a concave corner sits at
 (0, y_0) and at every (t+1, y_{t+1}) with y_t < y_{t+1}; the matching convex
 corner sits at (t+1, y_t).  The assignment map sends a diagram to the sum of
 x_{s + P^k(x+y) + min(k-y, x), c(x+y)} over concave corners minus the same
-expression over convex corners, with c the folded color.
+expression over convex corners, with c the folded color; sites reads those
+terms off the stored values in one pass.
 A move is decided once, by the corners at one column (_corners_at), for
 corners and for toggle_corner alike.  The one toggle adds a box at a concave
 corner (x, y_x) by lowering y_x, or removes one at a convex corner
@@ -104,17 +105,22 @@ def _fold_kind(seq: AdaptedSequence) -> str:
     return _FOLDS[fam]
 
 
-def _address(seq: AdaptedSequence, fold_kind: str, charge: int, c: Corner) -> Site:
-    """The (coeff, offset, color) term of a corner: +1 when concave, -1 when convex."""
-    d = c.x + c.y
-    offset = p_table(seq, fold_kind, charge, d) + min(charge - c.y, c.x)
-    return (1 if c.kind == "concave" else -1), offset, fold(fold_kind, seq.root_system.n, d)
-
-
 def sites(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> List[Site]:
-    """One term per corner; the assigned form at s is their site_form at s."""
-    fold_kind = _fold_kind(seq)
-    return [_address(seq, fold_kind, T.charge, c) for c in corners(T)]
+    """One term per corner, in the order of corners: +1 at a concave corner
+    (x, y), -1 at a convex one, with offset P^k(x+y) + min(charge - y, x) and
+    the folded color of x+y.  The corners are read off ys and the charge in
+    one pass, as _corners_at lists them, with no Corner built."""
+    fold_kind, n, charge = _fold_kind(seq), seq.root_system.n, T.charge
+    out: List[Site] = []
+    before = None  # y_{x-1}
+    for x, y in enumerate(T.ys + (charge,)):
+        if x == 0 or before < y:
+            for coeff, z in ((1, y), (-1, before)) if x else ((1, y),):
+                d = x + z
+                offset = p_table(seq, fold_kind, charge, d) + min(charge - z, x)
+                out.append((coeff, offset, fold(fold_kind, n, d)))
+        before = y
+    return out
 
 
 def moves(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Iterator[Move]:
@@ -124,9 +130,7 @@ def moves(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Iterator[Move]:
     +1 for adding a box at a concave corner and -1 for removing one at a
     convex corner.
     """
-    fold_kind = _fold_kind(seq)
-    for c in corners(T):
-        site = _address(seq, fold_kind, T.charge, c)
+    for c, site in zip(corners(T), sites(seq, T)):
         yield site_move(toggle_corner(T, c), site[0], site)
 
 

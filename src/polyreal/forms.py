@@ -178,14 +178,18 @@ def beta_index(seq: AdaptedSequence, j: int) -> LinearForm:
 
 
 def s_prime(seq: AdaptedSequence, form: LinearForm, d: Pair) -> LinearForm:
-    """Apply S'_d: subtract beta_d, add the predecessor beta, or do nothing."""
+    """Apply S'_d: subtract beta_d, add the predecessor beta, or do nothing.
+    beta's sites go straight into a copy of the form's terms, sorted once."""
     s, l = d
     c = form.coeff(s, l)
     if c > 0:
-        return form - beta_pair(seq, s, l)
-    if c < 0 and s > 1:
-        return form + beta_pair(seq, s - 1, l)
-    return form
+        sign, base = -1, s
+    elif c < 0 and s > 1:
+        sign, base = 1, s - 1
+    else:
+        return form
+    beta = (((base + offset, j), coeff) for coeff, offset, j in seq._beta[l])
+    return LinearForm._of(_accumulate(dict(form._terms), beta, sign))
 
 
 def max_single_index(seq: AdaptedSequence, form: LinearForm) -> int:

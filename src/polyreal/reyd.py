@@ -14,9 +14,10 @@ when the neighboring values form the flat pattern and i sits in the special
 congruence class; a double contributes its coordinate twice to the form.
 Diagrams are validated and classified on their window alone: outside it
 every step is 1 or 0, and no point can lie there (see classify_points).
-A move is decided once, by _can_set on the two steps beside the changed
-value, in classify_points and in toggle_point alike; only make_reyd,
-from_json and validate check a whole diagram.
+A move is decided by the two steps beside the changed value: toggle_point
+tests them with _can_set, and classify_points reads the same rule off the
+window in one pass; only make_reyd, from_json and validate check a whole
+diagram.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ class RevisedEYD:
     def modulus(self) -> int:
         return 2 * self.n - 1 if self.flavor == "A2" else 2 * self.n
 
+    @property
+    def special(self) -> Tuple[int, ...]:
+        """The special residues mod the modulus: 0, and n for D2target."""
+        return (0, self.n) if self.flavor == "D2target" else (0,)
+
     def y(self, t: int) -> int:
         i = t - self.t_lo
         if i < 0:
@@ -70,11 +76,11 @@ class RevisedEYD:
         return self.ys[i]
 
     def units(self) -> int:
-        return sum(self.k + min(t, 0) - self.y(t) for t in range(self.t_lo, self.t_hi + 1))
+        return sum(self.k + min(t, 0) - v for t, v in enumerate(self.ys, self.t_lo))
 
     def columns(self) -> List[int]:
         """Depths of the columns lowered below the highest diagram."""
-        depths = (self.k + min(t, 0) - self.y(t) for t in range(self.t_lo, self.t_hi + 1))
+        depths = (self.k + min(t, 0) - v for t, v in enumerate(self.ys, self.t_lo))
         return [d for d in depths if d > 0]
 
     def to_json(self) -> dict:
@@ -106,8 +112,7 @@ def _check_parameters(flavor: str, n: int, k: int) -> Tuple[int, int]:
 
 def _special(T: RevisedEYD, value: int) -> bool:
     """Whether value is 0 mod the modulus, or n mod it for D2target."""
-    r = value % T.modulus
-    return r == 0 or (T.flavor == "D2target" and r == T.n)
+    return value % T.modulus in T.special
 
 
 def _pair_ok(T: RevisedEYD, t: int, yt: int, yt1: int) -> bool:
@@ -139,14 +144,19 @@ def make_reyd(flavor: str, n: int, k: int, t_lo: int, ys: Sequence[int]) -> Revi
 
 
 def _trimmed(raw: RevisedEYD) -> RevisedEYD:
-    """Cut a raw diagram to its canonical window; nothing is validated."""
-    k, t, u = raw.k, min(raw.t_lo, 0), max(raw.t_hi, 0)
-    while t <= 0 and raw.y(t) == k + t:
+    """Cut a raw diagram to its canonical window; nothing is validated.  The
+    values are padded one place past both ends and past 0, so the two scans
+    and the cut read one tuple."""
+    k, lo, hi = raw.k, raw.t_lo, raw.t_hi
+    start, stop = min(lo, 0) - 1, max(hi, 0) + 1
+    vals = tuple(range(k + start, k + lo)) + raw.ys + (k,) * (stop - hi)
+    t, u = start + 1, stop - 1
+    while t <= 0 and vals[t - start] == k + t:
         t += 1
-    while u >= 0 and raw.y(u) == k:
+    while u >= 0 and vals[u - start] == k:
         u -= 1
     lo, hi = min(t - 1, 0), max(u + 1, 0)
-    return RevisedEYD(raw.flavor, raw.n, k, lo, tuple(raw.y(v) for v in range(lo, hi + 1)))
+    return RevisedEYD(raw.flavor, raw.n, k, lo, vals[lo - start : hi - start + 1])
 
 
 def _validate(T: RevisedEYD) -> RevisedEYD:
@@ -186,20 +196,28 @@ def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
     (t_hi >= 0).  _pair_ok allows neither: a relaxed position bounds a step
     by 1 above when negative and by 0 below when positive, and no valid
     charge relaxes position 0.
+
+    One pass decides each move as _can_set would, with no call.  A step of T
+    that is not 0 or 1 is relaxed, and a one-unit move keeps it on its
+    allowed side, so a move fails only where it turns a step 0 into -1 (only
+    a negative relaxed position allows it) or 1 into 2 (only a positive one).
     """
     out: List[MarkedPoint] = []
-    lo, k, n, variant = T.t_lo, T.k, T.n, FLAVORS[T.flavor][1]
+    lo, k, n, M, special = T.t_lo, T.k, T.n, T.modulus, T.special
+    variant = FLAVORS[T.flavor][1]
     v = [k + lo - 2, k + lo - 1, *T.ys, k]  # y_{t_lo-2} .. y_{t_hi+1}, read once
     for i, (a, b, c, d) in enumerate(zip(v, v[1:], v[2:], v[3:]), lo):  # y_{i-2} .. y_{i+1}
-        if _can_set(T, i, b, c - 1, d):
+        # the step y_{i-1} -> y_i may go from 0 to -1 only at a negative relaxed position
+        flat_ok = b != c or (i < 1 and (k + i - 1) % M in special)
+        if flat_ok and (d != c + 1 or (i > 0 and (k + i) % M in special)):
             double = b < c == d and (
-                (i > 0 and _special(T, i + k)) or (i < 0 and _special(T, i + k - 1))
+                (i > 0 and (k + i) % M in special) or (i < 0 and (k + i - 1) % M in special)
             )
             color = fold(variant, n, i + k)
             out.append(MarkedPoint("admissible", i, c, 2 if double else 1, color))
-        if _can_set(T, i - 1, a, b + 1, c):
+        if flat_ok and (b != a + 1 or (i > 2 and (k + i - 2) % M in special)):
             double = a == b < c and (
-                (i > 1 and _special(T, i + k - 2)) or (i < 1 and _special(T, i + k - 1))
+                (i > 1 and (k + i - 2) % M in special) or (i < 1 and (k + i - 1) % M in special)
             )
             color = fold(variant, n, i + k - 1)
             out.append(MarkedPoint("removable", i, b, 2 if double else 1, color))
@@ -250,10 +268,10 @@ def toggle_point(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
     legal = point.role in ("admissible", "removable") and T.y(t) == point.y
     if not (legal and _can_set(T, t, T.y(t - 1), point.y + delta, T.y(t + 1))):
         raise REYDError(f"{point} is not an admissible or removable point of {T}")
-    lo = min(T.t_lo, t)
-    ys = [T.y(u) for u in range(lo, max(T.t_hi, t) + 1)]
-    ys[t - lo] += delta
-    return _trimmed(RevisedEYD(T.flavor, T.n, T.k, lo, tuple(ys)))
+    # a legal move changes a value inside the window (see classify_points)
+    i = t - T.t_lo
+    ys = T.ys[:i] + (point.y + delta,) + T.ys[i + 1 :]
+    return _trimmed(RevisedEYD(T.flavor, T.n, T.k, T.t_lo, ys))
 
 
 def enumerate_reyd(flavor: str, n: int, k: int, max_units: int) -> List[RevisedEYD]:

@@ -191,7 +191,7 @@ class AdaptedSequence:
         self._next: Dict[int, Tuple[int, ...]] = {}
         self._prev: Dict[int, Tuple[int, ...]] = {}
         # For each color i, the sites (coeff, offset, color) of beta_{s,i}
-        # relative to s (forms.beta_sites and beta_pair read these): x_{s,i},
+        # relative to s (forms.beta_sites, beta_pair and s_prime read them): x_{s,i},
         # x_{s+1,i} and a_{i,j} x_{s+p_{j,i}, j} for each neighbor j of i
         self._beta: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
         for i in root_system.index_set:
@@ -318,8 +318,13 @@ def p_table(seq: AdaptedSequence, variant: str, k: int, t: int) -> int:
     P^k(k) = 0; going up, P^k(t) = P^k(t-1) + p_{c(t),c(t-1)}; going down,
     P^k(t) = P^k(t+1) + p_{c(t),c(t+1)}, where c folds via the variant map
     and equal folded colors contribute 0.  The pi_prime variant is one-sided
-    and only defined for t >= k.
+    and only defined for t >= k.  An entry is filled only by a call that
+    passed the checks below, so a filled entry is returned before them.
     """
+    try:
+        return seq._pt_cache[variant, k][t]
+    except (KeyError, TypeError):  # not filled, or unhashable: the checks below decide
+        pass
     if variant not in FOLD_KINDS:
         raise RootDataError(f"unknown table variant {variant!r}")
     if variant == "pi_prime" and t < k:

@@ -30,6 +30,7 @@ from .forms import LinearForm, Move, Site, site_form, site_move
 
 # Each wall family's sequence family.
 WALL_FAMILIES = {"A2wall": "A2", "D2wall": "C1"}
+_NO_BOUND = float("inf")  # the height bound right of column 1
 
 
 class WallError(ValueError):
@@ -54,6 +55,9 @@ class WallKind:
         allowed = (1,) if self.family == "A2wall" else (1, self.n)
         if self.ground not in allowed:
             raise WallError(f"family {self.family} allows ground in {allowed}, got {self.ground}")
+        # (row_color(l), is_split(l)) by (l - 1) mod 2n - 2, the period of pi_prime
+        rows = tuple((self.row_color(l), self.is_split(l)) for l in range(1, 2 * self.n - 1))
+        object.__setattr__(self, "_rows", rows)
 
     def row_color(self, l: int) -> int:
         return fold("pi_prime", self.n, l)
@@ -61,6 +65,10 @@ class WallKind:
     def is_split(self, l: int) -> bool:
         color = self.row_color(l)
         return color == 1 or (self.family == "D2wall" and color == self.n)
+
+    def row(self, l: int) -> Tuple[int, bool]:
+        """row_color(l) and is_split(l) for a row l >= 1, read from the kind's table."""
+        return self._rows[(l - 1) % len(self._rows)]
 
     def row_of_half(self, m: int) -> int:
         """The row containing half-unit level m >= 1 (the ground half is m = 1)."""
@@ -156,16 +164,14 @@ def validate_proper(Y: YoungWall) -> List[str]:
     return _violations(Y.kind, Y.halves)
 
 
-def _can_set(Y: YoungWall, j: int, h: int) -> bool:
-    """Whether the proper wall Y stays proper with column j at height h: heights
-    weakly decrease at j's neighbours (so h >= 1), an odd h > 1 ends in a split
-    row, and an even h equals neither neighbour."""
-    left = Y.height(j + 1)
-    right = Y.height(j - 1) if j > 1 else h + 1  # column 1 has no right neighbour
+def _fits(kind: WallKind, h: int, left: int, right: float) -> bool:
+    """Whether a column of height h keeps a proper wall proper between columns
+    of heights left and right: heights weakly decrease there (so h >= 1), an
+    odd h > 1 ends in a split row, and an even h equals neither neighbour."""
     if not right >= h >= left:
         return False
     if h % 2:
-        return h == 1 or Y.kind.is_split(Y.kind.row_of_half(h))
+        return h == 1 or kind.row(kind.row_of_half(h))[1]
     return h != left and h != right
 
 
@@ -173,15 +179,18 @@ def _column_move(Y: YoungWall, j: int, remove: bool) -> Tuple[Optional[WallSite]
     """The (single, double) move of column j, None when illegal.
 
     A single move is a unit block or one half of a split row, a double both halves
-    of a split row at even height; _can_set alone decides legality, bare columns included.
+    of a split row at even height; _fits alone decides legality, bare columns
+    included.  The column and its neighbours are read once for both moves.
     """
-    kind, h = Y.kind, Y.height(j)
+    kind, h, left = Y.kind, Y.height(j), Y.height(j + 1)
+    right = Y.height(j - 1) if j > 1 else _NO_BOUND
     l = kind.row_of_half(h if remove else h + 1)
-    split = h % 2 == 0 and kind.is_split(l)
+    c, split_row = kind.row(l)
+    split = h % 2 == 0 and split_row
     sign, delta = (-1 if remove else 1), (1 if split or h % 2 else 2)
-    role, c = ("block" if remove else "slot"), kind.row_color(l)
-    single = WallSite(role, j, l, 1, c, delta) if _can_set(Y, j, h + sign * delta) else None
-    double = WallSite(role, j, l, 2, c, 2) if split and _can_set(Y, j, h + 2 * sign) else None
+    role, one, two = ("block" if remove else "slot"), h + sign * delta, h + 2 * sign
+    single = WallSite(role, j, l, 1, c, delta) if _fits(kind, one, left, right) else None
+    double = WallSite(role, j, l, 2, c, 2) if split and _fits(kind, two, left, right) else None
     return single, double
 
 
@@ -212,11 +221,10 @@ def toggle_block(Y: YoungWall, site: WallSite) -> YoungWall:
     j = site.column
     if j < 1 or site not in _column_move(Y, j, site.role == "block"):
         raise WallError(f"{site} is not a legal move of {Y}")
-    vals = list(Y.halves) + [1] * (j - len(Y.halves))
-    vals[j - 1] += site.halves if site.role == "slot" else -site.halves
-    while vals and vals[-1] == 1:
-        vals.pop()
-    return YoungWall(Y.kind, tuple(vals))
+    h = Y.height(j) + (site.halves if site.role == "slot" else -site.halves)
+    # a legal move is at most one column past the stored ones, and only the
+    # last stored column can fall to the bare ground, which is trimmed
+    return YoungWall(Y.kind, Y.halves[: j - 1] + ((h,) if h > 1 else ()) + Y.halves[j:])
 
 
 def _address(seq: AdaptedSequence, Y: YoungWall, site: WallSite) -> Site:

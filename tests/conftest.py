@@ -1,5 +1,7 @@
 """Shared fixtures: standard sequences for the four families."""
 
+from itertools import permutations
+
 import pytest
 
 from polyreal import AlgebraType, RootDataError, build_adapted, build_root_system
@@ -9,6 +11,11 @@ def make_seq(family: str, n: int, word=None):
     if word is None:
         word = [1, 2] if n == 2 else [2, 1] + list(range(3, n + 1))
     return build_adapted(build_root_system(AlgebraType(family, n)), word)
+
+
+def permutation_seqs(family: str, n: int):
+    """The sequences of every permutation word of 1..n; each is adapted."""
+    return [make_seq(family, n, list(w)) for w in permutations(range(1, n + 1))]
 
 
 def adapted_words(family: str, n: int, length: int):

@@ -411,6 +411,43 @@ class TestSuiteFault:
         assert "not adapted" in err and "Traceback" not in err
 
 
+class TestMissingCharge:
+    """The closure argument needs every charge of the index set: a generator
+    table that drops one fails verify with a witness naming it."""
+
+    def test_dropped_reyd_charge_fails(self, capsys, monkeypatch):
+        real = verify.family_generators
+
+        def dropped(family, n):
+            table = real(family, n)
+            flavor, charges = table["reyd"]
+            return {**table, "reyd": (flavor, [k for k in charges if k != n - 1])}
+
+        monkeypatch.setattr(verify, "family_generators", dropped)
+        code, out, err = run(capsys, "verify", "--json", "--family", "C1", "--n", "4")
+        assert code == EXIT_FAIL and err == ""
+        closures = [r for r in json.loads(out) if r["check"] == "closure-equality"]
+        assert [r["params"]["k"] for r in closures[:-1]] == [1, 4, 2]
+        assert closures[-1]["status"] == "fail"
+        assert closures[-1]["counts"] == {"missing_charges": 1}
+        assert closures[-1]["witnesses"] == [
+            "generator charges [1, 2, 4] are not the index set [1, 2, 3, 4]; missing [3]"
+        ]
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_real_table_adds_no_report(self, capsys, family):
+        code, out, _ = run(capsys, "verify", "closure", "--json", "--family", family, "--n", "4",
+                           "--depth", "2")
+        reports = json.loads(out)
+        assert code == EXIT_OK
+        assert sorted(r["params"]["k"] for r in reports) == [1, 2, 3, 4]
+
+    def test_single_charge_is_not_checked(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "family_generators", lambda family, n: {"eyd": (None, [1])})
+        code, out, _ = run(capsys, "verify", "closure", "--k", "1", "--depth", "2")
+        assert code == EXIT_OK and out.count("closure-equality") == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -2,7 +2,9 @@
 
 import pytest
 
-from polyreal import LinearForm
+from polyreal import LinearForm, fold, p_table
+from polyreal import eyd
+from polyreal.forms import site_move
 from polyreal.eyd import (
     Corner,
     EYDError,
@@ -15,6 +17,7 @@ from polyreal.eyd import (
     render_eyd,
     toggle_corner,
 )
+from conftest import permutation_seqs
 
 x = LinearForm.x
 
@@ -227,3 +230,32 @@ class TestRender:
                 "[]   y=-2..-3",
             ]
         )
+
+
+def reference_sites(seq, T):
+    """sites as it was before the one-pass read: a Corner per corner, each
+    addressed by its own p_table and fold calls."""
+    fold_kind, n, out = eyd._fold_kind(seq), seq.root_system.n, []
+    for c in corners(T):
+        d = c.x + c.y
+        offset = p_table(seq, fold_kind, T.charge, d) + min(T.charge - c.y, c.x)
+        out.append((1 if c.kind == "concave" else -1, offset, fold(fold_kind, n, d)))
+    return out
+
+
+class TestOnePassSites:
+    """sites reads the corners off the stored values in one pass; it and
+    moves agree with the corner-based reference on every permutation word at
+    n = 3 and 4, every charge and every diagram up to 6 boxes."""
+
+    @pytest.mark.parametrize("family", ["A1", "D2"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equal_to_the_corner_reference(self, family, n):
+        diagrams = [T for k in range(1, n + 1) for T in enumerate_eyd(k, 6)]
+        toggled = {T: [toggle_corner(T, c) for c in corners(T)] for T in diagrams}
+        for seq in permutation_seqs(family, n):
+            for T in diagrams:
+                expected = reference_sites(seq, T)
+                assert eyd.sites(seq, T) == expected, (seq, T)
+                moves = [site_move(T2, a[0], a) for T2, a in zip(toggled[T], expected)]
+                assert list(eyd.moves(seq, T)) == moves, (seq, T)

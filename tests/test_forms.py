@@ -17,10 +17,10 @@ from polyreal import (
     index_to_pair,
     s_prime,
 )
-from polyreal import forms
+from polyreal import forms, verify
 from polyreal.forms import max_single_index, site_form, window_solutions
 from polyreal.root_data import MIN_RANK
-from conftest import adapted_words, make_seq
+from conftest import adapted_words, make_seq, permutation_seqs
 
 x = LinearForm.x
 
@@ -374,3 +374,38 @@ class TestXiPositivity:
         ok, witnesses = check_xi_positivity(a1_n3, [bad])
         assert not ok
         assert witnesses == [(bad, (1, 3), -1)]
+
+
+def reference_s_prime(seq, form, d):
+    """s_prime as it was before the direct sum: through a beta_pair form."""
+    s, l = d
+    c = form.coeff(s, l)
+    if c > 0:
+        return form - beta_pair(seq, s, l)
+    if c < 0 and s > 1:
+        return form + beta_pair(seq, s - 1, l)
+    return form
+
+
+class TestSPrimeDirectSum:
+    """s_prime adds beta's sites straight into the form's terms; it equals
+    the beta_pair reference, sorted terms and term map alike, at every term of
+    the assigned form at s = 1 of every generator object up to size 6, and at
+    a pair off the form, on every permutation word of the four families at
+    n = 3 and 4."""
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equal_to_the_beta_pair_reference(self, family, n):
+        seqs = permutation_seqs(family, n)
+        objects = [
+            (verify.MODULES[kind], obj)
+            for kind, k in verify.generator_kinds(seqs[0])
+            for obj in verify.generator_objects(seqs[0], kind, k, 6)
+        ]
+        for seq in seqs:
+            for f in {site_form(module.sites(seq, obj), 1) for module, obj in objects}:
+                for d in [pair for pair, _ in f.items()] + [(1, n)]:
+                    got, expected = s_prime(seq, f, d), reference_s_prime(seq, f, d)
+                    assert got.items() == expected.items(), (seq, f, d)
+                    assert got._terms == expected._terms

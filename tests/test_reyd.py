@@ -1,5 +1,7 @@
 """Revised extended Young diagrams: windows, marked points, forms, toggles."""
 
+from itertools import product
+
 import pytest
 
 from polyreal import LinearForm, RootDataError, fold, p_table
@@ -325,3 +327,67 @@ class TestWindowScans:
                             assert validate(U) == reference_validate(U)
                             if not validate(U):
                                 assert classify_points(U) == reference_classify_points(U)
+
+
+def reference_trimmed(raw):
+    """_trimmed as it was before the one-tuple read: each value through raw.y."""
+    k, t, u = raw.k, min(raw.t_lo, 0), max(raw.t_hi, 0)
+    while t <= 0 and raw.y(t) == k + t:
+        t += 1
+    while u >= 0 and raw.y(u) == k:
+        u -= 1
+    lo, hi = min(t - 1, 0), max(u + 1, 0)
+    return RevisedEYD(raw.flavor, raw.n, k, lo, tuple(raw.y(v) for v in range(lo, hi + 1)))
+
+
+def reference_toggle_point(T, point):
+    """toggle_point as it was before the splice: the window rebuilt through T.y."""
+    t, delta = (point.x, -1) if point.role == "admissible" else (point.x - 1, 1)
+    legal = point.role in ("admissible", "removable") and T.y(t) == point.y
+    if not (legal and reyd._can_set(T, t, T.y(t - 1), point.y + delta, T.y(t + 1))):
+        raise REYDError(f"{point} is not an admissible or removable point of {T}")
+    lo = min(T.t_lo, t)
+    ys = [T.y(u) for u in range(lo, max(T.t_hi, t) + 1)]
+    ys[t - lo] += delta
+    return reference_trimmed(RevisedEYD(T.flavor, T.n, T.k, lo, tuple(ys)))
+
+
+class TestOnePassKernels:
+    """classify_points, toggle_point and _trimmed read the stored tuple in one
+    pass; they agree with the per-position references on every diagram up to
+    6 units of every charge at n = 3 and 4, on every move of each, and on
+    raw windows around each."""
+
+    @pytest.mark.parametrize("flavor", ["A2", "D2target"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equal_to_the_references(self, flavor, n):
+        # none of the three reads a sequence, so no word is needed
+        for k in range(2, (n if flavor == "A2" else n - 1) + 1):
+            for T in enumerate_reyd(flavor, n, k, 6):
+                points = classify_points(T)
+                assert points == reference_classify_points(T)
+                for pt in points:
+                    assert toggle_point(T, pt) == reference_toggle_point(T, pt), (T, pt)
+                # raw windows: shifted ends, and one value changed
+                for a in range(-2, 3):
+                    for b in range(-2, 3):
+                        lo, hi = T.t_lo + a, T.t_hi + b
+                        U = RevisedEYD(flavor, n, k, lo, tuple(T.y(t) for t in range(lo, hi + 1)))
+                        assert reyd._trimmed(U) == reference_trimmed(U)
+                        if a <= 0 <= b:
+                            assert reyd._trimmed(U) == T
+                for m in range(len(T.ys)):
+                    for d in (-1, 1):
+                        ys = T.ys[:m] + (T.ys[m] + d,) + T.ys[m + 1 :]
+                        U = RevisedEYD(flavor, n, k, T.t_lo, ys)
+                        assert reyd._trimmed(U) == reference_trimmed(U)
+
+    @pytest.mark.parametrize("flavor", ["A2", "D2target"])
+    def test_trimmed_off_zero_and_empty(self, flavor):
+        """Windows that miss position 0, or hold no value, are cut as before."""
+        k = 2
+        for lo in range(-4, 5):
+            for size in range(3):
+                for ys in product(range(k - 3, k + 3), repeat=size):
+                    U = RevisedEYD(flavor, 3, k, lo, ys)
+                    assert reyd._trimmed(U) == reference_trimmed(U), U

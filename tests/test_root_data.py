@@ -313,6 +313,43 @@ class TestPTables:
                 p_table(seq, "overline", 1, t)
 
 
+    def test_errors_survive_a_filled_table(self):
+        """A filled entry is returned before the checks, so a filled table
+        must hold no entry that a fresh call would reject."""
+        seq = make_seq("C1", 4)
+        for k in range(1, 5):
+            for t in range(k, k + 30):
+                p_table(seq, "pi_prime", k, t)
+        for k in range(1, 5):
+            for t in range(k - 8, k):
+                with pytest.raises(RootDataError, match="pi_prime table needs"):
+                    p_table(seq, "pi_prime", k, t)
+        for variant in ("pi_primed", "Overline", ""):
+            with pytest.raises(RootDataError, match="unknown table variant"):
+                p_table(seq, variant, 1, 3)
+
+    def test_filled_answers_equal_fresh_ones(self):
+        """Asked twice on one sequence, and once on a fresh sequence each time,
+        every variant, k and t gives the same value or the same error."""
+
+        def outcome(seq, variant, k, t):
+            try:
+                return p_table(seq, variant, k, t)
+            except RootDataError as e:
+                return str(e)
+
+        filled = make_seq("C1", 4)
+        queries = [
+            (variant, k, t)
+            for variant in ("overline", "pi", "pi1", "pi2", "pi_prime", "bogus")
+            for k in range(0, 6)
+            for t in (9, -4, 2, -10, 14, 0, 1, 5)
+        ]
+        first = [outcome(filled, *q) for q in queries]
+        assert [outcome(filled, *q) for q in queries] == first
+        assert [outcome(make_seq("C1", 4), *q) for q in queries] == first
+
+
 class TestCheckFamily:
     def test_family_and_rank(self, a2_n3):
         check_family(a2_n3, "A2")

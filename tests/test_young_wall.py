@@ -22,7 +22,7 @@ from polyreal.young_wall import (
     toggle_block,
     validate_proper,
 )
-from conftest import make_seq
+from conftest import make_seq, permutation_seqs
 
 # Every entry point that reads a wall against a sequence checks the sequence first.
 SEQUENCE_CALLS = (
@@ -312,7 +312,7 @@ def _reference_single(Y, j, remove):
         return None
     l = kind.row_of_half(h if remove else h + 1)
     delta = 2 if (h % 2 == 0 and not kind.is_split(l)) else 1
-    if not young_wall._can_set(Y, j, h - delta if remove else h + delta):
+    if not reference_can_set(Y, j, h - delta if remove else h + delta):
         return None
     return WallSite("block" if remove else "slot", j, l, 1, kind.row_color(l), delta)
 
@@ -322,7 +322,7 @@ def _reference_site(Y, j, remove):
     kind = Y.kind
     h = Y.height(j)
     l = kind.row_of_half(h if remove else h + 1)
-    if h % 2 == 0 and kind.is_split(l) and young_wall._can_set(Y, j, h - 2 if remove else h + 2):
+    if h % 2 == 0 and kind.is_split(l) and reference_can_set(Y, j, h - 2 if remove else h + 2):
         return WallSite("block" if remove else "slot", j, l, 2, kind.row_color(l), 2)
     return _reference_single(Y, j, remove)
 
@@ -365,7 +365,7 @@ class TestColumnRule:
 
 
 def _full_scan_can_set(Y, j, new_h):
-    """_can_set as a copy of the wall and a scan of every column."""
+    """Whether column j may be set to new_h: a copy of the wall and a scan of every column."""
     vals = list(Y.halves)
     while len(vals) < j:
         vals.append(1)
@@ -376,7 +376,7 @@ def _full_scan_can_set(Y, j, new_h):
 
 
 class TestLocalProperness:
-    """_can_set tests only the changed column's neighbours; it must answer as
+    """_fits tests only the changed column's neighbours; it must answer as
     the full scan does on every proper wall."""
 
     @pytest.mark.parametrize("family", ["A2wall", "D2wall"])
@@ -388,6 +388,75 @@ class TestLocalProperness:
                 for j in range(1, len(Y.halves) + 2):
                     h = Y.height(j)
                     for new_h in range(h - 2, h + 3):
-                        assert young_wall._can_set(Y, j, new_h) == _full_scan_can_set(
+                        right = Y.height(j - 1) if j > 1 else young_wall._NO_BOUND
+                        fits = young_wall._fits(Y.kind, new_h, Y.height(j + 1), right)
+                        assert fits == _full_scan_can_set(
                             Y, j, new_h
                         ), (Y.halves, j, new_h)
+
+
+def reference_can_set(Y, j, h):
+    """_can_set as it was before the neighbours were read once per column."""
+    left = Y.height(j + 1)
+    right = Y.height(j - 1) if j > 1 else h + 1  # column 1 has no right neighbour
+    if not right >= h >= left:
+        return False
+    if h % 2:
+        return h == 1 or Y.kind.is_split(Y.kind.row_of_half(h))
+    return h != left and h != right
+
+
+def reference_column_move(Y, j, remove):
+    """_column_move as it was before the kind's row table: a fold per site."""
+    kind, h = Y.kind, Y.height(j)
+    l = kind.row_of_half(h if remove else h + 1)
+    split = h % 2 == 0 and kind.is_split(l)
+    sign, delta = (-1 if remove else 1), (1 if split or h % 2 else 2)
+    role, c = ("block" if remove else "slot"), kind.row_color(l)
+    fits = reference_can_set(Y, j, h + sign * delta)
+    single = WallSite(role, j, l, 1, c, delta) if fits else None
+    fits = split and reference_can_set(Y, j, h + 2 * sign)
+    double = WallSite(role, j, l, 2, c, 2) if fits else None
+    return single, double
+
+
+def reference_toggle_block(Y, site):
+    """toggle_block as it was before the splice: a padded list, trimmed."""
+    j = site.column
+    if j < 1 or site not in reference_column_move(Y, j, site.role == "block"):
+        raise WallError(f"{site} is not a legal move of {Y}")
+    vals = list(Y.halves) + [1] * (j - len(Y.halves))
+    vals[j - 1] += site.halves if site.role == "slot" else -site.halves
+    while vals and vals[-1] == 1:
+        vals.pop()
+    return YoungWall(Y.kind, tuple(vals))
+
+
+class TestRowTableKernels:
+    """_column_move reads the kind's row table and each column once, and
+    toggle_block splices the one changed height; both agree with the
+    references on every wall up to 6 blocks of every ground at n = 3 and 4,
+    on every column of each, and moves on every permutation word."""
+
+    @pytest.mark.parametrize("family", ["A2wall", "D2wall"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equal_to_the_references(self, family, n):
+        seqs = permutation_seqs(young_wall.WALL_FAMILIES[family], n)
+        for ground in (1,) if family == "A2wall" else (1, n):
+            walls = enumerate_walls(WallKind(family, n, ground), 12)
+            for Y in [Y for Y in walls if Y.block_count() <= 6]:
+                listed = []
+                for j in range(1, len(Y.halves) + 3):
+                    for remove in (False, True):
+                        pair = young_wall._column_move(Y, j, remove)
+                        assert pair == reference_column_move(Y, j, remove), (Y, j, remove)
+                        listed += [site for site in pair if site]
+                for site in listed:
+                    assert toggle_block(Y, site) == reference_toggle_block(Y, site), (Y, site)
+                for seq in seqs:
+                    assert list(moves(seq, Y)) == reference_listing(seq, Y)[3], (seq, Y)
+
+    def test_row_table_is_the_fold(self):
+        for kind in (WallKind("A2wall", 4, 1), WallKind("D2wall", 4, 4)):
+            for l in range(1, 20):
+                assert kind.row(l) == (kind.row_color(l), kind.is_split(l))
