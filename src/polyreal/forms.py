@@ -247,67 +247,75 @@ def window_solutions(
     every form is >= 0, as tuples of window values in lexicographic order.
 
     Each form is compiled once to its terms at window positions (a term off
-    the window reads 0); a form without a negative term is dropped, and so is
-    a repeated term list.  The form is filed under the last window position
-    it uses, with its coefficient there (`ending`), and under each of its
-    other positions, with the coefficient there (`touching`).  A depth-first
-    search then assigns the window in order, keeping one accumulator per
-    form.  When the search reaches position p, each form's accumulator equals
-    its partial sum over the positions before p.  So the forms that end at p
-    bound the value there to an interval read off their accumulators, no
-    value they rule out is tried, and an empty interval ends the branch.
-    Raising the value at p by d adds d times each `touching[p]` coefficient
-    to its form's accumulator, and leaving p takes the value back off, so a
-    node whose value stays 0 touches no accumulator.  An empty window holds
-    one vector, the empty tuple, whatever max_total is.
+    the window reads 0), with each pair's position read once per call; a
+    form without a negative term is dropped, and so is a repeated term list.
+    A depth-first search then assigns the window in order, holding every
+    form in a field of W bits of one int: form k's field, at bit k*W, holds
+    2^(W-1) plus the form's partial sum over the values assigned so far.
+    Position p has a column, the form coefficients at p packed the same way,
+    so raising the value at p by one is the one add `acc += column[p]`.  A
+    form that ends at p is >= 0 once p is assigned exactly when its field's
+    top bit is set.  So p also has the mask of those top bits (`need`), and
+    within it the top bits of the forms whose coefficient at p is negative
+    (`cap`).  The search scans the values at p upward from 0: it enters a
+    value at which every bit of `need` is set, and stops at the first value
+    that clears a bit of `cap`, since a larger value only lowers those forms.
+    An empty window holds one vector, the empty tuple, whatever max_total is.
+
+    No carry or borrow crosses a field.  The values assigned sum to at most
+    max_total, and the scan adds at most one value past it, so every partial
+    sum lies within M = max|c| * (max_total + 1) of 0.  W is
+    bit_length(M) + 2, so M < 2^(W-2) and each field lies strictly between
+    2^(W-2) and 3 * 2^(W-2), inside [0, 2^W).  acc is then the sum of its
+    fields times powers of 2^W with every digit in [0, 2^W): that is its
+    base-2^W expansion, so each field's bits are exactly its value, and its
+    top bit is set exactly when the field is >= 2^(W-1), the sum >= 0.
     """
     place = {j: p for p, j in enumerate(window)}
+    at: Dict[Pair, Optional[int]] = {}
     compiled: Set[Tuple[Tuple[int, int], ...]] = set()
     for f in forms:
-        terms = sorted(
-            (place[j], c) for (s, l), c in f.items() if (j := pair_to_index(seq, s, l)) in place
-        )
+        terms = []
+        for pair, c in f.items():
+            if pair not in at:
+                at[pair] = place.get(pair_to_index(seq, *pair))
+            if at[pair] is not None:
+                terms.append((at[pair], c))
         # a form without a negative term is >= 0 on every nonnegative vector
         if any(c < 0 for _, c in terms):
-            compiled.add(tuple(terms))
-    ending: List[List[Tuple[int, int]]] = [[] for _ in window]
-    touching: List[List[Tuple[int, int]]] = [[] for _ in window]
-    for k, (*before, (last, c)) in enumerate(compiled):
-        ending[last].append((k, c))
-        for p, d in before:
-            touching[p].append((k, d))
-    acc = [0] * len(compiled)
+            compiled.add(tuple(sorted(terms)))
+    most = max((abs(c) for terms in compiled for _, c in terms), default=0)
+    width = (most * (max_total + 1)).bit_length() + 2
+    top = 1 << (width - 1)
+    column, need, cap = [0] * len(window), [0] * len(window), [0] * len(window)
+    start = 0
+    for k, terms in enumerate(compiled):
+        shift = k * width
+        start |= top << shift
+        for p, c in terms:
+            column[p] += c << shift
+        last, c = terms[-1]
+        need[last] |= top << shift
+        if c < 0:
+            cap[last] |= top << shift
     values = [0] * len(window)
     found: List[Tuple[int, ...]] = []
 
-    def walk(p: int, remaining: int) -> None:
+    def walk(p: int, remaining: int, acc: int) -> None:
         if p == len(values):
             found.append(tuple(values))
             return
-        lo, hi = 0, remaining
-        for k, c in ending[p]:
-            if c > 0:
-                least = -(acc[k] // c)
-                if least > lo:
-                    lo = least
-            else:
-                most = acc[k] // -c
-                if most < hi:
-                    hi = most
-        steps = touching[p]
-        held = 0  # the value at p that the accumulators include
-        for v in range(lo, hi + 1):
-            if v != held:
-                for k, c in steps:
-                    acc[k] += (v - held) * c
-                held = v
-            values[p] = v
-            walk(p + 1, remaining - v)
-        if held:
-            for k, c in steps:
-                acc[k] -= held * c
+        step, needed, capped = column[p], need[p], cap[p]
+        for v in range(remaining + 1):
+            bits = acc & needed
+            if bits == needed:
+                values[p] = v
+                walk(p + 1, remaining - v, acc)
+            elif bits & capped != capped:
+                break
+            acc += step
 
-    walk(0, max_total)
+    walk(0, max_total, start)
     return found
 
 

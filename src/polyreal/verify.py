@@ -163,13 +163,35 @@ def generator_objects(seq: AdaptedSequence, kind: str, k: int, size_bound: int) 
 
 
 def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]) -> set:
-    """The sampled inequality system over all kinds, charges, and base offsets."""
-    out = set()
+    """The sampled inequality system over all kinds, charges, and base offsets.
+
+    s_values is read once.  Each object's sites are merged once, to a key of
+    sorted ((offset, color), coeff) items shifted so that its lowest offset
+    is 0.  Its form at s is then the key's form from first occurrence
+    s + low, where low is the lowest merged offset.  The (key, first) pair
+    determines the form, and a nonzero form determines its pair, so one
+    form is built per distinct pair.  A ValueError is raised, as site_form
+    raises it, at the first (object, s) whose unmerged sites reach an
+    occurrence below 1.
+    """
+    s_values = list(s_values)
+    if not s_values:
+        return set()
+    smallest = min(s_values)
+    pairs = set()
     for kind, k in generator_kinds(seq):
+        module = MODULES[kind]
         for obj in generator_objects(seq, kind, k, size_bound):
-            sites = MODULES[kind].sites(seq, obj)
-            out.update(site_form(sites, s) for s in s_values)
-    return out
+            sites = module.sites(seq, obj)
+            lowest = min((offset for _, offset, _ in sites), default=0)
+            if sites and smallest + lowest < 1:
+                s = next(s for s in s_values if s + lowest < 1)
+                raise ValueError(f"occurrence index must be >= 1, got {s + lowest}")
+            merged = sorted(_accumulate({}, (((offset, l), c) for c, offset, l in sites)).items())
+            low = merged[0][0][0] if merged else 0
+            key = tuple(((offset - low, l), c) for (offset, l), c in merged)
+            pairs.update((key, s + low) for s in s_values)
+    return {LinearForm._of({(first + o, l): c for (o, l), c in key}) for key, first in pairs}
 
 
 def _site_map(read: dict, seq: AdaptedSequence, module, obj) -> Dict[Pair, int]:
@@ -299,11 +321,12 @@ def check_image_equality(
     max_weight; `candidates` counts it in closed form, C(max_weight + m, m)
     for a window of length m.  `window_solutions` lists the solutions in it
     without walking the whole box: it assigns the window position by position
-    and keeps one accumulator per form, which holds the form's partial sum
-    over the positions before the current one, so the forms that end at a
-    position bound its value without summing their terms.  Witnesses come in
-    the lexicographic order of the box, and a forward witness names the first
-    form, in sorted order, that the element violates.
+    and holds every form's partial sum in one packed int, so a value step is
+    one add and the forms that end at a position are tested with one mask.
+    Each image element's tuple is filled from its entries through a window
+    position dict.  Witnesses come in the lexicographic order of the box, and
+    a forward witness names the first form, in sorted order, that the element
+    violates.
     """
     if size_bound is None:
         size_bound = max_weight + 2
@@ -317,7 +340,13 @@ def check_image_equality(
     # most max_weight (each lowering step adds 1), and its support lies in the
     # window.
     window = sorted({j for a in image for j in a.support()})
-    reached = {tuple(a.get(j) for j in window): a for a in image}
+    place = {j: p for p, j in enumerate(window)}
+    reached = {}
+    for a in image:
+        values = [0] * len(window)
+        for j, v in a.items():
+            values[place[j]] = v
+        reached[tuple(values)] = a
     solved = set(window_solutions(seq, forms, window, max_weight))
     forward = [t for t in reached if t not in solved]
     converse = [t for t in solved if t not in reached]

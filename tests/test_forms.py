@@ -332,6 +332,36 @@ def search_systems(draw):
     return window, forms, draw(st.integers(-1, 4))
 
 
+def box_filter(terms, window, max_total):
+    """The weight box walked in lexicographic order, kept where every form,
+    read straight off its {single index: coefficient} terms, is >= 0."""
+
+    def box(m, total):
+        if m == 0:
+            yield ()
+            return
+        for v in range(total + 1):
+            for rest in box(m - 1, total - v):
+                yield (v,) + rest
+
+    kept = []
+    for v in box(len(window), max_total):
+        at = dict(zip(window, v))
+        if all(sum(c * at.get(j, 0) for j, c in t.items()) >= 0 for t in terms):
+            kept.append(v)
+    return kept
+
+
+@st.composite
+def wide_search_systems(draw):
+    """A window of up to 6 positions in 1..8, the terms of up to 6 forms with
+    coefficients up to +-7 at indices in 1..10, and a total bound from -1 to 7."""
+    window = sorted(draw(st.sets(st.integers(1, 8), max_size=6)))
+    coeffs = st.integers(-7, 7).filter(bool)
+    terms = st.dictionaries(st.integers(1, 10), coeffs, min_size=1, max_size=4)
+    return window, draw(st.lists(terms, max_size=6)), draw(st.integers(-1, 7))
+
+
 class TestWindowSolutions:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(search_systems())
@@ -360,6 +390,28 @@ class TestWindowSolutions:
         window, forms, max_total = system
         assert window_solutions(SEARCH_SEQ, forms, window, max_total) == box_solutions(
             forms, window, max_total
+        )
+
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wide_search_systems())
+    # At the width bound: max|c| = 7 and total 7.  The scan past the total
+    # takes the form ending at 6 to -7 * 8 at position 1, the one ending at 3
+    # to +7 * 8 at position 2, and the fields of the forms before and after
+    # each of them to their own extremes.
+    @example(
+        (
+            [1, 2, 3, 4, 5, 6],
+            [{1: -7, 6: 7}, {1: 7, 2: 7, 3: -1}, {2: -7, 5: 7, 6: -1}, {1: -7, 2: 1, 4: 7}],
+            7,
+        )
+    )
+    @example(([1, 2], [{1: 7, 2: -7}, {1: -7, 2: 7}, {1: -7, 9: 1}], 7))
+    def test_wide_coefficients_match_box_filter(self, system):
+        window, terms, max_total = system
+        forms = [indexed(t) for t in terms]
+        assert window_solutions(SEARCH_SEQ, forms, window, max_total) == box_filter(
+            terms, window, max_total
         )
 
 

@@ -1,11 +1,13 @@
 """Verification harness: reports, dispatch, and the checks on small bounds."""
 
+import functools
 import itertools
 
 import pytest
 
 from polyreal import LatticeElement, LinearForm, enumerate_image, evaluate, lattice_crystal, verify
-from polyreal.forms import beta_pair, site_form
+from polyreal.root_data import pair_to_index
+from polyreal.forms import beta_pair, site_form, window_solutions
 from polyreal.lattice_crystal import epsilon, etilde, ftilde, phi, weight_coeffs
 from polyreal.verify import (
     VerificationReport,
@@ -20,7 +22,7 @@ from polyreal.verify import (
     generator_kinds,
     generator_objects,
 )
-from conftest import adapted_words, make_seq
+from conftest import adapted_words, make_seq, permutation_seqs
 
 x = LinearForm.x
 
@@ -432,6 +434,110 @@ class TestImageEquality:
     def test_image_size_matches_enumeration(self, a1_n2):
         r = check_image_equality(a1_n2, max_weight=3)
         assert r.counts["image_size"] == len(enumerate_image(a1_n2, 3))
+
+
+def reference_generator_forms(seq, size_bound, s_values):
+    """The sampled system built as before deduplication: one site_form per
+    (object, s), with s_values read inside the loop over objects."""
+    out = set()
+    for kind, k in generator_kinds(seq):
+        for obj in verify.generator_objects(seq, kind, k, size_bound):
+            sites = verify.MODULES[kind].sites(seq, obj)
+            out.update(site_form(sites, s) for s in s_values)
+    return out
+
+
+def reference_window_solutions(seq, forms, window, max_total):
+    """The window search with one accumulator per form in a Python list, as
+    it was before the packed fields."""
+    place = {j: p for p, j in enumerate(window)}
+    compiled = set()
+    for f in forms:
+        terms = sorted(
+            (place[j], c) for (s, l), c in f.items() if (j := pair_to_index(seq, s, l)) in place
+        )
+        if any(c < 0 for _, c in terms):
+            compiled.add(tuple(terms))
+    ending = [[] for _ in window]
+    touching = [[] for _ in window]
+    for k, (*before, (last, c)) in enumerate(compiled):
+        ending[last].append((k, c))
+        for p, d in before:
+            touching[p].append((k, d))
+    acc = [0] * len(compiled)
+    values = [0] * len(window)
+    found = []
+
+    def walk(p, remaining):
+        if p == len(values):
+            found.append(tuple(values))
+            return
+        lo, hi = 0, remaining
+        for k, c in ending[p]:
+            if c > 0:
+                least = -(acc[k] // c)
+                if least > lo:
+                    lo = least
+            else:
+                most = acc[k] // -c
+                if most < hi:
+                    hi = most
+        steps = touching[p]
+        held = 0  # the value at p that the accumulators include
+        for v in range(lo, hi + 1):
+            if v != held:
+                for k, c in steps:
+                    acc[k] += (v - held) * c
+                held = v
+            values[p] = v
+            walk(p + 1, remaining - v)
+        if held:
+            for k, c in steps:
+                acc[k] -= held * c
+
+    walk(0, max_total)
+    return found
+
+
+class TestImageReadSide:
+    @pytest.mark.parametrize("n,w", [(3, 5), (4, 4)])
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_equal_to_the_references(self, family, n, w, monkeypatch):
+        # both sides list the same objects, so list them once
+        objects = functools.lru_cache(maxsize=None)(verify.generator_objects)
+        monkeypatch.setattr(verify, "generator_objects", objects)
+        # the image check's inputs at max_weight w, on every permutation word
+        for seq in permutation_seqs(family, n):
+            forms = generator_forms(seq, w + 2, range(1, w + 2))
+            assert forms == reference_generator_forms(seq, w + 2, range(1, w + 2)), seq
+            window = sorted({j for a in enumerate_image(seq, w) for j in a.support()})
+            assert window_solutions(seq, forms, window, w) == reference_window_solutions(
+                seq, forms, window, w
+            ), seq
+
+    def test_one_shot_s_values(self):
+        seq = make_seq("A1", 3, [2, 1, 3])
+        once = generator_forms(seq, 4, iter([1, 2, 3]))
+        assert len(once) == 90
+        assert once == generator_forms(seq, 4, [1, 2, 3]) == generator_forms(seq, 4, range(1, 4))
+        assert once == reference_generator_forms(seq, 4, [1, 2, 3])
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_empty_inputs(self, family):
+        seq = make_seq(family, 3)
+        assert generator_forms(seq, 4, []) == reference_generator_forms(seq, 4, []) == set()
+        assert generator_forms(seq, -1, [1, 2]) == reference_generator_forms(seq, -1, [1, 2])
+        assert generator_forms(seq, -1, [1, 2]) == set()
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    @pytest.mark.parametrize("s_values", [[0], [2, 0, 1], [0, -1], [3, -1, 0]])
+    def test_occurrence_error_as_the_reference(self, family, s_values):
+        seq = make_seq(family, 3)
+        with pytest.raises(ValueError) as want:
+            reference_generator_forms(seq, 3, s_values)
+        with pytest.raises(ValueError, match="occurrence index must be >= 1") as got:
+            generator_forms(seq, 3, s_values)
+        assert str(got.value) == str(want.value)
 
 
 # Mutations of the sigma sweep, each as (epsilon, first, last) -> the
