@@ -392,13 +392,12 @@ class TestWindowSolutions:
             forms, window, max_total
         )
 
-
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(wide_search_systems())
-    # At the width bound: max|c| = 7 and total 7.  The scan past the total
-    # takes the form ending at 6 to -7 * 8 at position 1, the one ending at 3
-    # to +7 * 8 at position 2, and the fields of the forms before and after
-    # each of them to their own extremes.
+    # At the width bound: max|c| = 7 and total 7.  Values summing to 7 take
+    # the form ending at 6 to -7 * 7 at position 1 and the one ending at 3 to
+    # +7 * 7 at position 2, the scan's last add takes them to -7 * 8 and
+    # +7 * 8, and a carry or borrow would land in a neighbouring field.
     @example(
         (
             [1, 2, 3, 4, 5, 6],
