@@ -104,11 +104,13 @@ def _dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _window_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list:
-    """Generator objects fitting a bound x bound window."""
+def _window_sites(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list:
+    """The sites of the generator objects fitting a bound x bound window."""
     return [
-        obj
-        for obj in verify_mod.enumerate_objects(seq, kind, k, bound * bound)
+        sites
+        for obj, sites, _ in verify_mod.walk_objects(
+            seq, kind, k, bound * bound, halves=kind == "wall"
+        )
         if len(obj.columns()) <= bound and max(obj.columns(), default=0) <= bound
     ]
 
@@ -116,10 +118,7 @@ def _window_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list
 def cmd_inequalities(args: argparse.Namespace) -> int:
     seq = build_sequence(args)
     kind = verify_mod.charge_kind(seq, args.k)
-    forms = {
-        site_form(verify_mod.MODULES[kind].sites(seq, obj), args.s)
-        for obj in _window_objects(seq, kind, args.k, args.bound)
-    }
+    forms = {site_form(sites, args.s) for sites in _window_sites(seq, kind, args.k, args.bound)}
     ordered = sorted(forms, key=LinearForm.sort_key)
     if args.json:
         print(_dump([f.to_json() for f in ordered]))

@@ -6,13 +6,14 @@ k - y_t.  Corners live on diagonals d = x + y: a concave corner sits at
 (0, y_0) and at every (t+1, y_{t+1}) with y_t < y_{t+1}; the matching convex
 corner sits at (t+1, y_t).  The assignment map sends a diagram to the sum of
 x_{s + P^k(x+y) + min(k-y, x), c(x+y)} over concave corners minus the same
-expression over convex corners, with c the folded color; sites reads those
-terms off the stored values in one pass.
+expression over convex corners, with c the folded color; _read reads those
+terms and their corners off the stored values in one pass.
 A move is decided once, by the corners at one column (_corners_at), for
 corners and for toggle_corner alike.  The one toggle adds a box at a concave
 corner (x, y_x) by lowering y_x, or removes one at a convex corner
 (x, y_{x-1}) by raising y_{x-1}; it changes one value and keeps the diagram
-valid, and only make_eyd and from_json check a whole diagram.
+valid (_toggle, for a listed corner, skips the test), and only make_eyd and
+from_json check a whole diagram.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .root_data import AdaptedSequence, RootDataError, check_family, exact_int, fold, p_table
-from .forms import LinearForm, Move, Site, site_form, site_move
+from .forms import LinearForm, Move, Point, Site, site_form, site_move
 
 
 class EYDError(ValueError):
@@ -105,22 +106,30 @@ def _fold_kind(seq: AdaptedSequence) -> str:
     return _FOLDS[fam]
 
 
-def sites(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> List[Site]:
-    """One term per corner, in the order of corners: +1 at a concave corner
-    (x, y), -1 at a convex one, with offset P^k(x+y) + min(charge - y, x) and
-    the folded color of x+y.  The corners are read off ys and the charge in
-    one pass, as _corners_at lists them, with no Corner built."""
+def _read(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Tuple[List[Site], List[Point]]:
+    """T's sites and move points, from one pass over ys + (charge,): one
+    site per corner, in the order of corners, +1 at a concave corner (x, y)
+    and -1 at a convex one, with offset P^k(x+y) + min(charge - y, x) and the
+    folded color of x+y; each corner, a plain tuple, is also a point."""
     fold_kind, n, charge = _fold_kind(seq), seq.root_system.n, T.charge
     out: List[Site] = []
+    points: List[Point] = []
     before = None  # y_{x-1}
     for x, y in enumerate(T.ys + (charge,)):
         if x == 0 or before < y:
             for coeff, z in ((1, y), (-1, before)) if x else ((1, y),):
                 d = x + z
                 offset = p_table(seq, fold_kind, charge, d) + min(charge - z, x)
-                out.append((coeff, offset, fold(fold_kind, n, d)))
+                site = (coeff, offset, fold(fold_kind, n, d))
+                out.append(site)
+                points.append((("concave" if coeff > 0 else "convex", x, z), coeff, site))
         before = y
-    return out
+    return out, points
+
+
+def sites(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> List[Site]:
+    """One (coeff, offset, color) term per corner, in the order of corners."""
+    return _read(seq, T)[0]
 
 
 def moves(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Iterator[Move]:
@@ -130,8 +139,7 @@ def moves(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Iterator[Move]:
     +1 for adding a box at a concave corner and -1 for removing one at a
     convex corner.
     """
-    for c, site in zip(corners(T), sites(seq, T)):
-        yield site_move(toggle_corner(T, c), site[0], site)
+    return (site_move(_toggle(T, c), coeff, site) for c, coeff, site in _read(seq, T)[1])
 
 
 def _assign(seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int, family: str) -> LinearForm:
@@ -155,7 +163,12 @@ def toggle_corner(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagr
     kind included, is toggled."""
     if corner not in _corners_at(T, corner.x):
         raise EYDError(f"{corner} is not a corner of {T}")
-    t, delta = (corner.x, -1) if corner.kind == "concave" else (corner.x - 1, 1)
+    return _toggle(T, corner)
+
+
+def _toggle(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:
+    kind, x, _ = corner
+    t, delta = (x, -1) if kind == "concave" else (x - 1, 1)
     vals = list(T.ys) + [T.charge] * (t + 1 - len(T.ys))
     vals[t] += delta
     while vals and vals[-1] == T.charge:
@@ -173,13 +186,19 @@ def _partitions(m: int, largest: int) -> Iterator[Tuple[int, ...]]:
 
 
 def enumerate_eyd(charge: int, max_boxes: int) -> List[ExtendedYoungDiagram]:
-    """All diagrams of the given charge with at most max_boxes boxes; none
-    for a negative max_boxes."""
-    out = []
-    for m in range(max_boxes + 1):
-        for depths in _partitions(m, m):
-            out.append(make_eyd(charge, [charge - d for d in depths]))
-    return out
+    """All diagrams of the given charge with at most max_boxes boxes, built
+    from partitions with no check; none for a negative max_boxes."""
+    charge = exact_int(charge, EYDError)
+    return [
+        ExtendedYoungDiagram(charge, tuple([charge - d for d in depths]))
+        for m in range(max_boxes + 1)
+        for depths in _partitions(m, m)
+    ]
+
+
+def _seeds(flavor: None, n: int, k: int, bound: int) -> Tuple[List[ExtendedYoungDiagram], bool]:
+    """Every diagram within bound, in order, and False: a walk only reads them."""
+    return enumerate_eyd(k, bound), False
 
 
 def render_eyd(T: ExtendedYoungDiagram) -> str:

@@ -26,6 +26,8 @@ Site = Tuple[int, int, int]
 # (obj2, coeff, offset, color): a toggle of obj with
 # form(obj2, s) = form(obj, s) - coeff * beta_{s+offset, color}.
 Move = Tuple[object, int, int, int]
+# (point, coeff, site): a move read but not made, with its toggle's argument.
+Point = Tuple[object, int, Site]
 Terms = Union[Dict[Pair, int], Iterable[Tuple[Pair, int]], None]
 
 

@@ -16,8 +16,8 @@ Diagrams are validated and classified on their window alone: outside it
 every step is 1 or 0, and no point can lie there (see classify_points).
 A move is decided by the two steps beside the changed value: toggle_point
 tests them with _can_set, and classify_points reads the same rule off the
-window in one pass; only make_reyd, from_json and validate check a whole
-diagram.
+window in one pass (_read addresses them, and _toggle makes a listed move
+with no test); only make_reyd, from_json and validate check a whole diagram.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table, reachable
-from .forms import LinearForm, Move, Site, site_form, site_move
+from .forms import LinearForm, Move, Point, Site, site_form, site_move
 
 # Each flavor's sequence family and the fold of its colors and P^k table.
 FLAVORS = {"A2": ("A2", "pi1"), "D2target": ("C1", "pi2")}
@@ -76,7 +76,9 @@ class RevisedEYD:
         return self.ys[i]
 
     def units(self) -> int:
-        return sum(self.k + min(t, 0) - v for t, v in enumerate(self.ys, self.t_lo))
+        """The sum of k + min(t, 0) - y_t over the window."""
+        negatives = sum(range(self.t_lo, min(self.t_hi, -1) + 1))
+        return self.k * len(self.ys) + negatives - sum(self.ys)
 
     def columns(self) -> List[int]:
         """Depths of the columns lowered below the highest diagram."""
@@ -237,23 +239,26 @@ def _address(seq: AdaptedSequence, T: RevisedEYD, pt: MarkedPoint) -> Site:
     return coeff, offset, pt.color
 
 
+def _read(seq: AdaptedSequence, T: RevisedEYD) -> Tuple[List[Site], List[Point]]:
+    """T's sites and move points, one of each per marked point of one
+    classify_points pass; a toggle moves one unit, so a point's coeff is +1
+    when admissible and -1 when removable, even at a double point."""
+    check_family(seq, FLAVORS[T.flavor][0], T.n, f"flavor {T.flavor}")
+    points = [
+        (pt, 1 if pt.role == "admissible" else -1, _address(seq, T, pt)) for pt in classify_points(T)
+    ]
+    return [site for _, _, site in points], points
+
+
 def sites(seq: AdaptedSequence, T: RevisedEYD) -> List[Site]:
     """One term per marked point; the assigned form at s is their site_form at s."""
-    check_family(seq, FLAVORS[T.flavor][0], T.n, f"flavor {T.flavor}")
-    return [_address(seq, T, pt) for pt in classify_points(T)]
+    return _read(seq, T)[0]
 
 
 def moves(seq: AdaptedSequence, T: RevisedEYD) -> Iterator[Move]:
-    """One (T2, coeff, offset, color) per marked point toggle.
-
-    assign(T2, s) = assign(T, s) - coeff * beta_{s+offset, color}.  A toggle
-    moves one unit, so coeff is +1 at an admissible point and -1 at a
-    removable one, even at a double point.
-    """
-    check_family(seq, FLAVORS[T.flavor][0], T.n, f"flavor {T.flavor}")
-    for pt in classify_points(T):
-        site = _address(seq, T, pt)
-        yield site_move(toggle_point(T, pt), 1 if site[0] > 0 else -1, site)
+    """One (T2, coeff, offset, color) per marked point toggle, with
+    assign(T2, s) = assign(T, s) - coeff * beta_{s+offset, color}."""
+    return (site_move(_toggle(T, pt), coeff, site) for pt, coeff, site in _read(seq, T)[1])
 
 
 def assign(seq: AdaptedSequence, T: RevisedEYD, s: int) -> LinearForm:
@@ -268,10 +273,23 @@ def toggle_point(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
     legal = point.role in ("admissible", "removable") and T.y(t) == point.y
     if not (legal and _can_set(T, t, T.y(t - 1), point.y + delta, T.y(t + 1))):
         raise REYDError(f"{point} is not an admissible or removable point of {T}")
+    return _toggle(T, point)
+
+
+def _toggle(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
     # a legal move changes a value inside the window (see classify_points)
+    t, delta = (point.x, -1) if point.role == "admissible" else (point.x - 1, 1)
     i = t - T.t_lo
     ys = T.ys[:i] + (point.y + delta,) + T.ys[i + 1 :]
     return _trimmed(RevisedEYD(T.flavor, T.n, T.k, T.t_lo, ys))
+
+
+def _seeds(flavor: str, n: int, k: int, bound: int) -> Tuple[List[RevisedEYD], bool]:
+    return [phi_reyd(flavor, n, k)], True
+
+
+def _key(T: RevisedEYD) -> tuple:
+    return T.units(), T.t_lo, T.ys
 
 
 def enumerate_reyd(flavor: str, n: int, k: int, max_units: int) -> List[RevisedEYD]:
@@ -283,8 +301,7 @@ def enumerate_reyd(flavor: str, n: int, k: int, max_units: int) -> List[RevisedE
     def lowerings(T: RevisedEYD) -> Iterator[RevisedEYD]:
         return (toggle_point(T, pt) for pt in classify_points(T) if pt.role == "admissible")
 
-    found = reachable({phi_reyd(flavor, n, k)}, lowerings, max_units)
-    return sorted(found, key=lambda T: (T.units(), T.t_lo, T.ys))
+    return sorted(reachable({phi_reyd(flavor, n, k)}, lowerings, max_units), key=_key)
 
 
 def render_reyd(T: RevisedEYD) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .root_data import AdaptedSequence, index_to_pair
 from .lattice_crystal import (
@@ -28,7 +28,9 @@ from .lattice_crystal import (
 )
 from .forms import (
     LinearForm,
+    Move,
     Pair,
+    Site,
     _accumulate,
     beta_index,
     beta_pair,
@@ -37,6 +39,7 @@ from .forms import (
     closure,
     evaluate,
     site_form,
+    site_move,
     window_solutions,
 )
 from . import eyd as eyd_mod
@@ -91,19 +94,11 @@ def _report(
     return VerificationReport(check, params, status, counts, witnesses[:MAX_WITNESSES])
 
 
-# The module of each generator kind, with its sites(seq, obj) and
-# moves(seq, obj).  Held as modules so that a call finds a function rebound
-# on its module, as the benchmark's tracer does.
+# The module of each generator kind, with sites(seq, obj), moves(seq, obj)
+# and the parts of walk_objects: _read, _toggle, _seeds and, where the walk
+# grows, _key.  Held as modules so that a call finds a function rebound on
+# its module, as the benchmark's tracer does.
 MODULES = {"eyd": eyd_mod, "reyd": reyd_mod, "wall": wall_mod}
-
-# The enumerator of each kind, called with a flavor, rank n, charge k and bound.
-_ENUMERATE = {
-    "eyd": lambda flavor, n, k, bound: eyd_mod.enumerate_eyd(k, bound),
-    "reyd": lambda flavor, n, k, bound: reyd_mod.enumerate_reyd(flavor, n, k, bound),
-    "wall": lambda flavor, n, k, bound: wall_mod.enumerate_walls(
-        wall_mod.WallKind(flavor, n, k), bound
-    ),
-}
 
 
 def family_generators(family: str, n: int) -> Dict[str, Tuple[Optional[str], Sequence[int]]]:
@@ -140,32 +135,72 @@ def charge_kind(seq: AdaptedSequence, k: int) -> str:
     return kinds[k]
 
 
-def enumerate_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list:
-    """Objects of one kind and charge, up to a bound in the kind's own unit.
+def walk_objects(
+    seq: AdaptedSequence,
+    kind: str,
+    k: int,
+    bound: int,
+    halves: bool = False,
+    every: bool = False,
+    read: Optional[dict] = None,
+) -> Iterator[Tuple[object, List[Site], List[Move]]]:
+    """(obj, sites, moves) for each object of one kind and charge within the
+    bound, in enumeration order, each read once by its module's _read.
 
-    The unit is a box for eyd, a unit for reyd and a half for walls, as in
-    enumerate_eyd, enumerate_reyd and enumerate_walls.
+    Revised diagrams and walls grow from their object of 0 steps by unit adds
+    (points of coeff +1), and the bound counts those steps, or with halves a
+    wall's halves; a single block add raises a wall's block count by exactly
+    1.  Extended Young diagrams, partitions, are listed and only read.  With
+    every, each point is toggled and moves lists its move, in the order of
+    the module's moves; otherwise moves is empty.  The walk takes an object's
+    reading from read when one was made there before.  Objects are taken
+    size by size, each size sorted by _key, whose first entry is the size in
+    the kind's unit; every add raises the size, so each object is listed
+    under its size before that size is taken.
     """
     rs = seq.root_system
     flavor, _ = family_generators(rs.algebra.family, rs.n)[kind]
-    return _ENUMERATE[kind](flavor, rs.n, k, bound)
+    module = MODULES[kind]
+    listed, grows = module._seeds(flavor, rs.n, k, bound) if bound >= 0 else ([], False)
+    order = module._key if grows else None
+    sizes = {0: [(order(obj) if grows else i, 0, obj) for i, obj in enumerate(listed)]}
+    seen = set(listed)
+    while sizes:
+        for key, steps, obj in sorted(sizes.pop(min(sizes))):
+            sites, points = (read.pop(obj, None) if read else None) or module._read(seq, obj)
+            moves = []
+            if grows or every:
+                room = bound - (key[0] if halves else steps)
+                for point, coeff, site in points:
+                    grow = grows and coeff == 1 and (point.halves if halves else 1) <= room
+                    if grow or every:
+                        obj2 = module._toggle(obj, point)
+                        if every:
+                            moves.append(site_move(obj2, coeff, site))
+                        if grow and obj2 not in seen:
+                            seen.add(obj2)
+                            key2 = order(obj2)
+                            sizes.setdefault(key2[0], []).append((key2, steps + 1, obj2))
+            yield obj, sites, moves
+
+
+def enumerate_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list:
+    """Objects of one kind and charge, up to a bound in the kind's own unit:
+    a box for eyd, a unit for reyd and a half for walls."""
+    return [obj for obj, _, _ in walk_objects(seq, kind, k, bound, halves=kind == "wall")]
 
 
 def generator_objects(seq: AdaptedSequence, kind: str, k: int, size_bound: int) -> list:
-    """Generator objects of the given kind with at most size_bound toggle steps.
-
-    A wall's step moves one block, which may span two halves.
-    """
-    if kind != "wall":
-        return enumerate_objects(seq, kind, k, size_bound)
-    walls = enumerate_objects(seq, kind, k, 2 * size_bound)
-    return [Y for Y in walls if Y.block_count() <= size_bound]
+    """Generator objects of the given kind with at most size_bound steps; a
+    wall's steps are its blocks, and walls are walked by blocks."""
+    return [obj for obj, _, _ in walk_objects(seq, kind, k, size_bound)]
 
 
 def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]) -> set:
     """The sampled inequality system over all kinds, charges, and base offsets.
 
-    s_values is read once.  Each object's sites are merged once, to a key of
+    One walk per kind and charge reads each object's sites once; s_values is
+    read once.  Each object's sites are merged once, to a key of
     sorted ((offset, color), coeff) items shifted so that its lowest offset
     is 0.  Its form at s is then the key's form from first occurrence
     s + low, where low is the lowest merged offset.  The (key, first) pair
@@ -180,9 +215,7 @@ def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[in
     smallest = min(s_values)
     pairs = set()
     for kind, k in generator_kinds(seq):
-        module = MODULES[kind]
-        for obj in generator_objects(seq, kind, k, size_bound):
-            sites = module.sites(seq, obj)
+        for _, sites, _ in walk_objects(seq, kind, k, size_bound):
             lowest = min((offset for _, offset, _ in sites), default=0)
             if sites and smallest + lowest < 1:
                 s = next(s for s in s_values if s + lowest < 1)
@@ -194,12 +227,9 @@ def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[in
     return {LinearForm._of({(first + o, l): c for (o, l), c in key}) for key, first in pairs}
 
 
-def _site_map(read: dict, seq: AdaptedSequence, module, obj) -> Dict[Pair, int]:
-    """obj's sites merged to {(offset, color): coeff}, read once and kept in read."""
-    if obj not in read:
-        sites = module.sites(seq, obj)
-        read[obj] = _accumulate({}, (((offset, l), c) for c, offset, l in sites))
-    return read[obj]
+def _site_map(sites: List[Site]) -> Dict[Pair, int]:
+    """Sites merged to {(offset, color): coeff}."""
+    return _accumulate({}, (((offset, l), c) for c, offset, l in sites))
 
 
 def _form_at(site_map: Dict[Pair, int], s: int) -> LinearForm:
@@ -215,9 +245,11 @@ def check_step_identities(
 ) -> VerificationReport:
     """Every legal toggle shifts the assigned form by exactly minus or plus beta.
 
-    Walls are enumerated up to wall_halves halves, the other kinds up to
+    Walls are walked up to wall_halves halves, the other kinds up to
     size_bound steps.  A toggle counts once per s of s_values, and so does a
-    failure; its witness states the forms at that s.
+    failure; its witness states the forms at that s.  The walk toggles each
+    point once; a target it has not reached is read when checked, and the
+    walk takes that reading, so each object is read once per call.
 
     Each toggle is checked once, in site coordinates, because the identity
     holds at every s or at none.  An object's form at s is site_form(sites,
@@ -228,8 +260,7 @@ def check_step_identities(
     to sums of forms and unequal maps to unequal forms.  So form(obj2, s) =
     form(obj, s) - coeff * beta_{s+offset, color} holds exactly when the site
     map of obj2 equals that of obj less coeff times the shifted beta sites,
-    and that equation does not mention s.  Each object's sites are read once
-    per call, whether it is enumerated or the target of a move.
+    and that equation does not mention s.
     """
     if s_values and min(s_values) < 1:
         raise ValueError(f"occurrence index must be >= 1, got {min(s_values)}")
@@ -237,13 +268,16 @@ def check_step_identities(
     checked = failed = 0
     witnesses: List[str] = []
     for kind, k in generator_kinds(seq):
-        module = MODULES[kind]
-        read: Dict[object, Dict[Pair, int]] = {}
-        for obj in enumerate_objects(seq, kind, k, wall_halves if kind == "wall" else size_bound):
-            before = _site_map(read, seq, module, obj)
-            for obj2, coeff, offset, color in module.moves(seq, obj):
+        walls, maps, targets = kind == "wall", {}, {}
+        bound = wall_halves if walls else size_bound
+        for obj, sites, moves in walk_objects(seq, kind, k, bound, walls, True, targets):
+            before = maps[obj] if obj in maps else maps.setdefault(obj, _site_map(sites))
+            for obj2, coeff, offset, color in moves:
                 checked += len(s_values)
-                after = _site_map(read, seq, module, obj2)
+                if obj2 not in maps:
+                    targets[obj2] = reading = MODULES[kind]._read(seq, obj2)
+                    maps[obj2] = _site_map(reading[0])
+                after = maps[obj2]
                 shifted = (((offset + o, l), c) for c, o, l in betas[color])
                 if after == _accumulate(dict(before), shifted, -coeff):
                     continue
@@ -274,15 +308,13 @@ def check_closure_equality(
     """Closure of {x_{s,k}} equals the assignment image of size-bounded generators.
 
     The closure has no cap unless index_bound is given; forms pruned at it fail.
-    The seed is the image of the highest object, of 0 steps, so a negative
-    depth compares two empty sets and is inconclusive."""
+    The image side reads each object once, from one walk.  The seed is the
+    image of the highest object, of 0 steps, so a negative depth compares two
+    empty sets and is inconclusive."""
     seeds = [LinearForm.x(s, k)] if depth >= 0 else []
     closed, pruned = closure(seq, seeds, depth, index_bound)
     kind = charge_kind(seq, k)
-    images = {
-        site_form(MODULES[kind].sites(seq, obj), s)
-        for obj in generator_objects(seq, kind, k, depth)
-    }
+    images = {site_form(sites, s) for _, sites, _ in walk_objects(seq, kind, k, depth)}
     extra = sorted(closed - images, key=LinearForm.sort_key)
     missing = sorted(images - closed, key=LinearForm.sort_key)
     witnesses = [f"{pruned} forms pruned at index bound {index_bound}"] if pruned else []

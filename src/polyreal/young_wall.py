@@ -14,8 +14,9 @@ An admissible slot is a position where one block fits; a removable block is
 one that can be taken away; each keeps the wall proper.  On a split row above
 the ground, a move of both halves at once is a double site and counts its
 coordinate twice.  One rule (_column_move) gives each column's single and
-double move, to the site lists and to toggle_block alike; only make_wall,
-from_json and validate_proper scan a whole wall.  The assignment map sends a
+double move, to _read and to toggle_block alike (_toggle makes a listed
+move with no test); only make_wall, from_json and validate_proper scan a
+whole wall.  The assignment map sends a
 slot at column i (0-based from the right) in row l to +x_{s+P^k(l)+i, c(l)}
 and a removable block to -x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity.
 """
@@ -23,10 +24,10 @@ and a removable block to -x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table, reachable
-from .forms import LinearForm, Move, Site, site_form, site_move
+from .forms import LinearForm, Move, Point, Site, site_form, site_move
 
 # Each wall family's sequence family.
 WALL_FAMILIES = {"A2wall": "A2", "D2wall": "C1"}
@@ -86,7 +87,7 @@ class YoungWall:
         return self.halves[j - 1] if 1 <= j <= len(self.halves) else 1
 
     def added_halves(self) -> int:
-        return sum(h - 1 for h in self.halves)
+        return sum(self.halves) - len(self.halves)
 
     def columns(self) -> List[int]:
         """Halves added above the ground in each nonbare column."""
@@ -199,10 +200,15 @@ def _column_moves(Y: YoungWall, remove: bool) -> List[Tuple[Optional[WallSite], 
     return [_column_move(Y, j, remove) for j in range(1, len(Y.halves) + 2)]
 
 
+def _classified(both: Iterable) -> List[WallSite]:
+    """Each column's (add, remove) pair read as slots and blocks, a legal
+    double in place of its single."""
+    return [double or single for pair in both for single, double in pair if double or single]
+
+
 def classify_sites(Y: YoungWall) -> List[WallSite]:
     """Admissible slots and removable blocks, a legal double in place of its single."""
-    both = zip(_column_moves(Y, False), _column_moves(Y, True))
-    return [double or single for pair in both for single, double in pair if double or single]
+    return _classified(zip(_column_moves(Y, False), _column_moves(Y, True)))
 
 
 def legal_single_adds(Y: YoungWall) -> List[WallSite]:
@@ -221,9 +227,14 @@ def toggle_block(Y: YoungWall, site: WallSite) -> YoungWall:
     j = site.column
     if j < 1 or site not in _column_move(Y, j, site.role == "block"):
         raise WallError(f"{site} is not a legal move of {Y}")
-    h = Y.height(j) + (site.halves if site.role == "slot" else -site.halves)
+    return _toggle(Y, site)
+
+
+def _toggle(Y: YoungWall, site: WallSite) -> YoungWall:
     # a legal move is at most one column past the stored ones, and only the
     # last stored column can fall to the bare ground, which is trimmed
+    j = site.column
+    h = Y.height(j) + (site.halves if site.role == "slot" else -site.halves)
     return YoungWall(Y.kind, Y.halves[: j - 1] + ((h,) if h > 1 else ()) + Y.halves[j:])
 
 
@@ -235,29 +246,44 @@ def _address(seq: AdaptedSequence, Y: YoungWall, site: WallSite) -> Site:
     return -site.multiplicity, offset + 1, site.color
 
 
+def _read(seq: AdaptedSequence, Y: YoungWall) -> Tuple[List[Site], List[Point]]:
+    """Y's classified sites, addressed, and its move points, every single
+    move (adds, then removes) and then every double, from one read of each
+    column; coeff is +multiplicity at a slot and -multiplicity at a block."""
+    check_family(seq, WALL_FAMILIES[Y.kind.family], Y.kind.n, f"wall family {Y.kind.family}")
+    adds, removes = _column_moves(Y, False), _column_moves(Y, True)
+    both = list(zip(adds, removes))
+    sites = [_address(seq, Y, site) for site in _classified(both)]
+    doubles = [double for pair in both for _, double in pair]
+    points = []
+    for site in filter(None, [single for single, _ in adds + removes] + doubles):
+        address = _address(seq, Y, site)
+        points.append((site, address[0], address))
+    return sites, points
+
+
 def sites(seq: AdaptedSequence, Y: YoungWall) -> List[Site]:
     """One term per classified site; the assigned form at s is their site_form at s."""
-    check_family(seq, WALL_FAMILIES[Y.kind.family], Y.kind.n, f"wall family {Y.kind.family}")
-    return [_address(seq, Y, site) for site in classify_sites(Y)]
+    return _read(seq, Y)[0]
 
 
 def moves(seq: AdaptedSequence, Y: YoungWall) -> Iterator[Move]:
-    """One (Y2, coeff, offset, color) per single-block move and per double site.
-
-    assign(Y2, s) = assign(Y, s) - coeff * beta_{s+offset, color}, with coeff
-    +multiplicity for adding at a slot and -multiplicity for removing a block.
-    """
-    check_family(seq, WALL_FAMILIES[Y.kind.family], Y.kind.n, f"wall family {Y.kind.family}")
-    adds, removes = _column_moves(Y, False), _column_moves(Y, True)
-    doubles = [double for pair in zip(adds, removes) for _, double in pair]
-    for site in filter(None, [single for single, _ in adds + removes] + doubles):
-        address = _address(seq, Y, site)
-        yield site_move(toggle_block(Y, site), address[0], address)
+    """One (Y2, coeff, offset, color) per single-block move and per double site,
+    with assign(Y2, s) = assign(Y, s) - coeff * beta_{s+offset, color}."""
+    return (site_move(_toggle(Y, site), coeff, a) for site, coeff, a in _read(seq, Y)[1])
 
 
 def assign_wall(seq: AdaptedSequence, Y: YoungWall, s: int) -> LinearForm:
     """The form attached to a wall at base occurrence s."""
     return site_form(sites(seq, Y), s)
+
+
+def _seeds(flavor: str, n: int, k: int, bound: int) -> Tuple[List[YoungWall], bool]:
+    return [ground_wall(WallKind(flavor, n, k))], True
+
+
+def _key(Y: YoungWall) -> tuple:
+    return Y.added_halves(), Y.halves
 
 
 def enumerate_walls(kind: WallKind, max_halves: int) -> List[YoungWall]:
@@ -271,8 +297,7 @@ def enumerate_walls(kind: WallKind, max_halves: int) -> List[YoungWall]:
         return (toggle_block(Y, site) for site in legal_single_adds(Y) if site.halves <= room)
 
     # every add moves at least one half, so max_halves rounds of adds reach every wall
-    found = reachable({ground_wall(kind)}, adds, max_halves)
-    return sorted(found, key=lambda Y: (Y.added_halves(), Y.halves))
+    return sorted(reachable({ground_wall(kind)}, adds, max_halves), key=_key)
 
 
 def render_wall(Y: YoungWall) -> str:

@@ -1,7 +1,5 @@
 """Linear forms, beta forms, the operator S', and closure sets."""
 
-from itertools import product
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -306,17 +304,29 @@ def indexed(terms):
     return LinearForm({index_to_pair(SEARCH_SEQ, j): c for j, c in terms.items()})
 
 
+def box(m, total):
+    """The nonnegative vectors of length m with sum at most total, in
+    lexicographic order, walked by the total left after each position."""
+    if m == 0:
+        yield ()
+        return
+    for v in range(total + 1):
+        for rest in box(m - 1, total - v):
+            yield (v,) + rest
+
+
 def box_solutions(forms, window, max_total):
     """The weight box walked in lexicographic order, kept where every form is
-    >= 0; an empty window holds the empty tuple alone, whatever max_total is."""
+    >= 0, each vector's element built once; an empty window holds the empty
+    tuple alone, whatever max_total is."""
     if not window:
         return [()]
-    box = (v for v in product(range(max_total + 1), repeat=len(window)) if sum(v) <= max_total)
-    return [
-        v
-        for v in box
-        if all(evaluate(SEARCH_SEQ, f, LatticeElement(zip(window, v))) >= 0 for f in forms)
-    ]
+    kept = []
+    for v in box(len(window), max_total):
+        a = LatticeElement(zip(window, v))
+        if all(evaluate(SEARCH_SEQ, f, a) >= 0 for f in forms):
+            kept.append(v)
+    return kept
 
 
 @st.composite
@@ -335,15 +345,6 @@ def search_systems(draw):
 def box_filter(terms, window, max_total):
     """The weight box walked in lexicographic order, kept where every form,
     read straight off its {single index: coefficient} terms, is >= 0."""
-
-    def box(m, total):
-        if m == 0:
-            yield ()
-            return
-        for v in range(total + 1):
-            for rest in box(m - 1, total - v):
-                yield (v,) + rest
-
     kept = []
     for v in box(len(window), max_total):
         at = dict(zip(window, v))

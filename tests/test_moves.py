@@ -29,9 +29,10 @@ def _forbidden(*args, **kwargs):
 
 
 class TestMovesAreBuiltValid:
-    """Every move of every object up to the bounds equals the validating
-    constructor applied to its values, and is made with the whole-object
-    validators patched to raise."""
+    """Every move of every object up to the bounds, made by moves or by the
+    walk, equals the validating constructor applied to its values, and is
+    made with the whole-object validators patched to raise; the walk and the
+    enumeration run under that patch too."""
 
     @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -53,8 +54,12 @@ class TestMovesAreBuiltValid:
                 for move in verify.MODULES[kind].moves(seq, obj)
             ]
             for (kind, k), objs in objects.items():
-                if kind != "eyd":
-                    assert verify.enumerate_objects(seq, kind, k, bounds[kind]) == objs
+                assert verify.enumerate_objects(seq, kind, k, bounds[kind]) == objs
+                walked = list(
+                    verify.walk_objects(seq, kind, k, bounds[kind], kind == "wall", every=True)
+                )
+                assert [obj for obj, _, _ in walked] == objs
+                moved += [move[0] for _, _, moves in walked for move in moves]
         assert moved
         for obj in moved:
             assert type(obj).from_json(obj.to_json()) == obj

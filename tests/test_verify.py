@@ -7,7 +7,7 @@ import pytest
 
 from polyreal import LatticeElement, LinearForm, enumerate_image, evaluate, lattice_crystal, verify
 from polyreal.root_data import pair_to_index
-from polyreal.forms import beta_pair, site_form, window_solutions
+from polyreal.forms import beta_pair, site_form, site_move, window_solutions
 from polyreal.lattice_crystal import epsilon, etilde, ftilde, phi, weight_coeffs
 from polyreal.verify import (
     VerificationReport,
@@ -115,16 +115,16 @@ STANDARD = [("A1", 2), ("A1", 3), ("A2", 3), ("C1", 3), ("D2", 3)]
 
 
 def _shift_removes(monkeypatch):
-    """Patch every generator module's moves so that a remove's beta sits one
-    occurrence higher, which breaks every remove toggle's identity."""
-    for module in verify.MODULES.values():
-        monkeypatch.setattr(
-            module,
-            "moves",
-            lambda seq, obj, f=module.moves: (
-                (obj2, c, offset + (c < 0), color) for obj2, c, offset, color in f(seq, obj)
-            ),
-        )
+    """Patch site_move, which makes every generator move record, wherever it
+    is bound, so that a remove's beta sits one occurrence higher; that breaks
+    every remove toggle's identity."""
+
+    def shifted(obj2, coeff, site, f=site_move):
+        obj2, coeff, offset, color = f(obj2, coeff, site)
+        return obj2, coeff, offset + (coeff < 0), color
+
+    for module in (*verify.MODULES.values(), verify):
+        monkeypatch.setattr(module, "site_move", shifted)
 
 
 def _reference_step_check(seq, s_values, size_bound, wall_halves):
@@ -222,18 +222,18 @@ class TestFailureCounts:
     def test_step_check_reads_each_object_once(self, monkeypatch):
         # every enumerated object and every move target is read exactly once
         seq = make_seq("A2", 3)
-        calls = []
-        for module in verify.MODULES.values():
-            monkeypatch.setattr(
-                module, "sites", lambda seq, obj, f=module.sites: calls.append(obj) or f(seq, obj)
-            )
-        r = check_step_identities(seq, s_values=(1, 2, 3), size_bound=3, wall_halves=6)
-        assert r.ok, r.witnesses
         objects = set()
         for kind, k in generator_kinds(seq):
             for obj in verify.enumerate_objects(seq, kind, k, 6 if kind == "wall" else 3):
                 objects.add(obj)
                 objects.update(move[0] for move in verify.MODULES[kind].moves(seq, obj))
+        calls = []
+        for module in verify.MODULES.values():
+            monkeypatch.setattr(
+                module, "_read", lambda seq, obj, f=module._read: calls.append(obj) or f(seq, obj)
+            )
+        r = check_step_identities(seq, s_values=(1, 2, 3), size_bound=3, wall_halves=6)
+        assert r.ok, r.witnesses
         assert len(calls) == len(set(calls))
         assert set(calls) == objects
 
