@@ -196,9 +196,11 @@ def enumerate_eyd(charge: int, max_boxes: int) -> List[ExtendedYoungDiagram]:
     ]
 
 
-def _seeds(flavor: None, n: int, k: int, bound: int) -> Tuple[List[ExtendedYoungDiagram], bool]:
-    """Every diagram within bound, in order, and False: a walk only reads them."""
-    return enumerate_eyd(k, bound), False
+def _seeds(flavor: None, n: int, k: int, bound: int) -> List[ExtendedYoungDiagram]:
+    return enumerate_eyd(k, bound)
+
+
+_key = None  # the walk lists the seeds and grows nothing
 
 
 def render_eyd(T: ExtendedYoungDiagram) -> str:

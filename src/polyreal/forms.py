@@ -1,4 +1,5 @@
-"""Integer linear forms in the variables x_{s,l}, beta forms, and the S' closure.
+"""Integer linear forms in the variables x_{s,l}, beta forms, the S' closure,
+and the one walk over generator objects.
 
 A form is a finite integer combination of coordinates x_{s,l} addressed by
 double indices (s, l): the s-th occurrence of color l.  The beta form at
@@ -12,7 +13,7 @@ forms, whose terms are checked, skip that.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .root_data import (
     AdaptedSequence, RootDataError, exact_int, index_to_pair, pair_to_index, reachable
@@ -146,6 +147,52 @@ def site_move(obj2: object, coeff: int, site: Site) -> Move:
     """
     _, offset, color = site
     return obj2, coeff, (offset if coeff > 0 else offset - 1), color
+
+
+def walk(
+    seeds: Iterable,
+    read: Callable[[object], Tuple[List[Site], List[Point]]],
+    toggle: Callable[[object, object], object],
+    key: Optional[Callable[[object], tuple]],
+    bound: int,
+    halves: bool = False,
+    every: bool = False,
+    cache: Optional[dict] = None,
+) -> Iterator[Tuple[object, List[Site], List[Move]]]:
+    """(obj, sites, moves) for each generator object within the bound, in
+    enumeration order, each read once: (sites, points) = read(obj), or the
+    reading that cache holds for obj, which the walk takes out.
+
+    With a key, the walk grows from the seeds by unit adds (points of coeff
+    +1, made by toggle), and the bound counts adds or, with halves, bounds
+    the size, the key's first entry, which an add raises by point.halves.
+    Every add raises the size, so a size is taken, sorted by key, only once
+    all its objects are listed.  With key None the seeds are listed in order
+    and only read.  With every, each point is toggled and moves lists its
+    move; otherwise moves is empty and no site is looked at.  A negative
+    bound gives nothing.
+    """
+    grows = key is not None
+    listed = list(seeds) if bound >= 0 else []
+    sizes = {0: [(key(obj) if grows else i, 0, obj) for i, obj in enumerate(listed)]}
+    seen = set(listed)
+    while sizes:
+        for size, steps, obj in sorted(sizes.pop(min(sizes))):
+            sites, points = (cache.pop(obj, None) if cache else None) or read(obj)
+            moves = []
+            if grows or every:
+                room = bound - (size[0] if halves else steps)
+                for point, coeff, site in points:
+                    grow = grows and coeff == 1 and (point.halves if halves else 1) <= room
+                    if grow or every:
+                        obj2 = toggle(obj, point)
+                        if every:
+                            moves.append(site_move(obj2, coeff, site))
+                        if grow and obj2 not in seen:
+                            seen.add(obj2)
+                            key2 = key(obj2)
+                            sizes.setdefault(key2[0], []).append((key2, steps + 1, obj2))
+            yield obj, sites, moves
 
 
 def beta_sites(seq: AdaptedSequence, l: int) -> Tuple[Site, ...]:
@@ -303,7 +350,7 @@ def window_solutions(
     values = [0] * len(window)
     found: List[Tuple[int, ...]] = []
 
-    def walk(p: int, remaining: int, acc: int) -> None:
+    def search(p: int, remaining: int, acc: int) -> None:
         if p == len(values):
             found.append(tuple(values))
             return
@@ -312,12 +359,12 @@ def window_solutions(
             bits = acc & needed
             if bits == needed:
                 values[p] = v
-                walk(p + 1, remaining - v, acc)
+                search(p + 1, remaining - v, acc)
             elif bits & capped != capped:
                 break
             acc += step
 
-    walk(0, max_total, start)
+    search(0, max_total, start)
     return found
 
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table, reachable
-from .forms import LinearForm, Move, Point, Site, site_form, site_move
+from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table
+from .forms import LinearForm, Move, Point, Site, site_form, site_move, walk
 
 # Each flavor's sequence family and the fold of its colors and P^k table.
 FLAVORS = {"A2": ("A2", "pi1"), "D2target": ("C1", "pi2")}
@@ -284,24 +284,22 @@ def _toggle(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
     return _trimmed(RevisedEYD(T.flavor, T.n, T.k, T.t_lo, ys))
 
 
-def _seeds(flavor: str, n: int, k: int, bound: int) -> Tuple[List[RevisedEYD], bool]:
-    return [phi_reyd(flavor, n, k)], True
+def _seeds(flavor: str, n: int, k: int, bound: int) -> List[RevisedEYD]:
+    return [phi_reyd(flavor, n, k)]
 
 
 def _key(T: RevisedEYD) -> tuple:
     return T.units(), T.t_lo, T.ys
 
 
+def _lowerings(T: RevisedEYD) -> Tuple[List[Site], List[Point]]:
+    return [], [(pt, 1, None) for pt in classify_points(T) if pt.role == "admissible"]
+
+
 def enumerate_reyd(flavor: str, n: int, k: int, max_units: int) -> List[RevisedEYD]:
-    """All diagrams with at most max_units boxes below the highest one; none
-    for a negative max_units."""
-    if max_units < 0:
-        return []
-
-    def lowerings(T: RevisedEYD) -> Iterator[RevisedEYD]:
-        return (toggle_point(T, pt) for pt in classify_points(T) if pt.role == "admissible")
-
-    return sorted(reachable({phi_reyd(flavor, n, k)}, lowerings, max_units), key=_key)
+    """All diagrams within max_units boxes below the highest one, walked by
+    lowerings at admissible points in _key order; none for a negative max_units."""
+    return [T for T, _, _ in walk([phi_reyd(flavor, n, k)], _lowerings, _toggle, _key, max_units)]
 
 
 def render_reyd(T: RevisedEYD) -> str:

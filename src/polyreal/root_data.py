@@ -6,10 +6,8 @@ parameter n, an index set I = {1, ..., n}, and an integer Cartan matrix
 "adapted": its restriction to any Dynkin-neighbor pair strictly alternates.
 The alternation is recorded by the orientation data p_{i,j} in {0, 1} with
 p_{i,j} + p_{j,i} = 1, and accumulated along folded color paths by the
-P^k tables that every assignment map uses for its s-offsets.  `reachable` is
-the one breadth-first search: the S' closures and the revised-diagram and
-Young-wall enumerations each pass it only their step.  The crystal image has
-its own walk, which makes each element once (`lattice_crystal.enumerate_image`).
+P^k tables that every assignment map uses for its s-offsets.  `reachable`, a
+breadth-first search, grows the S' closures.
 """
 
 from __future__ import annotations

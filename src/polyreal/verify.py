@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -39,7 +40,7 @@ from .forms import (
     closure,
     evaluate,
     site_form,
-    site_move,
+    walk,
     window_solutions,
 )
 from . import eyd as eyd_mod
@@ -94,10 +95,9 @@ def _report(
     return VerificationReport(check, params, status, counts, witnesses[:MAX_WITNESSES])
 
 
-# The module of each generator kind, with sites(seq, obj), moves(seq, obj)
-# and the parts of walk_objects: _read, _toggle, _seeds and, where the walk
-# grows, _key.  Held as modules so that a call finds a function rebound on
-# its module, as the benchmark's tracer does.
+# The module of each generator kind, with sites, moves and the parts of its
+# walk (_read, _toggle, _seeds, _key), held as a module so that a call finds a
+# function rebound on it, as the benchmark's tracer rebinds them.
 MODULES = {"eyd": eyd_mod, "reyd": reyd_mod, "wall": wall_mod}
 
 
@@ -144,70 +144,32 @@ def walk_objects(
     every: bool = False,
     read: Optional[dict] = None,
 ) -> Iterator[Tuple[object, List[Site], List[Move]]]:
-    """(obj, sites, moves) for each object of one kind and charge within the
-    bound, in enumeration order, each read once by its module's _read.
-
-    Revised diagrams and walls grow from their object of 0 steps by unit adds
-    (points of coeff +1), and the bound counts those steps, or with halves a
-    wall's halves; a single block add raises a wall's block count by exactly
-    1.  Extended Young diagrams, partitions, are listed and only read.  With
-    every, each point is toggled and moves lists its move, in the order of
-    the module's moves; otherwise moves is empty.  The walk takes an object's
-    reading from read when one was made there before.  Objects are taken
-    size by size, each size sorted by _key, whose first entry is the size in
-    the kind's unit; every add raises the size, so each object is listed
-    under its size before that size is taken.
-    """
+    """forms.walk over one kind and charge, from its module's _seeds, each
+    object read by the module's _read; read is the walk's cache."""
     rs = seq.root_system
     flavor, _ = family_generators(rs.algebra.family, rs.n)[kind]
     module = MODULES[kind]
-    listed, grows = module._seeds(flavor, rs.n, k, bound) if bound >= 0 else ([], False)
-    order = module._key if grows else None
-    sizes = {0: [(order(obj) if grows else i, 0, obj) for i, obj in enumerate(listed)]}
-    seen = set(listed)
-    while sizes:
-        for key, steps, obj in sorted(sizes.pop(min(sizes))):
-            sites, points = (read.pop(obj, None) if read else None) or module._read(seq, obj)
-            moves = []
-            if grows or every:
-                room = bound - (key[0] if halves else steps)
-                for point, coeff, site in points:
-                    grow = grows and coeff == 1 and (point.halves if halves else 1) <= room
-                    if grow or every:
-                        obj2 = module._toggle(obj, point)
-                        if every:
-                            moves.append(site_move(obj2, coeff, site))
-                        if grow and obj2 not in seen:
-                            seen.add(obj2)
-                            key2 = order(obj2)
-                            sizes.setdefault(key2[0], []).append((key2, steps + 1, obj2))
-            yield obj, sites, moves
-
-
-def enumerate_objects(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list:
-    """Objects of one kind and charge, up to a bound in the kind's own unit:
-    a box for eyd, a unit for reyd and a half for walls."""
-    return [obj for obj, _, _ in walk_objects(seq, kind, k, bound, halves=kind == "wall")]
+    seeds, reader = module._seeds(flavor, rs.n, k, bound), partial(module._read, seq)
+    return walk(seeds, reader, module._toggle, module._key, bound, halves, every, read)
 
 
 def generator_objects(seq: AdaptedSequence, kind: str, k: int, size_bound: int) -> list:
-    """Generator objects of the given kind with at most size_bound steps; a
-    wall's steps are its blocks, and walls are walked by blocks."""
+    """The objects of one kind and charge within size_bound steps; a single
+    block add raises a wall's block count by exactly 1, so its steps are blocks."""
     return [obj for obj, _, _ in walk_objects(seq, kind, k, size_bound)]
 
 
 def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]) -> set:
     """The sampled inequality system over all kinds, charges, and base offsets.
 
-    One walk per kind and charge reads each object's sites once; s_values is
-    read once.  Each object's sites are merged once, to a key of
-    sorted ((offset, color), coeff) items shifted so that its lowest offset
-    is 0.  Its form at s is then the key's form from first occurrence
-    s + low, where low is the lowest merged offset.  The (key, first) pair
-    determines the form, and a nonzero form determines its pair, so one
-    form is built per distinct pair.  A ValueError is raised, as site_form
-    raises it, at the first (object, s) whose unmerged sites reach an
-    occurrence below 1.
+    s_values is read once.  Each object's sites, from one walk per kind and
+    charge, are merged once, to a key of sorted ((offset, color), coeff)
+    items shifted so that its lowest offset is 0.  Its form at s is then the
+    key's form from first occurrence s + low, where low is the lowest merged
+    offset.  The (key, first) pair determines the form, and a nonzero form
+    determines its pair, so one form is built per distinct pair.  A
+    ValueError is raised, as site_form raises it, at the first (object, s)
+    whose unmerged sites reach an occurrence below 1.
     """
     s_values = list(s_values)
     if not s_values:
@@ -308,9 +270,8 @@ def check_closure_equality(
     """Closure of {x_{s,k}} equals the assignment image of size-bounded generators.
 
     The closure has no cap unless index_bound is given; forms pruned at it fail.
-    The image side reads each object once, from one walk.  The seed is the
-    image of the highest object, of 0 steps, so a negative depth compares two
-    empty sets and is inconclusive."""
+    The seed is the image of the highest object, of 0 steps, so a negative
+    depth compares two empty sets and is inconclusive."""
     seeds = [LinearForm.x(s, k)] if depth >= 0 else []
     closed, pruned = closure(seq, seeds, depth, index_bound)
     kind = charge_kind(seq, k)
@@ -440,7 +401,6 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
             eps, first, last = _reach(seq, a, i)
             ph = -sum(row[l - 1] * c for l, c in ca.items()) + eps
             b = a.bump(first, 1)
-            e = a.bump(last, -1) if eps else None
             eps_b, _, last_b = _reach(seq, b, i)
             if not eps_b or b.bump(last_b, -1) != a:
                 failures.append(f"etilde_{i} ftilde_{i} != id at {a}")
@@ -449,16 +409,13 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
                 failures.append(f"epsilon/phi do not step under ftilde_{i} at {a}")
             if any(cb[l] - ca[l] != (1 if l == i else 0) for l in ca):
                 failures.append(f"weight does not drop by alpha_{i} under ftilde_{i} at {a}")
-            fe = e2 = None
-            if e is not None:
+            e = e2 = None
+            if eps:
+                e = a.bump(last, -1)
                 eps_e, first_e, last_e = _reach(seq, e, i)
-                fe, e2 = e.bump(first_e, 1), (e.bump(last_e, -1) if eps_e else None)
-            if eps == 0:
-                if e is not None:
-                    failures.append(f"etilde_{i} defined at epsilon 0 at {a}")
-            else:
-                if e is None or fe != a:
+                if e.bump(first_e, 1) != a:
                     failures.append(f"ftilde_{i} etilde_{i} != id at {a}")
+                e2 = e.bump(last_e, -1) if eps_e else None
             x, raises = a, 0
             while raises <= eps + 1:
                 x = e if raises == 0 else e2 if raises == 1 else etilde(seq, x, i)

@@ -16,9 +16,9 @@ the ground, a move of both halves at once is a double site and counts its
 coordinate twice.  One rule (_column_move) gives each column's single and
 double move, to _read and to toggle_block alike (_toggle makes a listed
 move with no test); only make_wall, from_json and validate_proper scan a
-whole wall.  The assignment map sends a
-slot at column i (0-based from the right) in row l to +x_{s+P^k(l)+i, c(l)}
-and a removable block to -x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity.
+whole wall.  The assignment map sends a slot at column i (0-based from the
+right) in row l to +x_{s+P^k(l)+i, c(l)} and a removable block to
+-x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table, reachable
-from .forms import LinearForm, Move, Point, Site, site_form, site_move
+from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table
+from .forms import LinearForm, Move, Point, Site, site_form, site_move, walk
 
 # Each wall family's sequence family.
 WALL_FAMILIES = {"A2wall": "A2", "D2wall": "C1"}
@@ -278,26 +278,23 @@ def assign_wall(seq: AdaptedSequence, Y: YoungWall, s: int) -> LinearForm:
     return site_form(sites(seq, Y), s)
 
 
-def _seeds(flavor: str, n: int, k: int, bound: int) -> Tuple[List[YoungWall], bool]:
-    return [ground_wall(WallKind(flavor, n, k))], True
+def _seeds(flavor: str, n: int, k: int, bound: int) -> List[YoungWall]:
+    return [ground_wall(WallKind(flavor, n, k))]
 
 
 def _key(Y: YoungWall) -> tuple:
     return Y.added_halves(), Y.halves
 
 
+def _adds(Y: YoungWall) -> Tuple[List[Site], List[Point]]:
+    return [], [(site, 1, None) for site in legal_single_adds(Y)]
+
+
 def enumerate_walls(kind: WallKind, max_halves: int) -> List[YoungWall]:
-    """All proper walls with at most max_halves half-units above the ground;
-    none for a negative max_halves."""
-    if max_halves < 0:
-        return []
-
-    def adds(Y: YoungWall) -> Iterator[YoungWall]:
-        room = max_halves - Y.added_halves()
-        return (toggle_block(Y, site) for site in legal_single_adds(Y) if site.halves <= room)
-
-    # every add moves at least one half, so max_halves rounds of adds reach every wall
-    return sorted(reachable({ground_wall(kind)}, adds, max_halves), key=_key)
+    """All proper walls within max_halves half-units above the ground, walked
+    by single adds in _key order; none for a negative max_halves."""
+    walked = walk([ground_wall(kind)], _adds, _toggle, _key, max_halves, halves=True)
+    return [Y for Y, _, _ in walked]
 
 
 def render_wall(Y: YoungWall) -> str:

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from polyreal import AlgebraType, RootDataError, build_adapted, build_root_system
+from polyreal import AlgebraType, RootDataError, build_adapted, build_root_system, verify
 
 
 def make_seq(family: str, n: int, word=None):
@@ -16,6 +16,12 @@ def make_seq(family: str, n: int, word=None):
 def permutation_seqs(family: str, n: int):
     """The sequences of every permutation word of 1..n; each is adapted."""
     return [make_seq(family, n, list(w)) for w in permutations(range(1, n + 1))]
+
+
+def enumerate_objects(seq, kind: str, k: int, bound: int) -> list:
+    """The walk's objects of one kind and charge, up to a bound in the kind's
+    own unit: a box for eyd, a unit for reyd and a half for walls."""
+    return [obj for obj, _, _ in verify.walk_objects(seq, kind, k, bound, halves=kind == "wall")]
 
 
 def adapted_words(family: str, n: int, length: int):

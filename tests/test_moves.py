@@ -21,7 +21,7 @@ from polyreal.young_wall import (
     legal_single_removes,
     toggle_block,
 )
-from conftest import make_seq
+from conftest import enumerate_objects, make_seq
 
 
 def _forbidden(*args, **kwargs):
@@ -40,7 +40,7 @@ class TestMovesAreBuiltValid:
         seq = make_seq(family, n)
         bounds = {"eyd": 5, "reyd": 5, "wall": 10}
         objects = {
-            (kind, k): verify.enumerate_objects(seq, kind, k, bounds[kind])
+            (kind, k): enumerate_objects(seq, kind, k, bounds[kind])
             for kind, k in verify.generator_kinds(seq)
         }
         with monkeypatch.context() as m:
@@ -54,7 +54,7 @@ class TestMovesAreBuiltValid:
                 for move in verify.MODULES[kind].moves(seq, obj)
             ]
             for (kind, k), objs in objects.items():
-                assert verify.enumerate_objects(seq, kind, k, bounds[kind]) == objs
+                assert enumerate_objects(seq, kind, k, bounds[kind]) == objs
                 walked = list(
                     verify.walk_objects(seq, kind, k, bounds[kind], kind == "wall", every=True)
                 )

@@ -5,7 +5,9 @@ import itertools
 
 import pytest
 
-from polyreal import LatticeElement, LinearForm, enumerate_image, evaluate, lattice_crystal, verify
+from polyreal import (
+    LatticeElement, LinearForm, enumerate_image, evaluate, forms, lattice_crystal, verify
+)
 from polyreal.root_data import pair_to_index
 from polyreal.forms import beta_pair, site_form, site_move, window_solutions
 from polyreal.lattice_crystal import epsilon, etilde, ftilde, phi, weight_coeffs
@@ -22,7 +24,7 @@ from polyreal.verify import (
     generator_kinds,
     generator_objects,
 )
-from conftest import adapted_words, make_seq, permutation_seqs
+from conftest import adapted_words, enumerate_objects, make_seq, permutation_seqs
 
 x = LinearForm.x
 
@@ -84,8 +86,8 @@ class TestDispatch:
     def test_negative_bound_gives_no_objects(self, family):
         seq = make_seq(family, 3)
         for kind, k in generator_kinds(seq):
-            assert verify.enumerate_objects(seq, kind, k, -1) == []
-            assert verify.enumerate_objects(seq, kind, k, 0) != []
+            assert enumerate_objects(seq, kind, k, -1) == []
+            assert enumerate_objects(seq, kind, k, 0) != []
 
     def test_kinds_rank4(self):
         assert generator_kinds(make_seq("C1", 4, [2, 1, 3, 4])) == [
@@ -116,14 +118,15 @@ STANDARD = [("A1", 2), ("A1", 3), ("A2", 3), ("C1", 3), ("D2", 3)]
 
 def _shift_removes(monkeypatch):
     """Patch site_move, which makes every generator move record, wherever it
-    is bound, so that a remove's beta sits one occurrence higher; that breaks
-    every remove toggle's identity."""
+    is bound (forms, for forms.walk, and the generator modules), so that a
+    remove's beta sits one occurrence higher; that breaks every remove
+    toggle's identity."""
 
     def shifted(obj2, coeff, site, f=site_move):
         obj2, coeff, offset, color = f(obj2, coeff, site)
         return obj2, coeff, offset + (coeff < 0), color
 
-    for module in (*verify.MODULES.values(), verify):
+    for module in (*verify.MODULES.values(), forms):
         monkeypatch.setattr(module, "site_move", shifted)
 
 
@@ -133,7 +136,7 @@ def _reference_step_check(seq, s_values, size_bound, wall_halves):
     for kind, k in generator_kinds(seq):
         module = verify.MODULES[kind]
         bound = wall_halves if kind == "wall" else size_bound
-        for obj in verify.enumerate_objects(seq, kind, k, bound):
+        for obj in enumerate_objects(seq, kind, k, bound):
             sites = module.sites(seq, obj)
             before = {s: site_form(sites, s) for s in s_values}
             for obj2, coeff, offset, color in module.moves(seq, obj):
@@ -207,7 +210,7 @@ class TestFailureCounts:
         removes = sum(
             coeff < 0
             for kind, k in generator_kinds(seq)
-            for obj in verify.enumerate_objects(seq, kind, k, 3)
+            for obj in enumerate_objects(seq, kind, k, 3)
             for _, coeff, _, _ in verify.MODULES[kind].moves(seq, obj)
         )
         r = check_step_identities(seq, s_values=(1, 2, 3), size_bound=3)
@@ -224,7 +227,7 @@ class TestFailureCounts:
         seq = make_seq("A2", 3)
         objects = set()
         for kind, k in generator_kinds(seq):
-            for obj in verify.enumerate_objects(seq, kind, k, 6 if kind == "wall" else 3):
+            for obj in enumerate_objects(seq, kind, k, 6 if kind == "wall" else 3):
                 objects.add(obj)
                 objects.update(move[0] for move in verify.MODULES[kind].moves(seq, obj))
         calls = []

@@ -2,13 +2,16 @@
 
 verify.walk_objects replaces the path that enumerated each kind with its own
 module enumerator and then called sites and moves on every object, each
-classifying the object again.  The reference_* helpers keep that path: the
-partitions checked by make_eyd, the reachable searches of enumerate_reyd and
-enumerate_walls (walls bounded by blocks made by halves and then filtered),
-sites and moves as they read before the walk, every toggle through its public,
-checked toggle, and the step, closure and image checks over them.  The walk
-must give the same objects in the same order, with the same sites and moves,
-and every check the same report, witnesses in order.
+classifying the object again; forms.walk is that walk, and enumerate_reyd
+and enumerate_walls list what it walks.  The reference_* helpers keep the old
+path: the partitions checked by make_eyd, the reachable searches that
+enumerate_reyd and enumerate_walls made over checked toggles
+(reference_reyd, reference_walls; walls bounded by blocks made by halves and
+then filtered), sites and moves as they read before the walk, every toggle
+through its public, checked toggle, and the step, closure and image checks
+over them.  The walk and both enumerators must give the same objects in the
+same order, the walk with the same sites and moves, and every check the same
+report, witnesses in order.
 """
 
 import itertools
@@ -18,7 +21,8 @@ import pytest
 from polyreal import LinearForm, eyd, reyd, verify, young_wall
 from polyreal.eyd import corners, make_eyd, toggle_corner
 from polyreal.forms import _accumulate, beta_pair, beta_sites, closure, site_form, site_move
-from polyreal.reyd import classify_points, enumerate_reyd, toggle_point
+from polyreal.reyd import FLAVORS, classify_points, enumerate_reyd, phi_reyd, toggle_point
+from polyreal.root_data import reachable
 from polyreal.verify import (
     check_closure_equality,
     check_image_equality,
@@ -27,22 +31,49 @@ from polyreal.verify import (
     generator_kinds,
 )
 from polyreal.young_wall import (
+    WALL_FAMILIES,
     WallKind,
     classify_sites,
     enumerate_walls,
+    ground_wall,
     legal_single_adds,
     legal_single_removes,
     toggle_block,
 )
-from conftest import make_seq
+from conftest import enumerate_objects, make_seq
 from test_eyd import reference_sites as reference_eyd_sites
 
 FAMILIES = ["A1", "C1", "A2", "D2"]
 
 
+def reference_reyd(flavor, n, k, max_units):
+    """enumerate_reyd as a reachable search over checked lowerings, sorted by _key."""
+    if max_units < 0:
+        return []
+
+    def lowerings(T):
+        return (toggle_point(T, pt) for pt in classify_points(T) if pt.role == "admissible")
+
+    return sorted(reachable({phi_reyd(flavor, n, k)}, lowerings, max_units), key=reyd._key)
+
+
+def reference_walls(kind, max_halves):
+    """enumerate_walls as a reachable search over checked single adds within
+    the half bound, sorted by _key."""
+    if max_halves < 0:
+        return []
+
+    def adds(Y):
+        room = max_halves - Y.added_halves()
+        return (toggle_block(Y, site) for site in legal_single_adds(Y) if site.halves <= room)
+
+    # every add moves at least one half, so max_halves rounds of adds reach every wall
+    return sorted(reachable({ground_wall(kind)}, adds, max_halves), key=young_wall._key)
+
+
 def reference_objects(seq, kind, k, bound, halves=False):
-    """The objects as the module enumerators gave them; walls bounded by
-    blocks are made by 2 * bound halves and then filtered."""
+    """The objects as the module enumerators gave them before the walk; walls
+    bounded by blocks are made by 2 * bound halves and then filtered."""
     rs = seq.root_system
     flavor, _ = family_generators(rs.algebra.family, rs.n)[kind]
     if kind == "eyd":
@@ -52,8 +83,8 @@ def reference_objects(seq, kind, k, bound, halves=False):
             for depths in eyd._partitions(m, m)
         ]
     if kind == "reyd":
-        return enumerate_reyd(flavor, rs.n, k, bound)
-    walls = enumerate_walls(WallKind(flavor, rs.n, k), bound if halves else 2 * bound)
+        return reference_reyd(flavor, rs.n, k, bound)
+    walls = reference_walls(WallKind(flavor, rs.n, k), bound if halves else 2 * bound)
     return walls if halves else [Y for Y in walls if Y.block_count() <= bound]
 
 
@@ -155,6 +186,32 @@ def reference_generator_forms(seq, size_bound, s_values):
     }
 
 
+class TestEnumeratorsAsTheReference:
+    """enumerate_reyd and enumerate_walls equal their reference searches, in
+    order, at n = 3, 4 and 5: both reyd flavors at every charge for
+    max_units -1..6, and both wall families at every ground for max_halves
+    -1..12."""
+
+    @pytest.mark.parametrize("flavor", sorted(FLAVORS))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_reyd(self, flavor, n):
+        for k in range(2, (n if flavor == "A2" else n - 1) + 1):
+            for bound in range(-1, 7):
+                want = reference_reyd(flavor, n, k, bound)
+                assert enumerate_reyd(flavor, n, k, bound) == want, (k, bound)
+                assert bound < 0 or want
+
+    @pytest.mark.parametrize("family", sorted(WALL_FAMILIES))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_walls(self, family, n):
+        for ground in (1,) if family == "A2wall" else (1, n):
+            kind = WallKind(family, n, ground)
+            for bound in range(-1, 13):
+                want = reference_walls(kind, bound)
+                assert enumerate_walls(kind, bound) == want, (ground, bound)
+                assert bound < 0 or want
+
+
 class TestWalkReadsAsTheReference:
     """The walk's objects, in order, with their sites and moves, for every
     kind and charge of the four families at n = 3, 4 and 5, at bounds -1..6
@@ -181,7 +238,7 @@ class TestWalkReadsAsTheReference:
                 assert grown == [(obj, sites, []) for obj, sites, _ in want]
                 objects = [obj for obj, _, _ in want]
                 if halves or kind != "wall":
-                    assert verify.enumerate_objects(seq, kind, k, bound) == objects
+                    assert enumerate_objects(seq, kind, k, bound) == objects
                 if not halves:
                     assert verify.generator_objects(seq, kind, k, bound) == objects
 
@@ -276,5 +333,5 @@ class TestWallsByBlocks:
         for k in family_generators(family, n)["wall"][1]:
             kind = WallKind(family_generators(family, n)["wall"][0], n, k)
             for blocks in range(-1, 9):
-                filtered = [Y for Y in enumerate_walls(kind, 2 * blocks) if Y.block_count() <= blocks]
+                filtered = [Y for Y in reference_walls(kind, 2 * blocks) if Y.block_count() <= blocks]
                 assert verify.generator_objects(seq, "wall", k, blocks) == filtered
