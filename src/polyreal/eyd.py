@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .root_data import AdaptedSequence, RootDataError, check_family, exact_int, fold, p_table
-from .forms import LinearForm, Move, Point, Site, site_form, site_move
+from .forms import LinearForm, Point, Site, site_form
 
 
 class EYDError(ValueError):
@@ -130,16 +130,6 @@ def _read(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Tuple[List[Site], Li
 def sites(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> List[Site]:
     """One (coeff, offset, color) term per corner, in the order of corners."""
     return _read(seq, T)[0]
-
-
-def moves(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Iterator[Move]:
-    """One (T2, coeff, offset, color) per corner toggle.
-
-    assign(T2, s) = assign(T, s) - coeff * beta_{s+offset, color}, with coeff
-    +1 for adding a box at a concave corner and -1 for removing one at a
-    convex corner.
-    """
-    return (site_move(_toggle(T, c), coeff, site) for c, coeff, site in _read(seq, T)[1])
 
 
 def _assign(seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int, family: str) -> LinearForm:

@@ -157,11 +157,9 @@ def walk(
     bound: int,
     halves: bool = False,
     every: bool = False,
-    cache: Optional[dict] = None,
 ) -> Iterator[Tuple[object, List[Site], List[Move]]]:
     """(obj, sites, moves) for each generator object within the bound, in
-    enumeration order, each read once: (sites, points) = read(obj), or the
-    reading that cache holds for obj, which the walk takes out.
+    enumeration order, each read once: (sites, points) = read(obj).
 
     With a key, the walk grows from the seeds by unit adds (points of coeff
     +1, made by toggle), and the bound counts adds or, with halves, bounds
@@ -170,7 +168,8 @@ def walk(
     all its objects are listed.  With key None the seeds are listed in order
     and only read.  With every, each point is toggled and moves lists its
     move; otherwise moves is empty and no site is looked at.  A negative
-    bound gives nothing.
+    bound gives nothing.  This is the one maker of generator moves: one
+    object's moves are those of walk([obj], read, toggle, None, 0, every=True).
     """
     grows = key is not None
     listed = list(seeds) if bound >= 0 else []
@@ -178,7 +177,7 @@ def walk(
     seen = set(listed)
     while sizes:
         for size, steps, obj in sorted(sizes.pop(min(sizes))):
-            sites, points = (cache.pop(obj, None) if cache else None) or read(obj)
+            sites, points = read(obj)
             moves = []
             if grows or every:
                 room = bound - (size[0] if halves else steps)

@@ -23,10 +23,10 @@ with no test); only make_reyd, from_json and validate check a whole diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table
-from .forms import LinearForm, Move, Point, Site, site_form, site_move, walk
+from .forms import LinearForm, Point, Site, site_form, walk
 
 # Each flavor's sequence family and the fold of its colors and P^k table.
 FLAVORS = {"A2": ("A2", "pi1"), "D2target": ("C1", "pi2")}
@@ -253,12 +253,6 @@ def _read(seq: AdaptedSequence, T: RevisedEYD) -> Tuple[List[Site], List[Point]]
 def sites(seq: AdaptedSequence, T: RevisedEYD) -> List[Site]:
     """One term per marked point; the assigned form at s is their site_form at s."""
     return _read(seq, T)[0]
-
-
-def moves(seq: AdaptedSequence, T: RevisedEYD) -> Iterator[Move]:
-    """One (T2, coeff, offset, color) per marked point toggle, with
-    assign(T2, s) = assign(T, s) - coeff * beta_{s+offset, color}."""
-    return (site_move(_toggle(T, pt), coeff, site) for pt, coeff, site in _read(seq, T)[1])
 
 
 def assign(seq: AdaptedSequence, T: RevisedEYD, s: int) -> LinearForm:

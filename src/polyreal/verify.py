@@ -95,9 +95,10 @@ def _report(
     return VerificationReport(check, params, status, counts, witnesses[:MAX_WITNESSES])
 
 
-# The module of each generator kind, with sites, moves and the parts of its
-# walk (_read, _toggle, _seeds, _key), held as a module so that a call finds a
-# function rebound on it, as the benchmark's tracer rebinds them.
+# The module of each generator kind, with sites and the parts of its walk
+# (_read, _toggle, _seeds, _key); forms.walk makes every move from them.  Each
+# is held as a module so that a call finds a function rebound on it, as the
+# benchmark's tracer rebinds them.
 MODULES = {"eyd": eyd_mod, "reyd": reyd_mod, "wall": wall_mod}
 
 
@@ -142,21 +143,25 @@ def walk_objects(
     bound: int,
     halves: bool = False,
     every: bool = False,
-    read: Optional[dict] = None,
 ) -> Iterator[Tuple[object, List[Site], List[Move]]]:
     """forms.walk over one kind and charge, from its module's _seeds, each
-    object read by the module's _read; read is the walk's cache."""
+    object read once, by the module's _read."""
     rs = seq.root_system
     flavor, _ = family_generators(rs.algebra.family, rs.n)[kind]
     module = MODULES[kind]
     seeds, reader = module._seeds(flavor, rs.n, k, bound), partial(module._read, seq)
-    return walk(seeds, reader, module._toggle, module._key, bound, halves, every, read)
+    return walk(seeds, reader, module._toggle, module._key, bound, halves, every)
 
 
 def generator_objects(seq: AdaptedSequence, kind: str, k: int, size_bound: int) -> list:
     """The objects of one kind and charge within size_bound steps; a single
     block add raises a wall's block count by exactly 1, so its steps are blocks."""
     return [obj for obj, _, _ in walk_objects(seq, kind, k, size_bound)]
+
+
+def _site_map(sites: List[Site]) -> Dict[Pair, int]:
+    """Sites merged to {(offset, color): coeff}."""
+    return _accumulate({}, (((offset, l), c) for c, offset, l in sites))
 
 
 def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]) -> set:
@@ -182,16 +187,11 @@ def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[in
             if sites and smallest + lowest < 1:
                 s = next(s for s in s_values if s + lowest < 1)
                 raise ValueError(f"occurrence index must be >= 1, got {s + lowest}")
-            merged = sorted(_accumulate({}, (((offset, l), c) for c, offset, l in sites)).items())
+            merged = sorted(_site_map(sites).items())
             low = merged[0][0][0] if merged else 0
             key = tuple(((offset - low, l), c) for (offset, l), c in merged)
             pairs.update((key, s + low) for s in s_values)
     return {LinearForm._of({(first + o, l): c for (o, l), c in key}) for key, first in pairs}
-
-
-def _site_map(sites: List[Site]) -> Dict[Pair, int]:
-    """Sites merged to {(offset, color): coeff}."""
-    return _accumulate({}, (((offset, l), c) for c, offset, l in sites))
 
 
 def _form_at(site_map: Dict[Pair, int], s: int) -> LinearForm:
@@ -209,9 +209,11 @@ def check_step_identities(
 
     Walls are walked up to wall_halves halves, the other kinds up to
     size_bound steps.  A toggle counts once per s of s_values, and so does a
-    failure; its witness states the forms at that s.  The walk toggles each
-    point once; a target it has not reached is read when checked, and the
-    walk takes that reading, so each object is read once per call.
+    failure; its witness states the forms at that s.  Each kind and charge is
+    walked first, to a list of (object, site map, moves), each object read
+    once by the walk; then every move is checked against its target's map.  A
+    target past the bound is read once, by its module's sites, so each object
+    is read once per call.
 
     Each toggle is checked once, in site coordinates, because the identity
     holds at every s or at none.  An object's form at s is site_form(sites,
@@ -230,15 +232,18 @@ def check_step_identities(
     checked = failed = 0
     witnesses: List[str] = []
     for kind, k in generator_kinds(seq):
-        walls, maps, targets = kind == "wall", {}, {}
+        walls = kind == "wall"
         bound = wall_halves if walls else size_bound
-        for obj, sites, moves in walk_objects(seq, kind, k, bound, walls, True, targets):
-            before = maps[obj] if obj in maps else maps.setdefault(obj, _site_map(sites))
+        walked = [
+            (obj, _site_map(sites), moves)
+            for obj, sites, moves in walk_objects(seq, kind, k, bound, walls, True)
+        ]
+        maps = {obj: before for obj, before, _ in walked}
+        for obj, before, moves in walked:
             for obj2, coeff, offset, color in moves:
                 checked += len(s_values)
                 if obj2 not in maps:
-                    targets[obj2] = reading = MODULES[kind]._read(seq, obj2)
-                    maps[obj2] = _site_map(reading[0])
+                    maps[obj2] = _site_map(MODULES[kind].sites(seq, obj2))
                 after = maps[obj2]
                 shifted = (((offset + o, l), c) for c, o, l in betas[color])
                 if after == _accumulate(dict(before), shifted, -coeff):

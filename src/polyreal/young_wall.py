@@ -24,10 +24,10 @@ right) in row l to +x_{s+P^k(l)+i, c(l)} and a removable block to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table
-from .forms import LinearForm, Move, Point, Site, site_form, site_move, walk
+from .forms import LinearForm, Point, Site, site_form, walk
 
 # Each wall family's sequence family.
 WALL_FAMILIES = {"A2wall": "A2", "D2wall": "C1"}
@@ -265,12 +265,6 @@ def _read(seq: AdaptedSequence, Y: YoungWall) -> Tuple[List[Site], List[Point]]:
 def sites(seq: AdaptedSequence, Y: YoungWall) -> List[Site]:
     """One term per classified site; the assigned form at s is their site_form at s."""
     return _read(seq, Y)[0]
-
-
-def moves(seq: AdaptedSequence, Y: YoungWall) -> Iterator[Move]:
-    """One (Y2, coeff, offset, color) per single-block move and per double site,
-    with assign(Y2, s) = assign(Y, s) - coeff * beta_{s+offset, color}."""
-    return (site_move(_toggle(Y, site), coeff, a) for site, coeff, a in _read(seq, Y)[1])
 
 
 def assign_wall(seq: AdaptedSequence, Y: YoungWall, s: int) -> LinearForm:

@@ -1,10 +1,11 @@
 """Shared fixtures: standard sequences for the four families."""
 
+from functools import partial
 from itertools import permutations
 
 import pytest
 
-from polyreal import AlgebraType, RootDataError, build_adapted, build_root_system, verify
+from polyreal import AlgebraType, RootDataError, build_adapted, build_root_system, forms, verify
 
 
 def make_seq(family: str, n: int, word=None):
@@ -22,6 +23,16 @@ def enumerate_objects(seq, kind: str, k: int, bound: int) -> list:
     """The walk's objects of one kind and charge, up to a bound in the kind's
     own unit: a box for eyd, a unit for reyd and a half for walls."""
     return [obj for obj, _, _ in verify.walk_objects(seq, kind, k, bound, halves=kind == "wall")]
+
+
+def object_moves(seq, kind: str, obj) -> list:
+    """One object's moves, (obj2, coeff, offset, color) per toggle, as the
+    walk makes them: the walk of [obj] alone, listed and read, every point
+    toggled."""
+    module = verify.MODULES[kind]
+    read = partial(module._read, seq)
+    [(_, _, moves)] = forms.walk([obj], read, module._toggle, None, 0, every=True)
+    return moves
 
 
 def adapted_words(family: str, n: int, length: int):

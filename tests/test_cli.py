@@ -343,6 +343,22 @@ class TestUsage:
         assert code == EXIT_USAGE and out == ""
         assert err.endswith(f"error: argument {option}: invalid integer value: {text!r}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--n", "99999999999999999999999"),
+            ("render", "--family", "A2", "reyd", "k", "2", "t_lo", "-99999999999999999999999",
+             "ys", "1"),
+            ("render", "--family", "A2", "reyd", "k", "2", "t_lo", "99999999999999999999999",
+             "ys", "1"),
+        ],
+    )
+    def test_huge_integer_is_usage_error(self, capsys, argv):
+        # an integer past the machine's index size overflows: one line, exit 2
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_options_read_subscript_digits(self, capsys):
         assert run(capsys, "enumerate", "--depth", "₂", "--n", "₃") == run(capsys, "enumerate")
 

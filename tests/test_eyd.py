@@ -17,7 +17,7 @@ from polyreal.eyd import (
     render_eyd,
     toggle_corner,
 )
-from conftest import permutation_seqs
+from conftest import object_moves, permutation_seqs
 
 x = LinearForm.x
 
@@ -258,4 +258,4 @@ class TestOnePassSites:
                 expected = reference_sites(seq, T)
                 assert eyd.sites(seq, T) == expected, (seq, T)
                 moves = [site_move(T2, a[0], a) for T2, a in zip(toggled[T], expected)]
-                assert list(eyd.moves(seq, T)) == moves, (seq, T)
+                assert object_moves(seq, "eyd", T) == moves, (seq, T)

@@ -21,7 +21,7 @@ from polyreal.young_wall import (
     legal_single_removes,
     toggle_block,
 )
-from conftest import enumerate_objects, make_seq
+from conftest import enumerate_objects, make_seq, object_moves
 
 
 def _forbidden(*args, **kwargs):
@@ -29,8 +29,8 @@ def _forbidden(*args, **kwargs):
 
 
 class TestMovesAreBuiltValid:
-    """Every move of every object up to the bounds, made by moves or by the
-    walk, equals the validating constructor applied to its values, and is
+    """Every move of every object up to the bounds, made by object_moves or
+    by the walk, equals the validating constructor applied to its values, and is
     made with the whole-object validators patched to raise; the walk and the
     enumeration run under that patch too."""
 
@@ -51,7 +51,7 @@ class TestMovesAreBuiltValid:
                 move[0]
                 for (kind, _), objs in objects.items()
                 for obj in objs
-                for move in verify.MODULES[kind].moves(seq, obj)
+                for move in object_moves(seq, kind, obj)
             ]
             for (kind, k), objs in objects.items():
                 assert enumerate_objects(seq, kind, k, bounds[kind]) == objs

@@ -19,13 +19,13 @@ from polyreal.reyd import (
     toggle_point,
     validate,
 )
-from conftest import make_seq
+from conftest import make_seq, object_moves
 
 # Every entry point that reads a diagram against a sequence checks the sequence first.
 SEQUENCE_CALLS = (
     lambda seq, T: assign(seq, T, 1),
     reyd.sites,
-    lambda seq, T: list(reyd.moves(seq, T)),
+    lambda seq, T: object_moves(seq, "reyd", T),
 )
 
 x = LinearForm.x

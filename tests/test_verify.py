@@ -8,7 +8,9 @@ import pytest
 from polyreal import (
     LatticeElement, LinearForm, enumerate_image, evaluate, forms, lattice_crystal, verify
 )
-from polyreal.root_data import pair_to_index
+from polyreal.root_data import (
+    AdaptedSequence, AlgebraType, NotAdaptedError, build_adapted, build_root_system, pair_to_index
+)
 from polyreal.forms import beta_pair, site_form, site_move, window_solutions
 from polyreal.lattice_crystal import epsilon, etilde, ftilde, phi, weight_coeffs
 from polyreal.verify import (
@@ -24,7 +26,7 @@ from polyreal.verify import (
     generator_kinds,
     generator_objects,
 )
-from conftest import adapted_words, enumerate_objects, make_seq, permutation_seqs
+from conftest import adapted_words, enumerate_objects, make_seq, object_moves, permutation_seqs
 
 x = LinearForm.x
 
@@ -117,17 +119,15 @@ STANDARD = [("A1", 2), ("A1", 3), ("A2", 3), ("C1", 3), ("D2", 3)]
 
 
 def _shift_removes(monkeypatch):
-    """Patch site_move, which makes every generator move record, wherever it
-    is bound (forms, for forms.walk, and the generator modules), so that a
-    remove's beta sits one occurrence higher; that breaks every remove
-    toggle's identity."""
+    """Patch forms.site_move, which makes every generator move record for
+    forms.walk, so that a remove's beta sits one occurrence higher; that
+    breaks every remove toggle's identity."""
 
     def shifted(obj2, coeff, site, f=site_move):
         obj2, coeff, offset, color = f(obj2, coeff, site)
         return obj2, coeff, offset + (coeff < 0), color
 
-    for module in (*verify.MODULES.values(), forms):
-        monkeypatch.setattr(module, "site_move", shifted)
+    monkeypatch.setattr(forms, "site_move", shifted)
 
 
 def _reference_step_check(seq, s_values, size_bound, wall_halves):
@@ -139,7 +139,7 @@ def _reference_step_check(seq, s_values, size_bound, wall_halves):
         for obj in enumerate_objects(seq, kind, k, bound):
             sites = module.sites(seq, obj)
             before = {s: site_form(sites, s) for s in s_values}
-            for obj2, coeff, offset, color in module.moves(seq, obj):
+            for obj2, coeff, offset, color in object_moves(seq, kind, obj):
                 after = module.sites(seq, obj2)
                 for s in s_values:
                     checked += 1
@@ -211,7 +211,7 @@ class TestFailureCounts:
             coeff < 0
             for kind, k in generator_kinds(seq)
             for obj in enumerate_objects(seq, kind, k, 3)
-            for _, coeff, _, _ in verify.MODULES[kind].moves(seq, obj)
+            for _, coeff, _, _ in object_moves(seq, kind, obj)
         )
         r = check_step_identities(seq, s_values=(1, 2, 3), size_bound=3)
         assert removes > 0 and r.status == "fail"
@@ -229,7 +229,7 @@ class TestFailureCounts:
         for kind, k in generator_kinds(seq):
             for obj in enumerate_objects(seq, kind, k, 6 if kind == "wall" else 3):
                 objects.add(obj)
-                objects.update(move[0] for move in verify.MODULES[kind].moves(seq, obj))
+                objects.update(move[0] for move in object_moves(seq, kind, obj))
         calls = []
         for module in verify.MODULES.values():
             monkeypatch.setattr(
@@ -683,3 +683,40 @@ class TestPermutationWords:
         for r in reports:
             assert r.ok, (r.check, r.params, r.witnesses)
             assert (r.params["family"], r.params["n"], r.params["word"]) == (family, 3, list(word))
+
+
+class _UncheckedAlternation(AdaptedSequence):
+    """A sequence built with every test of the word but the alternation one,
+    the last test _validate makes and the only one that raises NotAdaptedError."""
+
+    def _validate(self):
+        try:
+            super()._validate()
+        except NotAdaptedError:
+            pass
+
+
+_NOT_ADAPTED = [
+    ("A1", 3, (1, 2, 1, 3, 2, 3)),
+    ("A1", 3, (1, 2, 3, 2, 1, 3)),
+    ("D2", 3, (2, 1, 2, 3, 1, 3)),
+    ("A1", 4, (1, 2, 3, 4, 2, 1, 4, 3)),
+]
+
+
+class TestNegativeControls:
+    """Words that fail only the alternation test: build_adapted rejects them,
+    and built anyway, the image and beta checks fail them at default bounds."""
+
+    @pytest.mark.parametrize(
+        "family,n,word",
+        _NOT_ADAPTED,
+        ids=[f"{f}-{','.join(map(str, w))}" for f, _, w in _NOT_ADAPTED],
+    )
+    def test_image_and_beta_checks_fail(self, family, n, word):
+        system = build_root_system(AlgebraType(family, n))
+        with pytest.raises(NotAdaptedError):
+            build_adapted(system, word)
+        seq = _UncheckedAlternation(system, word)
+        for r in (check_image_equality(seq), check_beta_agreement(seq)):
+            assert r.status == "fail", (r.check, r.counts)

@@ -242,20 +242,6 @@ class TestWalkReadsAsTheReference:
                 if not halves:
                     assert verify.generator_objects(seq, kind, k, bound) == objects
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_readings_made_before_the_walk_are_taken(self, family):
-        # a reading put in read is used in place of a second read, and taken out
-        seq = make_seq(family, 3)
-        for kind, k in generator_kinds(seq):
-            module = verify.MODULES[kind]
-            objects = verify.generator_objects(seq, kind, k, 3)
-            read = {obj: module._read(seq, obj) for obj in objects[1::2]}
-            marked = {obj: (reading[0] + [None], reading[1]) for obj, reading in read.items()}
-            got = list(verify.walk_objects(seq, kind, k, 3, read=marked))
-            assert marked == {}
-            for obj, sites, _ in got:
-                assert (sites[-1] is None) == (obj in read), obj
-
 
 def _shift_one_neighbour(monkeypatch, seq):
     """Raise by 1 the offset of the first neighbour site of beta at color 1,

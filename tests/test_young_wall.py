@@ -17,18 +17,17 @@ from polyreal.young_wall import (
     legal_single_adds,
     legal_single_removes,
     make_wall,
-    moves,
     render_wall,
     toggle_block,
     validate_proper,
 )
-from conftest import make_seq, permutation_seqs
+from conftest import make_seq, object_moves, permutation_seqs
 
 # Every entry point that reads a wall against a sequence checks the sequence first.
 SEQUENCE_CALLS = (
     lambda seq, Y: assign_wall(seq, Y, 1),
     young_wall.sites,
-    lambda seq, Y: list(moves(seq, Y)),
+    lambda seq, Y: object_moves(seq, "wall", Y),
 )
 
 x = LinearForm.x
@@ -359,7 +358,7 @@ class TestColumnRule:
                     classify_sites(Y),
                     legal_single_adds(Y),
                     legal_single_removes(Y),
-                    list(moves(seq, Y)),
+                    object_moves(seq, "wall", Y),
                 )
                 assert listing == reference_listing(seq, Y)
 
@@ -454,7 +453,7 @@ class TestRowTableKernels:
                 for site in listed:
                     assert toggle_block(Y, site) == reference_toggle_block(Y, site), (Y, site)
                 for seq in seqs:
-                    assert list(moves(seq, Y)) == reference_listing(seq, Y)[3], (seq, Y)
+                    assert object_moves(seq, "wall", Y) == reference_listing(seq, Y)[3], (seq, Y)
 
     def test_row_table_is_the_fold(self):
         for kind in (WallKind("A2wall", 4, 1), WallKind("D2wall", 4, 4)):
