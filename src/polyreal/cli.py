@@ -75,18 +75,26 @@ def _int_type(low: Optional[int] = None):
 _SUBSCRIPTS = str.maketrans("₀₁₂₃₄₅₆₇₈₉−", "0123456789-")
 
 
-def _integer(text: str, error: str) -> int:
-    """The cli's one integer rule: an optional minus, then ASCII digits, after _SUBSCRIPTS."""
+def _integer(text: str, error: str, name: str = "") -> int:
+    """The cli's one integer rule: an optional minus, then ASCII digits, after
+    _SUBSCRIPTS, with a magnitude of at most sys.maxsize, the largest sequence
+    index, so that no value overflows where it sizes or indexes a sequence.
+    Other text raises error.  A value out of range is named by name; an
+    option passes none, since argparse names the option itself."""
     raw = text.translate(_SUBSCRIPTS)
     if not re.fullmatch(r"-?[0-9]+", raw):
         raise UsageError(error)
-    return int(raw)
+    # the digits are counted first, so that a huge text is never converted
+    if len(raw.lstrip("-0")) <= len(str(sys.maxsize)) and abs(int(raw)) <= sys.maxsize:
+        return int(raw)
+    bound = f"at least {-sys.maxsize}" if raw.startswith("-") else f"at most {sys.maxsize}"
+    raise UsageError(f"{name} must be {bound}, got {raw}".lstrip())
 
 
-def _parse_ints(text: str) -> List[int]:
+def _parse_ints(text: str, name: str) -> List[int]:
     """Parse a comma, space or bracket separated integer list; empty text means []."""
     error = f"expected integers, got {text!r}"
-    return [_integer(p, error) for p in re.findall(r"[^\s,\[\]]+", text)]
+    return [_integer(p, error, name) for p in re.findall(r"[^\s,\[\]]+", text)]
 
 
 def default_word(n: int) -> List[int]:
@@ -95,8 +103,12 @@ def default_word(n: int) -> List[int]:
 
 def build_sequence(args: argparse.Namespace) -> AdaptedSequence:
     algebra = AlgebraType(args.family, args.n)
-    system = build_root_system(algebra)
-    word = default_word(args.n) if args.word is None else _parse_ints(args.word)
+    try:
+        system = build_root_system(algebra)
+    except MemoryError:
+        # its Cartan matrix has n * n entries
+        raise UsageError(f"--n {args.n} is too large a rank to build") from None
+    word = default_word(args.n) if args.word is None else _parse_ints(args.word, "--word")
     return build_adapted(system, word)
 
 
@@ -155,6 +167,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.k is not None:
         verify_mod.charge_kind(seq, args.k)
         charges = [args.k]
+    if args.profile is None:
+        reports = _run_suites(args, seq, resolved, charges)
+    else:
+        # only with --profile, so that importing the cli stays cheap
+        import cProfile
+        import pstats
+
+        profiler = cProfile.Profile()
+        reports = profiler.runcall(_run_suites, args, seq, resolved, charges)
+        pstats.Stats(profiler, stream=sys.stderr).sort_stats("tottime").print_stats(args.profile)
+    if args.json:
+        print(_dump([r.to_json() for r in reports]))
+    else:
+        for r in reports:
+            print(r.summary())
+            for w in r.witnesses:
+                print(f"  witness: {w}")
+    if any(r.status == "fail" for r in reports):
+        return EXIT_FAIL
+    if any(r.status == "inconclusive" for r in reports):
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
+
+
+def _run_suites(
+    args: argparse.Namespace, seq: AdaptedSequence, resolved: List[str], charges: List[int]
+) -> List[verify_mod.VerificationReport]:
+    """The reports of the resolved suites in order, the closure suite's once per charge."""
     reports = []
     for short in resolved:
         name, function, keywords = SUITES[short]
@@ -176,18 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             counts = {"missing_charges": len(missing)}
             reports.append(verify_mod._report(
                 name, seq, {}, counts, [f"{witness}; missing {missing}"], 1, examined=0))
-    if args.json:
-        print(_dump([r.to_json() for r in reports]))
-    else:
-        for r in reports:
-            print(r.summary())
-            for w in r.witnesses:
-                print(f"  witness: {w}")
-    if any(r.status == "fail" for r in reports):
-        return EXIT_FAIL
-    if any(r.status == "inconclusive" for r in reports):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return reports
 
 
 def _parse_ops(tokens: Sequence[str]) -> List[str]:
@@ -210,7 +239,7 @@ def cmd_crystal(args: argparse.Namespace) -> int:
         error = f"operator {op!r} must look like f1 or e2"
         if op[0] not in ("f", "e"):
             raise UsageError(error)
-        i = _integer(op[1:], error)
+        i = _integer(op[1:], error, f"the color of {op!r}")
         if i not in seq.root_system.index_set:
             raise UsageError(f"color {i} outside index set {seq.root_system.index_set}")
         if op[0] == "f":
@@ -263,7 +292,7 @@ def _key_int(pairs: dict, key: str, default: Optional[int] = None) -> int:
         if default is None:
             raise UsageError(f"missing {key}")
         return default
-    return _integer(pairs[key], f"{key} must be an integer, got {pairs[key]!r}")
+    return _integer(pairs[key], f"{key} must be an integer, got {pairs[key]!r}", key)
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -288,7 +317,7 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise UsageError(f"{kind} key {key!r} given twice")
         pairs[key] = value
     data = {key: _key_int(pairs, key, default) for key, default in int_keys.items()}
-    data[list_key] = _parse_ints(pairs.get(list_key, ""))
+    data[list_key] = _parse_ints(pairs.get(list_key, ""), list_key)
     data["n"] = args.n
     if flavor_key:
         flavor, _ = verify_mod.family_generators(args.family, args.n).get(kind, (None, None))
@@ -333,6 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--depth", "--dep", dest="depth", type=nonneg, default=None)
     p_verify.add_argument("--weight", "--w", dest="max_weight", type=nonneg, default=None)
     p_verify.add_argument("--size", dest="size_bound", type=nonneg, default=None)
+    p_verify.add_argument(
+        "--profile",
+        type=positive,
+        default=None,
+        metavar="N",
+        help="profile the suites and print the top N functions by own time to stderr",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_crystal = sub.add_parser("crystal", parents=[common], help="apply operators or enumerate")

@@ -13,7 +13,10 @@ corners and for toggle_corner alike.  The one toggle adds a box at a concave
 corner (x, y_x) by lowering y_x, or removes one at a convex corner
 (x, y_{x-1}) by raising y_{x-1}; it changes one value and keeps the diagram
 valid (_toggle, for a listed corner, skips the test), and only make_eyd and
-from_json check a whole diagram.
+from_json check a whole diagram.  The diagrams of at most m boxes are the
+partitions of 0, ..., m boxes as column depths; enumerate_eyd lists them by
+the loop of ZS1 in reverse lexicographic order, one array changed in place
+from each partition to the next, with no recursion.
 """
 
 from __future__ import annotations
@@ -166,23 +169,50 @@ def _toggle(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:
     return ExtendedYoungDiagram(T.charge, tuple(vals))
 
 
-def _partitions(m: int, largest: int) -> Iterator[Tuple[int, ...]]:
-    if m == 0:
-        yield ()
+def _partitions(m: int) -> Iterator[List[int]]:
+    """The partitions of m >= 0, each a new list of parts in weakly
+    decreasing order, in reverse lexicographic order, by the loop of ZS1
+    (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998); the tests
+    compare it with a listing by recursion on the first part.
+
+    x holds the parts and then 1s, and h is the index of the last part above
+    1.  A part 2 at h becomes 1 + 1.  Otherwise x[h] drops by one, to r, and
+    the t = parts - h units from h on (the one taken off x[h] and the 1s
+    after it) are refilled as parts r while t >= r, then as one part t.
+    """
+    x = [1] * m
+    if not m:
+        yield x
         return
-    for first in range(min(m, largest), 0, -1):
-        for rest in _partitions(m - first, first):
-            yield (first,) + rest
+    x[0], parts, h = m, 1, 0
+    yield x[:parts]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h], parts, h = 1, parts + 1, h - 1
+        else:
+            r = x[h] - 1
+            t = parts - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            parts = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield x[:parts]
 
 
 def enumerate_eyd(charge: int, max_boxes: int) -> List[ExtendedYoungDiagram]:
     """All diagrams of the given charge with at most max_boxes boxes, built
-    from partitions with no check; none for a negative max_boxes."""
+    with no check from the partitions of 0, 1, ... boxes, each in _partitions'
+    order; none for a negative max_boxes."""
     charge = exact_int(charge, EYDError)
     return [
         ExtendedYoungDiagram(charge, tuple([charge - d for d in depths]))
         for m in range(max_boxes + 1)
-        for depths in _partitions(m, m)
+        for depths in _partitions(m)
     ]
 
 

@@ -287,12 +287,14 @@ def evaluate(seq: AdaptedSequence, form: LinearForm, a: LatticeElement) -> int:
 
 def window_solutions(
     seq: AdaptedSequence,
-    forms: Iterable[LinearForm],
+    forms: Iterable[Sequence[Tuple[Pair, int]]],
     window: Sequence[int],
     max_total: int,
 ) -> List[Tuple[int, ...]]:
     """The nonnegative vectors on the window with total <= max_total on which
     every form is >= 0, as tuples of window values in lexicographic order.
+    Each form is given by its ((s, l), c) terms, as LinearForm.items() gives
+    them, with no pair repeated.
 
     Each form is compiled once to its terms at window positions (a term off
     the window reads 0), with each pair's position read once per call; a
@@ -322,9 +324,9 @@ def window_solutions(
     place = {j: p for p, j in enumerate(window)}
     at: Dict[Pair, Optional[int]] = {}
     compiled: Set[Tuple[Tuple[int, int], ...]] = set()
-    for f in forms:
+    for form in forms:
         terms = []
-        for pair, c in f.items():
+        for pair, c in form:
             if pair not in at:
                 at[pair] = place.get(pair_to_index(seq, *pair))
             if at[pair] is not None:

@@ -143,6 +143,52 @@ def build_root_system(algebra: AlgebraType) -> RootSystem:
     return RootSystem(algebra, tuple(tuple(row) for row in a))
 
 
+def weight_counts(rs: RootSystem, max_height: int) -> Dict[Tuple[int, ...], int]:
+    """K(beta) = |B(infinity)_{-beta}| for every beta in Q+ of height at most
+    max_height, keyed by beta's coefficients on alpha_1..alpha_n; none for a
+    negative max_height.  Only the Cartan matrix is read.
+
+    The graded character of B(infinity) is 1 / prod_{alpha > 0} (1 -
+    e^{-alpha})^{mult alpha}, and the Weyl-Kac denominator identity (Kac,
+    Infinite-dimensional Lie algebras, ch. 10) writes that product as
+    sum_{w in W} sign(w) e^{w rho - rho}, so no root multiplicity is needed.
+    The Weyl group is walked from lambda = rho = (1, ..., 1) in
+    fundamental-weight coordinates, with beta = rho - lambda: s_i sends lambda
+    to lambda - lambda_i times column i of the Cartan matrix and adds
+    lambda_i to beta_i.  It is taken only where lambda_i > 0, where it
+    lengthens w by one, so each round of the walk flips the sign and every
+    step raises the height.  rho is regular, so beta determines w, and each
+    beta is kept once.  K is then that truncated series inverted over Q+, in
+    order of height.
+    """
+    if max_height < 0:
+        return {}
+    n, cartan, zero = rs.n, rs.cartan, (0,) * rs.n
+    denominator: Dict[Tuple[int, ...], int] = {}
+    level, sign = {zero: (1,) * n}, 1  # level: beta -> lambda, for w of one length
+    while level:
+        grown: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for beta, lam in level.items():
+            denominator[beta] = sign
+            for i, li in enumerate(lam):
+                if li > 0 and sum(beta) + li <= max_height:
+                    up = beta[:i] + (beta[i] + li,) + beta[i + 1 :]
+                    if up not in grown:
+                        grown[up] = tuple(lj - li * row[i] for lj, row in zip(lam, cartan))
+        level, sign = grown, -sign
+    del denominator[zero]
+    counts, layer = {zero: 1}, [zero]
+    for _ in range(max_height):
+        layer = sorted({b[:i] + (b[i] + 1,) + b[i + 1 :] for b in layer for i in range(n)})
+        for beta in layer:
+            counts[beta] = -sum(
+                d * counts[tuple(b - g for b, g in zip(beta, gamma))]
+                for gamma, d in denominator.items()
+                if all(g <= b for g, b in zip(gamma, beta))
+            )
+    return counts
+
+
 def fold(map_kind: str, n: int, t: int) -> int:
     """Fold an integer t onto the index set {1, ..., n}.
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .root_data import AdaptedSequence, index_to_pair
 from .lattice_crystal import (
@@ -164,23 +164,30 @@ def _site_map(sites: List[Site]) -> Dict[Pair, int]:
     return _accumulate({}, (((offset, l), c) for c, offset, l in sites))
 
 
-def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]) -> set:
-    """The sampled inequality system over all kinds, charges, and base offsets.
+def generator_forms(
+    seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]
+) -> Set[Tuple[Tuple[Pair, int], ...]]:
+    """The sampled inequality system over all kinds, charges, and base
+    offsets, as the set of its forms' term tuples: each is the form's sorted
+    ((s, color), coeff) items, as LinearForm.items() gives them.
 
     s_values is read once.  Each object's sites, from one walk per kind and
     charge, are merged once, to a key of sorted ((offset, color), coeff)
-    items shifted so that its lowest offset is 0.  Its form at s is then the
-    key's form from first occurrence s + low, where low is the lowest merged
-    offset.  The (key, first) pair determines the form, and a nonzero form
-    determines its pair, so one form is built per distinct pair.  A
-    ValueError is raised, as site_form raises it, at the first (object, s)
-    whose unmerged sites reach an occurrence below 1.
+    items shifted so that its lowest offset is 0, and the objects are grouped
+    by key, keeping the set of their lowest merged offsets.  An object's form
+    at s is its key shifted to first occurrence s + low, where low is its
+    lowest merged offset, so each distinct key is expanded once, at each
+    first occurrence low + s of its group.  A shift keeps the key's order, so
+    no form is sorted again, and a nonzero form determines its key and first
+    occurrence, so each distinct form is built once.  A ValueError is raised,
+    as site_form raises it, at the first (object, s) whose unmerged sites
+    reach an occurrence below 1.
     """
     s_values = list(s_values)
     if not s_values:
         return set()
     smallest = min(s_values)
-    pairs = set()
+    lows: Dict[tuple, Set[int]] = {}
     for kind, k in generator_kinds(seq):
         for _, sites, _ in walk_objects(seq, kind, k, size_bound):
             lowest = min((offset for _, offset, _ in sites), default=0)
@@ -189,9 +196,13 @@ def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[in
                 raise ValueError(f"occurrence index must be >= 1, got {s + lowest}")
             merged = sorted(_site_map(sites).items())
             low = merged[0][0][0] if merged else 0
-            key = tuple(((offset - low, l), c) for (offset, l), c in merged)
-            pairs.update((key, s + low) for s in s_values)
-    return {LinearForm._of({(first + o, l): c for (o, l), c in key}) for key, first in pairs}
+            key = tuple([((offset - low, l), c) for (offset, l), c in merged])
+            lows.setdefault(key, set()).add(low)
+    forms = set()
+    for key, offsets in lows.items():
+        for first in {low + s for low in offsets for s in s_values}:
+            forms.add(tuple([((first + o, l), c) for (o, l), c in key]))
+    return forms
 
 
 def _form_at(site_map: Dict[Pair, int], s: int) -> LinearForm:
@@ -322,18 +333,17 @@ def check_image_equality(
     and holds every form's partial sum in one packed int, so a value step is
     one add and the forms that end at a position are tested with one mask.
     Each image element's tuple is filled from its entries through a window
-    position dict.  Witnesses come in the lexicographic order of the box, and
-    a forward witness names the first form, in sorted order, that the element
-    violates.
+    position dict.  The sampled forms stay term tuples; `forms` counts them.
+    Witnesses come in the lexicographic order of the box, and a forward
+    witness names the first form, in sorted order, that the element violates:
+    only then are the forms built as LinearForms and sorted.
     """
     if size_bound is None:
         size_bound = max_weight + 2
     if s_bound is None:
         s_bound = max_weight + 1
     image = enumerate_image(seq, max_weight)
-    forms = sorted(
-        generator_forms(seq, size_bound, range(1, s_bound + 1)), key=LinearForm.sort_key
-    )
+    forms = generator_forms(seq, size_bound, range(1, s_bound + 1))
     # Every image element lies in the box: it is nonnegative, its total is at
     # most max_weight (each lowering step adds 1), and its support lies in the
     # window.
@@ -349,10 +359,13 @@ def check_image_equality(
     forward = [t for t in reached if t not in solved]
     converse = [t for t in solved if t not in reached]
     witnesses: List[str] = []
+    ordered: List[LinearForm] = []  # the forms in sorted order, made for a forward witness
     for t in sorted(forward + converse)[:MAX_WITNESSES]:
         if t in reached:
             a = reached[t]
-            bad = next(f for f in forms if evaluate(seq, f, a) < 0)
+            if not ordered:
+                ordered = sorted((LinearForm._of(dict(f)) for f in forms), key=LinearForm.sort_key)
+            bad = next(f for f in ordered if evaluate(seq, f, a) < 0)
             witnesses.append(f"reachable {a} violates {bad}")
         else:
             a = LatticeElement(zip(window, t))

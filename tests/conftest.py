@@ -35,6 +35,18 @@ def object_moves(seq, kind: str, obj) -> list:
     return moves
 
 
+def reference_partitions(m: int, largest: int):
+    """The partitions of m with parts at most largest, in reverse
+    lexicographic order, by recursion on the first part: the listing that
+    eyd._partitions replaced."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest), 0, -1):
+        for rest in reference_partitions(m - first, first):
+            yield (first,) + rest
+
+
 def adapted_words(family: str, n: int, length: int):
     """The adapted words of a length that are not a shorter word repeated,
     in lexicographic order."""

@@ -4,11 +4,15 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyreal import LatticeElement, LinearForm, verify
+from polyreal import LatticeElement, LinearForm, cli, verify
 from polyreal.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -344,20 +348,71 @@ class TestUsage:
         assert err.endswith(f"error: argument {option}: invalid integer value: {text!r}\n")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,line",
         [
-            ("verify", "--n", "99999999999999999999999"),
-            ("render", "--family", "A2", "reyd", "k", "2", "t_lo", "-99999999999999999999999",
-             "ys", "1"),
-            ("render", "--family", "A2", "reyd", "k", "2", "t_lo", "99999999999999999999999",
-             "ys", "1"),
+            (
+                ("verify", "--n", "99999999999999999999999"),
+                "polyreal verify: error: argument --n: "
+                "must be at most 9223372036854775807, got 99999999999999999999999",
+            ),
+            (
+                ("render", "--family", "A2", "reyd", "k", "2", "t_lo", "-99999999999999999999999",
+                 "ys", "1"),
+                "error: t_lo must be at least -9223372036854775807, got -99999999999999999999999",
+            ),
+            (
+                ("render", "--family", "A2", "reyd", "k", "2", "t_lo", "99999999999999999999999",
+                 "ys", "1"),
+                "error: t_lo must be at most 9223372036854775807, got 99999999999999999999999",
+            ),
+            (
+                ("render", "--family", "A2", "reyd", "k", "2", "ys", "1,9223372036854775808"),
+                "error: ys must be at most 9223372036854775807, got 9223372036854775808",
+            ),
+            (
+                ("enumerate", "--word", "2,1,-0009223372036854775808"),
+                "error: --word must be at least -9223372036854775807, got -0009223372036854775808",
+            ),
+            (
+                ("crystal", "f" + "9" * 5000),
+                f"error: the color of 'f{'9' * 5000}' must be at most 9223372036854775807, "
+                f"got {'9' * 5000}",
+            ),
+            (
+                ("verify", "closure", "--depth", "1" + "0" * 19),
+                "polyreal verify: error: argument --depth/--dep: "
+                "must be at most 9223372036854775807, got 10000000000000000000",
+            ),
         ],
+        ids=[f"argv{i}" for i in range(7)],
     )
-    def test_huge_integer_is_usage_error(self, capsys, argv):
-        # an integer past the machine's index size overflows: one line, exit 2
+    def test_huge_integer_is_usage_error(self, capsys, argv, line):
+        # an integer past the machine's index size would overflow where it
+        # sizes or indexes a sequence, so the parse rejects it and names its
+        # flag or key: one line of its own, exit 2
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        if line.startswith("error: "):
+            assert err == f"{line}\n"
+        else:  # argparse's usage lines come first
+            assert err.endswith(f"\n{line}\n")
+
+    def test_largest_integer_is_parsed(self, capsys):
+        code, out, err = run(capsys, "crystal", "f9223372036854775807")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: color 9223372036854775807 outside index set (1, 2, 3)\n"
+
+    @pytest.mark.parametrize("subcommand", ["verify", "enumerate"])
+    def test_rank_too_large_to_build_is_usage_error(self, capsys, monkeypatch, subcommand):
+        # a rank whose n * n Cartan matrix does not fit in memory; the build
+        # is patched, so that no test allocates anything of that size
+        def build(algebra):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_root_system", build)
+        code, out, err = run(capsys, subcommand, "--n", "1099511627776")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --n 1099511627776 is too large a rank to build\n"
 
     def test_options_read_subscript_digits(self, capsys):
         assert run(capsys, "enumerate", "--depth", "₂", "--n", "₃") == run(capsys, "enumerate")
@@ -520,3 +575,50 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue()
         if code == EXIT_FAIL:
             assert ": fail (" in out.getvalue() or '"status": "fail"' in out.getvalue(), argv
+
+
+class TestProfile:
+    """--profile prints the profile to stderr and changes neither the JSON on
+    stdout nor the exit code."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("verify", "beta"), EXIT_OK),
+            (("verify", "closure", "--k", "1", "--depth", "4"), EXIT_FAIL),
+            (("verify", "image", "--w", "2", "--size", "0"), EXIT_INCONCLUSIVE),
+        ],
+    )
+    def test_same_reports_and_exit_code(self, capsys, monkeypatch, argv, code):
+        # a tiny index bound makes the closure check fail
+        monkeypatch.setattr(
+            verify,
+            "check_closure_equality",
+            functools.partial(verify.check_closure_equality, index_bound=4),
+        )
+        plain = run(capsys, *argv, "--json")
+        profiled = run(capsys, *argv, "--json", "--profile", "4")
+        assert plain[0] == profiled[0] == code
+        assert json.loads(profiled[1]) == json.loads(plain[1])
+        assert plain[2] == ""
+        assert "Ordered by: internal time" in profiled[2]
+        assert "due to restriction <4>" in profiled[2]
+
+    def test_count_must_be_positive(self, capsys):
+        code, out, err = run(capsys, "verify", "beta", "--profile", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert err.endswith("error: argument --profile: must be at least 1, got 0\n")
+
+    def test_profiler_imported_only_with_the_flag(self):
+        script = (
+            "import sys\n"
+            "from polyreal.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print('cProfile' in sys.modules, 'pstats' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        for flags, loaded in (((), "False False"), (("--profile", "1"), "True True")):
+            argv = [sys.executable, "-c", script, "verify", "beta", *flags]
+            done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert done.returncode == 0 and done.stdout.splitlines()[-1] == loaded

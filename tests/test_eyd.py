@@ -17,7 +17,7 @@ from polyreal.eyd import (
     render_eyd,
     toggle_corner,
 )
-from conftest import object_moves, permutation_seqs
+from conftest import object_moves, permutation_seqs, reference_partitions
 
 x = LinearForm.x
 
@@ -209,6 +209,18 @@ class TestEnumeration:
 
     def test_negative_bound_gives_none(self):
         assert enumerate_eyd(2, -1) == []
+
+    def test_partitions_in_the_reference_order(self):
+        for m in range(21):
+            assert [tuple(p) for p in eyd._partitions(m)] == list(reference_partitions(m, m)), m
+
+    def test_diagrams_in_the_reference_order(self):
+        for charge in (0, 2):
+            assert enumerate_eyd(charge, 8) == [
+                make_eyd(charge, [charge - d for d in depths])
+                for m in range(9)
+                for depths in reference_partitions(m, m)
+            ]
 
     def test_all_distinct_and_within_bound(self):
         diagrams = enumerate_eyd(2, 5)

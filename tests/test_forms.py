@@ -389,7 +389,8 @@ class TestWindowSolutions:
     )
     def test_matches_box_filter(self, system):
         window, forms, max_total = system
-        assert window_solutions(SEARCH_SEQ, forms, window, max_total) == box_solutions(
+        terms = [f.items() for f in forms]
+        assert window_solutions(SEARCH_SEQ, terms, window, max_total) == box_solutions(
             forms, window, max_total
         )
 
@@ -409,7 +410,7 @@ class TestWindowSolutions:
     @example(([1, 2], [{1: 7, 2: -7}, {1: -7, 2: 7}, {1: -7, 9: 1}], 7))
     def test_wide_coefficients_match_box_filter(self, system):
         window, terms, max_total = system
-        forms = [indexed(t) for t in terms]
+        forms = [indexed(t).items() for t in terms]
         assert window_solutions(SEARCH_SEQ, forms, window, max_total) == box_filter(
             terms, window, max_total
         )

@@ -1,5 +1,7 @@
 """Root data: algebra types, Cartan matrices, folds, adaptedness, p and P tables."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +16,8 @@ from polyreal import (
     p_table,
     pair_to_index,
 )
-from polyreal.root_data import check_family, reachable
+from polyreal import enumerate_image, weight_coeffs
+from polyreal.root_data import check_family, reachable, weight_counts
 from conftest import make_seq
 
 
@@ -124,6 +127,37 @@ class TestCartan:
         assert set(rs.neighbor_pairs()) == {(1, 2), (1, 3), (2, 3)}
         rs = build_root_system(AlgebraType("A2", 3))
         assert set(rs.neighbor_pairs()) == {(1, 2), (2, 3)}
+
+
+WEIGHT_COUNT_CASES = (
+    [("A1", 2, 7)]
+    + [(family, 3, 7) for family in ("A1", "C1", "A2", "D2")]
+    + [(family, 4, 6) for family in ("A1", "C1", "A2", "D2")]
+    + [(family, 5, 5) for family in ("C1", "A2", "D2")]
+)
+
+
+class TestWeightCounts:
+    @pytest.mark.parametrize("family,n,height", WEIGHT_COUNT_CASES)
+    def test_equal_to_the_image_histogram(self, family, n, height):
+        # the crystal side, by weight, with zero counts for the weights the
+        # image misses: every weight of Q+ up to the height is counted
+        seq = make_seq(family, n)
+        index_set = seq.root_system.index_set
+        image = enumerate_image(seq, height)
+        histogram = Counter(tuple(weight_coeffs(seq, a)[i] for i in index_set) for a in image)
+        counts = weight_counts(seq.root_system, height)
+        assert counts == {beta: histogram[beta] for beta in counts}
+        assert set(histogram) <= set(counts)
+
+    def test_small_heights(self):
+        rs = build_root_system(AlgebraType("A1", 2))
+        assert weight_counts(rs, -1) == {}
+        assert weight_counts(rs, 0) == {(0, 0): 1}
+        # f1 f2 and f2 f1 are the two elements of weight -(alpha_1 + alpha_2)
+        assert weight_counts(rs, 2) == {
+            (0, 0): 1, (0, 1): 1, (1, 0): 1, (0, 2): 1, (1, 1): 2, (2, 0): 1
+        }
 
 
 class TestFold:

@@ -112,7 +112,7 @@ class TestDispatch:
     def test_forms_pool_contains_seeds(self, c1_n3):
         forms = generator_forms(c1_n3, 2, [1, 2])
         for k in (1, 2, 3):
-            assert x(1, k) in forms and x(2, k) in forms
+            assert x(1, k).items() in forms and x(2, k).items() in forms
 
 
 STANDARD = [("A1", 2), ("A1", 3), ("A2", 3), ("C1", 3), ("D2", 3)]
@@ -314,7 +314,8 @@ def reference_image_check(seq, max_weight, size_bound, s_bound):
     the weight box, the box walked in lexicographic order of window values."""
     image = enumerate_image(seq, max_weight)
     forms = sorted(
-        verify.generator_forms(seq, size_bound, range(1, s_bound + 1)), key=LinearForm.sort_key
+        (LinearForm(t) for t in verify.generator_forms(seq, size_bound, range(1, s_bound + 1))),
+        key=LinearForm.sort_key,
     )
     window = sorted({j for a in image for j in a.support()})
 
@@ -350,10 +351,12 @@ def reference_image_check(seq, max_weight, size_bound, s_bound):
 
 
 IMAGE_CASES = [
-    (family, 3, w, None, None, ()) for family in ("A1", "C1", "A2", "D2") for w in range(4)
+    (family, 3, w, None, None, (), None) for family in ("A1", "C1", "A2", "D2") for w in range(4)
 ]
 IMAGE_CASES += [
-    ("A1", 2, 5, None, None, ()),
+    (*case, None)
+    for case in [
+        ("A1", 2, 5, None, None, ()),
     # converse misses only
     ("A1", 3, 3, 0, 1, ()),
     ("C1", 3, 2, 0, 1, ()),
@@ -364,18 +367,37 @@ IMAGE_CASES += [
     ("A2", 3, 3, 0, 1, ((1, 2),)),
     # both kinds among the first witnesses: 7 converse, then 3 forward
     ("A1", 2, 4, 1, 1, ((2, 1),)),
-    # an empty window still holds one candidate
-    ("A1", 3, -1, None, None, ()),
+        # an empty window still holds one candidate
+        ("A1", 3, -1, None, None, ()),
+    ]
+]
+# words in which a color occurs twice: a periodic word for A1, which has no
+# other adapted word of length 6 at n = 3
+IMAGE_CASES += [
+    ("A1", 3, 4, None, None, (), (2, 1, 3, 2, 1, 3)),
+    ("C1", 3, 4, None, None, (), (1, 2, 1, 3, 2, 3)),
+    ("A2", 3, 4, None, None, (), (2, 3, 1, 2, 1, 3)),
+    ("D2", 3, 4, None, None, (), (3, 1, 2, 1, 3, 2)),
+]
+# the ids that pytest gives the cases without their word, then the word's colors
+IMAGE_IDS = [
+    f"{family}-{n}-{w}-{size_bound}-{s_bound}-negated{i}"
+    + ("-" + "".join(map(str, word)) if word else "")
+    for i, (family, n, w, size_bound, s_bound, _, word) in enumerate(IMAGE_CASES)
 ]
 
 
 class TestImageEquality:
-    @pytest.mark.parametrize("family,n,w,size_bound,s_bound,negated", IMAGE_CASES)
-    def test_matches_reference(self, family, n, w, size_bound, s_bound, negated, monkeypatch):
+    @pytest.mark.parametrize(
+        "family,n,w,size_bound,s_bound,negated,word", IMAGE_CASES, ids=IMAGE_IDS
+    )
+    def test_matches_reference(
+        self, family, n, w, size_bound, s_bound, negated, word, monkeypatch
+    ):
         forms = verify.generator_forms
-        extra = {-x(s, l) for s, l in negated}
+        extra = {(-x(s, l)).items() for s, l in negated}
         monkeypatch.setattr(verify, "generator_forms", lambda *args: forms(*args) | extra)
-        seq = make_seq(family, n)
+        seq = make_seq(family, n, word)
         size_bound = w + 2 if size_bound is None else size_bound
         s_bound = w + 1 if s_bound is None else s_bound
         r = check_image_equality(seq, max_weight=w, size_bound=size_bound, s_bound=s_bound)
@@ -405,7 +427,7 @@ class TestImageEquality:
         # a sampled form that the reachable elements with a_1 > 0 violate
         forms = verify.generator_forms
         monkeypatch.setattr(
-            verify, "generator_forms", lambda *args: forms(*args) | {-x(1, 1)}
+            verify, "generator_forms", lambda *args: forms(*args) | {(-x(1, 1)).items()}
         )
         r = check_image_equality(a1_n2, max_weight=2)
         assert r.status == "fail"
@@ -441,12 +463,13 @@ class TestImageEquality:
 
 def reference_generator_forms(seq, size_bound, s_values):
     """The sampled system built as before deduplication: one site_form per
-    (object, s), with s_values read inside the loop over objects."""
+    (object, s), with s_values read inside the loop over objects, each form
+    given by its term tuple."""
     out = set()
     for kind, k in generator_kinds(seq):
         for obj in verify.generator_objects(seq, kind, k, size_bound):
             sites = verify.MODULES[kind].sites(seq, obj)
-            out.update(site_form(sites, s) for s in s_values)
+            out.update(site_form(sites, s).items() for s in s_values)
     return out
 
 
@@ -457,7 +480,7 @@ def reference_window_solutions(seq, forms, window, max_total):
     compiled = set()
     for f in forms:
         terms = sorted(
-            (place[j], c) for (s, l), c in f.items() if (j := pair_to_index(seq, s, l)) in place
+            (place[j], c) for (s, l), c in f if (j := pair_to_index(seq, s, l)) in place
         )
         if any(c < 0 for _, c in terms):
             compiled.add(tuple(terms))
@@ -511,12 +534,28 @@ class TestImageReadSide:
         monkeypatch.setattr(verify, "generator_objects", objects)
         # the image check's inputs at max_weight w, on every permutation word
         for seq in permutation_seqs(family, n):
-            forms = generator_forms(seq, w + 2, range(1, w + 2))
-            assert forms == reference_generator_forms(seq, w + 2, range(1, w + 2)), seq
-            window = sorted({j for a in enumerate_image(seq, w) for j in a.support()})
-            assert window_solutions(seq, forms, window, w) == reference_window_solutions(
-                seq, forms, window, w
-            ), seq
+            self.assert_inputs_equal(seq, w)
+
+    @pytest.mark.parametrize("w", [4, 5])
+    def test_length_six_words_equal_to_the_references(self, w):
+        # the 18 non-periodic words of length 6 at n = 3, in which every
+        # color occurs twice (A1 has none)
+        families = ["A1", "C1", "A2", "D2"]
+        words = [(family, word) for family in families for word in adapted_words(family, 3, 6)]
+        assert len(words) == 18
+        for family, word in words:
+            self.assert_inputs_equal(make_seq(family, 3, list(word)), w)
+
+    @staticmethod
+    def assert_inputs_equal(seq, w):
+        """The image check's sampled system and solutions at max_weight w
+        equal the references'."""
+        forms = generator_forms(seq, w + 2, range(1, w + 2))
+        assert forms == reference_generator_forms(seq, w + 2, range(1, w + 2)), seq
+        window = sorted({j for a in enumerate_image(seq, w) for j in a.support()})
+        assert window_solutions(seq, forms, window, w) == reference_window_solutions(
+            seq, forms, window, w
+        ), seq
 
     def test_one_shot_s_values(self):
         seq = make_seq("A1", 3, [2, 1, 3])

@@ -18,7 +18,7 @@ import itertools
 
 import pytest
 
-from polyreal import LinearForm, eyd, reyd, verify, young_wall
+from polyreal import LinearForm, reyd, verify, young_wall
 from polyreal.eyd import corners, make_eyd, toggle_corner
 from polyreal.forms import _accumulate, beta_pair, beta_sites, closure, site_form, site_move
 from polyreal.reyd import FLAVORS, classify_points, enumerate_reyd, phi_reyd, toggle_point
@@ -40,7 +40,7 @@ from polyreal.young_wall import (
     legal_single_removes,
     toggle_block,
 )
-from conftest import enumerate_objects, make_seq
+from conftest import enumerate_objects, make_seq, reference_partitions
 from test_eyd import reference_sites as reference_eyd_sites
 
 FAMILIES = ["A1", "C1", "A2", "D2"]
@@ -80,7 +80,7 @@ def reference_objects(seq, kind, k, bound, halves=False):
         return [
             make_eyd(k, [k - d for d in depths])
             for m in range(bound + 1)
-            for depths in eyd._partitions(m, m)
+            for depths in reference_partitions(m, m)
         ]
     if kind == "reyd":
         return reference_reyd(flavor, rs.n, k, bound)
@@ -176,10 +176,11 @@ def reference_closure_check(seq, k, depth, s):
 
 
 def reference_generator_forms(seq, size_bound, s_values):
-    """The sampled system over the reference path: one site_form per (object, s)."""
+    """The sampled system over the reference path: one site_form per (object,
+    s), each given by its term tuple."""
     s_values = list(s_values)
     return {
-        site_form(reference_sites(seq, kind, obj), s)
+        site_form(reference_sites(seq, kind, obj), s).items()
         for kind, k in generator_kinds(seq)
         for obj in reference_objects(seq, kind, k, size_bound)
         for s in s_values
