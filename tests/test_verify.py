@@ -351,12 +351,10 @@ def reference_image_check(seq, max_weight, size_bound, s_bound):
 
 
 IMAGE_CASES = [
-    (family, 3, w, None, None, (), None) for family in ("A1", "C1", "A2", "D2") for w in range(4)
+    (family, 3, w, None, None, ()) for family in ("A1", "C1", "A2", "D2") for w in range(4)
 ]
 IMAGE_CASES += [
-    (*case, None)
-    for case in [
-        ("A1", 2, 5, None, None, ()),
+    ("A1", 2, 5, None, None, ()),
     # converse misses only
     ("A1", 3, 3, 0, 1, ()),
     ("C1", 3, 2, 0, 1, ()),
@@ -367,13 +365,13 @@ IMAGE_CASES += [
     ("A2", 3, 3, 0, 1, ((1, 2),)),
     # both kinds among the first witnesses: 7 converse, then 3 forward
     ("A1", 2, 4, 1, 1, ((2, 1),)),
-        # an empty window still holds one candidate
-        ("A1", 3, -1, None, None, ()),
-    ]
+    # an empty window still holds one candidate
+    ("A1", 3, -1, None, None, ()),
 ]
-# words in which a color occurs twice: a periodic word for A1, which has no
-# other adapted word of length 6 at n = 3
-IMAGE_CASES += [
+# the cases above run on the default word; these on words in which a color
+# occurs twice, a periodic word for A1, which has no other adapted word of
+# length 6 at n = 3
+IMAGE_CASES = [(*case, None) for case in IMAGE_CASES] + [
     ("A1", 3, 4, None, None, (), (2, 1, 3, 2, 1, 3)),
     ("C1", 3, 4, None, None, (), (1, 2, 1, 3, 2, 3)),
     ("A2", 3, 4, None, None, (), (2, 3, 1, 2, 1, 3)),
