@@ -120,7 +120,7 @@ def _window_sites(seq: AdaptedSequence, kind: str, k: int, bound: int) -> list:
     """The sites of the generator objects fitting a bound x bound window."""
     return [
         sites
-        for obj, sites, _ in verify_mod.walk_objects(
+        for obj, sites, _ in verify_mod.generator_objects(
             seq, kind, k, bound * bound, halves=kind == "wall"
         )
         if len(obj.columns()) <= bound and max(obj.columns(), default=0) <= bound

@@ -8,8 +8,8 @@ corner sits at (t+1, y_t).  The assignment map sends a diagram to the sum of
 x_{s + P^k(x+y) + min(k-y, x), c(x+y)} over concave corners minus the same
 expression over convex corners, with c the folded color; _read reads those
 terms and their corners off the stored values in one pass.
-A move is decided once, by the corners at one column (_corners_at), for
-corners and for toggle_corner alike.  The one toggle adds a box at a concave
+A move is decided once, by one pass over the values (_corners), for _read,
+corners and toggle_corner alike.  The one toggle adds a box at a concave
 corner (x, y_x) by lowering y_x, or removes one at a convex corner
 (x, y_{x-1}) by raising y_{x-1}; it changes one value and keeps the diagram
 valid (_toggle, for a listed corner, skips the test), and only make_eyd and
@@ -84,19 +84,20 @@ def make_eyd(charge: int, ys: Sequence[int]) -> ExtendedYoungDiagram:
     return ExtendedYoungDiagram(charge, tuple(vals))
 
 
-def _corners_at(T: ExtendedYoungDiagram, x: int) -> List[Corner]:
-    """The corners at x: concave (0, y_0), and where column x ends above
-    column x - 1, concave (x, y_x) then convex (x, y_{x-1})."""
-    if x == 0:
-        return [Corner("concave", 0, T.y(0))]
-    if x < 0 or T.y(x - 1) >= T.y(x):
-        return []
-    return [Corner("concave", x, T.y(x)), Corner("convex", x, T.y(x - 1))]
+def _corners(T: ExtendedYoungDiagram) -> List[Tuple[str, int, int]]:
+    """The corners as plain (kind, x, y) tuples, from one pass over
+    ys + (charge,), ordered by x: concave (0, y_0), and where column x ends
+    above column x - 1, concave (x, y_x) then convex (x, y_{x-1})."""
+    out = [("concave", 0, T.y(0))]
+    for x, (before, y) in enumerate(zip(T.ys, T.ys[1:] + (T.charge,)), 1):
+        if before < y:
+            out += (("concave", x, y), ("convex", x, before))
+    return out
 
 
 def corners(T: ExtendedYoungDiagram) -> List[Corner]:
     """All corners ordered by x, concave before convex at equal x."""
-    return [c for x in range(len(T.ys) + 1) for c in _corners_at(T, x)]
+    return [Corner._make(c) for c in _corners(T)]
 
 
 _FOLDS = {"A1": "overline", "D2": "pi"}
@@ -110,23 +111,20 @@ def _fold_kind(seq: AdaptedSequence) -> str:
 
 
 def _read(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Tuple[List[Site], List[Point]]:
-    """T's sites and move points, from one pass over ys + (charge,): one
-    site per corner, in the order of corners, +1 at a concave corner (x, y)
-    and -1 at a convex one, with offset P^k(x+y) + min(charge - y, x) and the
-    folded color of x+y; each corner, a plain tuple, is also a point."""
+    """T's sites and move points, one of each per corner of _corners: +1 at
+    a concave corner (x, y) and -1 at a convex one, with offset P^k(x+y) +
+    min(charge - y, x) and the folded color of x+y; each corner, a plain
+    tuple, is also a point."""
     fold_kind, n, charge = _fold_kind(seq), seq.root_system.n, T.charge
     out: List[Site] = []
     points: List[Point] = []
-    before = None  # y_{x-1}
-    for x, y in enumerate(T.ys + (charge,)):
-        if x == 0 or before < y:
-            for coeff, z in ((1, y), (-1, before)) if x else ((1, y),):
-                d = x + z
-                offset = p_table(seq, fold_kind, charge, d) + min(charge - z, x)
-                site = (coeff, offset, fold(fold_kind, n, d))
-                out.append(site)
-                points.append((("concave" if coeff > 0 else "convex", x, z), coeff, site))
-        before = y
+    for corner in _corners(T):
+        kind, x, y = corner
+        coeff = 1 if kind == "concave" else -1
+        offset = p_table(seq, fold_kind, charge, x + y) + min(charge - y, x)
+        site = (coeff, offset, fold(fold_kind, n, x + y))
+        out.append(site)
+        points.append((corner, coeff, site))
     return out, points
 
 
@@ -152,9 +150,9 @@ def assign_d2(seq: AdaptedSequence, T: ExtendedYoungDiagram, s: int) -> LinearFo
 
 def toggle_corner(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:
     """Add a box at a concave corner, lowering y_x, or remove the box at a
-    convex corner, raising y_{x-1}; only a corner that _corners_at lists,
+    convex corner, raising y_{x-1}; only a corner that _corners lists,
     kind included, is toggled."""
-    if corner not in _corners_at(T, corner.x):
+    if corner not in _corners(T):
         raise EYDError(f"{corner} is not a corner of {T}")
     return _toggle(T, corner)
 

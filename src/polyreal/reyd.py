@@ -14,10 +14,11 @@ when the neighboring values form the flat pattern and i sits in the special
 congruence class; a double contributes its coordinate twice to the form.
 Diagrams are validated and classified on their window alone: outside it
 every step is 1 or 0, and no point can lie there (see classify_points).
-A move is decided by the two steps beside the changed value: toggle_point
-tests them with _can_set, and classify_points reads the same rule off the
-window in one pass (_read addresses them, and _toggle makes a listed move
-with no test); only make_reyd, from_json and validate check a whole diagram.
+A move is decided once, by classify_points, which reads the two steps
+beside each changed value off the window in one pass: _read addresses its
+points, toggle_point moves only at a point that it lists, and _toggle makes
+a listed move with no test; only make_reyd, from_json and validate check a
+whole diagram.
 """
 
 from __future__ import annotations
@@ -130,18 +131,25 @@ def _pair_ok(T: RevisedEYD, t: int, yt: int, yt1: int) -> bool:
     return _special(T, T.k + t) and (step >= 0 if t > 0 else step <= 1)
 
 
-def _can_set(T: RevisedEYD, t: int, before: int, value: int, after: int) -> bool:
-    """Whether y_t = value keeps both steps beside it allowed, given y_{t-1} and y_{t+1}."""
-    return _pair_ok(T, t - 1, before, value) and _pair_ok(T, t, value, after)
-
-
 def make_reyd(flavor: str, n: int, k: int, t_lo: int, ys: Sequence[int]) -> RevisedEYD:
-    """Validate and canonicalize a windowed value list."""
+    """Validate and canonicalize a windowed value list; no values give phi.
+
+    No valid diagram stores m >= 1 values from a t_lo outside -m..1, so such
+    a t_lo is rejected before the values are padded out to position 0.  A
+    step at a negative position rises by at most 1, so from y_{t_lo-1} =
+    k + t_lo - 1 on, y_t <= k + t up to t = 0; with t_lo < -m, the first
+    place past the window, t_lo + m < 0, would need y = k.  A step at a
+    positive position never falls, so with t_lo > 1 every y_t from t = t_lo -
+    1 >= 1 on stays at least k + t_lo - 1 > k, and never meets the charge.
+    """
     n, k = _check_parameters(flavor, n, k)
     t_lo = exact_int(t_lo, REYDError)
     vals = tuple(exact_int(v, REYDError) for v in ys)
     if not vals:
         return phi_reyd(flavor, n, k)
+    m = len(vals)
+    if not -m <= t_lo <= 1:
+        raise REYDError(f"t_lo must lie in -{m}..1 for a window of length {m}, got {t_lo}")
     return _validate(_trimmed(RevisedEYD(flavor, n, k, t_lo, vals)))
 
 
@@ -199,10 +207,12 @@ def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
     by 1 above when negative and by 0 below when positive, and no valid
     charge relaxes position 0.
 
-    One pass decides each move as _can_set would, with no call.  A step of T
-    that is not 0 or 1 is relaxed, and a one-unit move keeps it on its
-    allowed side, so a move fails only where it turns a step 0 into -1 (only
-    a negative relaxed position allows it) or 1 into 2 (only a positive one).
+    This is the one move rule: a point is listed exactly when its one-unit
+    move keeps both steps beside the changed value allowed by _pair_ok, read
+    in one pass with no call.  A step of T that is not 0 or 1 is relaxed, and
+    a one-unit move keeps it on its allowed side, so a move fails only where
+    it turns a step 0 into -1 (only a negative relaxed position allows it)
+    or 1 into 2 (only a positive one).
     """
     out: List[MarkedPoint] = []
     lo, k, n, M, special = T.t_lo, T.k, T.n, T.modulus, T.special
@@ -261,11 +271,9 @@ def assign(seq: AdaptedSequence, T: RevisedEYD, s: int) -> LinearForm:
 
 
 def toggle_point(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
-    """Lower at an admissible point or raise at a removable one; only the two
-    steps beside the changed value are checked, by the rule of classify_points."""
-    t, delta = (point.x, -1) if point.role == "admissible" else (point.x - 1, 1)
-    legal = point.role in ("admissible", "removable") and T.y(t) == point.y
-    if not (legal and _can_set(T, t, T.y(t - 1), point.y + delta, T.y(t + 1))):
+    """Lower at an admissible point or raise at a removable one; only a point
+    that classify_points lists, matched by role, x and y, is toggled."""
+    if (point.role, point.x, point.y) not in {pt[:3] for pt in classify_points(T)}:
         raise REYDError(f"{point} is not an admissible or removable point of {T}")
     return _toggle(T, point)
 

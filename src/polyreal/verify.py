@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .root_data import AdaptedSequence, index_to_pair
+from .root_data import AdaptedSequence, index_to_pair, weight_counts
 from .lattice_crystal import (
     LatticeElement,
     _reach,
@@ -136,27 +136,24 @@ def charge_kind(seq: AdaptedSequence, k: int) -> str:
     return kinds[k]
 
 
-def walk_objects(
+def generator_objects(
     seq: AdaptedSequence,
     kind: str,
     k: int,
     bound: int,
     halves: bool = False,
     every: bool = False,
-) -> Iterator[Tuple[object, List[Site], List[Move]]]:
-    """forms.walk over one kind and charge, from its module's _seeds, each
-    object read once, by the module's _read."""
+) -> List[Tuple[object, List[Site], List[Move]]]:
+    """The (object, sites, moves) of one kind and charge, as forms.walk lists
+    them from the module's _seeds, each object read once, by the module's
+    _read.  The bound counts steps, or with halves bounds a wall's halves; a
+    single block add raises a wall's block count by exactly 1, so its steps
+    are blocks."""
     rs = seq.root_system
     flavor, _ = family_generators(rs.algebra.family, rs.n)[kind]
     module = MODULES[kind]
     seeds, reader = module._seeds(flavor, rs.n, k, bound), partial(module._read, seq)
-    return walk(seeds, reader, module._toggle, module._key, bound, halves, every)
-
-
-def generator_objects(seq: AdaptedSequence, kind: str, k: int, size_bound: int) -> list:
-    """The objects of one kind and charge within size_bound steps; a single
-    block add raises a wall's block count by exactly 1, so its steps are blocks."""
-    return [obj for obj, _, _ in walk_objects(seq, kind, k, size_bound)]
+    return list(walk(seeds, reader, module._toggle, module._key, bound, halves, every))
 
 
 def _site_map(sites: List[Site]) -> Dict[Pair, int]:
@@ -189,7 +186,7 @@ def generator_forms(
     smallest = min(s_values)
     lows: Dict[tuple, Set[int]] = {}
     for kind, k in generator_kinds(seq):
-        for _, sites, _ in walk_objects(seq, kind, k, size_bound):
+        for _, sites, _ in generator_objects(seq, kind, k, size_bound):
             lowest = min((offset for _, offset, _ in sites), default=0)
             if sites and smallest + lowest < 1:
                 s = next(s for s in s_values if s + lowest < 1)
@@ -247,7 +244,7 @@ def check_step_identities(
         bound = wall_halves if walls else size_bound
         walked = [
             (obj, _site_map(sites), moves)
-            for obj, sites, moves in walk_objects(seq, kind, k, bound, walls, True)
+            for obj, sites, moves in generator_objects(seq, kind, k, bound, walls, True)
         ]
         maps = {obj: before for obj, before, _ in walked}
         for obj, before, moves in walked:
@@ -291,7 +288,7 @@ def check_closure_equality(
     seeds = [LinearForm.x(s, k)] if depth >= 0 else []
     closed, pruned = closure(seq, seeds, depth, index_bound)
     kind = charge_kind(seq, k)
-    images = {site_form(sites, s) for _, sites, _ in walk_objects(seq, kind, k, depth)}
+    images = {site_form(sites, s) for _, sites, _ in generator_objects(seq, kind, k, depth)}
     extra = sorted(closed - images, key=LinearForm.sort_key)
     missing = sorted(images - closed, key=LinearForm.sort_key)
     witnesses = [f"{pruned} forms pruned at index bound {index_bound}"] if pruned else []
@@ -406,13 +403,23 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
 
     The raise chain starts from e, and only its third and later raises
     call etilde.
+
+    The image is a copy of B(infinity) truncated at depth, so it holds
+    K(beta) = |B(infinity)_{-beta}| elements of weight -beta for each beta of
+    height at most depth (root_data.weight_counts; at a negative depth the
+    image is still {0}, so K is taken at depth 0).  The elements are counted
+    per weight from the same weight_coeffs, and each weight whose count
+    differs from K is one more failure.
     """
     image = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
     cartan = seq.root_system.cartan
     failures: List[str] = []
     checked = 0
+    found: Dict[Tuple[int, ...], int] = {}
     for a in image:
         ca = weight_coeffs(seq, a)
+        weight = tuple(ca.values())
+        found[weight] = found.get(weight, 0) + 1
         for i in seq.root_system.index_set:
             checked += 1
             row = cartan[i - 1]
@@ -442,6 +449,11 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
                 raises += 1
             if raises != eps:
                 failures.append(f"epsilon_{i}({a}) = {eps} but {raises} raises apply")
+    expected = weight_counts(seq.root_system, max(depth, 0))
+    for weight in sorted(found.keys() | expected.keys()):
+        got, want = found.get(weight, 0), expected.get(weight, 0)
+        if got != want:
+            failures.append(f"beta={weight}: {got} image elements of weight -beta, K(beta)={want}")
     return _report(
         "crystal-axioms",
         seq,

@@ -22,7 +22,7 @@ def permutation_seqs(family: str, n: int):
 def enumerate_objects(seq, kind: str, k: int, bound: int) -> list:
     """The walk's objects of one kind and charge, up to a bound in the kind's
     own unit: a box for eyd, a unit for reyd and a half for walls."""
-    return [obj for obj, _, _ in verify.walk_objects(seq, kind, k, bound, halves=kind == "wall")]
+    return [obj for obj, _, _ in verify.generator_objects(seq, kind, k, bound, kind == "wall")]
 
 
 def object_moves(seq, kind: str, obj) -> list:

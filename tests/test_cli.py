@@ -265,6 +265,14 @@ class TestRender:
         assert "admissible (-1,1) color 1 double" in out
         assert "removable (1,1) color 2" in out
 
+    @pytest.mark.parametrize("t_lo", ["9223372036854775807", "-9223372036854775807"])
+    def test_reyd_t_lo_out_of_range_is_usage_error(self, capsys, t_lo):
+        # rejected before the values are padded out to position 0
+        argv = ("render", "--family", "A2", "--n", "3", "reyd", "k", "2", "t_lo", t_lo, "ys", "1")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: t_lo must lie in -1..1 for a window of length 1, got {t_lo}\n"
+
     def test_missing_kind_is_usage_error(self, capsys):
         code, _, err = run(capsys, "render")
         assert code == EXIT_USAGE

@@ -454,7 +454,7 @@ class TestSPrimeDirectSum:
         objects = [
             (verify.MODULES[kind], obj)
             for kind, k in verify.generator_kinds(seqs[0])
-            for obj in verify.generator_objects(seqs[0], kind, k, 6)
+            for obj, _, _ in verify.generator_objects(seqs[0], kind, k, 6)
         ]
         for seq in seqs:
             for f in {site_form(module.sites(seq, obj), 1) for module, obj in objects}:

@@ -55,8 +55,8 @@ class TestMovesAreBuiltValid:
             ]
             for (kind, k), objs in objects.items():
                 assert enumerate_objects(seq, kind, k, bounds[kind]) == objs
-                walked = list(
-                    verify.walk_objects(seq, kind, k, bounds[kind], kind == "wall", every=True)
+                walked = verify.generator_objects(
+                    seq, kind, k, bounds[kind], kind == "wall", every=True
                 )
                 assert [obj for obj, _, _ in walked] == objs
                 moved += [move[0] for _, _, moves in walked for move in moves]

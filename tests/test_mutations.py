@@ -1,0 +1,84 @@
+"""The mutation matrix: each row is a source edit of one polyreal function
+that breaks the crystal or its realization, and `polyreal verify` must fail
+on every problem, caught by the suites that the row names.
+
+A row's edit is made to the function's own source, compiled into a copy of
+its module's namespace, and the result is patched onto every module that
+holds the name: lattice_crystal, and verify, which imports `_reach` and
+`enumerate_image` directly.  The problems are A1, C1, A2 and D2 at n = 3
+and 4 with the word 1..n, at default bounds, all suites.
+"""
+
+import __future__
+import contextlib
+import inspect
+import io
+import json
+import textwrap
+
+import pytest
+
+from polyreal import cli, lattice_crystal, verify
+
+PROBLEMS = [(family, n) for family in ("A1", "C1", "A2", "D2") for n in (3, 4)]
+
+# name: (module, function, source text, its replacement, suites that must fail)
+ROWS = {
+    # sigma reads only the positive Cartan terms, so the image shrinks
+    # (379 to 84 elements on A1 n = 3 at depth 6) and stays closed
+    "reach-positive-cartan-only": (
+        lattice_crystal, "_reach", "s += row[r] * v", "s += max(row[r], 0) * v", {"crystal-axioms"}
+    ),
+    # the image stops one lowering short of its depth
+    "image-one-step-short": (
+        lattice_crystal,
+        "enumerate_image",
+        "for _ in range(max_word_length):",
+        "for _ in range(max_word_length - 1):",
+        {"crystal-axioms"},
+    ),
+}
+
+
+def mutated(module, name: str, old: str, new: str):
+    """module.name compiled from its source with old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    code = compile(
+        source.replace(old, new),
+        module.__file__,
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace = dict(vars(module))
+    exec(code, namespace)
+    return namespace[name]
+
+
+def verify_json(family: str, n: int):
+    """The exit code and the reports of `polyreal verify --json` on one problem."""
+    word = ",".join(str(c) for c in range(1, n + 1))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--family", family, "--n", str(n), "--word", word, "--json"])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("family,n", PROBLEMS)
+def test_unmutated_problems_pass(family, n):
+    code, reports = verify_json(family, n)
+    assert code == cli.EXIT_OK, [r for r in reports if r["status"] != "pass"]
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_mutation_is_caught(row, monkeypatch):
+    module, name, old, new, catchers = ROWS[row]
+    function = mutated(module, name, old, new)
+    for holder in (lattice_crystal, verify):
+        monkeypatch.setattr(holder, name, function)
+    for family, n in PROBLEMS:
+        code, reports = verify_json(family, n)
+        failed = {r["check"] for r in reports if r["status"] == "fail"}
+        assert code == cli.EXIT_FAIL, (family, n, failed)
+        assert catchers <= failed, (family, n, failed)

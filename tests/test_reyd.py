@@ -117,6 +117,25 @@ class TestShapes:
         ]
         assert validate(phi_reyd("A2", 3, 2)) == []
 
+    def test_t_lo_out_of_range_rejected(self):
+        # m values fit only a t_lo in -m..1; phi takes no values, so any t_lo
+        assert make_reyd("A2", 3, 2, 1, [2]) == phi_reyd("A2", 3, 2)
+        assert make_reyd("A2", 3, 2, -3, [-1, 0, 1]) == phi_reyd("A2", 3, 2)
+        assert make_reyd("A2", 3, 2, 9, []) == phi_reyd("A2", 3, 2)
+        for t_lo, ys in ((2, [2]), (-4, [-1, 0, 1]), (-2**63 + 1, [1]), (2**63 - 1, [1])):
+            with pytest.raises(REYDError, match=rf"^t_lo must lie in -{len(ys)}\.\.1 .*{t_lo}$"):
+                make_reyd("A2", 3, 2, t_lo, ys)
+
+    @pytest.mark.parametrize("flavor", ["A2", "D2target"])
+    def test_no_valid_diagram_outside_the_t_lo_range(self, flavor):
+        # the raw windows that make_reyd no longer pads are all invalid
+        k = 2
+        for size in range(1, 4):
+            for ys in product(range(k - 4, k + 3), repeat=size):
+                for t_lo in [*range(-size - 4, -size), *range(2, 6)]:
+                    with pytest.raises(REYDError):
+                        reyd._validate(reyd._trimmed(RevisedEYD(flavor, 3, k, t_lo, ys)))
+
     def test_units(self):
         assert make_reyd("A2", 3, 2, -1, [1, 1, 2]).units() == 1
         assert make_reyd("A2", 3, 2, -2, [0, 0, 1, 2]).units() == 2
@@ -340,11 +359,18 @@ def reference_trimmed(raw):
     return RevisedEYD(raw.flavor, raw.n, k, lo, tuple(raw.y(v) for v in range(lo, hi + 1)))
 
 
+def reference_can_set(T, t, before, value, after):
+    """Whether y_t = value keeps both steps beside it allowed, given y_{t-1}
+    and y_{t+1}: the test that toggle_point made before it read classify_points."""
+    return reyd._pair_ok(T, t - 1, before, value) and reyd._pair_ok(T, t, value, after)
+
+
 def reference_toggle_point(T, point):
-    """toggle_point as it was before the splice: the window rebuilt through T.y."""
+    """toggle_point as it was before the splice: the two steps beside the
+    changed value tested, and the window rebuilt through T.y."""
     t, delta = (point.x, -1) if point.role == "admissible" else (point.x - 1, 1)
     legal = point.role in ("admissible", "removable") and T.y(t) == point.y
-    if not (legal and reyd._can_set(T, t, T.y(t - 1), point.y + delta, T.y(t + 1))):
+    if not (legal and reference_can_set(T, t, T.y(t - 1), point.y + delta, T.y(t + 1))):
         raise REYDError(f"{point} is not an admissible or removable point of {T}")
     lo = min(T.t_lo, t)
     ys = [T.y(u) for u in range(lo, max(T.t_hi, t) + 1)]

@@ -79,3 +79,23 @@ def test_every_probed_counter_is_recorded():
         "verify.steps.toggles_checked",
     ):
         assert name in traced.counters, name
+
+
+def test_the_walk_has_its_own_span():
+    """The step, closure and image checks list their generator objects through
+    verify.generator_objects, so the walk is timed in its own span and not in
+    the checks' self time."""
+    traced = _tracer_module().Tracer()
+    traced.install()
+    try:
+        seq = make_seq("A1", 3)
+        for name, args in (
+            ("check_step_identities", {"size_bound": 1}),
+            ("check_closure_equality", {"k": 1, "depth": 1}),
+            ("check_image_equality", {"max_weight": 1, "size_bound": 1}),
+        ):
+            before = traced.calls("verify.generator_objects")
+            getattr(verify, name)(seq, **args)
+            assert traced.calls("verify.generator_objects") > before, name
+    finally:
+        traced.uninstall()

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,13 @@ from polyreal import (
     LatticeElement, LinearForm, enumerate_image, evaluate, forms, lattice_crystal, verify
 )
 from polyreal.root_data import (
-    AdaptedSequence, AlgebraType, NotAdaptedError, build_adapted, build_root_system, pair_to_index
+    AdaptedSequence,
+    AlgebraType,
+    NotAdaptedError,
+    build_adapted,
+    build_root_system,
+    pair_to_index,
+    weight_counts,
 )
 from polyreal.forms import beta_pair, site_form, site_move, window_solutions
 from polyreal.lattice_crystal import epsilon, etilde, ftilde, phi, weight_coeffs
@@ -101,7 +108,7 @@ class TestDispatch:
 
     def test_objects_respect_bounds(self, a2_n3):
         for kind, k in generator_kinds(a2_n3):
-            for obj in generator_objects(a2_n3, kind, k, 3):
+            for obj, _, _ in generator_objects(a2_n3, kind, k, 3):
                 if kind == "wall":
                     assert obj.block_count() <= 3
                 elif kind == "reyd":
@@ -465,7 +472,7 @@ def reference_generator_forms(seq, size_bound, s_values):
     given by its term tuple."""
     out = set()
     for kind, k in generator_kinds(seq):
-        for obj in verify.generator_objects(seq, kind, k, size_bound):
+        for obj, _, _ in verify.generator_objects(seq, kind, k, size_bound):
             sites = verify.MODULES[kind].sites(seq, obj)
             out.update(site_form(sites, s).items() for s in s_values)
     return out
@@ -629,6 +636,13 @@ def _reference_axioms_check(seq, depth):
                 x, raises = x2, raises + 1
             if raises != eps:
                 failures.append(f"epsilon_{i}({a}) = {eps} but {raises} raises apply")
+    # each weight -beta holds K(beta) elements, beta of height at most depth
+    found = Counter(tuple(weight_coeffs(seq, a).values()) for a in image)
+    expected = weight_counts(seq.root_system, max(depth, 0))
+    for beta in sorted(set(found) | set(expected)):
+        got, want = found[beta], expected.get(beta, 0)
+        if got != want:
+            failures.append(f"beta={beta}: {got} image elements of weight -beta, K(beta)={want}")
     counts = {"elements": len(image), "pairs_checked": checked, "failures": len(failures)}
     return verify._report(
         "crystal-axioms", seq, {"depth": depth}, counts, failures, len(failures), checked

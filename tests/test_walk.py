@@ -1,6 +1,6 @@
 """One walk per kind and charge reads each generator object once.
 
-verify.walk_objects replaces the path that enumerated each kind with its own
+verify.generator_objects replaces the path that enumerated each kind with its own
 module enumerator and then called sites and moves on every object, each
 classifying the object again; forms.walk is that walk, and enumerate_reyd
 and enumerate_walls list what it walks.  The reference_* helpers keep the old
@@ -233,15 +233,13 @@ class TestWalkReadsAsTheReference:
                     if obj not in read:
                         read[obj] = (reference_sites(seq, kind, obj), reference_moves(seq, kind, obj))
                     want.append((obj, *read[obj]))
-                got = list(verify.walk_objects(seq, kind, k, bound, halves, every=True))
+                got = verify.generator_objects(seq, kind, k, bound, halves, every=True)
                 assert got == want, (kind, k, bound, halves)
-                grown = list(verify.walk_objects(seq, kind, k, bound, halves))
+                # with halves False, this is the listing of the closure and image checks
+                grown = verify.generator_objects(seq, kind, k, bound, halves)
                 assert grown == [(obj, sites, []) for obj, sites, _ in want]
-                objects = [obj for obj, _, _ in want]
                 if halves or kind != "wall":
-                    assert enumerate_objects(seq, kind, k, bound) == objects
-                if not halves:
-                    assert verify.generator_objects(seq, kind, k, bound) == objects
+                    assert enumerate_objects(seq, kind, k, bound) == [obj for obj, _, _ in want]
 
 
 def _shift_one_neighbour(monkeypatch, seq):
@@ -321,4 +319,5 @@ class TestWallsByBlocks:
             kind = WallKind(family_generators(family, n)["wall"][0], n, k)
             for blocks in range(-1, 9):
                 filtered = [Y for Y in reference_walls(kind, 2 * blocks) if Y.block_count() <= blocks]
-                assert verify.generator_objects(seq, "wall", k, blocks) == filtered
+                walked = verify.generator_objects(seq, "wall", k, blocks)
+                assert [Y for Y, _, _ in walked] == filtered
