@@ -11,7 +11,10 @@ support.  Between two supported positions sigma is the same at every
 i-colored position, so the pass reads only the supported i-positions and
 the first and last i-position of each gap.  `enumerate_image` makes each
 element of the image once, from the one parent that raising at the color of
-its largest index gives.
+its largest index m gives.  Of every other color i it asks only whether
+lowering bumps a position above m.  sigma is 0 at every i-position above m,
+and one lies in m+1..m+L, so that holds iff sigma < 0 at every i-position
+up to m: a pass from the right stops at the first one whose sigma is >= 0.
 """
 
 from __future__ import annotations
@@ -216,21 +219,47 @@ def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeEl
     copy of B(infinity) and so closed under raising, has total t - 1, and
     ftilde_c maps it back to b.  Because etilde_c ftilde_c = id, it is the
     only a with ftilde_c(a) = b.
+
+    Only the color c(m) of m = max_index(a) needs the full sweep of
+    `_reach`.  For any other color i the one question is whether p > m.
+    sigma is 0 at every i-position above m, and one of them lies in
+    m+1..m+L, so p > m iff sigma < 0 at every i-position <= m, and then p is
+    that first i-position above m, m + 1 + `seq._next[i][m % L]`.  So a pass
+    from the right, like `_reach`'s, stops at the first i-position <= m
+    whose sigma is >= 0, and each element takes one full sweep.  At a = 0,
+    m = 0: no position is read and every color lowers at its first
+    i-position.
     """
     word, L = seq.word, seq.L
-    index_set = seq.root_system.index_set
+    colors = [(i, seq._row[i], seq._next[i]) for i in seq.root_system.index_set]
     level = [LatticeElement.zero()]
     image = set(level)
     for _ in range(max_word_length):
         lowered = []
         for a in level:
-            m = a.max_index()
-            # at a = 0 (m = 0) every p > m, so top is never read
-            top = word[(m - 1) % L]
-            for i in index_set:
-                p = _reach(seq, a, i)[1]
-                if p > m or i == top:
-                    lowered.append(a.bump(p, 1))
+            key = a.items()
+            m, vm = key[-1] if key else (0, 0)
+            rm = (m - 1) % L
+            top = word[rm]
+            below = key[-2::-1]
+            for i, row, nxt in colors:
+                if i == top:
+                    lowered.append(a.bump(_reach(seq, a, i)[1], 1))
+                    continue
+                # p > m iff sigma < 0 at every i-position < m: walk down
+                # from m as _reach does and stop at the first sigma >= 0
+                s, hi = row[rm] * vm, m
+                for j, v in below:
+                    if s >= 0 and j + 1 + nxt[j % L] < hi:
+                        break
+                    r = (j - 1) % L
+                    if not nxt[r] and v + s >= 0:
+                        break
+                    s += row[r] * v
+                    hi = j
+                else:
+                    if s < 0 or 1 + nxt[0] >= hi:
+                        lowered.append(a.bump(m + 1 + nxt[m % L], 1))
         image.update(lowered)
         level = lowered
     return image

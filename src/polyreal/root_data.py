@@ -158,8 +158,17 @@ def weight_counts(rs: RootSystem, max_height: int) -> Dict[Tuple[int, ...], int]
     lambda_i to beta_i.  It is taken only where lambda_i > 0, where it
     lengthens w by one, so each round of the walk flips the sign and every
     step raises the height.  rho is regular, so beta determines w, and each
-    beta is kept once.  K is then that truncated series inverted over Q+, in
-    order of height.
+    beta is kept once.
+
+    K is that truncated series inverted over Q+, by pushing: the weights are
+    taken in order of height, and once counts[beta] is final, -d
+    counts[beta] is pushed onto beta + gamma for each term d e^{-gamma} of
+    the denominator.  The terms are sorted by height, so the push stops at
+    the first gamma that no longer fits under max_height.  Each beta is
+    coded as one int, with digit beta_i in base max_height + 1, so beta +
+    gamma is a sum of codes.  It cannot carry, because every pushed beta +
+    gamma has height at most max_height, and so every digit stays below the
+    base.
     """
     if max_height < 0:
         return {}
@@ -177,16 +186,27 @@ def weight_counts(rs: RootSystem, max_height: int) -> Dict[Tuple[int, ...], int]
                         grown[up] = tuple(lj - li * row[i] for lj, row in zip(lam, cartan))
         level, sign = grown, -sign
     del denominator[zero]
-    counts, layer = {zero: 1}, [zero]
+    # alpha_1 is the most significant digit, so codes sort as the tuples do
+    base = max_height + 1
+    place = [base ** k for k in range(n - 1, -1, -1)]
+    terms = sorted(
+        (sum(gamma), sum(g * p for g, p in zip(gamma, place)), d)
+        for gamma, d in denominator.items()
+    )
+    layers = [[0]]
     for _ in range(max_height):
-        layer = sorted({b[:i] + (b[i] + 1,) + b[i + 1 :] for b in layer for i in range(n)})
-        for beta in layer:
-            counts[beta] = -sum(
-                d * counts[tuple(b - g for b, g in zip(beta, gamma))]
-                for gamma, d in denominator.items()
-                if all(g <= b for g, b in zip(gamma, beta))
-            )
-    return counts
+        layers.append(sorted({c + p for c in layers[-1] for p in place}))
+    counts = {c: 0 for layer in layers for c in layer}
+    counts[0] = 1
+    for height, layer in enumerate(layers):
+        room = max_height - height
+        for c in layer:
+            k = counts[c]
+            for h, g, d in terms:
+                if h > room:
+                    break
+                counts[c + g] -= d * k
+    return {tuple(c // p % base for p in place): k for c, k in counts.items()}
 
 
 def fold(map_kind: str, n: int, t: int) -> int:

@@ -19,6 +19,7 @@ from polyreal import (
     weight_pairing,
 )
 from polyreal.cli import default_word
+from polyreal import lattice_crystal
 from polyreal.lattice_crystal import _reach
 from polyreal.root_data import reachable
 from conftest import adapted_words, make_seq
@@ -312,6 +313,14 @@ class TestCanonicalParentWalk:
             seq = make_seq(family, n, word)
             assert enumerate_image(seq, depth) == image_by_search(seq, depth), word
 
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_rank_five_matches_search(self, family):
+        # at n = 5 every top color has colors that are not its neighbours;
+        # past the top entry their sum stays 0, so their early exit stops at
+        # the first i-position below it
+        seq = make_seq(family, 5, [1, 2, 3, 4, 5])
+        assert enumerate_image(seq, 5) == image_by_search(seq, 5)
+
     def test_length_six_words_match_search(self):
         # A1 at n = 3 has none: its three colors are pairwise neighbors
         words = [(f, w) for f in ("A1", "C1", "A2", "D2") for w in adapted_words(f, 3, 6)]
@@ -343,6 +352,22 @@ class TestCanonicalParentWalk:
         image = enumerate_image(d2_n3, 6)
         assert len(made) == len(set(made)) == len(image) - 1
         assert set(made) == image - {LatticeElement.zero()}
+
+    def test_one_full_sweep_per_element(self, monkeypatch):
+        # only the color of the largest index takes `_reach`; every other
+        # color is answered by the early exit, so n sweeps per element fail
+        calls = []
+        reach = lattice_crystal._reach
+
+        def counted(seq, a, i):
+            calls.append(a)
+            return reach(seq, a, i)
+
+        monkeypatch.setattr(lattice_crystal, "_reach", counted)
+        image = enumerate_image(make_seq("A1", 4), 6)
+        assert sorted(calls, key=LatticeElement.items) == sorted(
+            (a for a in image if a.total() < 6), key=LatticeElement.items
+        )
 
 
 @settings(max_examples=40, deadline=None)

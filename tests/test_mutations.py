@@ -4,8 +4,8 @@ on every problem, caught by the suites that the row names.
 
 A row's edit is made to the function's own source, compiled into a copy of
 its module's namespace, and the result is patched onto every module that
-holds the name: lattice_crystal, and verify, which imports `_reach` and
-`enumerate_image` directly.  The problems are A1, C1, A2 and D2 at n = 3
+holds the name: its own, and verify, which imports `_reach`,
+`enumerate_image` and `weight_counts` directly.  The problems are A1, C1, A2 and D2 at n = 3
 and 4 with the word 1..n, at default bounds, all suites.
 """
 
@@ -18,7 +18,7 @@ import textwrap
 
 import pytest
 
-from polyreal import cli, lattice_crystal, verify
+from polyreal import cli, lattice_crystal, root_data, verify
 
 PROBLEMS = [(family, n) for family in ("A1", "C1", "A2", "D2") for n in (3, 4)]
 
@@ -36,6 +36,19 @@ ROWS = {
         "for _ in range(max_word_length):",
         "for _ in range(max_word_length - 1):",
         {"crystal-axioms"},
+    ),
+    # the image's early exit reads only the positive Cartan terms, so it
+    # stops at a sigma >= 0 too early and keeps too few lowerings
+    "image-early-exit-positive-cartan-only": (
+        lattice_crystal,
+        "enumerate_image",
+        "s += row[r] * v",
+        "s += max(row[r], 0) * v",
+        {"crystal-axioms"},
+    ),
+    # K(beta) pushed with the wrong sign, so the counts by weight disagree
+    "weight-counts-push-sign-flipped": (
+        root_data, "weight_counts", "counts[c + g] -= d * k", "counts[c + g] += d * k", {"crystal-axioms"}
     ),
 }
 
@@ -75,7 +88,7 @@ def test_unmutated_problems_pass(family, n):
 def test_mutation_is_caught(row, monkeypatch):
     module, name, old, new, catchers = ROWS[row]
     function = mutated(module, name, old, new)
-    for holder in (lattice_crystal, verify):
+    for holder in (module, verify):
         monkeypatch.setattr(holder, name, function)
     for family, n in PROBLEMS:
         code, reports = verify_json(family, n)

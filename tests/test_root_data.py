@@ -137,7 +137,54 @@ WEIGHT_COUNT_CASES = (
 )
 
 
+def reference_weight_counts(rs, max_height):
+    """weight_counts by filter inversion: each beta, in order of height,
+    sums over every denominator term gamma <= beta."""
+    if max_height < 0:
+        return {}
+    n, cartan, zero = rs.n, rs.cartan, (0,) * rs.n
+    denominator = {}
+    level, sign = {zero: (1,) * n}, 1
+    while level:
+        grown = {}
+        for beta, lam in level.items():
+            denominator[beta] = sign
+            for i, li in enumerate(lam):
+                if li > 0 and sum(beta) + li <= max_height:
+                    up = beta[:i] + (beta[i] + li,) + beta[i + 1 :]
+                    if up not in grown:
+                        grown[up] = tuple(lj - li * row[i] for lj, row in zip(lam, cartan))
+        level, sign = grown, -sign
+    del denominator[zero]
+    counts, layer = {zero: 1}, [zero]
+    for _ in range(max_height):
+        layer = sorted({b[:i] + (b[i] + 1,) + b[i + 1 :] for b in layer for i in range(n)})
+        for beta in layer:
+            counts[beta] = -sum(
+                d * counts[tuple(b - g for b, g in zip(beta, gamma))]
+                for gamma, d in denominator.items()
+                if all(g <= b for g, b in zip(gamma, beta))
+            )
+    return counts
+
+
+REFERENCE_CASES = [("A1", 2, 7)] + [
+    (family, n, height)
+    for family in ("A1", "C1", "A2", "D2")
+    for n, height in ((3, 8), (4, 6), (5, 5))
+]
+
+
 class TestWeightCounts:
+    @pytest.mark.parametrize("family,n,height", REFERENCE_CASES)
+    def test_equal_to_the_filter_inversion(self, family, n, height):
+        # the same counts in the same key order; A1 at n = 2 has Cartan
+        # entries of -2
+        rs = build_root_system(AlgebraType(family, n))
+        assert list(weight_counts(rs, height).items()) == list(
+            reference_weight_counts(rs, height).items()
+        )
+
     @pytest.mark.parametrize("family,n,height", WEIGHT_COUNT_CASES)
     def test_equal_to_the_image_histogram(self, family, n, height):
         # the crystal side, by weight, with zero counts for the weights the
