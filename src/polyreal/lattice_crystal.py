@@ -246,8 +246,9 @@ def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeEl
                 if i == top:
                     lowered.append(a.bump(_reach(seq, a, i)[1], 1))
                     continue
-                # p > m iff sigma < 0 at every i-position < m: walk down
-                # from m as _reach does and stop at the first sigma >= 0
+                # p > m iff sigma < 0 at every i-position below m (m has
+                # the color top): walk down as _reach does, to the first
+                # i-position with sigma >= 0
                 s, hi = row[rm] * vm, m
                 for j, v in below:
                     if s >= 0 and j + 1 + nxt[j % L] < hi:
