@@ -225,19 +225,28 @@ def beta_index(seq: AdaptedSequence, j: int) -> LinearForm:
     return LinearForm(terms)
 
 
-def s_prime(seq: AdaptedSequence, form: LinearForm, d: Pair) -> LinearForm:
-    """Apply S'_d: subtract beta_d, add the predecessor beta, or do nothing.
-    beta's sites go straight into a copy of the form's terms, sorted once."""
-    s, l = d
-    c = form.coeff(s, l)
+def _s_prime_rule(s: int, c: int) -> Optional[Tuple[int, int]]:
+    """(sign, base) where S' at occurrence s of a coefficient c adds sign *
+    beta at occurrence base of the same color; None where it fixes the form."""
     if c > 0:
-        sign, base = -1, s
-    elif c < 0 and s > 1:
-        sign, base = 1, s - 1
-    else:
-        return form
+        return -1, s
+    if c < 0 and s > 1:
+        return 1, s - 1
+    return None
+
+
+def _shifted(seq: AdaptedSequence, form: LinearForm, sign: int, base: int, l: int) -> LinearForm:
+    """form + sign * beta_{base,l}: beta's sites go straight into a copy of the
+    form's terms, sorted once."""
     beta = (((base + offset, j), coeff) for coeff, offset, j in seq._beta[l])
     return LinearForm._of(_accumulate(dict(form._terms), beta, sign))
+
+
+def s_prime(seq: AdaptedSequence, form: LinearForm, d: Pair) -> LinearForm:
+    """Apply S'_d: subtract beta_d, add the predecessor beta, or do nothing."""
+    s, l = d
+    rule = _s_prime_rule(s, form.coeff(s, l))
+    return form if rule is None else _shifted(seq, form, *rule, l)
 
 
 def max_single_index(seq: AdaptedSequence, form: LinearForm) -> int:
@@ -264,20 +273,69 @@ def closure(
     beta_{s,l} or adds beta_{s-1,l}.  beta_{s,l} ends at x_{s+1,l}, the next
     occurrence of l, at most j + L; its neighbor terms lie between the two
     occurrences, as beta_index lists them.  beta_{s-1,l} ends at j itself.
+
+    The search runs over codes, not forms.  A form's code is the one int
+    sum of c * 2^(W*j) over its terms c x_j at single index j, so S' at a
+    term is one add to the code, of sign * beta_{base,l} packed the same
+    way.  Each beta_{base,l} is packed once per call, and each (pair, sign
+    of c) picks its move once.  A form is built, and the cap tested, only
+    at a code neither seen nor dropped.
+
+    The code is injective on every form the closure meets, kept or dropped.
+    W is bit_length(C0 + depth * Bmax) + 1, with C0 the largest |c| of a
+    seed and Bmax the largest |c| of a beta.  beta's sites lie at distinct
+    pairs (its neighbors have distinct colors j != l), so one round changes
+    any coefficient by at most Bmax, and a form of round r <= depth has
+    every |c| <= C0 + r * Bmax <= C0 + depth * Bmax < 2^(W-1).  A code is
+    then a base-2^W number with balanced digits in (-2^(W-1), 2^(W-1)), and
+    such digits are unique: the lowest is the code's residue mod 2^W, read
+    in that range, and the rest follow from (code - digit) / 2^W.
     """
-    seen: Set[LinearForm] = set(seeds)
-    pruned: Set[LinearForm] = set()
+    seeds = set(seeds)
+    most = max((abs(c) for f in seeds for _, c in f.items()), default=0)
+    beta_most = max(abs(c) for sites in seq._beta.values() for c, _, _ in sites)
+    width = (most + max(depth, 0) * beta_most).bit_length() + 1
 
-    def images(f: LinearForm) -> Iterator[LinearForm]:
-        for pair, _ in f.items():
-            g = s_prime(seq, f, pair)
-            if g not in seen and g not in pruned:
+    def code(terms: Iterable[Tuple[Pair, int]]) -> int:
+        return sum(c << (width * pair_to_index(seq, s, l)) for (s, l), c in terms)
+
+    betas: Dict[Pair, int] = {}
+
+    def packed(pair: Pair, c: int) -> Tuple[int, int, int]:
+        # (move, sign, base) of S' at a term; the identity moves the code by
+        # 0, so it lands on a code already seen
+        s, l = pair
+        rule = _s_prime_rule(s, c)
+        if rule is None:
+            return 0, 0, 0
+        sign, base = rule
+        if (base, l) not in betas:
+            betas[base, l] = code(((base + offset, j), b) for b, offset, j in seq._beta[l])
+        return sign * betas[base, l], sign, base
+
+    formed: Dict[int, LinearForm] = {code(f.items()): f for f in seeds}
+    pruned: Set[int] = set()
+    # the packed moves at a pair, for a negative and a positive coefficient
+    moves: Tuple[Dict[Pair, Tuple[int, int, int]], ...] = ({}, {})
+
+    def images(a: int) -> Iterator[int]:
+        f = formed[a]
+        for pair, c in f.items():
+            table = moves[c > 0]
+            move = table.get(pair)
+            if move is None:
+                move = table[pair] = packed(pair, c)
+            b = a + move[0]
+            if b not in formed and b not in pruned:
+                g = _shifted(seq, f, move[1], move[2], pair[1])
                 if index_bound is None or max_single_index(seq, g) <= index_bound:
-                    yield g
+                    formed[b] = g
+                    yield b
                 else:
-                    pruned.add(g)
+                    pruned.add(b)
 
-    return reachable(seen, images, depth), len(pruned)
+    reachable(set(formed), images, depth)
+    return set(formed.values()), len(pruned)
 
 
 def evaluate(seq: AdaptedSequence, form: LinearForm, a: LatticeElement) -> int:

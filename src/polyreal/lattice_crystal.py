@@ -203,7 +203,8 @@ def etilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> Optional[LatticeE
 
 
 def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeElement]:
-    """All elements reachable from 0 by at most max_word_length lowering steps.
+    """All elements reachable from 0 by at most max_word_length lowering steps;
+    {0}, as at 0, for a negative max_word_length.
 
     Each lowering adds 1 to the total, so the elements of total t are those
     t steps from 0, and the walk goes one total at a time.  It makes each

@@ -145,8 +145,8 @@ def build_root_system(algebra: AlgebraType) -> RootSystem:
 
 def weight_counts(rs: RootSystem, max_height: int) -> Dict[Tuple[int, ...], int]:
     """K(beta) = |B(infinity)_{-beta}| for every beta in Q+ of height at most
-    max_height, keyed by beta's coefficients on alpha_1..alpha_n; none for a
-    negative max_height.  Only the Cartan matrix is read.
+    max_height, keyed by beta's coefficients on alpha_1..alpha_n; an empty
+    dict for a negative max_height.  Only the Cartan matrix is read.
 
     The graded character of B(infinity) is 1 / prod_{alpha > 0} (1 -
     e^{-alpha})^{mult alpha}, and the Weyl-Kac denominator identity (Kac,

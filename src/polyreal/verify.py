@@ -148,7 +148,7 @@ def generator_objects(
     them from the module's _seeds, each object read once, by the module's
     _read.  The bound counts steps, or with halves bounds a wall's halves; a
     single block add raises a wall's block count by exactly 1, so its steps
-    are blocks."""
+    are blocks.  A negative bound gives an empty list."""
     rs = seq.root_system
     flavor, _ = family_generators(rs.algebra.family, rs.n)[kind]
     module = MODULES[kind]

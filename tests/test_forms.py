@@ -17,7 +17,7 @@ from polyreal import (
 )
 from polyreal import forms, verify
 from polyreal.forms import max_single_index, site_form, window_solutions
-from polyreal.root_data import MIN_RANK
+from polyreal.root_data import FAMILIES, MIN_RANK, reachable
 from conftest import adapted_words, make_seq, permutation_seqs
 
 x = LinearForm.x
@@ -272,6 +272,63 @@ class TestClosure:
                     assert max_single_index(seq, g) <= top, (seq, f, pair, g)
         assert applications == 33828
 
+    def test_equal_to_the_reference(self):
+        # the closed set and the pruned count of the closure by forms, on
+        # word 1..n of the four families at n = 3 and 4 and on the
+        # non-periodic length-6 words at n = 3, from x[s,k] at depths 0..6
+        # with no cap and with caps 2L..4L; from seeds whose coefficients
+        # are large against the code's field width; and at depth 12.  The
+        # last seed pair, 8 x_1 and x_2 - 8 x_1 at single indices 1 and 2,
+        # has one code at a field width of 4 bits, one bit short of the
+        # width at depth 0..3 when beta's coefficients are at most 2
+        grid = [make_seq(family, n, list(range(1, n + 1))) for family in FAMILIES for n in (3, 4)]
+        large = grid[:]
+        grid += [make_seq(family, 3, word) for family in FAMILIES for word in adapted_words(family, 3, 6)]
+        inputs = [
+            (seq, [x(s, k)], depth, cap)
+            for seq in grid
+            for k in seq.root_system.index_set
+            for s in (1, 2, 3)
+            for depth in range(7)
+            for cap in (None, 2 * seq.L, 3 * seq.L, 4 * seq.L)
+        ]
+        mixed = [
+            [7 * x(1, 1) - 5 * x(2, 2)],
+            [9 * x(2, 3) - 6 * x(1, 2) + 4 * x(3, 1)],
+            [-8 * x(2, 1), 3 * x(1, 3) - 11 * x(2, 2)],
+            [8 * x(1, 1), x(1, 2) - 8 * x(1, 1)],
+        ]
+        inputs += [
+            (seq, seeds, depth, cap)
+            for seq in large
+            for seeds in mixed
+            for depth in range(7)
+            for cap in (None, 3 * seq.L)
+        ]
+        deep = make_seq("C1", 4, [1, 2, 3, 4])
+        inputs += [(deep, [x(1, k)], 12, deep.L * 14) for k in (1, 4)]
+        assert len(grid) == 26 and len(inputs) == 7338
+        for seq, seeds, depth, cap in inputs:
+            got = closure(seq, seeds, depth, index_bound=cap)
+            assert got == reference_closure(seq, seeds, depth, cap), (seq, seeds, depth, cap)
+
+    def test_forms_built_only_at_new_codes(self, a1_n3, monkeypatch):
+        # S' applications that land on a form already seen or already
+        # dropped build no form
+        built = []
+        make = LinearForm._of
+
+        def counted(d):
+            built.append(d)
+            return make(d)
+
+        monkeypatch.setattr(LinearForm, "_of", staticmethod(counted))
+        seeds = [x(1, 1), x(2, 3), x(1, 1), 3 * x(2, 2) - x(1, 2)]
+        for bound in (None, 6, 9, 12):
+            built.clear()
+            closed, pruned = closure(a1_n3, seeds, 5, index_bound=bound)
+            assert len(built) == len(closed) - len(set(seeds)) + pruned
+
     def test_max_single_index(self, a1_n3):
         assert max_single_index(a1_n3, LinearForm.zero()) == 0
         assert max_single_index(a1_n3, x(1, 1) + x(2, 3)) == 6
@@ -438,6 +495,24 @@ def reference_s_prime(seq, form, d):
     if c < 0 and s > 1:
         return form + beta_pair(seq, s - 1, l)
     return form
+
+
+def reference_closure(seq, seeds, depth, index_bound=None):
+    """closure as it was before it searched by codes: S' through
+    reference_s_prime at every term, forms deduplicated by their terms."""
+    seen = set(seeds)
+    pruned = set()
+
+    def images(f):
+        for pair, _ in f.items():
+            g = reference_s_prime(seq, f, pair)
+            if g not in seen and g not in pruned:
+                if index_bound is None or max_single_index(seq, g) <= index_bound:
+                    yield g
+                else:
+                    pruned.add(g)
+
+    return reachable(seen, images, depth), len(pruned)
 
 
 class TestSPrimeDirectSum:

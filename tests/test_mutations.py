@@ -3,10 +3,11 @@ that breaks the crystal or its realization, and `polyreal verify` must fail
 on every problem, caught by the suites that the row names.
 
 A row's edit is made to the function's own source, compiled into a copy of
-its module's namespace, and the result is patched onto every module that
-holds the name: its own, and verify, which imports `_reach`,
-`enumerate_image` and `weight_counts` directly.  The problems are A1, C1, A2 and D2 at n = 3
-and 4 with the word 1..n, at default bounds, all suites.
+its module's namespace, and the result is patched onto every polyreal module
+that holds the function: its own, and each that imports it by name, such as
+verify for `enumerate_image` and eyd, reyd and young_wall for `p_table`.
+The problems are A1, C1, A2 and D2 at n = 3 and 4 with the word 1..n, at
+default bounds, all suites.
 """
 
 import __future__
@@ -14,11 +15,12 @@ import contextlib
 import inspect
 import io
 import json
+import sys
 import textwrap
 
 import pytest
 
-from polyreal import cli, lattice_crystal, root_data, verify
+from polyreal import cli, forms, lattice_crystal, root_data
 
 PROBLEMS = [(family, n) for family in ("A1", "C1", "A2", "D2") for n in (3, 4)]
 
@@ -49,6 +51,18 @@ ROWS = {
     # K(beta) pushed with the wrong sign, so the counts by weight disagree
     "weight-counts-push-sign-flipped": (
         root_data, "weight_counts", "counts[c + g] -= d * k", "counts[c + g] += d * k", {"crystal-axioms"}
+    ),
+    # P^k(t) accumulated with the wrong sign, so the assigned offsets move
+    "p-table-sign-flipped": (
+        root_data,
+        "p_table",
+        "cache[u - step] + _p_contrib(seq, here, back)",
+        "cache[u - step] - _p_contrib(seq, here, back)",
+        {"step-identities", "closure-equality", "image-equality"},
+    ),
+    # S' subtracts beta one occurrence up at a positive coefficient
+    "s-prime-subtracts-beta-one-up": (
+        forms, "_s_prime_rule", "return -1, s", "return -1, s + 1", {"closure-equality", "xi-positivity"}
     ),
 }
 
@@ -87,9 +101,11 @@ def test_unmutated_problems_pass(family, n):
 @pytest.mark.parametrize("row", list(ROWS))
 def test_mutation_is_caught(row, monkeypatch):
     module, name, old, new, catchers = ROWS[row]
-    function = mutated(module, name, old, new)
-    for holder in (module, verify):
-        monkeypatch.setattr(holder, name, function)
+    original, function = getattr(module, name), mutated(module, name, old, new)
+    holders = [m for key, m in sys.modules.items() if key.split(".")[0] == "polyreal"]
+    for holder in holders:
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, function)
     for family, n in PROBLEMS:
         code, reports = verify_json(family, n)
         failed = {r["check"] for r in reports if r["status"] == "fail"}

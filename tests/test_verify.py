@@ -678,6 +678,18 @@ class TestCrystalAxioms:
         assert len(r.witnesses) == verify.MAX_WITNESSES
         assert r.witnesses[0] == "etilde_1 ftilde_1 != id at LatticeElement(0)"
 
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_negative_bounds(self, family):
+        # the image keeps 0, as at bound 0, while the counts by weight and
+        # the generator listings are empty; so the check reads K at
+        # max(depth, 0)
+        seq = make_seq(family, 3)
+        assert enumerate_image(seq, -1) == {LatticeElement.zero()}
+        assert weight_counts(seq.root_system, -1) == {}
+        for kind, k in generator_kinds(seq):
+            for halves in (False, True):
+                assert generator_objects(seq, kind, k, -1, halves) == []
+
 
 class TestPositivity:
     @pytest.mark.parametrize("family,n", STANDARD)
