@@ -277,7 +277,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 # Per render kind: the object's class and picture, its integer keys with their
 # defaults (None when required), its list key, the JSON key of its flavor, and
-# whether the user may give that flavor explicitly.
+# whether the user may give that flavor explicitly.  A picture is drawn only
+# for an object whose deepest column (columns(), in boxes, units or halves) is
+# at most RENDER_HEIGHT: an eyd picture has one row per box of that column and
+# a wall picture one per two halves, so a legal but huge object would never
+# finish printing.
+RENDER_HEIGHT = 10_000
 _RENDER = {
     "eyd": (eyd_mod.ExtendedYoungDiagram, eyd_mod.render_eyd, {"charge": None}, "ys", None, False),
     "reyd": (
@@ -330,8 +335,11 @@ def cmd_render(args: argparse.Namespace) -> int:
     obj = cls.from_json(data)
     if args.json:
         print(_dump(obj.to_json()))
-    else:
-        print(picture(obj))
+        return EXIT_OK
+    height = max(obj.columns(), default=0)
+    if height > RENDER_HEIGHT:
+        raise UsageError(f"{kind} of height {height} is too high to draw; the limit is {RENDER_HEIGHT}")
+    print(picture(obj))
     return EXIT_OK
 
 

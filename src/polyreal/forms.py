@@ -254,6 +254,19 @@ def max_single_index(seq: AdaptedSequence, form: LinearForm) -> int:
     return max((pair_to_index(seq, s, l) for (s, l), _ in form.items()), default=0)
 
 
+def _top_index(code: int, width: int) -> int:
+    """The largest single index J of the form whose code, at field width W,
+    is code; 0 for the zero form.  It is bit_length(|code|) // W.
+
+    The code is sum c_j 2^(W*j) over single indices j = 1..J, each |c_j| <
+    2^(W-1) and c_J != 0 (see closure).  As (2^(W-1) - 1) / (2^W - 1) <
+    1/2, the terms below J sum to less than 2^(W*J-1) in size, and all J
+    terms to less than 2^(W*J+W-1).  So 2^(W*J-1) < |code| < 2^(W*J+W-1),
+    and |code| has W*J to W*J + W - 1 bits.
+    """
+    return abs(code).bit_length() // width
+
+
 def closure(
     seq: AdaptedSequence,
     seeds: Iterable[LinearForm],
@@ -266,7 +279,7 @@ def closure(
     Without index_bound there is no cap.  With it, forms whose support
     passes the bound are dropped, and the count of distinct dropped forms
     is returned alongside the closed set.  The cap is tested only on forms
-    neither seen nor dropped before.
+    neither seen nor dropped before, and a dropped form is never built.
 
     No cap is needed: a round raises a form's largest single index by at
     most L.  S' at (s, l), single index j in the support, subtracts
@@ -278,8 +291,10 @@ def closure(
     sum of c * 2^(W*j) over its terms c x_j at single index j, so S' at a
     term is one add to the code, of sign * beta_{base,l} packed the same
     way.  Each beta_{base,l} is packed once per call, and each (pair, sign
-    of c) picks its move once.  A form is built, and the cap tested, only
-    at a code neither seen nor dropped.
+    of c) picks its move once.  The cap is tested only at a code neither
+    seen nor dropped, on the code itself: its bit length gives the form's
+    largest single index (_top_index).  A form is built only at a code that
+    is kept.
 
     The code is injective on every form the closure meets, kept or dropped.
     W is bit_length(C0 + depth * Bmax) + 1, with C0 the largest |c| of a
@@ -327,9 +342,8 @@ def closure(
                 move = table[pair] = packed(pair, c)
             b = a + move[0]
             if b not in formed and b not in pruned:
-                g = _shifted(seq, f, move[1], move[2], pair[1])
-                if index_bound is None or max_single_index(seq, g) <= index_bound:
-                    formed[b] = g
+                if index_bound is None or _top_index(b, width) <= index_bound:
+                    formed[b] = _shifted(seq, f, move[1], move[2], pair[1])
                     yield b
                 else:
                     pruned.add(b)

@@ -6,7 +6,9 @@ position 0, and to k right of it.  Steps y_{t+1} - y_t must lie in {0, 1}
 except at congruence-relaxed positions: when k + t falls in the special
 residue class, the step is only bounded below (t > 0) or above by 1 (t < 0).
 The A2 flavor has modulus 2n-1 and special residue {0}; the D2target flavor
-has modulus 2n and special residues {0, n}.
+has modulus 2n and special residues {0, n}.  The modulus is the period of
+the flavor's fold (pi1, pi2), so one table per flavor and rank gives each
+residue's color and one its special flag (_residues).
 
 A point (i, y_i) is admissible when lowering y_i keeps the diagram valid;
 (i, y_{i-1}) is removable when raising y_{i-1} does.  A marking is double
@@ -16,17 +18,19 @@ Diagrams are validated and classified on their window alone: outside it
 every step is 1 or 0, and no point can lie there (see classify_points).
 A move is decided once, by classify_points, which reads the two steps
 beside each changed value off the window in one pass: _read addresses its
-points, toggle_point moves only at a point that it lists, and _toggle makes
-a listed move with no test; only make_reyd, from_json and validate check a
-whole diagram.
+points, reading P^k from the sequence's filled table, toggle_point moves
+only at a point that it lists, and _toggle makes a listed move with no test,
+building the moved diagram once; only make_reyd, from_json and validate
+check a whole diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table
+from .root_data import AdaptedSequence, ResidueTable, check_family, exact_int, fold_table, p_table
 from .forms import LinearForm, Point, Site, site_form, walk
 
 # Each flavor's sequence family and the fold of its colors and P^k table.
@@ -61,12 +65,8 @@ class RevisedEYD:
 
     @property
     def modulus(self) -> int:
-        return 2 * self.n - 1 if self.flavor == "A2" else 2 * self.n
-
-    @property
-    def special(self) -> Tuple[int, ...]:
-        """The special residues mod the modulus: 0, and n for D2target."""
-        return (0, self.n) if self.flavor == "D2target" else (0,)
+        """The period of the flavor's fold: 2n - 1 for pi1 (A2), 2n for pi2 (D2target)."""
+        return fold_table(FLAVORS[self.flavor][1], self.n).period
 
     def y(self, t: int) -> int:
         i = t - self.t_lo
@@ -113,9 +113,21 @@ def _check_parameters(flavor: str, n: int, k: int) -> Tuple[int, int]:
     return n, k
 
 
+@lru_cache(maxsize=None)
+def _residues(flavor: str, n: int) -> Tuple[ResidueTable, ResidueTable]:
+    """The folded color and the special flag of a value, each by its residue
+    mod the flavor's modulus, one pair of tables per flavor and rank.  The
+    modulus is the period of the flavor's fold, so one residue addresses
+    both.  A value is special when it is 0 mod the modulus, or n mod it for
+    D2target."""
+    colors = fold_table(FLAVORS[flavor][1], n)
+    special = (0, n) if flavor == "D2target" else (0,)
+    return colors, ResidueTable(colors.period, lambda r: r % colors.period in special)
+
+
 def _special(T: RevisedEYD, value: int) -> bool:
-    """Whether value is 0 mod the modulus, or n mod it for D2target."""
-    return value % T.modulus in T.special
+    """Whether value is special for T's flavor, read from its table."""
+    return _residues(T.flavor, T.n)[1][value % T.modulus]
 
 
 def _pair_ok(T: RevisedEYD, t: int, yt: int, yt1: int) -> bool:
@@ -150,23 +162,23 @@ def make_reyd(flavor: str, n: int, k: int, t_lo: int, ys: Sequence[int]) -> Revi
     m = len(vals)
     if not -m <= t_lo <= 1:
         raise REYDError(f"t_lo must lie in -{m}..1 for a window of length {m}, got {t_lo}")
-    return _validate(_trimmed(RevisedEYD(flavor, n, k, t_lo, vals)))
+    return _validate(_trimmed(flavor, n, k, t_lo, vals))
 
 
-def _trimmed(raw: RevisedEYD) -> RevisedEYD:
-    """Cut a raw diagram to its canonical window; nothing is validated.  The
-    values are padded one place past both ends and past 0, so the two scans
-    and the cut read one tuple."""
-    k, lo, hi = raw.k, raw.t_lo, raw.t_hi
+def _trimmed(flavor: str, n: int, k: int, t_lo: int, ys: Tuple[int, ...]) -> RevisedEYD:
+    """The diagram of the values ys from t_lo, cut to its canonical window
+    and built once; nothing is validated.  The values are padded one place
+    past both ends and past 0, so the two scans and the cut read one tuple."""
+    lo, hi = t_lo, t_lo + len(ys) - 1
     start, stop = min(lo, 0) - 1, max(hi, 0) + 1
-    vals = tuple(range(k + start, k + lo)) + raw.ys + (k,) * (stop - hi)
+    vals = tuple(range(k + start, k + lo)) + ys + (k,) * (stop - hi)
     t, u = start + 1, stop - 1
     while t <= 0 and vals[t - start] == k + t:
         t += 1
     while u >= 0 and vals[u - start] == k:
         u -= 1
     lo, hi = min(t - 1, 0), max(u + 1, 0)
-    return RevisedEYD(raw.flavor, raw.n, k, lo, vals[lo - start : hi - start + 1])
+    return RevisedEYD(flavor, n, k, lo, vals[lo - start : hi - start + 1])
 
 
 def _validate(T: RevisedEYD) -> RevisedEYD:
@@ -213,51 +225,54 @@ def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
     a one-unit move keeps it on its allowed side, so a move fails only where
     it turns a step 0 into -1 (only a negative relaxed position allows it)
     or 1 into 2 (only a positive one).
+
+    Colors and special flags are read from the flavor's tables (_residues),
+    by the residue r of k + i at each position i; r - 1 and r - 2 are those
+    of k + i - 1 and k + i - 2.
     """
     out: List[MarkedPoint] = []
-    lo, k, n, M, special = T.t_lo, T.k, T.n, T.modulus, T.special
-    variant = FLAVORS[T.flavor][1]
+    lo, k = T.t_lo, T.k
+    colors, special = _residues(T.flavor, T.n)
+    M = colors.period
     v = [k + lo - 2, k + lo - 1, *T.ys, k]  # y_{t_lo-2} .. y_{t_hi+1}, read once
     for i, (a, b, c, d) in enumerate(zip(v, v[1:], v[2:], v[3:]), lo):  # y_{i-2} .. y_{i+1}
+        r = (k + i) % M
         # the step y_{i-1} -> y_i may go from 0 to -1 only at a negative relaxed position
-        flat_ok = b != c or (i < 1 and (k + i - 1) % M in special)
-        if flat_ok and (d != c + 1 or (i > 0 and (k + i) % M in special)):
-            double = b < c == d and (
-                (i > 0 and (k + i) % M in special) or (i < 0 and (k + i - 1) % M in special)
-            )
-            color = fold(variant, n, i + k)
-            out.append(MarkedPoint("admissible", i, c, 2 if double else 1, color))
-        if flat_ok and (b != a + 1 or (i > 2 and (k + i - 2) % M in special)):
-            double = a == b < c and (
-                (i > 1 and (k + i - 2) % M in special) or (i < 1 and (k + i - 1) % M in special)
-            )
-            color = fold(variant, n, i + k - 1)
-            out.append(MarkedPoint("removable", i, b, 2 if double else 1, color))
+        flat_ok = b != c or (i < 1 and special[r - 1])
+        if flat_ok and (d != c + 1 or (i > 0 and special[r])):
+            double = b < c == d and ((i > 0 and special[r]) or (i < 0 and special[r - 1]))
+            out.append(MarkedPoint("admissible", i, c, 2 if double else 1, colors[r]))
+        if flat_ok and (b != a + 1 or (i > 2 and special[r - 2])):
+            double = a == b < c and ((i > 1 and special[r - 2]) or (i < 1 and special[r - 1]))
+            out.append(MarkedPoint("removable", i, b, 2 if double else 1, colors[r - 1]))
     return out
-
-
-def _address(seq: AdaptedSequence, T: RevisedEYD, pt: MarkedPoint) -> Site:
-    """The (coeff, offset, color) term of a point, +mult when admissible, -mult when removable.
-
-    The point's column t is x for an admissible point and x - 1 for a
-    removable one; the offset is P^k(t + k) + min(t, 0) + k - y.
-    """
-    k = T.k
-    t = pt.x if pt.role == "admissible" else pt.x - 1
-    offset = p_table(seq, FLAVORS[T.flavor][1], k, t + k) + min(t, 0) + k - pt.y
-    coeff = pt.multiplicity if pt.role == "admissible" else -pt.multiplicity
-    return coeff, offset, pt.color
 
 
 def _read(seq: AdaptedSequence, T: RevisedEYD) -> Tuple[List[Site], List[Point]]:
     """T's sites and move points, one of each per marked point of one
     classify_points pass; a toggle moves one unit, so a point's coeff is +1
-    when admissible and -1 when removable, even at a double point."""
+    when admissible and -1 when removable, even at a double point.
+
+    A point's column t is x when admissible and x - 1 when removable.  Its
+    site is (+mult or -mult, P^k(t + k) + min(t, 0) + k - y, color), with
+    P^k(t + k) read from the sequence's filled table, and p_table called
+    only on a miss.
+    """
     check_family(seq, FLAVORS[T.flavor][0], T.n, f"flavor {T.flavor}")
-    points = [
-        (pt, 1 if pt.role == "admissible" else -1, _address(seq, T, pt)) for pt in classify_points(T)
-    ]
-    return [site for _, _, site in points], points
+    variant, k = FLAVORS[T.flavor][1], T.k
+    filled = seq._pt_cache.get((variant, k), {})
+    sites: List[Site] = []
+    points: List[Point] = []
+    for pt in classify_points(T):
+        role, x, y, multiplicity, color = pt
+        t, coeff = (x, 1) if role == "admissible" else (x - 1, -1)
+        pk = filled.get(t + k)
+        if pk is None:
+            pk = p_table(seq, variant, k, t + k)
+        site = (coeff * multiplicity, pk + min(t, 0) + k - y, color)
+        sites.append(site)
+        points.append((pt, coeff, site))
+    return sites, points
 
 
 def sites(seq: AdaptedSequence, T: RevisedEYD) -> List[Site]:
@@ -279,11 +294,20 @@ def toggle_point(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
 
 
 def _toggle(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
-    # a legal move changes a value inside the window (see classify_points)
+    """T moved at a point that classify_points lists, built once.
+
+    A legal move changes a value inside the window (see classify_points).  A
+    move two or more places inside both ends keeps T's window: the first
+    departure from the staircase (at t_lo + 1 when t_lo < 0) and the last
+    from the charge (at t_hi - 1 when t_hi > 0) stay where they are, so only
+    a move near an end is trimmed.
+    """
     t, delta = (point.x, -1) if point.role == "admissible" else (point.x - 1, 1)
     i = t - T.t_lo
     ys = T.ys[:i] + (point.y + delta,) + T.ys[i + 1 :]
-    return _trimmed(RevisedEYD(T.flavor, T.n, T.k, T.t_lo, ys))
+    if 1 < i < len(ys) - 2:
+        return RevisedEYD(T.flavor, T.n, T.k, T.t_lo, ys)
+    return _trimmed(T.flavor, T.n, T.k, T.t_lo, ys)
 
 
 def _seeds(flavor: str, n: int, k: int, bound: int) -> List[RevisedEYD]:

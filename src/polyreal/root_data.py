@@ -13,7 +13,7 @@ breadth-first search, grows the S' closures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 FAMILIES = ("A1", "C1", "A2", "D2")
@@ -231,6 +231,34 @@ def fold(map_kind: str, n: int, t: int) -> int:
     raise RootDataError(f"unknown folding map {map_kind!r}, expected one of {FOLD_KINDS}")
 
 
+class ResidueTable(dict):
+    """The values of a rule of the given period, kept by key: table[r] is
+    rule(r), computed on the first read of r and then kept.  A reader passes
+    t % table.period, or a key next to it such as r - 1, which the rule's
+    period makes equal; so a read is one dict lookup, and a table holds one
+    entry per key read, however long the period."""
+
+    def __init__(self, period: int, rule: Callable[[int], Any]):
+        super().__init__()
+        self.period, self.rule = period, rule
+
+    def __missing__(self, key: int) -> Any:
+        value = self[key] = self.rule(key)
+        return value
+
+
+@lru_cache(maxsize=None)
+def fold_table(map_kind: str, n: int) -> ResidueTable:
+    """fold(map_kind, n, t) as table[t % table.period], one table per map
+    kind and rank, shared by every caller and filled by fold itself.
+    pi_prime, defined only for t >= 1, has no table: its residue 0 stands for
+    t = 2n - 2, 4n - 4, ..., but fold would read it as t = 0."""
+    periods = {"overline": n, "pi": 2 * n - 2, "pi1": 2 * n - 1, "pi2": 2 * n}
+    if map_kind not in periods:
+        raise RootDataError(f"no table for folding map {map_kind!r}, expected one of {tuple(periods)}")
+    return ResidueTable(periods[map_kind], partial(fold, map_kind, n))
+
+
 class AdaptedSequence:
     """A cyclic word on the index set whose neighbor subsequences alternate.
 
@@ -383,7 +411,9 @@ def p_table(seq: AdaptedSequence, variant: str, k: int, t: int) -> int:
     P^k(t) = P^k(t+1) + p_{c(t),c(t+1)}, where c folds via the variant map
     and equal folded colors contribute 0.  The pi_prime variant is one-sided
     and only defined for t >= k.  An entry is filled only by a call that
-    passed the checks below, so a filled entry is returned before them.
+    passed the checks below, so a filled entry is returned before them, and
+    the generator reads take filled entries straight from seq._pt_cache[variant,
+    k], calling p_table only on a miss.
     """
     try:
         return seq._pt_cache[variant, k][t]

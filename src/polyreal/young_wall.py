@@ -18,15 +18,17 @@ double move, to _read and to toggle_block alike (_toggle makes a listed
 move with no test); only make_wall, from_json and validate_proper scan a
 whole wall.  The assignment map sends a slot at column i (0-based from the
 right) in row l to +x_{s+P^k(l)+i, c(l)} and a removable block to
--x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity.
+-x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity; _read takes each row's
+color and split flag from the kind's table and each P^k from the sequence's
+filled table, and addresses each legal move once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .root_data import AdaptedSequence, check_family, exact_int, fold, p_table
+from .root_data import AdaptedSequence, ResidueTable, check_family, exact_int, fold, p_table
 from .forms import LinearForm, Point, Site, site_form, walk
 
 # Each wall family's sequence family.
@@ -56,8 +58,9 @@ class WallKind:
         allowed = (1,) if self.family == "A2wall" else (1, self.n)
         if self.ground not in allowed:
             raise WallError(f"family {self.family} allows ground in {allowed}, got {self.ground}")
-        # (row_color(l), is_split(l)) by (l - 1) mod 2n - 2, the period of pi_prime
-        rows = tuple((self.row_color(l), self.is_split(l)) for l in range(1, 2 * self.n - 1))
+        # (row_color(l), is_split(l)) by (l - 1) mod 2n - 2, the period of pi_prime,
+        # each entry filled on its first read, so a large n builds nothing up front
+        rows = ResidueTable(2 * self.n - 2, lambda r: (self.row_color(r + 1), self.is_split(r + 1)))
         object.__setattr__(self, "_rows", rows)
 
     def row_color(self, l: int) -> int:
@@ -69,7 +72,7 @@ class WallKind:
 
     def row(self, l: int) -> Tuple[int, bool]:
         """row_color(l) and is_split(l) for a row l >= 1, read from the kind's table."""
-        return self._rows[(l - 1) % len(self._rows)]
+        return self._rows[(l - 1) % self._rows.period]
 
     def row_of_half(self, m: int) -> int:
         """The row containing half-unit level m >= 1 (the ground half is m = 1)."""
@@ -200,15 +203,10 @@ def _column_moves(Y: YoungWall, remove: bool) -> List[Tuple[Optional[WallSite], 
     return [_column_move(Y, j, remove) for j in range(1, len(Y.halves) + 2)]
 
 
-def _classified(both: Iterable) -> List[WallSite]:
-    """Each column's (add, remove) pair read as slots and blocks, a legal
-    double in place of its single."""
-    return [double or single for pair in both for single, double in pair if double or single]
-
-
 def classify_sites(Y: YoungWall) -> List[WallSite]:
     """Admissible slots and removable blocks, a legal double in place of its single."""
-    return _classified(zip(_column_moves(Y, False), _column_moves(Y, True)))
+    both = zip(_column_moves(Y, False), _column_moves(Y, True))
+    return [double or single for pair in both for single, double in pair if double or single]
 
 
 def legal_single_adds(Y: YoungWall) -> List[WallSite]:
@@ -238,28 +236,41 @@ def _toggle(Y: YoungWall, site: WallSite) -> YoungWall:
     return YoungWall(Y.kind, Y.halves[: j - 1] + ((h,) if h > 1 else ()) + Y.halves[j:])
 
 
-def _address(seq: AdaptedSequence, Y: YoungWall, site: WallSite) -> Site:
-    """The (coeff, offset, color) term of a site: +mult at a slot, -mult at a block."""
-    offset = p_table(seq, "pi_prime", Y.kind.ground, site.row) + site.column - 1
-    if site.role == "slot":
-        return site.multiplicity, offset, site.color
-    return -site.multiplicity, offset + 1, site.color
-
-
 def _read(seq: AdaptedSequence, Y: YoungWall) -> Tuple[List[Site], List[Point]]:
     """Y's classified sites, addressed, and its move points, every single
     move (adds, then removes) and then every double, from one read of each
-    column; coeff is +multiplicity at a slot and -multiplicity at a block."""
+    column.  Each legal move is addressed once: a slot at column j in row l
+    is +multiplicity x_{s + P^k(l) + j - 1, c(l)}, and a block is
+    -multiplicity at the offset one higher, with P^k read from the
+    sequence's filled table and p_table called only on a miss."""
     check_family(seq, WALL_FAMILIES[Y.kind.family], Y.kind.n, f"wall family {Y.kind.family}")
-    adds, removes = _column_moves(Y, False), _column_moves(Y, True)
-    both = list(zip(adds, removes))
-    sites = [_address(seq, Y, site) for site in _classified(both)]
-    doubles = [double for pair in both for _, double in pair]
-    points = []
-    for site in filter(None, [single for single, _ in adds + removes] + doubles):
-        address = _address(seq, Y, site)
-        points.append((site, address[0], address))
-    return sites, points
+    ground = Y.kind.ground
+    filled = seq._pt_cache.get(("pi_prime", ground), {})
+
+    def address(site: WallSite) -> Site:
+        pk = filled.get(site.row)
+        if pk is None:
+            pk = p_table(seq, "pi_prime", ground, site.row)
+        if site.role == "slot":
+            return site.multiplicity, pk + site.column - 1, site.color
+        return -site.multiplicity, pk + site.column, site.color
+
+    sites: List[Site] = []
+    singles: Tuple[List[Point], List[Point]] = ([], [])
+    doubles: List[Point] = []
+    for pair in zip(_column_moves(Y, False), _column_moves(Y, True)):
+        for (single, double), listed in zip(pair, singles):
+            # the classified site is the double when legal, else the single
+            term = None
+            if single:
+                term = address(single)
+                listed.append((single, term[0], term))
+            if double:
+                term = address(double)
+                doubles.append((double, term[0], term))
+            if term:
+                sites.append(term)
+    return sites, singles[0] + singles[1] + doubles
 
 
 def sites(seq: AdaptedSequence, Y: YoungWall) -> List[Site]:

@@ -307,6 +307,39 @@ class TestRender:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,height",
+        [
+            (("eyd", "charge", "9223372036854775807", "ys", "1"), 9223372036854775806),
+            (("eyd", "charge", "10001", "ys", "0"), 10001),
+            (("--family", "A2", "wall", "halves", "9223372036854775806"), 9223372036854775805),
+        ],
+    )
+    def test_too_high_picture_is_usage_error(self, capsys, argv, height):
+        # a legal object whose picture would pass the row limit is refused
+        # in one line naming its height, before anything is drawn
+        code, out, err = run(capsys, "render", *argv)
+        kind = argv[argv.index("halves") - 1] if "halves" in argv else argv[0]
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {kind} of height {height} is too high to draw; the limit is 10000\n"
+        assert cli.RENDER_HEIGHT == 10000
+        # the object itself is still printed as JSON
+        code, out, _ = run(capsys, "render", "--json", *argv)
+        assert code == EXIT_OK and json.loads(out)
+
+    def test_picture_at_the_limit_is_drawn(self, capsys):
+        code, out, _ = run(capsys, "render", "eyd", "charge", "10000", "ys", "0")
+        assert code == EXIT_OK and len(out.splitlines()) == 10000
+
+    @pytest.mark.parametrize("kind", [("wall", "halves", "4,2"), ("reyd", "k", "2", "ys", "2")])
+    def test_largest_rank_is_drawn(self, capsys, kind):
+        # a wall or revised diagram reads its row colors, or its point colors
+        # and special residues, one entry at a time, so a rank of 2^63 - 1
+        # builds no table of that size
+        argv = ("render", "--family", "A2", "--n", "9223372036854775807", *kind)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and out
+
     def test_reyd_takes_an_explicit_flavor(self, capsys):
         argv = ("reyd", "flavor", "A2", "k", "2", "t_lo", "-1", "ys", "1,1,2")
         code, out, _ = run(capsys, "render", "--json", *argv)

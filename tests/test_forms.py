@@ -1,5 +1,7 @@
 """Linear forms, beta forms, the operator S', and closure sets."""
 
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -223,18 +225,36 @@ class TestClosure:
         assert counts == [1, 2, 2, 2, 1]
 
     def test_cap_tested_once_per_new_form(self, a1_n3, monkeypatch):
-        # forms already seen or already dropped skip the cap
+        # codes already seen or already dropped skip the cap, which reads
+        # the code and never the form
         tested = []
+        top_index = forms._top_index
 
-        def counted(seq, f):
-            tested.append(f)
-            return max_single_index(seq, f)
+        def counted(code, width):
+            tested.append(code)
+            return top_index(code, width)
 
-        monkeypatch.setattr(forms, "max_single_index", counted)
+        monkeypatch.setattr(forms, "_top_index", counted)
+        monkeypatch.setattr(forms, "max_single_index", None)
         for bound in (6, 9, 12):
             tested.clear()
             closed, pruned = closure(a1_n3, [x(1, 1)], 5, index_bound=bound)
             assert len(tested) == len(set(tested)) == len(closed) - 1 + pruned
+        tested.clear()
+        closure(a1_n3, [x(1, 1)], 5)
+        assert tested == []
+
+    def test_top_index_reads_the_bit_length(self):
+        # every balanced digit vector d_1..d_3 at field widths 2..4, each
+        # |d| < 2^(W-1): the top index is the last nonzero digit's, 0 for
+        # none.  The extremes of _top_index's bound are among them, such as
+        # a top digit 1 over lower digits 1 - 2^(W-1).
+        for width in (2, 3, 4):
+            half = 1 << (width - 1)
+            for digits in product(range(1 - half, half), repeat=3):
+                code = sum(d << (width * j) for j, d in enumerate(digits, 1))
+                top = max((j for j, d in enumerate(digits, 1) if d), default=0)
+                assert forms._top_index(code, width) == top, (width, digits)
 
     def test_tiny_bound_prunes(self, a1_n3):
         _, pruned = closure(a1_n3, [x(1, 1)], 4, index_bound=4)
@@ -314,7 +334,7 @@ class TestClosure:
 
     def test_forms_built_only_at_new_codes(self, a1_n3, monkeypatch):
         # S' applications that land on a form already seen or already
-        # dropped build no form
+        # dropped build no form, and neither does a code the cap drops
         built = []
         make = LinearForm._of
 
@@ -327,7 +347,8 @@ class TestClosure:
         for bound in (None, 6, 9, 12):
             built.clear()
             closed, pruned = closure(a1_n3, seeds, 5, index_bound=bound)
-            assert len(built) == len(closed) - len(set(seeds)) + pruned
+            assert len(built) == len(closed) - len(set(seeds))
+            assert pruned or bound in (None, 12)
 
     def test_max_single_index(self, a1_n3):
         assert max_single_index(a1_n3, LinearForm.zero()) == 0

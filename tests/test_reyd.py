@@ -134,7 +134,7 @@ class TestShapes:
             for ys in product(range(k - 4, k + 3), repeat=size):
                 for t_lo in [*range(-size - 4, -size), *range(2, 6)]:
                     with pytest.raises(REYDError):
-                        reyd._validate(reyd._trimmed(RevisedEYD(flavor, 3, k, t_lo, ys)))
+                        reyd._validate(reyd._trimmed(flavor, 3, k, t_lo, ys))
 
     def test_units(self):
         assert make_reyd("A2", 3, 2, -1, [1, 1, 2]).units() == 1
@@ -327,6 +327,40 @@ def reference_classify_points(T):
     return out
 
 
+def reference_address(seq, T, pt):
+    """The (coeff, offset, color) term of a point as it was addressed before
+    the read took P^k from the sequence's table: +mult when admissible and
+    -mult when removable, at offset P^k(t + k) + min(t, 0) + k - y, with t
+    = x for an admissible point and x - 1 for a removable one."""
+    k = T.k
+    t = pt.x if pt.role == "admissible" else pt.x - 1
+    offset = p_table(seq, reyd.FLAVORS[T.flavor][1], k, t + k) + min(t, 0) + k - pt.y
+    coeff = pt.multiplicity if pt.role == "admissible" else -pt.multiplicity
+    return coeff, offset, pt.color
+
+
+class TestResidueTables:
+    """The color and special-flag tables of each flavor at n = 3..8 agree
+    with fold and with the special residues (0, and n for D2target) at every
+    t in -3M..3M, M the modulus, read at the residue of t and at the keys one
+    and two below it, as classify_points reads them.  The modulus is the
+    period of the flavor's fold."""
+
+    @pytest.mark.parametrize("flavor", ["A2", "D2target"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_entries_are_fold_and_special(self, flavor, n):
+        colors, special = reyd._residues(flavor, n)
+        M = colors.period
+        assert M == special.period == phi_reyd(flavor, n, 2).modulus
+        assert M == (2 * n - 1 if flavor == "A2" else 2 * n)
+        residues = {0, n} if flavor == "D2target" else {0}
+        variant = reyd.FLAVORS[flavor][1]
+        for t in range(-3 * M, 3 * M + 1):
+            for below in (0, 1, 2):
+                assert colors[t % M - below] == fold(variant, n, t - below), (t, below)
+                assert special[t % M - below] == ((t - below) % M in residues), (t, below)
+
+
 class TestWindowScans:
     """validate and classify_points read only the canonical window; the
     scans one modulus past it agree on every diagram and on every one-value
@@ -346,6 +380,11 @@ class TestWindowScans:
                             assert validate(U) == reference_validate(U)
                             if not validate(U):
                                 assert classify_points(U) == reference_classify_points(U)
+
+
+def trimmed(raw):
+    """_trimmed of a raw diagram's fields."""
+    return reyd._trimmed(raw.flavor, raw.n, raw.k, raw.t_lo, raw.ys)
 
 
 def reference_trimmed(raw):
@@ -399,14 +438,14 @@ class TestOnePassKernels:
                     for b in range(-2, 3):
                         lo, hi = T.t_lo + a, T.t_hi + b
                         U = RevisedEYD(flavor, n, k, lo, tuple(T.y(t) for t in range(lo, hi + 1)))
-                        assert reyd._trimmed(U) == reference_trimmed(U)
+                        assert trimmed(U) == reference_trimmed(U)
                         if a <= 0 <= b:
-                            assert reyd._trimmed(U) == T
+                            assert trimmed(U) == T
                 for m in range(len(T.ys)):
                     for d in (-1, 1):
                         ys = T.ys[:m] + (T.ys[m] + d,) + T.ys[m + 1 :]
                         U = RevisedEYD(flavor, n, k, T.t_lo, ys)
-                        assert reyd._trimmed(U) == reference_trimmed(U)
+                        assert trimmed(U) == reference_trimmed(U)
 
     @pytest.mark.parametrize("flavor", ["A2", "D2target"])
     def test_trimmed_off_zero_and_empty(self, flavor):
@@ -416,4 +455,4 @@ class TestOnePassKernels:
             for size in range(3):
                 for ys in product(range(k - 3, k + 3), repeat=size):
                     U = RevisedEYD(flavor, 3, k, lo, ys)
-                    assert reyd._trimmed(U) == reference_trimmed(U), U
+                    assert trimmed(U) == reference_trimmed(U), U

@@ -17,7 +17,7 @@ from polyreal import (
     pair_to_index,
 )
 from polyreal import enumerate_image, weight_coeffs
-from polyreal.root_data import check_family, reachable, weight_counts
+from polyreal.root_data import check_family, fold_table, reachable, weight_counts
 from conftest import make_seq
 
 
@@ -234,6 +234,33 @@ class TestFold:
     def test_pi_prime_rejects_nonpositive(self):
         with pytest.raises(RootDataError):
             fold("pi_prime", 3, 0)
+
+
+class TestFoldTable:
+    """fold_table(kind, n)[t % period] is fold(kind, n, t), and so is the
+    entry at the key one or two below, as the readers use them."""
+
+    @pytest.mark.parametrize("kind", ["overline", "pi", "pi1", "pi2"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_entries_are_the_fold(self, kind, n):
+        table = fold_table(kind, n)
+        period = table.period
+        assert period == {"overline": n, "pi": 2 * n - 2, "pi1": 2 * n - 1, "pi2": 2 * n}[kind]
+        for t in range(-3 * period, 3 * period + 1):
+            assert table[t % period] == fold(kind, n, t), t
+            assert table[t % period - 1] == fold(kind, n, t - 1), t
+            assert table[t % period - 2] == fold(kind, n, t - 2), t
+        assert set(table) == set(range(-2, period))
+        assert fold_table(kind, n) is table
+
+    @pytest.mark.parametrize("kind", ["pi_prime", "sigma"])
+    def test_no_table_for_a_one_sided_or_unknown_map(self, kind):
+        with pytest.raises(RootDataError, match="no table"):
+            fold_table(kind, 3)
+
+    def test_a_large_rank_fills_only_what_is_read(self):
+        table = fold_table("pi2", 2**62)
+        assert table[5] == 5 and table[-1] == 2 and len(table) == 2
 
 
 class TestAdapted:

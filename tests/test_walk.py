@@ -42,6 +42,8 @@ from polyreal.young_wall import (
 )
 from conftest import enumerate_objects, make_seq, reference_partitions
 from test_eyd import reference_sites as reference_eyd_sites
+from test_reyd import reference_address as reference_reyd_address
+from test_young_wall import reference_address as reference_wall_address
 
 FAMILIES = ["A1", "C1", "A2", "D2"]
 
@@ -93,8 +95,8 @@ def reference_sites(seq, kind, obj):
     if kind == "eyd":
         return reference_eyd_sites(seq, obj)
     if kind == "reyd":
-        return [reyd._address(seq, obj, pt) for pt in classify_points(obj)]
-    return [young_wall._address(seq, obj, site) for site in classify_sites(obj)]
+        return [reference_reyd_address(seq, obj, pt) for pt in classify_points(obj)]
+    return [reference_wall_address(seq, obj, site) for site in classify_sites(obj)]
 
 
 def reference_moves(seq, kind, obj):
@@ -107,14 +109,14 @@ def reference_moves(seq, kind, obj):
             site_move(
                 toggle_point(obj, pt),
                 1 if pt.role == "admissible" else -1,
-                reyd._address(seq, obj, pt),
+                reference_reyd_address(seq, obj, pt),
             )
             for pt in classify_points(obj)
         ]
     doubles = [site for site in classify_sites(obj) if site.multiplicity == 2]
     out = []
     for site in legal_single_adds(obj) + legal_single_removes(obj) + doubles:
-        address = young_wall._address(seq, obj, site)
+        address = reference_wall_address(seq, obj, site)
         out.append(site_move(toggle_block(obj, site), address[0], address))
     return out
 
@@ -240,6 +242,32 @@ class TestWalkReadsAsTheReference:
                 assert grown == [(obj, sites, []) for obj, sites, _ in want]
                 if halves or kind != "wall":
                     assert enumerate_objects(seq, kind, k, bound) == [obj for obj, _, _ in want]
+
+
+class TestReadsFromTheTables:
+    """Each kind's _read takes its colors from the fold's table and P^k from
+    the sequence's filled table, calling p_table on a miss.  Every object of
+    the walk up to 5 steps, on the four families at n = 3 and 4, reads the
+    same on a fresh sequence (no P^k entry filled), on the sequence the walk
+    warmed, and on one filled from the largest object down; and it reads as
+    the reference sites and moves."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fresh_warmed_and_reference_reads(self, family, n):
+        warmed, backwards = make_seq(family, n), make_seq(family, n)
+        for kind, k in generator_kinds(warmed):
+            module = verify.MODULES[kind]
+            objects = [obj for obj, _, _ in verify.generator_objects(warmed, kind, k, 5)]
+            assert warmed._pt_cache and objects
+            for obj in reversed(objects):
+                fresh = make_seq(family, n)
+                assert not fresh._pt_cache
+                sites, points = read = module._read(fresh, obj)
+                assert read == module._read(warmed, obj) == module._read(backwards, obj), obj
+                assert sites == reference_sites(warmed, kind, obj), obj
+                moves = [site_move(module._toggle(obj, pt), c, site) for pt, c, site in points]
+                assert moves == reference_moves(warmed, kind, obj), obj
 
 
 def _shift_one_neighbour(monkeypatch, seq):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from polyreal import LinearForm, RootDataError
+from polyreal import LinearForm, RootDataError, p_table
 from polyreal import young_wall
 from polyreal.forms import site_move
 from polyreal.young_wall import (
@@ -326,6 +326,16 @@ def _reference_site(Y, j, remove):
     return _reference_single(Y, j, remove)
 
 
+def reference_address(seq, Y, site):
+    """The (coeff, offset, color) term of a site as it was addressed before
+    the read took P^k from the sequence's table: +mult at a slot, -mult at a
+    block, one p_table call each."""
+    offset = p_table(seq, "pi_prime", Y.kind.ground, site.row) + site.column - 1
+    if site.role == "slot":
+        return site.multiplicity, offset, site.color
+    return -site.multiplicity, offset + 1, site.color
+
+
 def reference_listing(seq, Y):
     """classify_sites, legal_single_adds, legal_single_removes and moves as
     listed before the one column rule, each column tried once per function."""
@@ -337,7 +347,7 @@ def reference_listing(seq, Y):
     doubles = [site for site in sites if site.multiplicity == 2]
     move_list = []
     for site in adds + removes + doubles:
-        address = young_wall._address(seq, Y, site)
+        address = reference_address(seq, Y, site)
         move_list.append(site_move(toggle_block(Y, site), address[0], address))
     return sites, adds, removes, move_list
 
