@@ -13,6 +13,7 @@ forms, whose terms are checked, skip that.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .root_data import (
@@ -259,12 +260,104 @@ def _top_index(code: int, width: int) -> int:
     is code; 0 for the zero form.  It is bit_length(|code|) // W.
 
     The code is sum c_j 2^(W*j) over single indices j = 1..J, each |c_j| <
-    2^(W-1) and c_J != 0 (see closure).  As (2^(W-1) - 1) / (2^W - 1) <
+    2^(W-1) and c_J != 0 (see closure_codes).  As (2^(W-1) - 1) / (2^W - 1) <
     1/2, the terms below J sum to less than 2^(W*J-1) in size, and all J
     terms to less than 2^(W*J+W-1).  So 2^(W*J-1) < |code| < 2^(W*J+W-1),
     and |code| has W*J to W*J + W - 1 bits.
     """
     return abs(code).bit_length() // width
+
+
+def closure_codes(
+    seq: AdaptedSequence,
+    seeds: Iterable[LinearForm],
+    depth: int,
+    index_bound: Optional[int] = None,
+    coeff_bound: int = 0,
+) -> Tuple[Dict[int, Dict[Pair, int]], int, int, Callable[[int, int], int]]:
+    """The search behind closure, over codes: (terms, pruned, W, index).
+
+    terms maps each kept code to its form's terms {(s, l): c}, the seeds'
+    codes first, then the others in the order found; pruned counts the
+    distinct codes dropped at index_bound.  A form's code is the one int sum
+    of c * 2^(W*j) over its terms c x_j, with j = index(s, l), the single
+    index.  Two forms of the closure, or of a caller's whose every |c| is at
+    most coeff_bound, are equal exactly when their codes are, so a caller can
+    compare its own forms, packed with W and index, against the closure's
+    without building either.
+
+    S' at a term is one add to the code, of sign * beta_{base,l} packed the
+    same way.  Each beta_{base,l} is packed once per call, and each (pair,
+    sign of c) picks its move once.  The cap is tested only at a code neither
+    seen nor dropped, on the code itself: its bit length gives the form's
+    largest single index (_top_index).  A kept code's terms are made once,
+    from its parent's, and a dropped code's never.
+
+    No cap is needed: a round raises a form's largest single index by at
+    most L.  S' at (s, l), single index j in the support, subtracts
+    beta_{s,l} or adds beta_{s-1,l}.  beta_{s,l} ends at x_{s+1,l}, the next
+    occurrence of l, at most j + L; its neighbor terms lie between the two
+    occurrences, as beta_index lists them.  beta_{s-1,l} ends at j itself.
+
+    The code is injective on every form the closure meets, kept or dropped,
+    and on every form whose |c| are at most coeff_bound.  W is
+    bit_length(max(C0 + depth * Bmax, coeff_bound)) + 1, with C0 the largest
+    |c| of a seed and Bmax the largest |c| of a beta.  beta's sites lie at
+    distinct pairs (its neighbors have distinct colors j != l), so one round
+    changes any coefficient by at most Bmax, and a form of round r <= depth
+    has every |c| <= C0 + r * Bmax <= C0 + depth * Bmax < 2^(W-1); so has a
+    caller's form, as coeff_bound < 2^(W-1).  A code is then a base-2^W
+    number with balanced digits in (-2^(W-1), 2^(W-1)), and such digits are
+    unique: the lowest is the code's residue mod 2^W, read in that range, and
+    the rest follow from (code - digit) / 2^W.
+    """
+    seeds = list(seeds)
+    most = max((abs(c) for f in seeds for _, c in f.items()), default=0)
+    beta_most = max(abs(c) for sites in seq._beta.values() for c, _, _ in sites)
+    width = max(most + max(depth, 0) * beta_most, coeff_bound).bit_length() + 1
+    index = partial(pair_to_index, seq)
+
+    def code(terms: Iterable[Tuple[Pair, int]]) -> int:
+        return sum(c << (width * index(s, l)) for (s, l), c in terms)
+
+    betas: Dict[Pair, Tuple[int, Tuple[Tuple[Pair, int], ...]]] = {}
+
+    def packed(pair: Pair, c: int) -> Tuple[int, int, Tuple[Tuple[Pair, int], ...]]:
+        # (move, sign, beta terms) of S' at a term; the identity moves the
+        # code by 0, so it lands on a code already seen
+        s, l = pair
+        rule = _s_prime_rule(s, c)
+        if rule is None:
+            return 0, 0, ()
+        sign, base = rule
+        if (base, l) not in betas:
+            beta = tuple(((base + offset, j), b) for b, offset, j in seq._beta[l])
+            betas[base, l] = code(beta), beta
+        move, beta = betas[base, l]
+        return sign * move, sign, beta
+
+    terms: Dict[int, Dict[Pair, int]] = {code(f.items()): f._terms for f in seeds}
+    pruned: Set[int] = set()
+    # the packed moves at a pair, for a negative and a positive coefficient
+    moves: Tuple[Dict[Pair, Tuple[int, int, Tuple[Tuple[Pair, int], ...]]], ...] = ({}, {})
+
+    def images(a: int) -> Iterator[int]:
+        t = terms[a]
+        for pair, c in t.items():
+            table = moves[c > 0]
+            move = table.get(pair)
+            if move is None:
+                move = table[pair] = packed(pair, c)
+            b = a + move[0]
+            if b not in terms and b not in pruned:
+                if index_bound is None or _top_index(b, width) <= index_bound:
+                    terms[b] = _accumulate(dict(t), move[2], move[1])
+                    yield b
+                else:
+                    pruned.add(b)
+
+    reachable(set(terms), images, depth)
+    return terms, len(pruned), width, index
 
 
 def closure(
@@ -281,75 +374,13 @@ def closure(
     is returned alongside the closed set.  The cap is tested only on forms
     neither seen nor dropped before, and a dropped form is never built.
 
-    No cap is needed: a round raises a form's largest single index by at
-    most L.  S' at (s, l), single index j in the support, subtracts
-    beta_{s,l} or adds beta_{s-1,l}.  beta_{s,l} ends at x_{s+1,l}, the next
-    occurrence of l, at most j + L; its neighbor terms lie between the two
-    occurrences, as beta_index lists them.  beta_{s-1,l} ends at j itself.
-
-    The search runs over codes, not forms.  A form's code is the one int
-    sum of c * 2^(W*j) over its terms c x_j at single index j, so S' at a
-    term is one add to the code, of sign * beta_{base,l} packed the same
-    way.  Each beta_{base,l} is packed once per call, and each (pair, sign
-    of c) picks its move once.  The cap is tested only at a code neither
-    seen nor dropped, on the code itself: its bit length gives the form's
-    largest single index (_top_index).  A form is built only at a code that
-    is kept.
-
-    The code is injective on every form the closure meets, kept or dropped.
-    W is bit_length(C0 + depth * Bmax) + 1, with C0 the largest |c| of a
-    seed and Bmax the largest |c| of a beta.  beta's sites lie at distinct
-    pairs (its neighbors have distinct colors j != l), so one round changes
-    any coefficient by at most Bmax, and a form of round r <= depth has
-    every |c| <= C0 + r * Bmax <= C0 + depth * Bmax < 2^(W-1).  A code is
-    then a base-2^W number with balanced digits in (-2^(W-1), 2^(W-1)), and
-    such digits are unique: the lowest is the code's residue mod 2^W, read
-    in that range, and the rest follow from (code - digit) / 2^W.
+    The search runs over codes (closure_codes); a form is built only at a
+    kept code that is not a seed's.
     """
     seeds = set(seeds)
-    most = max((abs(c) for f in seeds for _, c in f.items()), default=0)
-    beta_most = max(abs(c) for sites in seq._beta.values() for c, _, _ in sites)
-    width = (most + max(depth, 0) * beta_most).bit_length() + 1
-
-    def code(terms: Iterable[Tuple[Pair, int]]) -> int:
-        return sum(c << (width * pair_to_index(seq, s, l)) for (s, l), c in terms)
-
-    betas: Dict[Pair, int] = {}
-
-    def packed(pair: Pair, c: int) -> Tuple[int, int, int]:
-        # (move, sign, base) of S' at a term; the identity moves the code by
-        # 0, so it lands on a code already seen
-        s, l = pair
-        rule = _s_prime_rule(s, c)
-        if rule is None:
-            return 0, 0, 0
-        sign, base = rule
-        if (base, l) not in betas:
-            betas[base, l] = code(((base + offset, j), b) for b, offset, j in seq._beta[l])
-        return sign * betas[base, l], sign, base
-
-    formed: Dict[int, LinearForm] = {code(f.items()): f for f in seeds}
-    pruned: Set[int] = set()
-    # the packed moves at a pair, for a negative and a positive coefficient
-    moves: Tuple[Dict[Pair, Tuple[int, int, int]], ...] = ({}, {})
-
-    def images(a: int) -> Iterator[int]:
-        f = formed[a]
-        for pair, c in f.items():
-            table = moves[c > 0]
-            move = table.get(pair)
-            if move is None:
-                move = table[pair] = packed(pair, c)
-            b = a + move[0]
-            if b not in formed and b not in pruned:
-                if index_bound is None or _top_index(b, width) <= index_bound:
-                    formed[b] = _shifted(seq, f, move[1], move[2], pair[1])
-                    yield b
-                else:
-                    pruned.add(b)
-
-    reachable(set(formed), images, depth)
-    return set(formed.values()), len(pruned)
+    terms, pruned, _, _ = closure_codes(seq, seeds, depth, index_bound)
+    found = list(terms.values())[len(seeds):]
+    return seeds | {LinearForm._of(t) for t in found}, pruned
 
 
 def evaluate(seq: AdaptedSequence, form: LinearForm, a: LatticeElement) -> int:

@@ -38,6 +38,7 @@ from .forms import (
     beta_sites,
     check_xi_positivity,
     closure,
+    closure_codes,
     evaluate,
     site_form,
     walk,
@@ -284,13 +285,43 @@ def check_closure_equality(
 
     The closure has no cap unless index_bound is given; forms pruned at it fail.
     The seed is the image of the highest object, of 0 steps, so a negative
-    depth compares two empty sets and is inconclusive."""
+    depth compares two empty sets and is inconclusive.
+
+    The two sets are compared as packed codes, and forms are built only for
+    the witnesses.  The generators are walked first.  An object's form at s
+    has every coefficient at most the sum of |coeff| over its sites, so the
+    largest such sum is passed to closure_codes, whose code is then one-to-one
+    on the image forms too.  Each object's sites are packed at s with the
+    search's field width and index reader, each distinct site once, so two
+    forms are equal exactly when their codes are.  Only the codes in the
+    symmetric difference are built as forms, the closure's from its terms and
+    the image's by site_form from the first object of the code.
+    """
     seeds = [LinearForm.x(s, k)] if depth >= 0 else []
-    closed, pruned = closure(seq, seeds, depth, index_bound)
-    kind = charge_kind(seq, k)
-    images = {site_form(sites, s) for _, sites, _ in generator_objects(seq, kind, k, depth)}
-    extra = sorted(closed - images, key=LinearForm.sort_key)
-    missing = sorted(images - closed, key=LinearForm.sort_key)
+    walked = [sites for _, sites, _ in generator_objects(seq, charge_kind(seq, k), k, depth)]
+    most = max((sum(abs(c) for c, _, _ in sites) for sites in walked), default=0)
+    closed, pruned, width, index = closure_codes(seq, seeds, depth, index_bound, most)
+    packed: Dict[Site, int] = {}
+    images: Dict[int, List[Site]] = {}
+    for sites in walked:
+        code = 0
+        for site in sites:
+            term = packed.get(site)
+            if term is None:
+                c, offset, color = site
+                if s + offset < 1:
+                    site_form(sites, s)  # raises its occurrence error
+                term = packed[site] = c << (width * index(s + offset, color))
+            code += term
+        images.setdefault(code, sites)
+    extra = sorted(
+        (LinearForm._of(closed[c]) for c in closed.keys() - images.keys()),
+        key=LinearForm.sort_key,
+    )
+    missing = sorted(
+        (site_form(images[c], s) for c in images.keys() - closed.keys()),
+        key=LinearForm.sort_key,
+    )
     witnesses = [f"{pruned} forms pruned at index bound {index_bound}"] if pruned else []
     witnesses += [f"closure-only: {f}" for f in extra] + [f"image-only: {f}" for f in missing]
     difference = len(extra) + len(missing)

@@ -663,3 +663,28 @@ class TestProfile:
             argv = [sys.executable, "-c", script, "verify", "beta", *flags]
             done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
             assert done.returncode == 0 and done.stdout.splitlines()[-1] == loaded
+
+
+class TestModuleEntry:
+    """`python -m polyreal` runs the cli and exits with its code; importing
+    the package does not load the entry module."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def python(self, *argv):
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, env=self.ENV, timeout=60
+        )
+
+    def test_exit_codes(self):
+        problem = ("--family", "A1", "--word", "1,2,3")
+        done = self.python("-m", "polyreal", "verify", "closure", "--n", "3", *problem)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("closure-equality: pass")
+        done = self.python("-m", "polyreal", "verify", "closure", "--n", "1", *problem)
+        assert done.returncode == EXIT_USAGE and done.stdout == ""
+        assert done.stderr.splitlines() == ["error: family A1 needs n >= 2, got 1"]
+
+    def test_import_leaves_the_entry_module_out(self):
+        done = self.python("-c", "import sys, polyreal; print('polyreal.__main__' in sys.modules)")
+        assert done.returncode == 0 and done.stdout == "False\n"

@@ -5,11 +5,13 @@ on every problem, caught by the suites that the row names.
 A row's edit is made to the function's own source, compiled into a copy of
 its module's namespace, and the result is patched onto every polyreal module
 that holds the function: its own, and each that imports it by name, such as
-verify for `enumerate_image` and eyd, reyd and young_wall for `p_table`.
+verify for `enumerate_image` and eyd, reyd and young_wall for `p_table`.  A
+row that names a method as Class.method patches it onto the class.
 The problems are A1, C1, A2 and D2 at n = 3 and 4 with the word 1..n, at
 default bounds, all suites.  A row names the families it applies to: a
 generator module serves only some of them (eyd A1 and D2, reyd and walls C1
-and A2), and a mutation there cannot fail the others.
+and A2), and a mutation there cannot fail the others; a dropped charge
+changes only its own family.
 """
 
 import __future__
@@ -22,7 +24,7 @@ import textwrap
 
 import pytest
 
-from polyreal import cli, eyd, forms, lattice_crystal, reyd, root_data, young_wall
+from polyreal import cli, eyd, forms, lattice_crystal, reyd, root_data, verify, young_wall
 
 ALL = ("A1", "C1", "A2", "D2")
 PROBLEMS = [(family, n) for family in ALL for n in (3, 4)]
@@ -115,12 +117,51 @@ ROWS = {
         {"step-identities", "closure-equality", "image-equality"},
         ("C1", "A2"),
     ),
+    # beta's neighbour sites one occurrence up, in the table that beta_pair,
+    # s_prime and the step check read; beta_index does not read it
+    "beta-neighbour-offset-plus-one": (
+        root_data,
+        "AdaptedSequence.__init__",
+        "(c, self.p[(j, i)], j)",
+        "(c, self.p[(j, i)] + 1, j)",
+        {"step-identities", "closure-equality", "beta-agreement"},
+        ALL,
+    ),
+    # every neighbour pair oriented the other way round
+    "orientation-flipped": (
+        root_data,
+        "AdaptedSequence._orientation",
+        "p[(i, j)] = 1 if first_i < first_j else 0",
+        "p[(i, j)] = 0 if first_i < first_j else 1",
+        {"image-equality", "beta-agreement"},
+        ALL,
+    ),
+    # C1 loses its reyd charge n - 1, so no closure is checked from x[s,n-1]
+    "c1-missing-charge": (
+        verify,
+        "family_generators",
+        '"reyd": ("D2target", range(2, n))',
+        '"reyd": ("D2target", range(2, n - 1))',
+        {"closure-equality"},
+        ("C1",),
+    ),
+    # A2 loses its reyd charge n, so no closure is checked from x[s,n]
+    "a2-missing-charge": (
+        verify,
+        "family_generators",
+        '"reyd": ("A2", range(2, n + 1))',
+        '"reyd": ("A2", range(2, n))',
+        {"closure-equality"},
+        ("A2",),
+    ),
 }
 
 
 def mutated(module, name: str, old: str, new: str):
-    """module.name compiled from its source with old replaced by new."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    """module.name, or module.Class.method for a dotted name, compiled from
+    its source with old replaced by new."""
+    owner, attr = _owner(module, name)
+    source = textwrap.dedent(inspect.getsource(getattr(owner, attr)))
     assert source.count(old) == 1, (name, old)
     code = compile(
         source.replace(old, new),
@@ -131,7 +172,16 @@ def mutated(module, name: str, old: str, new: str):
     )
     namespace = dict(vars(module))
     exec(code, namespace)
-    return namespace[name]
+    return namespace[attr]
+
+
+def _owner(module, name: str):
+    """(the object that holds name, its last part): the module for a plain
+    name, its class for Class.method."""
+    if "." in name:
+        cls, attr = name.split(".")
+        return getattr(module, cls), attr
+    return module, name
 
 
 def verify_json(family: str, n: int):
@@ -152,11 +202,16 @@ def test_unmutated_problems_pass(family, n):
 @pytest.mark.parametrize("row", list(ROWS))
 def test_mutation_is_caught(row, monkeypatch):
     module, name, old, new, catchers, families = ROWS[row]
-    original, function = getattr(module, name), mutated(module, name, old, new)
-    holders = [m for key, m in sys.modules.items() if key.split(".")[0] == "polyreal"]
-    for holder in holders:
-        if getattr(holder, name, None) is original:
-            monkeypatch.setattr(holder, name, function)
+    function = mutated(module, name, old, new)
+    owner, attr = _owner(module, name)
+    if owner is module:
+        original = getattr(module, name)
+        holders = [m for key, m in sys.modules.items() if key.split(".")[0] == "polyreal"]
+        for holder in holders:
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, function)
+    else:
+        monkeypatch.setattr(owner, attr, function)
     for family, n in PROBLEMS:
         if family not in families:
             continue

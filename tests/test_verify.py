@@ -7,9 +7,11 @@ from collections import Counter
 import pytest
 
 from polyreal import (
-    LatticeElement, LinearForm, enumerate_image, evaluate, forms, lattice_crystal, verify
+    LatticeElement, LinearForm, closure, enumerate_image, evaluate, eyd, forms, lattice_crystal,
+    verify,
 )
 from polyreal.root_data import (
+    FAMILIES,
     AdaptedSequence,
     AlgebraType,
     NotAdaptedError,
@@ -314,6 +316,102 @@ class TestClosureEquality:
         assert not r.ok
         assert r.counts["pruned"] > 0
         assert "pruned" in r.witnesses[0]
+
+
+def reference_closure_equality(seq, k, depth, s, index_bound):
+    """The closure check over form sets: the closure's forms against one
+    site_form per walked object."""
+    closed, pruned = closure(seq, [x(s, k)] if depth >= 0 else [], depth, index_bound)
+    kind = verify.charge_kind(seq, k)
+    walked = verify.generator_objects(seq, kind, k, depth)
+    images = {site_form(sites, s) for _, sites, _ in walked}
+    extra = sorted(closed - images, key=LinearForm.sort_key)
+    missing = sorted(images - closed, key=LinearForm.sort_key)
+    witnesses = [f"{pruned} forms pruned at index bound {index_bound}"] if pruned else []
+    witnesses += [f"closure-only: {f}" for f in extra] + [f"image-only: {f}" for f in missing]
+    difference = len(extra) + len(missing)
+    counts = {
+        "closure_size": len(closed),
+        "image_size": len(images),
+        "pruned": pruned,
+        "symmetric_difference": difference,
+    }
+    params = {"k": k, "s": s, "depth": depth}
+    return verify._report(
+        "closure-equality", seq, params, counts, witnesses, difference + pruned, len(closed)
+    )
+
+
+def _raise_convex_offsets(monkeypatch):
+    """Patch eyd._read so that a convex corner's site (coeff -1) sits one
+    occurrence higher, as an eyd convex offset of +1 would place it."""
+    read = eyd._read
+
+    def shifted(seq, T):
+        sites, points = read(seq, T)
+        return [(c, offset + (c < 0), color) for c, offset, color in sites], points
+
+    monkeypatch.setattr(eyd, "_read", shifted)
+
+
+CLOSURE_GRID = [(family, n, tuple(range(1, n + 1))) for family in FAMILIES for n in (3, 4)] + [
+    (family, 3, word) for family in FAMILIES for word in adapted_words(family, 3, 6)
+]
+
+
+class TestClosureEqualityAsTheReference:
+    """The check on packed codes gives the report of the check on form sets,
+    witnesses in order, on word 1..n of each family at n = 3 and 4 and on the
+    18 non-periodic length-6 words at n = 3, at depths 0..6, s = 1..3 and
+    caps None, 4, 6 and 8; with eyd's convex sites raised, both witness kinds
+    appear."""
+
+    @pytest.mark.parametrize("mutated", [False, True], ids=["eyd", "raised-convex"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_reports(self, family, mutated, monkeypatch):
+        if mutated:
+            _raise_convex_offsets(monkeypatch)
+        kinds, uncapped = Counter(), Counter()
+        grid = [make_seq(f, n, list(word)) for f, n, word in CLOSURE_GRID if f == family]
+        for seq in grid:
+            for k in seq.root_system.index_set:
+                for s in (1, 2, 3):
+                    for depth in range(7):
+                        for cap in (None, 4, 6, 8):
+                            got = check_closure_equality(seq, k, depth, s, cap)
+                            want = reference_closure_equality(seq, k, depth, s, cap)
+                            assert got.to_json() == want.to_json(), (seq.word, k, s, depth, cap)
+                            kinds.update(w.split(":")[0] for w in got.witnesses)
+                            uncapped[got.status] += cap is None
+        assert len(CLOSURE_GRID) == 26
+        if mutated and family in ("A1", "D2"):
+            assert kinds["closure-only"] and kinds["image-only"], kinds
+        else:
+            assert uncapped["fail"] == 0 and kinds["closure-only"] == 0, (uncapped, kinds)
+
+    def test_codes_cover_the_image_coefficients(self, a1_n3, monkeypatch):
+        # one image form 4 x[1,2], at single index 1 of word 2,1,3, against
+        # the seed x[1,1] at index 2: at the closure's own width of 2 bits at
+        # depth 0, 4 x_1 and x_2 have one code, 16
+        assert (pair_to_index(a1_n3, 1, 2), pair_to_index(a1_n3, 1, 1)) == (1, 2)
+        monkeypatch.setattr(
+            verify, "generator_objects", lambda seq, kind, k, bound: [("T", [(4, 0, 2)], [])]
+        )
+        r = check_closure_equality(a1_n3, 1, depth=0)
+        assert r.to_json() == reference_closure_equality(a1_n3, 1, 0, 1, None).to_json()
+        assert r.status == "fail" and r.counts["symmetric_difference"] == 2
+        assert r.witnesses == ["closure-only: x[1,1]", "image-only: 4 x[1,2]"]
+
+    def test_occurrence_error_as_site_form(self, a1_n3, monkeypatch):
+        sites = [(1, 0, 2), (1, -1, 3), (2, -2, 1)]
+        monkeypatch.setattr(
+            verify, "generator_objects", lambda seq, kind, k, bound: [("T", sites, [])]
+        )
+        with pytest.raises(ValueError) as want:
+            site_form(sites, 2)
+        with pytest.raises(ValueError) as got:
+            check_closure_equality(a1_n3, 1, depth=1, s=2)
+        assert str(got.value) == str(want.value) == "occurrence index must be >= 1, got 0"
 
 
 def reference_image_check(seq, max_weight, size_bound, s_bound):
