@@ -204,6 +204,7 @@ def beta_sites(seq: AdaptedSequence, l: int) -> Tuple[Site, ...]:
 
 def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:
     """beta_{s,l} in double-index coordinates."""
+    s = exact_int(s, RootDataError)
     if s < 1:
         raise RootDataError(f"beta needs s >= 1, got {s}")
     # the neighbor sites have distinct colors j != l, so no two sites meet

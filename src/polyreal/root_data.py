@@ -421,6 +421,8 @@ def p_table(seq: AdaptedSequence, variant: str, k: int, t: int) -> int:
         pass
     if variant not in FOLD_KINDS:
         raise RootDataError(f"unknown table variant {variant!r}")
+    # the fill walk steps by 1 from t, so it meets the interval around k only from an integer
+    t, k = exact_int(t, RootDataError), exact_int(k, RootDataError)
     if variant == "pi_prime" and t < k:
         raise RootDataError(f"pi_prime table needs t >= {k}, got {t}")
     n = seq.root_system.n

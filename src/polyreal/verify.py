@@ -209,20 +209,17 @@ def _form_at(site_map: Dict[Pair, int], s: int) -> LinearForm:
 
 
 def check_step_identities(
-    seq: AdaptedSequence,
-    s_values: Sequence[int] = (1, 2),
-    size_bound: int = 6,
-    wall_halves: int = 8,
+    seq: AdaptedSequence, size_bound: int = 6, wall_halves: int = 8
 ) -> VerificationReport:
     """Every legal toggle shifts the assigned form by exactly minus or plus beta.
 
     Walls are walked up to wall_halves halves, the other kinds up to
-    size_bound steps.  A toggle counts once per s of s_values, and so does a
-    failure; its witness states the forms at that s.  Each kind and charge is
-    walked first, to a list of (object, site map, moves), each object read
-    once by the walk; then every move is checked against its target's map.  A
-    target past the bound is read once, by its module's sites, so each object
-    is read once per call.
+    size_bound steps; a negative size_bound walks nothing.  A toggle counts
+    once per s of 1 and 2, and so does a failure; its witness states the
+    forms at that s.  Each kind and charge is walked first, to a list of
+    (object, site map, moves), each object read once by the walk; then every
+    move is checked against its target's map.  A target past the bound is
+    read once, by its module's sites, so each object is read once per call.
 
     Each toggle is checked once, in site coordinates, because the identity
     holds at every s or at none.  An object's form at s is site_form(sites,
@@ -235,14 +232,13 @@ def check_step_identities(
     map of obj2 equals that of obj less coeff times the shifted beta sites,
     and that equation does not mention s.
     """
-    if s_values and min(s_values) < 1:
-        raise ValueError(f"occurrence index must be >= 1, got {min(s_values)}")
+    s_values = (1, 2)
     betas = {l: beta_sites(seq, l) for l in seq.root_system.index_set}
     checked = failed = 0
     witnesses: List[str] = []
     for kind, k in generator_kinds(seq):
         walls = kind == "wall"
-        bound = wall_halves if walls else size_bound
+        bound = wall_halves if walls and size_bound >= 0 else size_bound
         walked = [
             (obj, _site_map(sites), moves)
             for obj, sites, moves in generator_objects(seq, kind, k, bound, walls, True)
@@ -342,12 +338,10 @@ def check_closure_equality(
 
 
 def check_image_equality(
-    seq: AdaptedSequence,
-    max_weight: int = 4,
-    size_bound: Optional[int] = None,
-    s_bound: Optional[int] = None,
+    seq: AdaptedSequence, max_weight: int = 4, size_bound: Optional[int] = None
 ) -> VerificationReport:
-    """Reachable elements and inequality solutions agree up to the weight bound.
+    """Reachable elements and inequality solutions agree up to the weight
+    bound, with the inequalities sampled at s = 1..max_weight + 1.
 
     Forward: every reachable element satisfies every sampled inequality.
     Converse: every solution of the sampled system within the support window
@@ -368,8 +362,7 @@ def check_image_equality(
     """
     if size_bound is None:
         size_bound = max_weight + 2
-    if s_bound is None:
-        s_bound = max_weight + 1
+    s_bound = max_weight + 1
     image = enumerate_image(seq, max_weight)
     forms = generator_forms(seq, size_bound, range(1, s_bound + 1))
     # Every image element lies in the box: it is nonnegative, its total is at
@@ -496,12 +489,13 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
     )
 
 
-def check_positivity(seq: AdaptedSequence, depth: int = 6, s_max: int = 2) -> VerificationReport:
-    """No closure form carries a negative coefficient at a first occurrence."""
+def check_positivity(seq: AdaptedSequence, depth: int = 6) -> VerificationReport:
+    """No closure form of a seed x[s,k], s = 1 or 2, carries a negative
+    coefficient at a first occurrence."""
     failures: List[str] = []
     total = 0
     for k in seq.root_system.index_set:
-        for s in range(1, s_max + 1):
+        for s in (1, 2):
             closed, _ = closure(seq, [LinearForm.x(s, k)], depth)
             total += len(closed)
             ok, bad = check_xi_positivity(seq, closed)
@@ -511,7 +505,7 @@ def check_positivity(seq: AdaptedSequence, depth: int = 6, s_max: int = 2) -> Ve
     return _report(
         "xi-positivity",
         seq,
-        {"depth": depth, "s_max": s_max},
+        {"depth": depth, "s_max": 2},
         {"forms_checked": total, "failures": len(failures)},
         failures,
         len(failures),
@@ -519,10 +513,10 @@ def check_positivity(seq: AdaptedSequence, depth: int = 6, s_max: int = 2) -> Ve
     )
 
 
-def check_beta_agreement(seq: AdaptedSequence, max_index: int = 30) -> VerificationReport:
-    """The single- and double-index beta constructions coincide."""
+def check_beta_agreement(seq: AdaptedSequence) -> VerificationReport:
+    """The single- and double-index beta constructions coincide at j = 1..30."""
     failures: List[str] = []
-    indices = range(1, max_index + 1)
+    indices = range(1, 31)
     for j in indices:
         s, l = index_to_pair(seq, j)
         if beta_index(seq, j) != beta_pair(seq, s, l):
@@ -530,7 +524,7 @@ def check_beta_agreement(seq: AdaptedSequence, max_index: int = 30) -> Verificat
     return _report(
         "beta-agreement",
         seq,
-        {"max_index": max_index},
+        {"max_index": 30},
         {"indices_checked": len(indices), "failures": len(failures)},
         failures,
         len(failures),
@@ -538,15 +532,14 @@ def check_beta_agreement(seq: AdaptedSequence, max_index: int = 30) -> Verificat
     )
 
 
-def check_sigma_difference(
-    seq: AdaptedSequence, samples: int = 100, depth: int = 6, seed: int = 7
-) -> VerificationReport:
-    """beta_j(a) = sigma_j(a) - sigma_{j+}(a) on random reachable elements."""
-    rng = random.Random(seed)
-    pool = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
+def check_sigma_difference(seq: AdaptedSequence) -> VerificationReport:
+    """beta_j(a) = sigma_j(a) - sigma_{j+}(a) on 100 elements drawn, with
+    seed 7, from the image of depth 6."""
+    rng = random.Random(7)
+    pool = sorted(enumerate_image(seq, 6), key=LatticeElement.items)
     failures: List[str] = []
     checked = 0
-    for _ in range(samples):
+    for _ in range(100):
         a = pool[rng.randrange(len(pool))]
         j = rng.randrange(1, max(a.max_index(), seq.L) + 1)
         jplus = j + 1
@@ -560,7 +553,7 @@ def check_sigma_difference(
     return _report(
         "sigma-difference",
         seq,
-        {"samples": samples},
+        {"samples": 100},
         {"samples_checked": checked, "failures": len(failures)},
         failures,
         len(failures),

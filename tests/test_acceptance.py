@@ -176,7 +176,7 @@ def test_criterion_3_step_identities(capsys):
     failures = []
     toggles = 0
     for family, n in STEP_GRID:
-        r = check_step_identities(make_seq(family, n), s_values=(1, 2), size_bound=6, wall_halves=8)
+        r = check_step_identities(make_seq(family, n), size_bound=6, wall_halves=8)
         toggles += r.counts["toggles_checked"]
         if not r.ok:
             failures.append(f"{family} n={n}: {r.witnesses[:2]}")
@@ -221,7 +221,7 @@ def test_criterion_5_image_equality(capsys):
     failures = []
     counts = []
     for family, n in IMAGE_GRID:
-        r = check_image_equality(make_seq(family, n), max_weight=4, size_bound=6, s_bound=5)
+        r = check_image_equality(make_seq(family, n), max_weight=4, size_bound=6)
         counts.append(r.counts["image_size"])
         if r.status != "pass":
             failures.append(f"{family} n={n}: {r.status} {r.witnesses[:2]}")
@@ -242,7 +242,7 @@ def test_criterion_6_positivity(capsys):
     failures = []
     forms = 0
     for family, n in IMAGE_GRID:
-        r = check_positivity(make_seq(family, n), depth=6, s_max=2)
+        r = check_positivity(make_seq(family, n), depth=6)
         forms += r.counts["forms_checked"]
         if not r.ok:
             failures.append(f"{family} n={n}: {r.witnesses[:2]}")
@@ -264,8 +264,8 @@ def test_criterion_7_property_suites(capsys):
         seq = make_seq(family, n)
         for r in (
             check_crystal_axioms(seq, depth=5),
-            check_beta_agreement(seq, max_index=30),
-            check_sigma_difference(seq, samples=100),
+            check_beta_agreement(seq),
+            check_sigma_difference(seq),
         ):
             if not r.ok:
                 failures.append(f"{family} n={n} {r.check}: {r.witnesses[:2]}")

@@ -370,7 +370,7 @@ class TestCanonicalParentWalk:
         )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from([1, 2, 3]), max_size=5))
 def test_kashiwara_relations_random_paths(ops):
     seq = make_seq("D2", 3)

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyreal import (
     AlgebraType,
@@ -334,6 +334,7 @@ class TestIndexing:
         assert index_to_pair(a1_n3, 4) == (2, 2)
         assert index_to_pair(a1_n3, 5) == (2, 1)
 
+    @settings(derandomize=True)
     @given(st.integers(min_value=1, max_value=200))
     def test_round_trip(self, j):
         seq = make_seq("A1", 3)
@@ -364,6 +365,14 @@ class TestPTables:
     def test_pi_prime_one_sided(self, a2_n3):
         with pytest.raises(RootDataError):
             p_table(a2_n3, "pi_prime", 2, 1)
+
+    def test_non_integral_arguments_rejected(self, a1_n3):
+        # the fill walk steps by 1, so from 2.5 it would never meet the
+        # filled interval around k
+        for k, t in [(1, 2.5), (1.5, 3)]:
+            with pytest.raises(RootDataError, match="expected an integer"):
+                p_table(a1_n3, "overline", k, t)
+        assert p_table(a1_n3, "overline", 1, 3.0) == p_table(a1_n3, "overline", 1, 3) == 1
 
     def test_cached_walk_consistency(self, a1_n3):
         far = p_table(a1_n3, "overline", 1, 40)

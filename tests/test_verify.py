@@ -60,18 +60,22 @@ class TestReport:
         r = VerificationReport("closure-equality", {}, "pass", {"b": 2, "a": 1})
         assert r.summary() == "closure-equality: pass (a=1 b=2)"
 
+    def test_fixed_sampling_params(self, a1_n3):
+        # the sampling values are constants, and the reports still name them
+        assert check_image_equality(a1_n3, max_weight=2).params["s_bound"] == 3
+        assert check_positivity(a1_n3, depth=2).params["s_max"] == 2
+        assert check_beta_agreement(a1_n3).params["max_index"] == 30
+        assert check_sigma_difference(a1_n3).params["samples"] == 100
+
     @pytest.mark.parametrize(
         "check",
         [
-            lambda seq: check_beta_agreement(seq, max_index=0),
-            lambda seq: check_sigma_difference(seq, samples=0),
-            # walls have a bound of their own, so both bounds are negative
-            lambda seq: check_step_identities(seq, size_bound=-1, wall_halves=-1),
+            lambda seq: check_step_identities(seq, size_bound=-1),
             lambda seq: check_image_equality(seq, max_weight=-1),
             lambda seq: check_image_equality(seq, max_weight=1, size_bound=-1),
             lambda seq: check_closure_equality(seq, 2, depth=-1),
         ],
-        ids=["beta", "sigma", "steps", "image", "image-no-objects", "closure"],
+        ids=["steps", "image", "image-no-objects", "closure"],
     )
     def test_zero_work_is_inconclusive(self, check):
         # a negative bound gives no objects, whatever the generator kind
@@ -176,19 +180,20 @@ class TestStepIdentities:
             _shift_removes(monkeypatch)
         for word in itertools.permutations((1, 2, 3)):
             seq = make_seq(family, 3, list(word))
-            got = check_step_identities(seq, s_values=(1, 2, 3), size_bound=4, wall_halves=6)
-            want = _reference_step_check(seq, (1, 2, 3), 4, 6)
+            got = check_step_identities(seq, size_bound=4, wall_halves=6)
+            want = _reference_step_check(seq, (1, 2), 4, 6)
             assert got.to_json() == want.to_json(), word
             assert (got.status, got.counts["failures"] > 0) == (
                 ("fail", True) if mutated else ("pass", False)
             )
 
     @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
-    @pytest.mark.parametrize("s_values", [(0,), (-1,), (2, 0)])
-    def test_occurrence_below_one_rejected(self, family, s_values):
-        with pytest.raises(ValueError) as info:
-            check_step_identities(make_seq(family, 3), s_values=s_values)
-        assert str(info.value) == f"occurrence index must be >= 1, got {min(s_values)}"
+    def test_negative_size_bound_walks_nothing(self, family):
+        # walls have a bound of their own, but a negative size_bound walks no
+        # object of any kind
+        r = check_step_identities(make_seq(family, 3), size_bound=-1)
+        assert r.status == "inconclusive"
+        assert r.counts == {"toggles_checked": 0, "failures": 0}
 
 
 class TestFailureCounts:
@@ -199,7 +204,7 @@ class TestFailureCounts:
         seq = make_seq("A1", 3)
         beta_index = verify.beta_index
         monkeypatch.setattr(verify, "beta_index", lambda seq, j: beta_index(seq, j) + x(1, 1))
-        r = check_beta_agreement(seq, max_index=30)
+        r = check_beta_agreement(seq)
         assert r.status == "fail" and r.counts["failures"] == 30
         assert len(r.witnesses) == verify.MAX_WITNESSES
         assert r.witnesses[0].startswith("beta mismatch at j=1 ")
@@ -222,9 +227,9 @@ class TestFailureCounts:
             for obj in enumerate_objects(seq, kind, k, 3)
             for _, coeff, _, _ in object_moves(seq, kind, obj)
         )
-        r = check_step_identities(seq, s_values=(1, 2, 3), size_bound=3)
+        r = check_step_identities(seq, size_bound=3)
         assert removes > 0 and r.status == "fail"
-        assert r.counts["failures"] == 3 * removes
+        assert r.counts["failures"] == 2 * removes
         assert len(r.witnesses) == verify.MAX_WITNESSES
         assert r.witnesses[0] == (
             "ExtendedYoungDiagram(charge=1, ys=(0,)) -> ExtendedYoungDiagram(charge=1, ys=()) "
@@ -244,7 +249,7 @@ class TestFailureCounts:
             monkeypatch.setattr(
                 module, "_read", lambda seq, obj, f=module._read: calls.append(obj) or f(seq, obj)
             )
-        r = check_step_identities(seq, s_values=(1, 2, 3), size_bound=3, wall_halves=6)
+        r = check_step_identities(seq, size_bound=3, wall_halves=6)
         assert r.ok, r.witnesses
         assert len(calls) == len(set(calls))
         assert set(calls) == objects
@@ -414,12 +419,12 @@ class TestClosureEqualityAsTheReference:
         assert str(got.value) == str(want.value) == "occurrence index must be >= 1, got 0"
 
 
-def reference_image_check(seq, max_weight, size_bound, s_bound):
+def reference_image_check(seq, max_weight, size_bound):
     """The image check by brute force: every sampled form on every vector of
     the weight box, the box walked in lexicographic order of window values."""
     image = enumerate_image(seq, max_weight)
     forms = sorted(
-        (LinearForm(t) for t in verify.generator_forms(seq, size_bound, range(1, s_bound + 1))),
+        (LinearForm(t) for t in verify.generator_forms(seq, size_bound, range(1, max_weight + 2))),
         key=LinearForm.sort_key,
     )
     window = sorted({j for a in image for j in a.support()})
@@ -455,58 +460,52 @@ def reference_image_check(seq, max_weight, size_bound, s_bound):
     return counts, status, witnesses[: verify.MAX_WITNESSES]
 
 
-IMAGE_CASES = [
-    (family, 3, w, None, None, ()) for family in ("A1", "C1", "A2", "D2") for w in range(4)
-]
+IMAGE_CASES = [(family, 3, w, None, ()) for family in ("A1", "C1", "A2", "D2") for w in range(4)]
 IMAGE_CASES += [
-    ("A1", 2, 5, None, None, ()),
+    ("A1", 2, 5, None, ()),
     # converse misses only
-    ("A1", 3, 3, 0, 1, ()),
-    ("C1", 3, 2, 0, 1, ()),
+    ("A1", 3, 3, 0, ()),
+    ("C1", 3, 2, 0, ()),
     # forward violations only
-    ("A1", 2, 3, None, None, ((1, 1),)),
-    ("D2", 3, 2, None, None, ((1, 1),)),
+    ("A1", 2, 3, None, ((1, 1),)),
+    ("D2", 3, 2, None, ((1, 1),)),
     # both kinds (12 forward, 37 converse)
-    ("A2", 3, 3, 0, 1, ((1, 2),)),
-    # both kinds among the first witnesses: 7 converse, then 3 forward
-    ("A1", 2, 4, 1, 1, ((2, 1),)),
+    ("A2", 3, 3, 0, ((1, 2),)),
+    # both kinds among the first witnesses: 5 converse, 3 forward, then one
+    # of each
+    ("A1", 2, 3, 0, ((2, 1),)),
     # an empty window still holds one candidate
-    ("A1", 3, -1, None, None, ()),
+    ("A1", 3, -1, None, ()),
 ]
 # the cases above run on the default word; these on words in which a color
 # occurs twice, a periodic word for A1, which has no other adapted word of
 # length 6 at n = 3
 IMAGE_CASES = [(*case, None) for case in IMAGE_CASES] + [
-    ("A1", 3, 4, None, None, (), (2, 1, 3, 2, 1, 3)),
-    ("C1", 3, 4, None, None, (), (1, 2, 1, 3, 2, 3)),
-    ("A2", 3, 4, None, None, (), (2, 3, 1, 2, 1, 3)),
-    ("D2", 3, 4, None, None, (), (3, 1, 2, 1, 3, 2)),
+    ("A1", 3, 4, None, (), (2, 1, 3, 2, 1, 3)),
+    ("C1", 3, 4, None, (), (1, 2, 1, 3, 2, 3)),
+    ("A2", 3, 4, None, (), (2, 3, 1, 2, 1, 3)),
+    ("D2", 3, 4, None, (), (3, 1, 2, 1, 3, 2)),
 ]
-# the ids that pytest gives the cases without their word, then the word's colors
+# the ids that pytest gives the cases without their word, with a slot for
+# the sampled s bound, None as the check takes s = 1..w + 1 itself, so that
+# a case keeps its id; then the word's colors
 IMAGE_IDS = [
-    f"{family}-{n}-{w}-{size_bound}-{s_bound}-negated{i}"
+    f"{family}-{n}-{w}-{size_bound}-None-negated{i}"
     + ("-" + "".join(map(str, word)) if word else "")
-    for i, (family, n, w, size_bound, s_bound, _, word) in enumerate(IMAGE_CASES)
+    for i, (family, n, w, size_bound, _, word) in enumerate(IMAGE_CASES)
 ]
 
 
 class TestImageEquality:
-    @pytest.mark.parametrize(
-        "family,n,w,size_bound,s_bound,negated,word", IMAGE_CASES, ids=IMAGE_IDS
-    )
-    def test_matches_reference(
-        self, family, n, w, size_bound, s_bound, negated, word, monkeypatch
-    ):
+    @pytest.mark.parametrize("family,n,w,size_bound,negated,word", IMAGE_CASES, ids=IMAGE_IDS)
+    def test_matches_reference(self, family, n, w, size_bound, negated, word, monkeypatch):
         forms = verify.generator_forms
         extra = {(-x(s, l)).items() for s, l in negated}
         monkeypatch.setattr(verify, "generator_forms", lambda *args: forms(*args) | extra)
         seq = make_seq(family, n, word)
         size_bound = w + 2 if size_bound is None else size_bound
-        s_bound = w + 1 if s_bound is None else s_bound
-        r = check_image_equality(seq, max_weight=w, size_bound=size_bound, s_bound=s_bound)
-        assert (r.counts, r.status, r.witnesses) == reference_image_check(
-            seq, w, size_bound, s_bound
-        )
+        r = check_image_equality(seq, max_weight=w, size_bound=size_bound)
+        assert (r.counts, r.status, r.witnesses) == reference_image_check(seq, w, size_bound)
 
     def test_weight_six(self, a1_n3):
         r = check_image_equality(a1_n3, max_weight=6)
@@ -554,7 +553,7 @@ class TestImageEquality:
         assert r.counts["image_size"] == 1 and r.counts["candidates"] == 1
 
     def test_empty_sample_is_inconclusive(self, a1_n2):
-        r = check_image_equality(a1_n2, max_weight=2, size_bound=0, s_bound=1)
+        r = check_image_equality(a1_n2, max_weight=2, size_bound=0)
         assert r.status == "inconclusive"
         assert r.counts["converse_misses"] > 0
         assert any("satisfies all" in w for w in r.witnesses)
@@ -792,7 +791,7 @@ class TestCrystalAxioms:
 class TestPositivity:
     @pytest.mark.parametrize("family,n", STANDARD)
     def test_pass_at_depth_three(self, family, n):
-        r = check_positivity(make_seq(family, n), depth=3, s_max=2)
+        r = check_positivity(make_seq(family, n), depth=3)
         assert r.ok, r.witnesses
         assert r.counts["forms_checked"] > 0
 
@@ -800,21 +799,21 @@ class TestPositivity:
 class TestBetaAgreement:
     @pytest.mark.parametrize("family,n", STANDARD)
     def test_pass(self, family, n):
-        r = check_beta_agreement(make_seq(family, n), max_index=12)
+        r = check_beta_agreement(make_seq(family, n))
         assert r.ok
-        assert r.counts["indices_checked"] == 12
+        assert r.counts["indices_checked"] == 30
 
 
 class TestSigmaDifference:
     @pytest.mark.parametrize("family,n", STANDARD)
     def test_pass(self, family, n):
-        r = check_sigma_difference(make_seq(family, n), samples=25, depth=4)
+        r = check_sigma_difference(make_seq(family, n))
         assert r.ok, r.witnesses
-        assert r.counts["samples_checked"] == 25
+        assert r.counts["samples_checked"] == 100
 
     def test_deterministic(self, a1_n3):
-        a = check_sigma_difference(a1_n3, samples=10, depth=3, seed=5)
-        b = check_sigma_difference(a1_n3, samples=10, depth=3, seed=5)
+        a = check_sigma_difference(a1_n3)
+        b = check_sigma_difference(a1_n3)
         assert a.to_json() == b.to_json()
 
 

@@ -293,7 +293,7 @@ class TestReportsAsTheReference:
             seq = make_seq(family, 3, list(word))
             if mutated:
                 _shift_one_neighbour(monkeypatch, seq)
-            got = check_step_identities(seq, s_values=(1, 2), size_bound=4, wall_halves=7)
+            got = check_step_identities(seq, size_bound=4, wall_halves=7)
             want = reference_step_check(seq, (1, 2), 4, 7)
             assert got.to_json() == want.to_json(), word
             failing.update([got.check] * bool(got.witnesses))
