@@ -208,11 +208,13 @@ def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:
     if s < 1:
         raise RootDataError(f"beta needs s >= 1, got {s}")
     # the neighbor sites have distinct colors j != l, so no two sites meet
-    return LinearForm._of({(s + offset, j): c for c, offset, j in seq._beta[l]})
+    sites = seq._beta[seq.check_color(l)]
+    return LinearForm._of({(s + offset, j): c for c, offset, j in sites})
 
 
 def beta_index(seq: AdaptedSequence, j: int) -> LinearForm:
     """beta at single index j: x_j + x_{j+} plus Cartan-weighted terms between."""
+    j = exact_int(j, RootDataError)
     l = seq.color_of(j)
     jplus = j + 1
     while seq.color_of(jplus) != l:

@@ -15,16 +15,25 @@ its largest index m gives.  Of every other color i it asks only whether
 lowering bumps a position above m.  sigma is 0 at every i-position above m,
 and one lies in m+1..m+L, so that holds iff sigma < 0 at every i-position
 up to m: a pass from the right stops at the first one whose sigma is >= 0.
+
+The sweep (`_reach`), the bump (`_bumped`) and the weight read (`_weight`)
+work on an element's sorted (j, v) key, and `_element` wraps a key into an
+element unchecked.  The public operators check their color and are views
+over these kernels; `enumerate_image` and the crystal-axioms check work on
+keys and build an element only where one is returned or reported.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .root_data import AdaptedSequence, exact_int, index_to_pair
+from .root_data import AdaptedSequence, RootDataError, exact_int, index_to_pair
 
 Entries = Union[Dict[int, int], Iterable[Tuple[int, int]], None]
+# an element's sorted (position, value) pairs, every value nonzero
+Key = Tuple[Tuple[int, int], ...]
 
 
 class LatticeElement:
@@ -57,7 +66,7 @@ class LatticeElement:
         k = bisect_left(key, (j,))
         return key[k][1] if k < len(key) and key[k][0] == j else 0
 
-    def items(self) -> Tuple[Tuple[int, int], ...]:
+    def items(self) -> Key:
         return self._key
 
     def support(self) -> Tuple[int, ...]:
@@ -71,20 +80,10 @@ class LatticeElement:
 
     def bump(self, j: int, delta: int) -> "LatticeElement":
         """This element with delta added at position j."""
+        j, delta = exact_int(j), exact_int(delta)
         if j < 1:
             raise ValueError(f"position must be >= 1, got {j}")
-        # every ftilde and etilde bumps, so change the one entry of the sorted
-        # key in place of __init__'s pass over entries that are already checked
-        key = self._key
-        k = bisect_left(key, (j,))
-        if k < len(key) and key[k][0] == j:
-            v = key[k][1] + delta
-            key = key[:k] + ((j, v),) + key[k + 1 :] if v else key[:k] + key[k + 1 :]
-        elif delta:
-            key = key[:k] + ((j, delta),) + key[k:]
-        out = LatticeElement.__new__(LatticeElement)
-        out._key = key
-        return out
+        return _element(_bumped(self._key, j, delta))
 
     def is_zero(self) -> bool:
         return not self._key
@@ -109,8 +108,27 @@ class LatticeElement:
         return cls([(j, v) for j, v in data])
 
 
+def _element(key: Key) -> LatticeElement:
+    """The element whose sorted key is key, unchecked: the kernels below keep
+    their keys sorted, integral and free of zeros."""
+    out = LatticeElement.__new__(LatticeElement)
+    out._key = key
+    return out
+
+
+def _bumped(key: Key, j: int, delta: int) -> Key:
+    """key with delta added at position j: the one entry changes in place of
+    a sort, and an entry that reaches 0 is dropped."""
+    k = bisect_left(key, (j,))
+    if k < len(key) and key[k][0] == j:
+        v = key[k][1] + delta
+        return key[:k] + ((j, v),) + key[k + 1 :] if v else key[:k] + key[k + 1 :]
+    return key[:k] + ((j, delta),) + key[k:] if delta else key
+
+
 def sigma(seq: AdaptedSequence, a: LatticeElement, j: int) -> int:
     """sigma_j(a) = a_j + sum over supported j' > j of a_{c(j),c(j')} a_{j'}."""
+    j = exact_int(j, RootDataError)
     i = seq.color_of(j)
     cart = seq.root_system.a
     val = a.get(j)
@@ -120,8 +138,9 @@ def sigma(seq: AdaptedSequence, a: LatticeElement, j: int) -> int:
     return val
 
 
-def _reach(seq: AdaptedSequence, a: LatticeElement, i: int) -> Tuple[int, int, int]:
-    """epsilon_i(a) and the first and last i-positions in 1..max_index+L where sigma reaches it.
+def _reach(seq: AdaptedSequence, key: Key, i: int) -> Tuple[int, int, int]:
+    """epsilon_i(a) and the first and last i-positions in 1..max_index+L where
+    sigma reaches it, for the element a whose sorted key is key.
 
     Every color occurs in each L consecutive positions, and sigma is 0 past
     the support, so the maximum is at least 0 and is reached at least once.
@@ -132,7 +151,6 @@ def _reach(seq: AdaptedSequence, a: LatticeElement, i: int) -> Tuple[int, int, i
     """
     L = seq.L
     row, nxt, prv = seq._row[i], seq._next[i], seq._prev[i]
-    key = a.items()
     # hi is the lowest position above the current gap; the gap above the
     # support is hi..hi+L-1, where sigma is 0
     hi = key[-1][0] + 1 if key else 1
@@ -165,22 +183,27 @@ def _reach(seq: AdaptedSequence, a: LatticeElement, i: int) -> Tuple[int, int, i
 
 def epsilon(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
     """epsilon_i(a) = max(0, max sigma over i-colored positions)."""
-    return _reach(seq, a, i)[0]
+    return _reach(seq, a.items(), seq.check_color(i))[0]
+
+
+def _weight(seq: AdaptedSequence, key: Key) -> List[int]:
+    """c_1..c_n, with wt(a) = -sum_i c_i alpha_i, for the element a whose sorted key is key."""
+    c = [0] * seq.root_system.n
+    word, L = seq.word, seq.L
+    for j, v in key:
+        c[word[(j - 1) % L] - 1] += v
+    return c
 
 
 def weight_coeffs(seq: AdaptedSequence, a: LatticeElement) -> Dict[int, int]:
     """Coefficients c_i with wt(a) = -sum_i c_i alpha_i."""
-    c = {i: 0 for i in seq.root_system.index_set}
-    word, L = seq.word, seq.L
-    for j, v in a.items():
-        c[word[(j - 1) % L]] += v
-    return c
+    return dict(zip(seq.root_system.index_set, _weight(seq, a.items())))
 
 
 def weight_pairing(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
     """<h_i, wt(a)> = -sum_l a_{i,l} c_l."""
-    cart = seq.root_system.a
-    return -sum(cart(i, l) * cl for l, cl in weight_coeffs(seq, a).items())
+    row = seq.root_system.cartan[seq.check_color(i) - 1]
+    return -sum(map(mul, row, _weight(seq, a.items())))
 
 
 def phi(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
@@ -190,7 +213,8 @@ def phi(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
 
 def ftilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> LatticeElement:
     """Lowering operator: add 1 at the smallest i-position where sigma = epsilon_i."""
-    return a.bump(_reach(seq, a, i)[1], 1)
+    key = a.items()
+    return _element(_bumped(key, _reach(seq, key, seq.check_color(i))[1], 1))
 
 
 def etilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> Optional[LatticeElement]:
@@ -198,8 +222,9 @@ def etilde(seq: AdaptedSequence, a: LatticeElement, i: int) -> Optional[LatticeE
 
     Returns None when epsilon_i(a) = 0.
     """
-    eps, _, last = _reach(seq, a, i)
-    return a.bump(last, -1) if eps else None
+    key = a.items()
+    eps, _, last = _reach(seq, key, seq.check_color(i))
+    return _element(_bumped(key, last, -1)) if eps else None
 
 
 def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeElement]:
@@ -230,22 +255,26 @@ def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeEl
     whose sigma is >= 0, and each element takes one full sweep.  At a = 0,
     m = 0: no position is read and every color lowers at its first
     i-position.
+
+    The walk runs on keys: the top color's child is `_bumped` at the
+    sweep's first position, and any other kept child, whose new entry lies
+    above m, is the key with (p, 1) appended.  Each kept child is wrapped
+    into an element once, by `_element`, as it joins the image.
     """
     word, L = seq.word, seq.L
     colors = [(i, seq._row[i], seq._next[i]) for i in seq.root_system.index_set]
-    level = [LatticeElement.zero()]
-    image = set(level)
+    level = [()]
+    image = {LatticeElement.zero()}
     for _ in range(max_word_length):
         lowered = []
-        for a in level:
-            key = a.items()
+        for key in level:
             m, vm = key[-1] if key else (0, 0)
             rm = (m - 1) % L
             top = word[rm]
             below = key[-2::-1]
             for i, row, nxt in colors:
                 if i == top:
-                    lowered.append(a.bump(_reach(seq, a, i)[1], 1))
+                    lowered.append(_bumped(key, _reach(seq, key, i)[1], 1))
                     continue
                 # p > m iff sigma < 0 at every i-position below m (m has
                 # the color top): walk down as _reach does, to the first
@@ -261,8 +290,8 @@ def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeEl
                     hi = j
                 else:
                     if s < 0 or 1 + nxt[0] >= hi:
-                        lowered.append(a.bump(m + 1 + nxt[m % L], 1))
-        image.update(lowered)
+                        lowered.append(key + ((m + 1 + nxt[m % L], 1),))
+        image.update(map(_element, lowered))
         level = lowered
     return image
 

@@ -337,6 +337,12 @@ class AdaptedSequence:
             raise RootDataError(f"position must be >= 1, got {j}")
         return self.word[(j - 1) % self.L]
 
+    def check_color(self, i: int) -> int:
+        """i as an int, when it is a color of the index set; a RootDataError otherwise."""
+        if i not in self.root_system.index_set:
+            raise RootDataError(f"color {i!r} not in index set {self.root_system.index_set}")
+        return int(i)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, AdaptedSequence)

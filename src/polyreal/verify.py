@@ -16,16 +16,19 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .root_data import AdaptedSequence, index_to_pair, weight_counts
 from .lattice_crystal import (
     LatticeElement,
+    _bumped,
+    _element,
     _reach,
+    _weight,
     enumerate_image,
     etilde,
     sigma,
-    weight_coeffs,
 )
 from .forms import (
     LinearForm,
@@ -415,24 +418,28 @@ def check_image_equality(
 def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationReport:
     """Kashiwara axioms and operator inverses on the reachable set.
 
-    Each element's weight_coeffs are read once, and for each color i the
-    check reads one sigma sweep (`_reach`, which epsilon, ftilde and etilde
-    each read once per call) per element it needs, taking every operator
-    value from it with the operators' own expressions:
+    The check works on the elements' sorted keys with the kernels that the
+    public operators are views of.  Each element's weight is read once, by
+    `_weight`, and for each color i the check reads one sigma sweep
+    (`_reach`, which epsilon, ftilde and etilde each read once per call)
+    per element it needs, taking every operator value from it with the
+    operators' own expressions:
 
     - sweep(a) gives epsilon_i(a), phi_i(a) (the weight pairing plus
       epsilon), b = ftilde_i(a) and e = etilde_i(a), the first raise;
-    - sweep(b) gives etilde_i(b), epsilon_i(b) and phi_i(b);
+    - sweep(b) gives etilde_i(b), epsilon_i(b) and phi_i(b), whose weight
+      is read again from b;
     - sweep(e) gives ftilde_i(e) and etilde_i(e), the second raise.
 
-    The raise chain starts from e, and only its third and later raises
-    call etilde.
+    b, e and their images are `_bumped` keys, compared as keys.  The raise
+    chain starts from e, and only its third and later raises call the
+    public etilde, from the second raise wrapped by `_element`.
 
     The image is a copy of B(infinity) truncated at depth, so it holds
     K(beta) = |B(infinity)_{-beta}| elements of weight -beta for each beta of
     height at most depth (root_data.weight_counts; at a negative depth the
     image is still {0}, so K is taken at depth 0).  The elements are counted
-    per weight from the same weight_coeffs, and each weight whose count
+    per weight from the same weight reads, and each weight whose count
     differs from K is one more failure.
     """
     image = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
@@ -441,36 +448,39 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
     checked = 0
     found: Dict[Tuple[int, ...], int] = {}
     for a in image:
-        ca = weight_coeffs(seq, a)
-        weight = tuple(ca.values())
+        key = a.items()
+        ca = _weight(seq, key)
+        weight = tuple(ca)
         found[weight] = found.get(weight, 0) + 1
         for i in seq.root_system.index_set:
             checked += 1
             row = cartan[i - 1]
-            eps, first, last = _reach(seq, a, i)
-            ph = -sum(row[l - 1] * c for l, c in ca.items()) + eps
-            b = a.bump(first, 1)
+            eps, first, last = _reach(seq, key, i)
+            ph = eps - sum(map(mul, row, ca))
+            b = _bumped(key, first, 1)
             eps_b, _, last_b = _reach(seq, b, i)
-            if not eps_b or b.bump(last_b, -1) != a:
+            if not eps_b or _bumped(b, last_b, -1) != key:
                 failures.append(f"etilde_{i} ftilde_{i} != id at {a}")
-            cb = weight_coeffs(seq, b)
-            if eps_b != eps + 1 or -sum(row[l - 1] * c for l, c in cb.items()) + eps_b != ph - 1:
+            cb = _weight(seq, b)
+            if eps_b != eps + 1 or eps_b - sum(map(mul, row, cb)) != ph - 1:
                 failures.append(f"epsilon/phi do not step under ftilde_{i} at {a}")
-            if any(cb[l] - ca[l] != (1 if l == i else 0) for l in ca):
+            cb[i - 1] -= 1  # b's coefficients less alpha_i's are a's
+            if cb != ca:
                 failures.append(f"weight does not drop by alpha_{i} under ftilde_{i} at {a}")
-            e = e2 = None
+            raises = 0
             if eps:
-                e = a.bump(last, -1)
+                e = _bumped(key, last, -1)
                 eps_e, first_e, last_e = _reach(seq, e, i)
-                if e.bump(first_e, 1) != a:
+                if _bumped(e, first_e, 1) != key:
                     failures.append(f"ftilde_{i} etilde_{i} != id at {a}")
-                e2 = e.bump(last_e, -1) if eps_e else None
-            x, raises = a, 0
-            while raises <= eps + 1:
-                x = e if raises == 0 else e2 if raises == 1 else etilde(seq, x, i)
-                if x is None:
-                    break
-                raises += 1
+                raises = 1
+                if eps_e:
+                    x, raises = _element(_bumped(e, last_e, -1)), 2
+                    while raises <= eps + 1:
+                        x = etilde(seq, x, i)
+                        if x is None:
+                            break
+                        raises += 1
             if raises != eps:
                 failures.append(f"epsilon_{i}({a}) = {eps} but {raises} raises apply")
     expected = weight_counts(seq.root_system, max(depth, 0))

@@ -161,6 +161,14 @@ class TestBeta:
         with pytest.raises(RootDataError, match="expected an integer, got 1.5"):
             beta_pair(a1_n3, 1.5, 1)
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [(beta_pair, (1, 4)), (beta_pair, (1, 1.5)), (beta_pair, (1, 0)), (beta_index, (1.5,))],
+    )
+    def test_color_or_index_outside_rejected(self, a1_n3, build, args):
+        with pytest.raises(RootDataError):
+            build(a1_n3, *args)
+
     @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
     def test_equals_public_build(self, family):
         seq = make_seq(family, 4)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyreal import (
     LatticeElement,
+    RootDataError,
     enumerate_image,
     epsilon,
     etilde,
@@ -74,6 +75,14 @@ class TestLatticeElement:
             fresh = LatticeElement(entries)
             assert got.items() == fresh.items()
             assert got == fresh and hash(got) == hash(fresh)
+
+    def test_bump_rejects_fractional_input(self):
+        # as __init__ does: nothing is truncated and no fractional position is made
+        a = LatticeElement({1: 1, 2: 1})
+        for j, delta in ((1, 1.5), (1.5, 1), (3, 0.5)):
+            with pytest.raises(ValueError, match="expected an integer"):
+                a.bump(j, delta)
+        assert a.bump(2.0, 1.0) == a.bump(2, 1) == LatticeElement({1: 1, 2: 2})
 
     def test_repeated_positions_summed(self):
         # as LinearForm sums repeated terms; a zero value no longer hides the
@@ -203,6 +212,45 @@ class TestSigma:
                     assert etilde(seq, a, i) == expected, (family, a, i)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(st.integers(1, 12), st.integers(-3, 3), max_size=6),
+    st.integers(1, 14),
+    st.integers(-3, 3),
+)
+def test_bumped_matches_a_fresh_element(entries, j, delta):
+    # the key kernel against __init__'s sort of the edited entries
+    key = LatticeElement(entries).items()
+    edited = dict(key)
+    edited[j] = edited.get(j, 0) + delta
+    fresh = LatticeElement(edited)
+    assert lattice_crystal._bumped(key, j, delta) == fresh.items()
+    assert lattice_crystal._element(fresh.items()) == fresh
+
+
+class TestColorOutsideIndexSet:
+    """The public operators reject a color outside the index set, and sigma a
+    position that is not a positive integer, with a RootDataError."""
+
+    @pytest.mark.parametrize(
+        "op, arg",
+        [
+            (epsilon, 4),
+            (ftilde, 0),
+            (etilde, 1.5),
+            (phi, 9),
+            (weight_pairing, 9),
+            (weight_pairing, 0),
+            (sigma, 1.5),
+            (sigma, 0),
+        ],
+    )
+    def test_typed_error(self, a1_n3, op, arg):
+        with pytest.raises(RootDataError) as info:
+            op(a1_n3, e(1, 2), arg)
+        assert "\n" not in str(info.value)
+
+
 class TestOneSweep:
     """check_crystal_axioms reads each operator value off one `_reach` sweep,
     so the public operators must be exactly those views of it."""
@@ -214,7 +262,7 @@ class TestOneSweep:
             ca = weight_coeffs(seq, a)
             for i in seq.root_system.index_set:
                 row = seq.root_system.cartan[i - 1]
-                eps, first, last = _reach(seq, a, i)
+                eps, first, last = _reach(seq, a.items(), i)
                 assert epsilon(seq, a, i) == eps
                 assert phi(seq, a, i) == -sum(row[l - 1] * c for l, c in ca.items()) + eps
                 assert ftilde(seq, a, i) == a.bump(first, 1)
@@ -342,13 +390,13 @@ class TestCanonicalParentWalk:
 
     def test_each_element_made_once(self, d2_n3, monkeypatch):
         made = []
-        bump = LatticeElement.bump
+        element = lattice_crystal._element
 
-        def recorded(a, j, delta):
-            made.append(bump(a, j, delta))
+        def recorded(key):
+            made.append(element(key))
             return made[-1]
 
-        monkeypatch.setattr(LatticeElement, "bump", recorded)
+        monkeypatch.setattr(lattice_crystal, "_element", recorded)
         image = enumerate_image(d2_n3, 6)
         assert len(made) == len(set(made)) == len(image) - 1
         assert set(made) == image - {LatticeElement.zero()}
@@ -359,15 +407,13 @@ class TestCanonicalParentWalk:
         calls = []
         reach = lattice_crystal._reach
 
-        def counted(seq, a, i):
-            calls.append(a)
-            return reach(seq, a, i)
+        def counted(seq, key, i):
+            calls.append(key)
+            return reach(seq, key, i)
 
         monkeypatch.setattr(lattice_crystal, "_reach", counted)
         image = enumerate_image(make_seq("A1", 4), 6)
-        assert sorted(calls, key=LatticeElement.items) == sorted(
-            (a for a in image if a.total() < 6), key=LatticeElement.items
-        )
+        assert sorted(calls) == sorted(a.items() for a in image if a.total() < 6)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

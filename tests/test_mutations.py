@@ -166,12 +166,13 @@ ROWS = {
         {"crystal-axioms", "image-equality"},
         ("C1", "A2", "D2"),
     ),
-    # each entry weighed by the color of the next position
+    # each entry weighed by the color of the next position, in the weight
+    # read that weight_coeffs and the axioms check share
     "weight-coeffs-next-color": (
         lattice_crystal,
-        "weight_coeffs",
-        "c[word[(j - 1) % L]] += v",
-        "c[word[j % L]] += v",
+        "_weight",
+        "c[word[(j - 1) % L] - 1] += v",
+        "c[word[j % L] - 1] += v",
         {"crystal-axioms"},
         ALL,
     ),

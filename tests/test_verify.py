@@ -758,11 +758,14 @@ class TestCrystalAxioms:
     @pytest.mark.parametrize("mutation", [None, *_SWEEP_MUTATIONS])
     @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
     def test_matches_operator_level_reference(self, family, mutation, monkeypatch):
-        # reading each sweep once gives the report of calling every operator
+        # reading each sweep once gives the report of calling every operator,
+        # on the permutation and non-periodic length-6 words at n = 3 and on
+        # word 1..4 at n = 4
         if mutation:
             _mutate_sweep(monkeypatch, mutation)
-        for word in itertools.permutations((1, 2, 3)):
-            seq = make_seq(family, 3, list(word))
+        words = [*itertools.permutations((1, 2, 3)), *adapted_words(family, 3, 6), (1, 2, 3, 4)]
+        for word in words:
+            seq = make_seq(family, len(set(word)), list(word))
             got = check_crystal_axioms(seq, depth=4)
             assert got.to_json() == _reference_axioms_check(seq, 4).to_json(), word
             assert got.status == ("fail" if mutation else "pass")
