@@ -62,9 +62,17 @@ class LatticeElement:
         return cls()
 
     def get(self, j: int) -> int:
+        """The value at position j; a RootDataError unless j is an integer."""
         key = self._key
-        k = bisect_left(key, (j,))
-        return key[k][1] if k < len(key) and key[k][0] == j else 0
+        try:
+            k = bisect_left(key, (j,))
+        except TypeError:  # j does not compare with the positions
+            k = len(key)
+        if k < len(key) and key[k][0] == j:
+            return key[k][1]
+        if j.__class__ is not int:  # only a miss can be at a non-integral j
+            exact_int(j, RootDataError)
+        return 0
 
     def items(self) -> Key:
         return self._key

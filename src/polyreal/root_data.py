@@ -332,10 +332,13 @@ class AdaptedSequence:
         return p
 
     def color_of(self, j: int) -> int:
-        """Color of position j >= 1."""
-        if j < 1:
-            raise RootDataError(f"position must be >= 1, got {j}")
-        return self.word[(j - 1) % self.L]
+        """Color of position j >= 1; a RootDataError unless j is an integer."""
+        try:
+            if j < 1:
+                raise RootDataError(f"position must be >= 1, got {j}")
+            return self.word[(j - 1) % self.L]
+        except TypeError:  # j is not an int: read again as one, if it is integral
+            return self.color_of(exact_int(j, RootDataError))
 
     def check_color(self, i: int) -> int:
         """i as an int, when it is a color of the index set; a RootDataError otherwise."""
@@ -389,25 +392,32 @@ def check_family(seq: AdaptedSequence, family: str, n: int | None = None, what: 
 
 
 def index_to_pair(seq: AdaptedSequence, j: int) -> Tuple[int, int]:
-    """Single index j >= 1 to the double index (s, l): s-th occurrence of color l."""
-    if j < 1:
-        raise RootDataError(f"position must be >= 1, got {j}")
-    q, r = divmod(j - 1, seq.L)
-    color = seq.word[r]
-    occ = seq._occ[color]
-    s = q * len(occ) + occ.index(r) + 1
-    return s, color
+    """Single index j >= 1 to the double index (s, l): s-th occurrence of color l.
+    A RootDataError unless j is an integer."""
+    try:
+        if j < 1:
+            raise RootDataError(f"position must be >= 1, got {j}")
+        q, r = divmod(j - 1, seq.L)
+        color = seq.word[r]
+        occ = seq._occ[color]
+        return q * len(occ) + occ.index(r) + 1, color
+    except TypeError:  # j is not an int: read again as one, if it is integral
+        return index_to_pair(seq, exact_int(j, RootDataError))
 
 
 def pair_to_index(seq: AdaptedSequence, s: int, l: int) -> int:
-    """Double index (s, l) to the single index of the s-th occurrence of l."""
-    if s < 1:
-        raise RootDataError(f"occurrence count must be >= 1, got {s}")
-    occ = seq._occ.get(l)
-    if not occ:
-        raise RootDataError(f"color {l} not in index set")
-    q, rem = divmod(s - 1, len(occ))
-    return q * seq.L + occ[rem] + 1
+    """Double index (s, l) to the single index of the s-th occurrence of l.
+    A RootDataError unless s is an integer and l a color."""
+    try:
+        if s < 1:
+            raise RootDataError(f"occurrence count must be >= 1, got {s}")
+        occ = seq._occ.get(l)
+        if not occ:
+            raise RootDataError(f"color {l} not in index set")
+        q, rem = divmod(s - 1, len(occ))
+        return q * seq.L + occ[rem] + 1
+    except TypeError:  # s is not an int or l not hashable: read again as ints, if they are
+        return pair_to_index(seq, exact_int(s, RootDataError), seq.check_color(l))
 
 
 def p_table(seq: AdaptedSequence, variant: str, k: int, t: int) -> int:

@@ -206,11 +206,6 @@ def generator_forms(
     return forms
 
 
-def _form_at(site_map: Dict[Pair, int], s: int) -> LinearForm:
-    """The form of a site map at s, as site_form gives it for the sites."""
-    return site_form([(c, offset, l) for (offset, l), c in site_map.items()], s)
-
-
 def check_step_identities(
     seq: AdaptedSequence, size_bound: int = 6, wall_halves: int = 8
 ) -> VerificationReport:
@@ -219,47 +214,95 @@ def check_step_identities(
     Walls are walked up to wall_halves halves, the other kinds up to
     size_bound steps; a negative size_bound walks nothing.  A toggle counts
     once per s of 1 and 2, and so does a failure; its witness states the
-    forms at that s.  Each kind and charge is walked first, to a list of
-    (object, site map, moves), each object read once by the walk; then every
-    move is checked against its target's map.  A target past the bound is
-    read once, by its module's sites, so each object is read once per call.
+    forms at that s, and forms are built only for witnesses.  Each kind and
+    charge is walked first, to a list of (object, sites, moves), each object
+    read once by the walk; a target past the bound is then read once, by its
+    module's sites, so each object is read once per call.  Each object,
+    walked or target, is numbered in the order met, and each move records
+    its target's number, so the comparisons look up no object.
 
     Each toggle is checked once, in site coordinates, because the identity
     holds at every s or at none.  An object's form at s is site_form(sites,
     s): its sites merged to a map {(offset, color): coeff}, carried by
     (offset, color) -> (s + offset, color).  beta_{s+offset, color} is
     beta_sites(seq, color) with offset added to each site's offset, carried
-    by the same map.  That map is one-to-one, so it sends sums of site maps
-    to sums of forms and unequal maps to unequal forms.  So form(obj2, s) =
-    form(obj, s) - coeff * beta_{s+offset, color} holds exactly when the site
-    map of obj2 equals that of obj less coeff times the shifted beta sites,
-    and that equation does not mention s.
+    by the same map.  That map is one-to-one, so form(obj2, s) = form(obj,
+    s) - coeff * beta_{s+offset, color} holds exactly when the site map of
+    obj2 equals that of obj less coeff times the shifted beta sites, and that
+    equation does not mention s.
+
+    The site maps are compared as packed codes, one int each.  Each (offset,
+    color) met gets a field of its own, numbered f = 0, 1, ... in the order
+    met, and a site map's code is the sum of coeff * 2^(W*f) over its
+    entries; each distinct site is packed once, and each shifted beta once
+    per (offset, color).  A toggle is then the one comparison code(obj2) ==
+    code(obj) - coeff * code(beta shifted by offset).  W, per kind and
+    charge, is bit_length(most + coeff_most * beta_most) + 1, where most is
+    the largest sum of |coeff| over the sites of an object, walked or target,
+    coeff_most the largest |coeff| of a move and beta_most the largest |c| of
+    a beta site.  A site map's entry is at most most in size.  beta's sites
+    lie at distinct pairs (its neighbors have distinct colors j != color),
+    so each digit of the right side is at most most + coeff_most * beta_most
+    < 2^(W-1) in size.  Both sides are then base-2^W numbers with balanced
+    digits in (-2^(W-1), 2^(W-1)), and such digits are unique: the lowest is
+    the number's residue mod 2^W, read in that range, and the rest follow
+    from (number - digit) / 2^W.  So the codes are equal exactly when the
+    site maps are.
     """
     s_values = (1, 2)
     betas = {l: beta_sites(seq, l) for l in seq.root_system.index_set}
+    beta_most = max(abs(c) for sites in betas.values() for c, _, _ in sites)
     checked = failed = 0
     witnesses: List[str] = []
     for kind, k in generator_kinds(seq):
         walls = kind == "wall"
         bound = wall_halves if walls and size_bound >= 0 else size_bound
-        walked = [
-            (obj, _site_map(sites), moves)
-            for obj, sites, moves in generator_objects(seq, kind, k, bound, walls, True)
-        ]
-        maps = {obj: before for obj, before, _ in walked}
-        for obj, before, moves in walked:
-            for obj2, coeff, offset, color in moves:
-                checked += len(s_values)
-                if obj2 not in maps:
-                    maps[obj2] = _site_map(MODULES[kind].sites(seq, obj2))
-                after = maps[obj2]
-                shifted = (((offset + o, l), c) for c, o, l in betas[color])
-                if after == _accumulate(dict(before), shifted, -coeff):
+        walked = generator_objects(seq, kind, k, bound, walls, True)
+        number = {obj: i for i, (obj, _, _) in enumerate(walked)}
+        read = [sites for _, sites, _ in walked]
+        targets: List[List[int]] = []
+        coeffs = set()
+        for _, _, moves in walked:
+            ends = []
+            for obj2, coeff, _, _ in moves:
+                coeffs.add(coeff)
+                i = number.get(obj2)
+                if i is None:
+                    i = number[obj2] = len(read)
+                    read.append(MODULES[kind].sites(seq, obj2))
+                ends.append(i)
+            targets.append(ends)
+        most = max((sum(abs(c) for c, _, _ in sites) for sites in read), default=0)
+        width = (most + max(map(abs, coeffs), default=0) * beta_most).bit_length() + 1
+        fields: Dict[Pair, int] = {}
+        packed: Dict[Site, int] = {}
+        codes: List[int] = []
+        for sites in read:
+            code = 0
+            for site in sites:
+                term = packed.get(site)
+                if term is None:
+                    c, offset, color = site
+                    field = fields.setdefault((offset, color), len(fields))
+                    term = packed[site] = c << (width * field)
+                code += term
+            codes.append(code)
+        shifted: Dict[Pair, int] = {}
+        for (obj, sites, moves), code, ends in zip(walked, codes, targets):
+            checked += len(s_values) * len(moves)
+            for (obj2, coeff, offset, color), i in zip(moves, ends):
+                beta = shifted.get((offset, color))
+                if beta is None:
+                    beta = shifted[offset, color] = sum(
+                        b << (width * fields.setdefault((offset + o, j), len(fields)))
+                        for b, o, j in betas[color]
+                    )
+                if codes[i] == code - coeff * beta:
                     continue
                 failed += len(s_values)
                 for s in s_values[: MAX_WITNESSES - len(witnesses)]:
-                    got = _form_at(after, s)
-                    expected = _form_at(before, s) - coeff * beta_pair(seq, s + offset, color)
+                    got = site_form(read[i], s)
+                    expected = site_form(sites, s) - coeff * beta_pair(seq, s + offset, color)
                     witnesses.append(f"{obj} -> {obj2} s={s}: got {got}, expected {expected}")
 
     return _report(

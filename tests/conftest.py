@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from polyreal import AlgebraType, RootDataError, build_adapted, build_root_system, forms, verify
+from polyreal.root_data import AdaptedSequence, NotAdaptedError
 
 
 def make_seq(family: str, n: int, word=None):
@@ -45,6 +46,27 @@ def reference_partitions(m: int, largest: int):
     for first in range(min(m, largest), 0, -1):
         for rest in reference_partitions(m - first, first):
             yield (first,) + rest
+
+
+class UncheckedAlternation(AdaptedSequence):
+    """A sequence built with every test of the word but the alternation one,
+    the last test _validate makes and the only one that raises NotAdaptedError."""
+
+    def _validate(self):
+        try:
+            super()._validate()
+        except NotAdaptedError:
+            pass
+
+
+# Words that fail only the alternation test: negative controls, which every
+# verification of the realization must fail.
+NOT_ADAPTED = [
+    ("A1", 3, (1, 2, 1, 3, 2, 3)),
+    ("A1", 3, (1, 2, 3, 2, 1, 3)),
+    ("D2", 3, (2, 1, 2, 3, 1, 3)),
+    ("A1", 4, (1, 2, 3, 4, 2, 1, 4, 3)),
+]
 
 
 def adapted_words(family: str, n: int, length: int):

@@ -84,6 +84,16 @@ class TestLatticeElement:
                 a.bump(j, delta)
         assert a.bump(2.0, 1.0) == a.bump(2, 1) == LatticeElement({1: 1, 2: 2})
 
+    def test_get_rejects_non_integral_positions(self):
+        # a position no entry can hold is an error, not a 0
+        a = LatticeElement({1: 1, 2: 4})
+        for j in (1.5, "2", None):
+            with pytest.raises(RootDataError, match="expected an integer"):
+                a.get(j)
+        with pytest.raises(RootDataError):
+            LatticeElement.zero().get(1.5)
+        assert (a.get(2.0), a.get(2), a.get(3.0), a.get(3)) == (4, 4, 0, 0)
+
     def test_repeated_positions_summed(self):
         # as LinearForm sums repeated terms; a zero value no longer hides the
         # value before it, and a sum of 0 drops the position

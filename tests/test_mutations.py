@@ -14,6 +14,10 @@ default bounds, all suites.  A row names the families it applies to: a
 generator module serves only some of them (eyd A1 and D2, reyd and walls C1
 and A2), and a mutation there cannot fail the others; a dropped charge
 changes only its own family.
+
+The matrix also has must-fail rows that edit no source: negative controls,
+the four words that fail only the alternation test, verified as built by a
+sequence that skips it.
 """
 
 import __future__
@@ -27,6 +31,7 @@ import textwrap
 import pytest
 
 from polyreal import cli, eyd, forms, lattice_crystal, reyd, root_data, verify, young_wall
+from conftest import NOT_ADAPTED, UncheckedAlternation
 
 ALL = ("A1", "C1", "A2", "D2")
 PROBLEMS = [(family, n) for family in ALL for n in (3, 4)]
@@ -230,6 +235,21 @@ EQUIVALENT = {
 }
 
 
+# Negative controls: words that fail only the alternation test, which
+# build_adapted rejects.  Each is built anyway, by a sequence that skips that
+# test, and `polyreal verify` must fail it, caught by the suites named.
+# name: (family, n, word, suites that must fail)
+NEGATIVE_CONTROLS = {
+    f"not-adapted-{family}-n{n}-{''.join(map(str, word))}": (
+        family,
+        n,
+        word,
+        {"image-equality", "beta-agreement"},
+    )
+    for family, n, word in NOT_ADAPTED
+}
+
+
 def mutated(module, name: str, old: str, new: str):
     """module.name, or module.Class.method for a dotted name, compiled from
     its source with old replaced by new."""
@@ -257,9 +277,10 @@ def _owner(module, name: str):
     return module, name
 
 
-def verify_json(family: str, n: int):
-    """The exit code and the reports of `polyreal verify --json` on one problem."""
-    word = ",".join(str(c) for c in range(1, n + 1))
+def verify_json(family: str, n: int, word=None):
+    """The exit code and the reports of `polyreal verify --json` on one
+    problem, with the word 1..n unless a word is given."""
+    word = ",".join(str(c) for c in word or range(1, n + 1))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["verify", "--family", family, "--n", str(n), "--word", word, "--json"])
@@ -307,3 +328,13 @@ def test_equivalent_mutation_passes(row, monkeypatch):
     for family, n in PROBLEMS:
         code, reports = verify_json(family, n)
         assert code == cli.EXIT_OK, (family, n, [r for r in reports if r["status"] != "pass"])
+
+
+@pytest.mark.parametrize("row", list(NEGATIVE_CONTROLS))
+def test_negative_control_is_caught(row, monkeypatch):
+    family, n, word, catchers = NEGATIVE_CONTROLS[row]
+    monkeypatch.setattr(cli, "build_adapted", UncheckedAlternation)
+    code, reports = verify_json(family, n, word)
+    failed = {r["check"] for r in reports if r["status"] == "fail"}
+    assert code == cli.EXIT_FAIL, failed
+    assert catchers <= failed, failed

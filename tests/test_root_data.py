@@ -345,6 +345,29 @@ class TestIndexing:
         with pytest.raises(RootDataError):
             index_to_pair(a1_n3, 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda seq: seq.color_of(1.5), id="color_of"),
+            pytest.param(lambda seq: seq.color_of("1"), id="color_of-str"),
+            pytest.param(lambda seq: index_to_pair(seq, 1.5), id="index_to_pair"),
+            pytest.param(lambda seq: index_to_pair(seq, None), id="index_to_pair-none"),
+            pytest.param(lambda seq: pair_to_index(seq, 1.5, 1), id="pair_to_index-s"),
+            pytest.param(lambda seq: pair_to_index(seq, 1, [1]), id="pair_to_index-list"),
+            pytest.param(lambda seq: pair_to_index(seq, 1, 1.5), id="pair_to_index-l"),
+        ],
+    )
+    def test_non_integral_arguments_rejected(self, a1_n3, call):
+        # a RootDataError, as sigma, beta_pair and beta_index raise it
+        with pytest.raises(RootDataError) as info:
+            call(a1_n3)
+        assert "\n" not in str(info.value)
+
+    def test_integral_arguments_read_as_ints(self, a1_n3):
+        assert a1_n3.color_of(4.0) == a1_n3.color_of(4) == 2
+        assert index_to_pair(a1_n3, 5.0) == index_to_pair(a1_n3, 5) == (2, 1)
+        assert pair_to_index(a1_n3, 2.0, 1.0) == pair_to_index(a1_n3, 2, 1) == 5
+
 
 class TestPTables:
     def test_a1_n3_printed_values(self, a1_n3):

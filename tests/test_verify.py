@@ -12,7 +12,6 @@ from polyreal import (
 )
 from polyreal.root_data import (
     FAMILIES,
-    AdaptedSequence,
     AlgebraType,
     NotAdaptedError,
     build_adapted,
@@ -20,7 +19,7 @@ from polyreal.root_data import (
     pair_to_index,
     weight_counts,
 )
-from polyreal.forms import beta_pair, site_form, site_move, window_solutions
+from polyreal.forms import beta_pair, beta_sites, site_form, site_move, window_solutions
 from polyreal.lattice_crystal import epsilon, etilde, ftilde, phi, weight_coeffs
 from polyreal.verify import (
     VerificationReport,
@@ -35,7 +34,15 @@ from polyreal.verify import (
     generator_kinds,
     generator_objects,
 )
-from conftest import adapted_words, enumerate_objects, make_seq, object_moves, permutation_seqs
+from conftest import (
+    NOT_ADAPTED,
+    UncheckedAlternation,
+    adapted_words,
+    enumerate_objects,
+    make_seq,
+    object_moves,
+    permutation_seqs,
+)
 
 x = LinearForm.x
 
@@ -165,6 +172,46 @@ def _reference_step_check(seq, s_values, size_bound, wall_halves):
     return verify._report("step-identities", seq, params, counts, failures, len(failures), checked)
 
 
+def _triple_coeffs(monkeypatch):
+    """Patch forms.site_move so that every move toggles three times its
+    units: every toggle fails, and the right side of each packed comparison
+    carries digits of three times beta's."""
+
+    def tripled(obj2, coeff, site, f=site_move):
+        obj2, coeff, offset, color = f(obj2, coeff, site)
+        return obj2, 3 * coeff, offset, color
+
+    monkeypatch.setattr(forms, "site_move", tripled)
+
+
+# The step check's grid: the permutation words at n = 3, the 18 non-periodic
+# length-6 words at n = 3 and word 1..4 at n = 4, 46 inputs in all.
+STEP_GRID = [
+    (family, n, word)
+    for family in FAMILIES
+    for n, words in (
+        (3, list(itertools.permutations((1, 2, 3))) + adapted_words(family, 3, 6)),
+        (4, [(1, 2, 3, 4)]),
+    )
+    for word in words
+]
+
+
+def _count_calls(monkeypatch, module, name):
+    """A list that gets one entry per call of module.name, patched wherever a
+    polyreal module holds it by that name."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for holder in (forms, verify):
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
 class TestStepIdentities:
     @pytest.mark.parametrize("family,n", STANDARD)
     def test_pass_on_small_bounds(self, family, n):
@@ -172,20 +219,68 @@ class TestStepIdentities:
         assert r.ok, r.witnesses
         assert r.counts["failures"] == 0 and r.counts["toggles_checked"] > 0
 
-    @pytest.mark.parametrize("mutated", [False, True], ids=["moves", "shifted-removes"])
+    @pytest.mark.parametrize(
+        "mutation",
+        [None, _shift_removes, _triple_coeffs],
+        ids=["moves", "shifted-removes", "tripled-coeffs"],
+    )
     @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
-    def test_matches_form_level_reference(self, family, mutated, monkeypatch):
-        # checking once in site coordinates gives the report of checking every form
-        if mutated:
-            _shift_removes(monkeypatch)
-        for word in itertools.permutations((1, 2, 3)):
-            seq = make_seq(family, 3, list(word))
+    def test_matches_form_level_reference(self, family, mutation, monkeypatch):
+        # checking once, on packed site maps, gives the report of checking
+        # every form, witnesses in order
+        if mutation:
+            mutation(monkeypatch)
+        grid = [make_seq(f, n, list(word)) for f, n, word in STEP_GRID if f == family]
+        for seq in grid:
             got = check_step_identities(seq, size_bound=4, wall_halves=6)
             want = _reference_step_check(seq, (1, 2), 4, 6)
-            assert got.to_json() == want.to_json(), word
+            assert got.to_json() == want.to_json(), seq.word
             assert (got.status, got.counts["failures"] > 0) == (
-                ("fail", True) if mutated else ("pass", False)
+                ("fail", True) if mutation else ("pass", False)
             )
+        assert len(STEP_GRID) == 46
+
+    def test_width_covers_the_move_coefficient(self, a1_n3, monkeypatch):
+        # a move of coeff 16 from the empty map, to a map holding 16 beta's
+        # digits one field up (its sites at (0, 1) cancel, but take field 0):
+        # most is 6, so a width without the coeff term would be 4 bits, and
+        # at 4 bits the two sides have one code
+        beta = beta_sites(a1_n3, 1)
+        assert [c for c, _, _ in beta] == [1, 1, -1, -1]
+        pairs = [(o, j) for _, o, j in beta] + [(9, 1)]
+        target = [(1, 0, 1), (-1, 0, 1)] + [(-c, *pair) for (c, _, _), pair in zip(beta, pairs[1:])]
+        walked = [("A", [], [("B", 16, 0, 1)]), ("B", target, [])]
+        monkeypatch.setattr(
+            verify, "generator_objects", lambda seq, kind, k, *_: walked if k == 1 else []
+        )
+        r = check_step_identities(a1_n3)
+        assert r.counts == {"toggles_checked": 2, "failures": 2}
+        assert r.witnesses == [
+            f"A -> B s={s}: got {site_form(target, s)}, expected {-16 * beta_pair(a1_n3, s, 1)}"
+            for s in (1, 2)
+        ]
+
+    @pytest.mark.parametrize("mutated", [False, True], ids=["moves", "shifted-removes"])
+    def test_forms_only_for_witnesses(self, mutated, monkeypatch):
+        # a passing check merges no site map and builds no form; a failing
+        # one builds forms only for the witnesses it keeps
+        if mutated:
+            _shift_removes(monkeypatch)
+        counters = {
+            name: _count_calls(monkeypatch, module, name)
+            for module, name in ((verify, "_site_map"), (forms, "_accumulate"), (forms, "site_form"))
+        }
+        for family in FAMILIES:
+            r = check_step_identities(make_seq(family, 3), size_bound=4, wall_halves=6)
+            calls = {name: len(c) for name, c in counters.items()}
+            for c in counters.values():
+                c.clear()
+            if not mutated:
+                assert r.ok and calls == {"_site_map": 0, "_accumulate": 0, "site_form": 0}
+                continue
+            assert len(r.witnesses) == verify.MAX_WITNESSES < r.counts["failures"]
+            # per witness, two site forms, each merged once, and one difference
+            assert calls == {"_site_map": 0, "_accumulate": 30, "site_form": 20}, (family, calls)
 
     @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
     def test_negative_size_bound_walks_nothing(self, family):
@@ -848,38 +943,19 @@ class TestPermutationWords:
             assert (r.params["family"], r.params["n"], r.params["word"]) == (family, 3, list(word))
 
 
-class _UncheckedAlternation(AdaptedSequence):
-    """A sequence built with every test of the word but the alternation one,
-    the last test _validate makes and the only one that raises NotAdaptedError."""
-
-    def _validate(self):
-        try:
-            super()._validate()
-        except NotAdaptedError:
-            pass
-
-
-_NOT_ADAPTED = [
-    ("A1", 3, (1, 2, 1, 3, 2, 3)),
-    ("A1", 3, (1, 2, 3, 2, 1, 3)),
-    ("D2", 3, (2, 1, 2, 3, 1, 3)),
-    ("A1", 4, (1, 2, 3, 4, 2, 1, 4, 3)),
-]
-
-
 class TestNegativeControls:
     """Words that fail only the alternation test: build_adapted rejects them,
     and built anyway, the image and beta checks fail them at default bounds."""
 
     @pytest.mark.parametrize(
         "family,n,word",
-        _NOT_ADAPTED,
-        ids=[f"{f}-{','.join(map(str, w))}" for f, _, w in _NOT_ADAPTED],
+        NOT_ADAPTED,
+        ids=[f"{f}-{','.join(map(str, w))}" for f, _, w in NOT_ADAPTED],
     )
     def test_image_and_beta_checks_fail(self, family, n, word):
         system = build_root_system(AlgebraType(family, n))
         with pytest.raises(NotAdaptedError):
             build_adapted(system, word)
-        seq = _UncheckedAlternation(system, word)
+        seq = UncheckedAlternation(system, word)
         for r in (check_image_equality(seq), check_beta_agreement(seq)):
             assert r.status == "fail", (r.check, r.counts)
