@@ -241,10 +241,10 @@ class TestStepIdentities:
         assert len(STEP_GRID) == 46
 
     def test_width_covers_the_move_coefficient(self, a1_n3, monkeypatch):
-        # a move of coeff 16 from the empty map, to a map holding 16 beta's
-        # digits one field up (its sites at (0, 1) cancel, but take field 0):
-        # most is 6, so a width without the coeff term would be 4 bits, and
-        # at 4 bits the two sides have one code
+        # a move of coeff 16 from the empty map to a map whose digits are
+        # beta's negated and one field up (its two sites at (0, 1) cancel but
+        # take field 0): most is 6, so a width without the coeff term would
+        # be 4 bits, and at 4 bits -16 beta and the target have one code
         beta = beta_sites(a1_n3, 1)
         assert [c for c, _, _ in beta] == [1, 1, -1, -1]
         pairs = [(o, j) for _, o, j in beta] + [(9, 1)]
