@@ -8,7 +8,7 @@ corner sits at (t+1, y_t).  The assignment map sends a diagram to the sum of
 x_{s + P^k(x+y) + min(k-y, x), c(x+y)} over concave corners minus the same
 expression over convex corners, with c the folded color; _read reads those
 terms and their corners off the stored values in one pass, each color from
-the fold's table and each P^k from the sequence's filled table.
+the fold's table.
 A move is decided once, by one pass over the values (_corners), for _read,
 corners and toggle_corner alike.  The one toggle adds a box at a concave
 corner (x, y_x) by lowering y_x, or removes one at a convex corner
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .root_data import AdaptedSequence, RootDataError, check_family, exact_int, fold_table, p_table
+from .root_data import AdaptedSequence, RootDataError, check_family, exact_int, fold_table, p_row
 from .forms import LinearForm, Point, Site, site_form
 
 
@@ -115,22 +115,17 @@ def _read(seq: AdaptedSequence, T: ExtendedYoungDiagram) -> Tuple[List[Site], Li
     """T's sites and move points, one of each per corner of _corners: +1 at
     a concave corner (x, y) and -1 at a convex one, with offset P^k(x+y) +
     min(charge - y, x) and the folded color of x+y; each corner, a plain
-    tuple, is also a point.  The color is read from the fold's table, and
-    P^k from the sequence's filled table, with p_table called only on a
-    miss."""
+    tuple, is also a point."""
     fold_kind, charge = _fold_kind(seq), T.charge
     colors = fold_table(fold_kind, seq.root_system.n)
     N = colors.period
-    filled = seq._pt_cache.get((fold_kind, charge), {})
+    row = p_row(seq, fold_kind, charge)
     out: List[Site] = []
     points: List[Point] = []
     for corner in _corners(T):
         kind, x, y = corner
         d = x + y
-        pk = filled.get(d)
-        if pk is None:
-            pk = p_table(seq, fold_kind, charge, d)
-        offset = pk + min(charge - y, x)
+        offset = row[d] + min(charge - y, x)
         site = (1 if kind == "concave" else -1, offset, colors[d % N])
         out.append(site)
         points.append((corner, site[0], site))

@@ -150,6 +150,39 @@ def site_move(obj2: object, coeff: int, site: Site) -> Move:
     return obj2, coeff, (offset if coeff > 0 else offset - 1), color
 
 
+def code_width(most: int) -> int:
+    """The field width W = bit_length(most) + 1, at which two integer vectors
+    whose entries are at most most in size have equal codes only if equal.
+
+    A vector's code is the one int sum of c_f * 2^(W*f) over its entries c_f
+    at fields f >= 0.  As |c_f| <= most < 2^(W-1), it is a base-2^W number
+    with balanced digits in (-2^(W-1), 2^(W-1)), and such digits are unique:
+    the lowest is the code's residue mod 2^W, read in that range, and the
+    rest follow from (code - digit) / 2^W.
+    """
+    return most.bit_length() + 1
+
+
+def pack(sites: Iterable[Site], width: int, field: Callable[[int, int], int], packed: dict) -> int:
+    """The code at field width W of the (coeff, offset, color) sites: the sum
+    of coeff * 2^(W*f) over them, at f = field(offset, color) >= 0, each
+    distinct site's term made once and kept in packed.  With field one-to-one
+    on the (offset, color) met, it is the code of the site map (code_width)."""
+    code = 0
+    for site in sites:
+        term = packed.get(site)
+        if term is None:
+            c, offset, color = site
+            term = packed[site] = c << (width * field(offset, color))
+        code += term
+    return code
+
+
+def _most(site_lists: Iterable[Sequence[Site]]) -> int:
+    """The largest sum of |coeff| over one site list: no entry of its site map is larger."""
+    return max((sum(abs(c) for c, _, _ in sites) for sites in site_lists), default=0)
+
+
 def walk(
     seeds: Iterable,
     read: Callable[[object], Tuple[List[Site], List[Point]]],
@@ -202,6 +235,12 @@ def beta_sites(seq: AdaptedSequence, l: int) -> Tuple[Site, ...]:
     return seq._beta[l]
 
 
+def _beta_most(seq: AdaptedSequence) -> int:
+    """The most that adding or subtracting one beta moves a coefficient: the
+    largest |c| of a beta site, as its neighbors have distinct colors j != l."""
+    return max(abs(c) for sites in seq._beta.values() for c, _, _ in sites)
+
+
 def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:
     """beta_{s,l} in double-index coordinates."""
     s = exact_int(s, RootDataError)
@@ -239,18 +278,16 @@ def _s_prime_rule(s: int, c: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _shifted(seq: AdaptedSequence, form: LinearForm, sign: int, base: int, l: int) -> LinearForm:
-    """form + sign * beta_{base,l}: beta's sites go straight into a copy of the
-    form's terms, sorted once."""
-    beta = (((base + offset, j), coeff) for coeff, offset, j in seq._beta[l])
-    return LinearForm._of(_accumulate(dict(form._terms), beta, sign))
-
-
 def s_prime(seq: AdaptedSequence, form: LinearForm, d: Pair) -> LinearForm:
-    """Apply S'_d: subtract beta_d, add the predecessor beta, or do nothing."""
+    """Apply S'_d: subtract beta_d, add the predecessor beta, or do nothing.
+    beta's sites go straight into a copy of the form's terms, sorted once."""
     s, l = d
     rule = _s_prime_rule(s, form.coeff(s, l))
-    return form if rule is None else _shifted(seq, form, *rule, l)
+    if rule is None:
+        return form
+    sign, base = rule
+    beta = (((base + offset, j), coeff) for coeff, offset, j in seq._beta[l])
+    return LinearForm._of(_accumulate(dict(form._terms), beta, sign))
 
 
 def max_single_index(seq: AdaptedSequence, form: LinearForm) -> int:
@@ -263,7 +300,7 @@ def _top_index(code: int, width: int) -> int:
     is code; 0 for the zero form.  It is bit_length(|code|) // W.
 
     The code is sum c_j 2^(W*j) over single indices j = 1..J, each |c_j| <
-    2^(W-1) and c_J != 0 (see closure_codes).  As (2^(W-1) - 1) / (2^W - 1) <
+    2^(W-1) and c_J != 0 (code_width).  As (2^(W-1) - 1) / (2^W - 1) <
     1/2, the terms below J sum to less than 2^(W*J-1) in size, and all J
     terms to less than 2^(W*J+W-1).  So 2^(W*J-1) < |code| < 2^(W*J+W-1),
     and |code| has W*J to W*J + W - 1 bits.
@@ -282,10 +319,13 @@ def closure_codes(
 
     terms maps each kept code to its form's terms {(s, l): c}, the seeds'
     codes first, then the others in the order found; pruned counts the
-    distinct codes dropped at index_bound.  A form's code is the one int sum
-    of c * 2^(W*j) over its terms c x_j, with j = index(s, l), the single
-    index.  Two forms of the closure, or of a caller's whose every |c| is at
-    most coeff_bound, are equal exactly when their codes are, so a caller can
+    distinct codes dropped at index_bound.  A form's code is the pack of its
+    terms c x_{s,l}, as sites (c, s, l) with field index(s, l), the single
+    index.  W is code_width(max(C0 + depth * Bmax, coeff_bound)), with C0 the
+    largest |c| of a seed and Bmax that of a beta (_beta_most): a form of
+    round r <= depth, kept or dropped, has every |c| <= C0 + r * Bmax.  So
+    two forms of the closure, or of a caller's whose every |c| is at most
+    coeff_bound, are equal exactly when their codes are, and a caller can
     compare its own forms, packed with W and index, against the closure's
     without building either.
 
@@ -301,31 +341,15 @@ def closure_codes(
     beta_{s,l} or adds beta_{s-1,l}.  beta_{s,l} ends at x_{s+1,l}, the next
     occurrence of l, at most j + L; its neighbor terms lie between the two
     occurrences, as beta_index lists them.  beta_{s-1,l} ends at j itself.
-
-    The code is injective on every form the closure meets, kept or dropped,
-    and on every form whose |c| are at most coeff_bound.  W is
-    bit_length(max(C0 + depth * Bmax, coeff_bound)) + 1, with C0 the largest
-    |c| of a seed and Bmax the largest |c| of a beta.  beta's sites lie at
-    distinct pairs (its neighbors have distinct colors j != l), so one round
-    changes any coefficient by at most Bmax, and a form of round r <= depth
-    has every |c| <= C0 + r * Bmax <= C0 + depth * Bmax < 2^(W-1); so has a
-    caller's form, as coeff_bound < 2^(W-1).  A code is then a base-2^W
-    number with balanced digits in (-2^(W-1), 2^(W-1)), and such digits are
-    unique: the lowest is the code's residue mod 2^W, read in that range, and
-    the rest follow from (code - digit) / 2^W.
     """
     seeds = list(seeds)
     most = max((abs(c) for f in seeds for _, c in f.items()), default=0)
-    beta_most = max(abs(c) for sites in seq._beta.values() for c, _, _ in sites)
-    width = max(most + max(depth, 0) * beta_most, coeff_bound).bit_length() + 1
+    width = code_width(max(most + max(depth, 0) * _beta_most(seq), coeff_bound))
     index = partial(pair_to_index, seq)
-
-    def code(terms: Iterable[Tuple[Pair, int]]) -> int:
-        return sum(c << (width * index(s, l)) for (s, l), c in terms)
-
+    packed: Dict[Site, int] = {}
     betas: Dict[Pair, Tuple[int, Tuple[Tuple[Pair, int], ...]]] = {}
 
-    def packed(pair: Pair, c: int) -> Tuple[int, int, Tuple[Tuple[Pair, int], ...]]:
+    def s_prime_move(pair: Pair, c: int) -> Tuple[int, int, Tuple[Tuple[Pair, int], ...]]:
         # (move, sign, beta terms) of S' at a term; the identity moves the
         # code by 0, so it lands on a code already seen
         s, l = pair
@@ -334,12 +358,15 @@ def closure_codes(
             return 0, 0, ()
         sign, base = rule
         if (base, l) not in betas:
-            beta = tuple(((base + offset, j), b) for b, offset, j in seq._beta[l])
-            betas[base, l] = code(beta), beta
+            sites = [(b, base + offset, j) for b, offset, j in seq._beta[l]]
+            beta = tuple(((t, j), b) for b, t, j in sites)
+            betas[base, l] = pack(sites, width, index, packed), beta
         move, beta = betas[base, l]
         return sign * move, sign, beta
 
-    terms: Dict[int, Dict[Pair, int]] = {code(f.items()): f._terms for f in seeds}
+    terms: Dict[int, Dict[Pair, int]] = {
+        pack([(c, s, l) for (s, l), c in f.items()], width, index, packed): f._terms for f in seeds
+    }
     pruned: Set[int] = set()
     # the packed moves at a pair, for a negative and a positive coefficient
     moves: Tuple[Dict[Pair, Tuple[int, int, Tuple[Tuple[Pair, int], ...]]], ...] = ({}, {})
@@ -350,7 +377,7 @@ def closure_codes(
             table = moves[c > 0]
             move = table.get(pair)
             if move is None:
-                move = table[pair] = packed(pair, c)
+                move = table[pair] = s_prime_move(pair, c)
             b = a + move[0]
             if b not in terms and b not in pruned:
                 if index_bound is None or _top_index(b, width) <= index_bound:
@@ -375,10 +402,9 @@ def closure(
     Without index_bound there is no cap.  With it, forms whose support
     passes the bound are dropped, and the count of distinct dropped forms
     is returned alongside the closed set.  The cap is tested only on forms
-    neither seen nor dropped before, and a dropped form is never built.
-
-    The search runs over codes (closure_codes); a form is built only at a
-    kept code that is not a seed's.
+    neither seen nor dropped before, and a dropped form is never built.  The
+    search runs over codes (closure_codes); a form is built only at a kept
+    code that is not a seed's.
     """
     seeds = set(seeds)
     terms, pruned, _, _ = closure_codes(seq, seeds, depth, index_bound)

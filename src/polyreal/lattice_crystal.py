@@ -62,7 +62,7 @@ class LatticeElement:
         return cls()
 
     def get(self, j: int) -> int:
-        """The value at position j; a RootDataError unless j is an integer."""
+        """The value at position j; a RootDataError unless j is an integer >= 1."""
         key = self._key
         try:
             k = bisect_left(key, (j,))
@@ -71,7 +71,9 @@ class LatticeElement:
         if k < len(key) and key[k][0] == j:
             return key[k][1]
         if j.__class__ is not int:  # only a miss can be at a non-integral j
-            exact_int(j, RootDataError)
+            j = exact_int(j, RootDataError)
+        if j < 1:  # nor at a position below 1
+            raise RootDataError(f"position must be >= 1, got {j}")
         return 0
 
     def items(self) -> Key:

@@ -18,10 +18,9 @@ Diagrams are validated and classified on their window alone: outside it
 every step is 1 or 0, and no point can lie there (see classify_points).
 A move is decided once, by classify_points, which reads the two steps
 beside each changed value off the window in one pass: _read addresses its
-points, reading P^k from the sequence's filled table, toggle_point moves
-only at a point that it lists, and _toggle makes a listed move with no test,
-building the moved diagram once; only make_reyd, from_json and validate
-check a whole diagram.
+points, toggle_point moves only at a point that it lists, and _toggle
+makes a listed move with no test, building the moved diagram once; only
+make_reyd, from_json and validate check a whole diagram.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .root_data import AdaptedSequence, ResidueTable, check_family, exact_int, fold_table, p_table
+from .root_data import AdaptedSequence, ResidueTable, check_family, exact_int, fold_table, p_row
 from .forms import LinearForm, Point, Site, site_form, walk
 
 # Each flavor's sequence family and the fold of its colors and P^k table.
@@ -254,22 +253,17 @@ def _read(seq: AdaptedSequence, T: RevisedEYD) -> Tuple[List[Site], List[Point]]
     when admissible and -1 when removable, even at a double point.
 
     A point's column t is x when admissible and x - 1 when removable.  Its
-    site is (+mult or -mult, P^k(t + k) + min(t, 0) + k - y, color), with
-    P^k(t + k) read from the sequence's filled table, and p_table called
-    only on a miss.
+    site is (+mult or -mult, P^k(t + k) + min(t, 0) + k - y, color).
     """
     check_family(seq, FLAVORS[T.flavor][0], T.n, f"flavor {T.flavor}")
     variant, k = FLAVORS[T.flavor][1], T.k
-    filled = seq._pt_cache.get((variant, k), {})
+    row = p_row(seq, variant, k)
     sites: List[Site] = []
     points: List[Point] = []
     for pt in classify_points(T):
         role, x, y, multiplicity, color = pt
         t, coeff = (x, 1) if role == "admissible" else (x - 1, -1)
-        pk = filled.get(t + k)
-        if pk is None:
-            pk = p_table(seq, variant, k, t + k)
-        site = (coeff * multiplicity, pk + min(t, 0) + k - y, color)
+        site = (coeff * multiplicity, row[t + k] + min(t, 0) + k - y, color)
         sites.append(site)
         points.append((pt, coeff, site))
     return sites, points

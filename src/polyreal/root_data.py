@@ -282,9 +282,7 @@ class AdaptedSequence:
         self._row: Dict[int, Tuple[int, ...]] = {}
         self._next: Dict[int, Tuple[int, ...]] = {}
         self._prev: Dict[int, Tuple[int, ...]] = {}
-        # For each color i, the sites (coeff, offset, color) of beta_{s,i}
-        # relative to s (forms.beta_sites, beta_pair and s_prime read them): x_{s,i},
-        # x_{s+1,i} and a_{i,j} x_{s+p_{j,i}, j} for each neighbor j of i
+        # For each color i, the sites of beta_{s,i} relative to s (forms.beta_sites)
         self._beta: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
         for i in root_system.index_set:
             self._row[i] = tuple(root_system.a(i, c) for c in self.word)
@@ -294,7 +292,7 @@ class AdaptedSequence:
             self._beta[i] = ((1, 0, i), (1, 1, i)) + tuple(
                 (c, self.p[(j, i)], j) for j, c in enumerate(root_system.cartan[i - 1], 1) if c < 0
             )
-        self._pt_cache: Dict[Tuple[str, int], Dict[int, int]] = {}
+        self._pt_cache: Dict[Tuple[str, int], PRow] = {}
 
     def _validate(self) -> None:
         n = self.root_system.n
@@ -420,45 +418,55 @@ def pair_to_index(seq: AdaptedSequence, s: int, l: int) -> int:
         return pair_to_index(seq, exact_int(s, RootDataError), seq.check_color(l))
 
 
-def p_table(seq: AdaptedSequence, variant: str, k: int, t: int) -> int:
-    """Accumulated orientation table P^k(t) along the folded color path.
+class PRow(dict):
+    """P^k along the folded color path of one variant, for one k and one
+    sequence: row[t] = P^k(t).
 
     P^k(k) = 0; going up, P^k(t) = P^k(t-1) + p_{c(t),c(t-1)}; going down,
     P^k(t) = P^k(t+1) + p_{c(t),c(t+1)}, where c folds via the variant map
     and equal folded colors contribute 0.  The pi_prime variant is one-sided
-    and only defined for t >= k.  An entry is filled only by a call that
-    passed the checks below, so a filled entry is returned before them, and
-    the generator reads take filled entries straight from seq._pt_cache[variant,
-    k], calling p_table only on a miss.
+    and only defined for t >= k.  The filled entries are one interval around
+    k: a read that misses checks t, walks from t back into the interval and
+    fills outward to t.  An entry is filled only once its checks pass, so a
+    read that hits needs none, and a reader takes row[t] with no other branch.
     """
+
+    def __init__(self, seq: AdaptedSequence, variant: str, k: int):
+        super().__init__({k: 0})
+        self.p, self.n, self.variant, self.k = seq.p, seq.root_system.n, variant, k
+
+    def __missing__(self, t: int) -> int:
+        # the fill walk steps by 1 from t, so it meets the interval around k only from an integer
+        t, k = exact_int(t, RootDataError), self.k
+        if self.variant == "pi_prime" and t < k:
+            raise RootDataError(f"pi_prime table needs t >= {k}, got {t}")
+        step = 1 if t > k else -1
+        u = t
+        while u not in self:
+            u -= step
+        while u != t:
+            u += step
+            here, back = fold(self.variant, self.n, u), fold(self.variant, self.n, u - step)
+            p = 0 if here == back else self.p.get((here, back))
+            if p is None:
+                raise RootDataError(f"colors {here},{back} are not neighbors")
+            self[u] = self[u - step] + p
+        return self[t]
+
+
+def p_row(seq: AdaptedSequence, variant: str, k: int) -> PRow:
+    """The PRow of variant and k, made on seq's first read of it and kept; a
+    RootDataError for an unknown variant or a k that is not an integer."""
     try:
-        return seq._pt_cache[variant, k][t]
-    except (KeyError, TypeError):  # not filled, or unhashable: the checks below decide
+        return seq._pt_cache[variant, k]
+    except (KeyError, TypeError):  # not made, or unhashable: the checks below decide
         pass
     if variant not in FOLD_KINDS:
         raise RootDataError(f"unknown table variant {variant!r}")
-    # the fill walk steps by 1 from t, so it meets the interval around k only from an integer
-    t, k = exact_int(t, RootDataError), exact_int(k, RootDataError)
-    if variant == "pi_prime" and t < k:
-        raise RootDataError(f"pi_prime table needs t >= {k}, got {t}")
-    n = seq.root_system.n
-    cache = seq._pt_cache.setdefault((variant, k), {k: 0})
-    # the filled entries are one interval around k: step back into it from t, fill out to t
-    step = 1 if t > k else -1
-    u = t
-    while u not in cache:
-        u -= step
-    while u != t:
-        u += step
-        here, back = fold(variant, n, u), fold(variant, n, u - step)
-        cache[u] = cache[u - step] + _p_contrib(seq, here, back)
-    return cache[t]
+    k = exact_int(k, RootDataError)
+    return seq._pt_cache.setdefault((variant, k), PRow(seq, variant, k))
 
 
-def _p_contrib(seq: AdaptedSequence, a: int, b: int) -> int:
-    if a == b:
-        return 0
-    try:
-        return seq.p[(a, b)]
-    except KeyError:
-        raise RootDataError(f"colors {a},{b} are not neighbors") from None
+def p_table(seq: AdaptedSequence, variant: str, k: int, t: int) -> int:
+    """P^k(t), read from p_row(seq, variant, k) with every check of PRow."""
+    return p_row(seq, variant, k)[exact_int(t, RootDataError)]

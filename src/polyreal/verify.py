@@ -19,7 +19,7 @@ from math import comb
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .root_data import AdaptedSequence, index_to_pair, weight_counts
+from .root_data import AdaptedSequence, RootDataError, index_to_pair, weight_counts
 from .lattice_crystal import (
     LatticeElement,
     _bumped,
@@ -36,13 +36,17 @@ from .forms import (
     Pair,
     Site,
     _accumulate,
+    _beta_most,
+    _most,
     beta_index,
     beta_pair,
     beta_sites,
     check_xi_positivity,
     closure,
     closure_codes,
+    code_width,
     evaluate,
+    pack,
     site_form,
     walk,
     window_solutions,
@@ -231,27 +235,15 @@ def check_step_identities(
     obj2 equals that of obj less coeff times the shifted beta sites, and that
     equation does not mention s.
 
-    The site maps are compared as packed codes, one int each.  Each (offset,
-    color) met gets a field of its own, numbered f = 0, 1, ... in the order
-    met, and a site map's code is the sum of coeff * 2^(W*f) over its
-    entries; each distinct site is packed once, and each shifted beta once
-    per (offset, color).  A toggle is then the one comparison code(obj2) ==
-    code(obj) - coeff * code(beta shifted by offset).  W, per kind and
-    charge, is bit_length(most + coeff_most * beta_most) + 1, where most is
-    the largest sum of |coeff| over the sites of an object, walked or target,
-    coeff_most the largest |coeff| of a move and beta_most the largest |c| of
-    a beta site.  A site map's entry is at most most in size.  beta's sites
-    lie at distinct pairs (its neighbors have distinct colors j != color),
-    so each digit of the right side is at most most + coeff_most * beta_most
-    < 2^(W-1) in size.  Both sides are then base-2^W numbers with balanced
-    digits in (-2^(W-1), 2^(W-1)), and such digits are unique: the lowest is
-    the number's residue mod 2^W, read in that range, and the rest follow
-    from (number - digit) / 2^W.  So the codes are equal exactly when the
-    site maps are.
+    The site maps are compared as codes (forms.pack), with a field for each
+    (offset, color) in the order met, so a toggle is the one comparison
+    code(obj2) == code(obj) - coeff * code(beta shifted by offset).  Per kind
+    and charge, W is code_width(most + coeff_most * beta_most): most bounds
+    an object's entries (forms._most, over the objects walked or target),
+    coeff_most is the largest |coeff| of a move and beta_most bounds a
+    beta's shift of an entry (forms._beta_most).
     """
     s_values = (1, 2)
-    betas = {l: beta_sites(seq, l) for l in seq.root_system.index_set}
-    beta_most = max(abs(c) for sites in betas.values() for c, _, _ in sites)
     checked = failed = 0
     witnesses: List[str] = []
     for kind, k in generator_kinds(seq):
@@ -272,31 +264,22 @@ def check_step_identities(
                     read.append(MODULES[kind].sites(seq, obj2))
                 ends.append(i)
             targets.append(ends)
-        most = max((sum(abs(c) for c, _, _ in sites) for sites in read), default=0)
-        width = (most + max(map(abs, coeffs), default=0) * beta_most).bit_length() + 1
+        width = code_width(_most(read) + max(map(abs, coeffs), default=0) * _beta_most(seq))
         fields: Dict[Pair, int] = {}
+
+        def field_of(offset: int, color: int) -> int:
+            return fields.setdefault((offset, color), len(fields))
+
         packed: Dict[Site, int] = {}
-        codes: List[int] = []
-        for sites in read:
-            code = 0
-            for site in sites:
-                term = packed.get(site)
-                if term is None:
-                    c, offset, color = site
-                    field = fields.setdefault((offset, color), len(fields))
-                    term = packed[site] = c << (width * field)
-                code += term
-            codes.append(code)
+        codes = [pack(sites, width, field_of, packed) for sites in read]
         shifted: Dict[Pair, int] = {}
         for (obj, sites, moves), code, ends in zip(walked, codes, targets):
             checked += len(s_values) * len(moves)
             for (obj2, coeff, offset, color), i in zip(moves, ends):
                 beta = shifted.get((offset, color))
                 if beta is None:
-                    beta = shifted[offset, color] = sum(
-                        b << (width * fields.setdefault((offset + o, j), len(fields)))
-                        for b, o, j in betas[color]
-                    )
+                    beta_shifted = [(b, offset + o, j) for b, o, j in beta_sites(seq, color)]
+                    beta = shifted[offset, color] = pack(beta_shifted, width, field_of, packed)
                 if codes[i] == code - coeff * beta:
                     continue
                 failed += len(s_values)
@@ -330,31 +313,28 @@ def check_closure_equality(
     depth compares two empty sets and is inconclusive.
 
     The two sets are compared as packed codes, and forms are built only for
-    the witnesses.  The generators are walked first.  An object's form at s
-    has every coefficient at most the sum of |coeff| over its sites, so the
-    largest such sum is passed to closure_codes, whose code is then one-to-one
-    on the image forms too.  Each object's sites are packed at s with the
-    search's field width and index reader, each distinct site once, so two
-    forms are equal exactly when their codes are.  Only the codes in the
-    symmetric difference are built as forms, the closure's from its terms and
-    the image's by site_form from the first object of the code.
+    the witnesses.  The generators are walked first, and forms._most of their
+    sites, a bound on the image forms' coefficients, is passed to
+    closure_codes, whose width and index reader then pack each object's sites
+    at s (forms.pack) one-to-one too.  Only the codes in the symmetric
+    difference are built as forms, the closure's from its terms and the
+    image's by site_form from the first object of the code.
     """
     seeds = [LinearForm.x(s, k)] if depth >= 0 else []
     walked = [sites for _, sites, _ in generator_objects(seq, charge_kind(seq, k), k, depth)]
-    most = max((sum(abs(c) for c, _, _ in sites) for sites in walked), default=0)
-    closed, pruned, width, index = closure_codes(seq, seeds, depth, index_bound, most)
+    closed, pruned, width, index = closure_codes(seq, seeds, depth, index_bound, _most(walked))
+
+    def field_of(offset: int, color: int) -> int:
+        return index(s + offset, color)
+
     packed: Dict[Site, int] = {}
     images: Dict[int, List[Site]] = {}
     for sites in walked:
-        code = 0
-        for site in sites:
-            term = packed.get(site)
-            if term is None:
-                c, offset, color = site
-                if s + offset < 1:
-                    site_form(sites, s)  # raises its occurrence error
-                term = packed[site] = c << (width * index(s + offset, color))
-            code += term
+        try:
+            code = pack(sites, width, field_of, packed)
+        except RootDataError:  # a site below occurrence 1, which site_form names
+            site_form(sites, s)
+            raise
         images.setdefault(code, sites)
     extra = sorted(
         (LinearForm._of(closed[c]) for c in closed.keys() - images.keys()),
@@ -396,12 +376,10 @@ def check_image_equality(
 
     The box is every nonnegative vector on the window with total at most
     max_weight; `candidates` counts it in closed form, C(max_weight + m, m)
-    for a window of length m.  `window_solutions` lists the solutions in it
-    without walking the whole box: it assigns the window position by position
-    and holds every form's partial sum in one packed int, so a value step is
-    one add and the forms that end at a position are tested with one mask.
-    Each image element's tuple is filled from its entries through a window
-    position dict.  The sampled forms stay term tuples; `forms` counts them.
+    for a window of length m, and `window_solutions` lists the solutions in
+    it without walking the whole box.  Each image element's tuple is filled
+    from its entries through a window position dict.  The sampled forms stay
+    term tuples; `forms` counts them.
     Witnesses come in the lexicographic order of the box, and a forward
     witness names the first form, in sorted order, that the element violates:
     only then are the forms built as LinearForms and sorted.

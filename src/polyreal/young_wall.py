@@ -19,8 +19,7 @@ move with no test); only make_wall, from_json and validate_proper scan a
 whole wall.  The assignment map sends a slot at column i (0-based from the
 right) in row l to +x_{s+P^k(l)+i, c(l)} and a removable block to
 -x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity; _read takes each row's
-color and split flag from the kind's table and each P^k from the sequence's
-filled table, and addresses each legal move once.
+color and split flag from the kind's table, and addresses each legal move once.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .root_data import AdaptedSequence, ResidueTable, check_family, exact_int, fold, p_table
+from .root_data import AdaptedSequence, ResidueTable, check_family, exact_int, fold, p_row
 from .forms import LinearForm, Point, Site, site_form, walk
 
 # Each wall family's sequence family.
@@ -241,16 +240,12 @@ def _read(seq: AdaptedSequence, Y: YoungWall) -> Tuple[List[Site], List[Point]]:
     move (adds, then removes) and then every double, from one read of each
     column.  Each legal move is addressed once: a slot at column j in row l
     is +multiplicity x_{s + P^k(l) + j - 1, c(l)}, and a block is
-    -multiplicity at the offset one higher, with P^k read from the
-    sequence's filled table and p_table called only on a miss."""
+    -multiplicity at the offset one higher."""
     check_family(seq, WALL_FAMILIES[Y.kind.family], Y.kind.n, f"wall family {Y.kind.family}")
-    ground = Y.kind.ground
-    filled = seq._pt_cache.get(("pi_prime", ground), {})
+    row = p_row(seq, "pi_prime", Y.kind.ground)
 
     def address(site: WallSite) -> Site:
-        pk = filled.get(site.row)
-        if pk is None:
-            pk = p_table(seq, "pi_prime", ground, site.row)
+        pk = row[site.row]
         if site.role == "slot":
             return site.multiplicity, pk + site.column - 1, site.color
         return -site.multiplicity, pk + site.column, site.color

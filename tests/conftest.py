@@ -36,6 +36,16 @@ def object_moves(seq, kind: str, obj) -> list:
     return moves
 
 
+def shift_one_neighbour(monkeypatch, seq):
+    """Raise by 1 the offset of the first neighbour site of beta at color 1,
+    in the table that beta_sites, beta_pair and s_prime read."""
+    sites = list(forms.beta_sites(seq, 1))
+    i = next(i for i, (_, _, j) in enumerate(sites) if j != 1)
+    c, offset, j = sites[i]
+    sites[i] = (c, offset + 1, j)
+    monkeypatch.setitem(seq._beta, 1, tuple(sites))
+
+
 def reference_partitions(m: int, largest: int):
     """The partitions of m with parts at most largest, in reverse
     lexicographic order, by recursion on the first part: the listing that

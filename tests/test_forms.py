@@ -211,6 +211,35 @@ class TestSPrime:
         assert s_prime(a1_n2, f, (3, 2)) == f
 
 
+def field_code(vector, width):
+    """The code of a coefficient vector, entry f at field f, packed as the
+    sites (c, f, 0)."""
+    return forms.pack([(c, f, 0) for f, c in enumerate(vector)], width, lambda f, _: f, {})
+
+
+class TestCodeWidth:
+    """code_width states the balanced-digit lemma that the closure, step and
+    closure-equality codes rest on: at code_width(m) every vector with
+    entries in [-m, m] has its own code, and one bit less is too few."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_codes_are_distinct(self, m):
+        vectors = list(product(range(-m, m + 1), repeat=3))
+        width = forms.code_width(m)
+        assert len({field_code(v, width) for v in vectors}) == len(vectors)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_one_bit_less_collides(self, m):
+        narrow = m.bit_length()
+        assert forms.code_width(m) == narrow + 1
+        assert field_code((m, 0, 0), narrow) == field_code((m - 2**narrow, 1, 0), narrow)
+
+    def test_pack_sums_the_sites_at_a_field(self):
+        # the code of sites is that of their merged site map, here (3, 0)
+        sites = [(2, 0, 1), (-1, 1, 1), (1, 0, 1), (1, 1, 1)]
+        assert forms.pack(sites, 3, lambda f, _: f, {}) == field_code((3, 0), 3) == 3
+
+
 class TestClosure:
     def test_depth_zero_is_seeds(self, a1_n3):
         seeds = {x(1, 1), x(1, 2)}

@@ -21,9 +21,17 @@ from polyreal import (
 )
 from polyreal.cli import default_word
 from polyreal import lattice_crystal
+from polyreal.forms import beta_pair, evaluate
 from polyreal.lattice_crystal import _reach
-from polyreal.root_data import reachable
-from conftest import adapted_words, make_seq
+from polyreal.root_data import AlgebraType, build_root_system, index_to_pair, reachable
+from conftest import (
+    NOT_ADAPTED,
+    UncheckedAlternation,
+    adapted_words,
+    make_seq,
+    permutation_seqs,
+    shift_one_neighbour,
+)
 
 
 def e(*indices):
@@ -93,6 +101,16 @@ class TestLatticeElement:
         with pytest.raises(RootDataError):
             LatticeElement.zero().get(1.5)
         assert (a.get(2.0), a.get(2), a.get(3.0), a.get(3)) == (4, 4, 0, 0)
+
+    def test_get_rejects_positions_below_one(self):
+        # as bump rejects them: no entry can sit below position 1
+        a = LatticeElement({1: 2})
+        for j in (0, -3, 0.0):
+            with pytest.raises(RootDataError, match="position must be >= 1"):
+                a.get(j)
+        with pytest.raises(ValueError, match="position must be >= 1"):
+            a.bump(0, 1)
+        assert (a.get(1), a.get(2)) == (2, 0)
 
     def test_repeated_positions_summed(self):
         # as LinearForm sums repeated terms; a zero value no longer hides the
@@ -439,6 +457,59 @@ def test_kashiwara_relations_random_paths(ops):
         assert epsilon(seq, b, i) == epsilon(seq, a, i) + 1
         assert phi(seq, b, i) == phi(seq, a, i) - 1
         assert b.total() == a.total() + 1
+
+
+def beta_sigma_failures(seq):
+    """(comparisons, failures) of beta_j(a) = sigma_j(a) - sigma_{j+}(a), with
+    j+ the next position of j's color and beta_j built by beta_pair at j's
+    double index, for every a of the image of depth 4 and every j up to
+    max(max_index(a), L) + L."""
+    checked = failed = 0
+    for a in enumerate_image(seq, 4):
+        for j in range(1, max(a.max_index(), seq.L) + seq.L + 1):
+            jplus = j + 1
+            while seq.color_of(jplus) != seq.color_of(j):
+                jplus += 1
+            beta = beta_pair(seq, *index_to_pair(seq, j))
+            checked += 1
+            failed += evaluate(seq, beta, a) != sigma(seq, a, j) - sigma(seq, a, jplus)
+    return checked, failed
+
+
+class TestBetaSigmaIdentity:
+    """beta_j(a) = sigma_j(a) - sigma_{j+}(a) exactly, at every element of the
+    image of depth 4 and every position up to one word past its support;
+    check_sigma_difference samples 100 of these comparisons."""
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_holds_on_the_word_one_to_n(self, family, n):
+        checked, failed = beta_sigma_failures(make_seq(family, n, list(range(1, n + 1))))
+        assert checked >= 500 and failed == 0
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_holds_on_every_n3_permutation_word(self, family):
+        for seq in permutation_seqs(family, 3):
+            checked, failed = beta_sigma_failures(seq)
+            assert checked > 0 and failed == 0, seq.word
+
+    @pytest.mark.parametrize("family", ["A1", "C1"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fails_with_a_shifted_neighbour(self, family, n, monkeypatch):
+        seq = make_seq(family, n, list(range(1, n + 1)))
+        shift_one_neighbour(monkeypatch, seq)
+        _, failed = beta_sigma_failures(seq)
+        assert failed > 0
+
+    @pytest.mark.parametrize(
+        "family,n,word",
+        NOT_ADAPTED,
+        ids=[f"{f}-{','.join(map(str, w))}" for f, _, w in NOT_ADAPTED],
+    )
+    def test_fails_on_words_that_do_not_alternate(self, family, n, word):
+        seq = UncheckedAlternation(build_root_system(AlgebraType(family, n)), word)
+        _, failed = beta_sigma_failures(seq)
+        assert failed > 0
 
 
 class TestFormat:

@@ -7,7 +7,7 @@ reason and must pass everywhere.
 A row's edit is made to the function's own source, compiled into a copy of
 its module's namespace, and the result is patched onto every polyreal module
 that holds the function: its own, and each that imports it by name, such as
-verify for `enumerate_image` and eyd, reyd and young_wall for `p_table`.  A
+verify for `enumerate_image` and eyd, reyd and young_wall for `p_row`.  A
 row that names a method as Class.method patches it onto the class.
 The problems are A1, C1, A2 and D2 at n = 3 and 4 with the word 1..n, at
 default bounds, all suites.  A row names the families it applies to: a
@@ -78,12 +78,12 @@ ROWS = {
         ALL,
     ),
     # P^k(t) accumulated with the wrong sign, so the assigned offsets move;
-    # the generator reads take the entries that p_table fills
+    # the generator reads and p_table take the entries that a row's miss fills
     "p-table-sign-flipped": (
         root_data,
-        "p_table",
-        "cache[u - step] + _p_contrib(seq, here, back)",
-        "cache[u - step] - _p_contrib(seq, here, back)",
+        "PRow.__missing__",
+        "self[u - step] + p",
+        "self[u - step] - p",
         {"step-identities", "closure-equality", "image-equality"},
         ALL,
     ),
@@ -110,8 +110,8 @@ ROWS = {
     "eyd-convex-offset-plus-one": (
         eyd,
         "_read",
-        "offset = pk + min(charge - y, x)",
-        'offset = pk + min(charge - y, x) + (kind == "convex")',
+        "offset = row[d] + min(charge - y, x)",
+        'offset = row[d] + min(charge - y, x) + (kind == "convex")',
         {"step-identities", "closure-equality", "image-equality"},
         ("A1", "D2"),
     ),

@@ -40,7 +40,7 @@ from polyreal.young_wall import (
     legal_single_removes,
     toggle_block,
 )
-from conftest import enumerate_objects, make_seq, reference_partitions
+from conftest import enumerate_objects, make_seq, reference_partitions, shift_one_neighbour
 from test_eyd import reference_sites as reference_eyd_sites
 from test_reyd import reference_address as reference_reyd_address
 from test_young_wall import reference_address as reference_wall_address
@@ -270,16 +270,6 @@ class TestReadsFromTheTables:
                 assert moves == reference_moves(warmed, kind, obj), obj
 
 
-def _shift_one_neighbour(monkeypatch, seq):
-    """Raise by 1 the offset of the first neighbour site of beta at color 1,
-    in the table that beta_sites, beta_pair and s_prime read."""
-    sites = list(beta_sites(seq, 1))
-    i = next(i for i, (_, _, j) in enumerate(sites) if j != 1)
-    c, offset, j = sites[i]
-    sites[i] = (c, offset + 1, j)
-    monkeypatch.setitem(seq._beta, 1, tuple(sites))
-
-
 class TestReportsAsTheReference:
     """Step, closure and image reports, witnesses in order, on every n = 3
     permutation word, as the reference path gives them; with beta's sites
@@ -292,7 +282,7 @@ class TestReportsAsTheReference:
         for word in itertools.permutations((1, 2, 3)):
             seq = make_seq(family, 3, list(word))
             if mutated:
-                _shift_one_neighbour(monkeypatch, seq)
+                shift_one_neighbour(monkeypatch, seq)
             got = check_step_identities(seq, size_bound=4, wall_halves=7)
             want = reference_step_check(seq, (1, 2), 4, 7)
             assert got.to_json() == want.to_json(), word
