@@ -22,7 +22,6 @@ from each partition to the next, with no recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .root_data import AdaptedSequence, RootDataError, check_family, exact_int, fold_table, p_row
@@ -43,8 +42,7 @@ class Corner(NamedTuple):
         return self.x + self.y
 
 
-@dataclass(frozen=True)
-class ExtendedYoungDiagram:
+class ExtendedYoungDiagram(NamedTuple):
     """Charge plus the stored column values, trimmed of trailing charges."""
 
     charge: int

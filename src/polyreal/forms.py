@@ -13,7 +13,6 @@ forms, whose terms are checked, skip that.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .root_data import (
@@ -296,10 +295,10 @@ def max_single_index(seq: AdaptedSequence, form: LinearForm) -> int:
 
 
 def _top_index(code: int, width: int) -> int:
-    """The largest single index J of the form whose code, at field width W,
-    is code; 0 for the zero form.  It is bit_length(|code|) // W.
+    """The top field J of a code at field width W: the largest field f with
+    c_f != 0, 0 for the zero code.  It is bit_length(|code|) // W.
 
-    The code is sum c_j 2^(W*j) over single indices j = 1..J, each |c_j| <
+    The code is sum c_f 2^(W*f) over fields f = 0..J, each |c_f| <
     2^(W-1) and c_J != 0 (code_width).  As (2^(W-1) - 1) / (2^W - 1) <
     1/2, the terms below J sum to less than 2^(W*J-1) in size, and all J
     terms to less than 2^(W*J+W-1).  So 2^(W*J-1) < |code| < 2^(W*J+W-1),
@@ -314,6 +313,7 @@ def closure_codes(
     depth: int,
     index_bound: Optional[int] = None,
     coeff_bound: int = 0,
+    floor: Optional[int] = None,
 ) -> Tuple[Dict[int, Dict[Pair, int]], int, int, Callable[[int, int], int]]:
     """The search behind closure, over codes: (terms, pruned, W, index).
 
@@ -321,20 +321,31 @@ def closure_codes(
     codes first, then the others in the order found; pruned counts the
     distinct codes dropped at index_bound.  A form's code is the pack of its
     terms c x_{s,l}, as sites (c, s, l) with field index(s, l), the single
-    index.  W is code_width(max(C0 + depth * Bmax, coeff_bound)), with C0 the
-    largest |c| of a seed and Bmax that of a beta (_beta_most): a form of
-    round r <= depth, kept or dropped, has every |c| <= C0 + r * Bmax.  So
-    two forms of the closure, or of a caller's whose every |c| is at most
-    coeff_bound, are equal exactly when their codes are, and a caller can
+    index less a base.  W is code_width(max(C0 + depth * Bmax,
+    coeff_bound)), with C0 the largest |c| of a seed and Bmax that of a beta
+    (_beta_most): a form of round r <= depth, kept or dropped, has every
+    |c| <= C0 + r * Bmax.  So two forms of the closure, or of a caller's
+    whose every |c| is at most coeff_bound and whose every occurrence is at
+    least floor, are equal exactly when their codes are, and a caller can
     compare its own forms, packed with W and index, against the closure's
     without building either.
+
+    The base is one below the lowest single index of the lowest occurrence
+    either side reaches, so a code has about W * (J - base) bits for a form
+    whose largest single index is J, and a seed at a large occurrence costs
+    what one near depth does.
+    S' at occurrence s adds a beta at occurrence s or s - 1, whose terms lie
+    at that occurrence and above, so a round lowers a form's lowest
+    occurrence by at most 1, and the closure lies at occurrences of at least
+    max(1, s0 - depth), with s0 the lowest occurrence of a seed.
 
     S' at a term is one add to the code, of sign * beta_{base,l} packed the
     same way.  Each beta_{base,l} is packed once per call, and each (pair,
     sign of c) picks its move once.  The cap is tested only at a code neither
     seen nor dropped, on the code itself: its bit length gives the form's
-    largest single index (_top_index).  A kept code's terms are made once,
-    from its parent's, and a dropped code's never.
+    top field (_top_index), and with the base added back its largest single
+    index; the zero code has no term to pass the cap.  A kept code's terms
+    are made once, from its parent's, and a dropped code's never.
 
     No cap is needed: a round raises a form's largest single index by at
     most L.  S' at (s, l), single index j in the support, subtracts
@@ -345,7 +356,14 @@ def closure_codes(
     seeds = list(seeds)
     most = max((abs(c) for f in seeds for _, c in f.items()), default=0)
     width = code_width(max(most + max(depth, 0) * _beta_most(seq), coeff_bound))
-    index = partial(pair_to_index, seq)
+    lowest = min((s for f in seeds for (s, _), _ in f.items()), default=1) - max(depth, 0)
+    lowest = max(1, lowest if floor is None else min(lowest, floor))
+    # single index 1 is the first occurrence of its color
+    base = min(pair_to_index(seq, lowest, l) for l in seq._occ) - 1 if lowest > 1 else 0
+
+    def index(s: int, l: int) -> int:
+        return pair_to_index(seq, s, l) - base
+
     packed: Dict[Site, int] = {}
     betas: Dict[Pair, Tuple[int, Tuple[Tuple[Pair, int], ...]]] = {}
 
@@ -380,7 +398,7 @@ def closure_codes(
                 move = table[pair] = s_prime_move(pair, c)
             b = a + move[0]
             if b not in terms and b not in pruned:
-                if index_bound is None or _top_index(b, width) <= index_bound:
+                if index_bound is None or not b or _top_index(b, width) + base <= index_bound:
                     terms[b] = _accumulate(dict(t), move[2], move[1])
                     yield b
                 else:

@@ -25,7 +25,6 @@ make_reyd, from_json and validate check a whole diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -48,8 +47,7 @@ class MarkedPoint(NamedTuple):
     color: int
 
 
-@dataclass(frozen=True)
-class RevisedEYD:
+class RevisedEYD(NamedTuple):
     """Canonical window [t_lo, t_hi] with stored values; staircase/flat outside."""
 
     flavor: str

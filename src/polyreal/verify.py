@@ -315,14 +315,24 @@ def check_closure_equality(
     The two sets are compared as packed codes, and forms are built only for
     the witnesses.  The generators are walked first, and forms._most of their
     sites, a bound on the image forms' coefficients, is passed to
-    closure_codes, whose width and index reader then pack each object's sites
-    at s (forms.pack) one-to-one too.  Only the codes in the symmetric
-    difference are built as forms, the closure's from its terms and the
-    image's by site_form from the first object of the code.
+    closure_codes with the image's lowest occurrence, so that its width and
+    index reader then pack each object's sites at s (forms.pack) one-to-one
+    too, with fields counted from the lowest single index either side
+    reaches.  Only the codes in the symmetric difference are built as forms,
+    the closure's from its terms and the image's by site_form from the first
+    object of the code.
     """
     seeds = [LinearForm.x(s, k)] if depth >= 0 else []
     walked = [sites for _, sites, _ in generator_objects(seq, charge_kind(seq, k), k, depth)]
-    closed, pruned, width, index = closure_codes(seq, seeds, depth, index_bound, _most(walked))
+    # the closure reaches occurrence max(1, s - depth); the image can reach
+    # lower and still pack only when that is above 1, so only then is its
+    # lowest occurrence read
+    floor = None
+    if s > depth + 1:
+        floor = s + min((offset for sites in walked for _, offset, _ in sites), default=0)
+    closed, pruned, width, index = closure_codes(
+        seq, seeds, depth, index_bound, _most(walked), floor
+    )
 
     def field_of(offset: int, color: int) -> int:
         return index(s + offset, color)

@@ -78,8 +78,7 @@ class WallKind:
         return self.ground + (m - 1) // 2
 
 
-@dataclass(frozen=True)
-class YoungWall:
+class YoungWall(NamedTuple):
     """Stored column heights in half-units, trimmed of bare-ground columns."""
 
     kind: WallKind

@@ -109,6 +109,34 @@ class TestConstruction:
         assert T == make_eyd(1, [-1, 0]) and type(T.charge) is int
 
 
+class TestValueObject:
+    """A diagram is an immutable tuple of its fields, compared and hashed as one."""
+
+    def test_equal_builds_are_equal_and_hash_equal(self):
+        built = [
+            make_eyd(2, [0, 1]),
+            ExtendedYoungDiagram.from_json({"charge": 2, "ys": [0, 1, 2]}),
+            eyd._toggle(make_eyd(2, [0]), Corner("concave", 1, 2)),
+            next(T for T in enumerate_eyd(2, 3) if T.ys == (0, 1)),
+        ]
+        assert all(T == built[0] and hash(T) == hash(built[0]) for T in built)
+        assert len(set(built)) == 1
+
+    def test_repr(self):
+        assert repr(make_eyd(2, [0, 1])) == "ExtendedYoungDiagram(charge=2, ys=(0, 1))"
+
+    def test_fields_cannot_be_assigned(self):
+        T = make_eyd(2, [0, 1])
+        with pytest.raises(AttributeError):
+            T.charge = 3
+        with pytest.raises(AttributeError):
+            T.extra = 1
+
+    def test_json_round_trip_every_small_diagram(self):
+        for T in enumerate_eyd(1, 5):
+            assert ExtendedYoungDiagram.from_json(T.to_json()) == T
+
+
 class TestCorners:
     def test_empty_diagram(self):
         assert corners(make_eyd(4, [])) == [Corner("concave", 0, 4)]

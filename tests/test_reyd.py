@@ -145,6 +145,37 @@ class TestShapes:
         assert RevisedEYD.from_json(T.to_json()) == T
 
 
+class TestValueObject:
+    """A diagram is an immutable tuple of its fields, compared and hashed as one."""
+
+    def test_equal_builds_are_equal_and_hash_equal(self):
+        phi = phi_reyd("D2target", 4, 2)
+        built = [
+            make_reyd("D2target", 4, 2, -1, [1, 1, 2]),
+            RevisedEYD.from_json({"flavor": "D2target", "n": 4, "k": 2, "t_lo": -1, "ys": [1, 1]}),
+            reyd._toggle(phi, MarkedPoint("admissible", 0, 2, 1, 2)),
+            next(T for T in enumerate_reyd("D2target", 4, 2, 1) if T != phi),
+        ]
+        assert all(T == built[0] and hash(T) == hash(built[0]) for T in built)
+        assert len(set(built)) == 1
+
+    def test_repr(self):
+        assert repr(phi_reyd("D2target", 4, 2)) == (
+            "RevisedEYD(flavor='D2target', n=4, k=2, t_lo=0, ys=(2,))"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        T = phi_reyd("A2", 3, 2)
+        with pytest.raises(AttributeError):
+            T.k = 3
+        with pytest.raises(AttributeError):
+            T.extra = 1
+
+    def test_json_round_trip_every_small_diagram(self):
+        for T in enumerate_reyd("A2", 4, 3, 4):
+            assert RevisedEYD.from_json(T.to_json()) == T
+
+
 class TestClassification:
     def test_one_unit_diagram_marked_points(self):
         T = make_reyd("A2", 3, 2, -1, [1, 1, 2])

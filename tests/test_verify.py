@@ -418,6 +418,68 @@ class TestClosureEquality:
         assert "pruned" in r.witnesses[0]
 
 
+EIGHT_PROBLEMS = [(family, n) for family in FAMILIES for n in (3, 4)]
+
+
+class TestLargeOccurrence:
+    """From s = depth + 1 on, the closure of x[s,k] and the image at s are
+    translates of those at any larger s; each color occurs once in these
+    words, so a shift of s by d moves every term by d * L single indices.  A
+    check at s = 10^12 gives the counts of one at s = depth + 2."""
+
+    BIG = 10**12
+
+    @pytest.mark.parametrize("family,n", EIGHT_PROBLEMS)
+    def test_counts_as_at_depth_plus_two(self, family, n):
+        seq, depth = make_seq(family, n), 4
+        for k in seq.root_system.index_set:
+            near = check_closure_equality(seq, k, depth, s=depth + 2)
+            far = check_closure_equality(seq, k, depth, s=self.BIG)
+            assert far.status == near.status == "pass", (k, far.witnesses)
+            assert far.counts == near.counts, k
+
+    @pytest.mark.parametrize("family,n", EIGHT_PROBLEMS)
+    def test_shifted_index_bound_prunes_as_at_depth_plus_two(self, family, n):
+        # x[s,k] sits (s - depth - 2) * L single indices above x[depth+2,k]
+        seq, depth = make_seq(family, n), 4
+        shift = (self.BIG - depth - 2) * seq.L
+        pruned = 0
+        for k in seq.root_system.index_set:
+            for bound in (seq.L * (depth + 2) + 3, seq.L * (depth + 4)):
+                near = check_closure_equality(seq, k, depth, depth + 2, bound)
+                far = check_closure_equality(seq, k, depth, self.BIG, bound + shift)
+                assert far.counts == near.counts, (k, bound)
+                pruned += far.counts["pruned"]
+        assert pruned > 0
+
+    @pytest.mark.parametrize("family", ("C1", "A2", "D2"))
+    def test_repeated_colors_as_the_reference(self, family):
+        # on a length-6 word each color occurs twice (A1 at n = 3 has no
+        # such word), and the check on codes still gives the report of the
+        # check on form sets
+        seq = make_seq(family, 3, adapted_words(family, 3, 6)[0])
+        for k in seq.root_system.index_set:
+            got = check_closure_equality(seq, k, 4, self.BIG)
+            assert got.to_json() == reference_closure_equality(seq, k, 4, self.BIG, None).to_json()
+            assert got.status == "pass", k
+
+    def test_image_below_the_closure(self, a1_n3, monkeypatch):
+        # eyd sites two occurrences lower reach under the closure's lowest
+        # occurrence, s - depth: the image forms are packed from that lower
+        # floor and reported as image-only, as the check on form sets does
+        read = eyd._read
+
+        def lowered(seq, T):
+            sites, points = read(seq, T)
+            return [(c, offset - 2, color) for c, offset, color in sites], points
+
+        monkeypatch.setattr(eyd, "_read", lowered)
+        for s in (7, self.BIG):
+            got = check_closure_equality(a1_n3, 1, 4, s)
+            assert got.to_json() == reference_closure_equality(a1_n3, 1, 4, s, None).to_json()
+            assert got.status == "fail" and got.counts["symmetric_difference"] == 20
+
+
 def reference_closure_equality(seq, k, depth, s, index_bound):
     """The closure check over form sets: the closure's forms against one
     site_form per walked object."""

@@ -132,6 +132,37 @@ class TestConstruction:
         assert Y == make_wall(A2_KIND, [4, 2]) and all(type(h) is int for h in Y.halves)
 
 
+class TestValueObject:
+    """A wall is an immutable tuple of its fields, compared and hashed as one."""
+
+    def test_equal_builds_are_equal_and_hash_equal(self):
+        built = [
+            make_wall(A2_KIND, [2, 1]),
+            YoungWall.from_json({"family": "A2wall", "n": 3, "ground": 1, "halves": [2]}),
+            young_wall._toggle(ground_wall(A2_KIND), WallSite("slot", 1, 1, 1, 1, 1)),
+            next(Y for Y in enumerate_walls(A2_KIND, 2) if Y.halves == (2,)),
+        ]
+        assert all(Y == built[0] and hash(Y) == hash(built[0]) for Y in built)
+        assert len(set(built)) == 1
+
+    def test_repr(self):
+        assert repr(make_wall(A2_KIND, [2])) == (
+            "YoungWall(kind=WallKind(family='A2wall', n=3, ground=1), halves=(2,))"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        Y = make_wall(A2_KIND, [2])
+        with pytest.raises(AttributeError):
+            Y.halves = ()
+        with pytest.raises(AttributeError):
+            Y.extra = 1
+
+    def test_json_round_trip_every_small_wall(self):
+        for kind in (A2_KIND, WallKind("D2wall", 4, 1), WallKind("D2wall", 4, 4)):
+            for Y in enumerate_walls(kind, 6):
+                assert YoungWall.from_json(Y.to_json()) == Y
+
+
 class TestCounts:
     def test_block_count(self):
         assert make_wall(A2_KIND, [8, 4, 2]).block_count() == 7
