@@ -321,7 +321,7 @@ def closure_codes(
     codes first, then the others in the order found; pruned counts the
     distinct codes dropped at index_bound.  A form's code is the pack of its
     terms c x_{s,l}, as sites (c, s, l) with field index(s, l), the single
-    index less a base.  W is code_width(max(C0 + depth * Bmax,
+    index less an origin.  W is code_width(max(C0 + depth * Bmax,
     coeff_bound)), with C0 the largest |c| of a seed and Bmax that of a beta
     (_beta_most): a form of round r <= depth, kept or dropped, has every
     |c| <= C0 + r * Bmax.  So two forms of the closure, or of a caller's
@@ -330,21 +330,21 @@ def closure_codes(
     compare its own forms, packed with W and index, against the closure's
     without building either.
 
-    The base is one below the lowest single index of the lowest occurrence
-    either side reaches, so a code has about W * (J - base) bits for a form
+    The origin is one below the lowest single index of the lowest occurrence
+    either side reaches, so a code has about W * (J - origin) bits for a form
     whose largest single index is J, and a seed at a large occurrence costs
-    what one near depth does.
-    S' at occurrence s adds a beta at occurrence s or s - 1, whose terms lie
-    at that occurrence and above, so a round lowers a form's lowest
-    occurrence by at most 1, and the closure lies at occurrences of at least
-    max(1, s0 - depth), with s0 the lowest occurrence of a seed.
+    what one near depth does.  S' at occurrence s adds a beta at occurrence s
+    or s - 1, whose terms lie at that occurrence and above, so a round lowers
+    a form's lowest occurrence by at most 1, and the closure lies at
+    occurrences of at least max(1, s0 - depth), with s0 the lowest
+    occurrence of a seed.
 
     S' at a term is one add to the code, of sign * beta_{base,l} packed the
     same way.  Each beta_{base,l} is packed once per call, and each (pair,
     sign of c) picks its move once.  The cap is tested only at a code neither
     seen nor dropped, on the code itself: its bit length gives the form's
-    top field (_top_index), and with the base added back its largest single
-    index; the zero code has no term to pass the cap.  A kept code's terms
+    top field (_top_index), and with the origin added back its largest
+    single index; the zero code has no term to pass the cap.  A kept code's terms
     are made once, from its parent's, and a dropped code's never.
 
     No cap is needed: a round raises a form's largest single index by at
@@ -359,10 +359,10 @@ def closure_codes(
     lowest = min((s for f in seeds for (s, _), _ in f.items()), default=1) - max(depth, 0)
     lowest = max(1, lowest if floor is None else min(lowest, floor))
     # single index 1 is the first occurrence of its color
-    base = min(pair_to_index(seq, lowest, l) for l in seq._occ) - 1 if lowest > 1 else 0
+    origin = min(pair_to_index(seq, lowest, l) for l in seq._occ) - 1 if lowest > 1 else 0
 
     def index(s: int, l: int) -> int:
-        return pair_to_index(seq, s, l) - base
+        return pair_to_index(seq, s, l) - origin
 
     packed: Dict[Site, int] = {}
     betas: Dict[Pair, Tuple[int, Tuple[Tuple[Pair, int], ...]]] = {}
@@ -398,7 +398,7 @@ def closure_codes(
                 move = table[pair] = s_prime_move(pair, c)
             b = a + move[0]
             if b not in terms and b not in pruned:
-                if index_bound is None or not b or _top_index(b, width) + base <= index_bound:
+                if index_bound is None or not b or _top_index(b, width) + origin <= index_bound:
                     terms[b] = _accumulate(dict(t), move[2], move[1])
                     yield b
                 else:
