@@ -400,15 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER: Optional[argparse.ArgumentParser] = None  # built by the first main call
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    parser = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -324,12 +324,7 @@ def check_closure_equality(
     """
     seeds = [LinearForm.x(s, k)] if depth >= 0 else []
     walked = [sites for _, sites, _ in generator_objects(seq, charge_kind(seq, k), k, depth)]
-    # the closure reaches occurrence max(1, s - depth); the image can reach
-    # lower and still pack only when that is above 1, so only then is its
-    # lowest occurrence read
-    floor = None
-    if s > depth + 1:
-        floor = s + min((offset for sites in walked for _, offset, _ in sites), default=0)
+    floor = s + min((offset for sites in walked for _, offset, _ in sites), default=0)
     closed, pruned, width, index = closure_codes(
         seq, seeds, depth, index_bound, _most(walked), floor
     )

@@ -165,18 +165,6 @@ class TestVerify:
         reports = json.loads(out)
         assert [(r["status"], r["params"]["s"]) for r in reports] == [("pass", int(argv[1]))] * 3
 
-    def test_parser_built_once(self, capsys, monkeypatch):
-        # main keeps the parser of its first call, and no call's arguments
-        # carry over to the next
-        built = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "_PARSER", None)
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-        assert run(capsys, "verify", "closure", "--k", "2", "--depth", "2")[1].count("pass") == 1
-        assert run(capsys, "verify", "closure", "--depth", "2")[1].count("pass") == 3
-        assert run(capsys, "verify", "--bogus")[0] == EXIT_USAGE
-        assert built == [1]
-
 
 class TestCrystal:
     def test_apply_single(self, capsys):

@@ -141,8 +141,8 @@ class TestShapes:
         assert make_reyd("A2", 3, 2, -2, [0, 0, 1, 2]).units() == 2
 
     def test_json_round_trip(self):
-        T = make_reyd("A2", 3, 2, -2, [0, 0, 1, 1, 2])
-        assert RevisedEYD.from_json(T.to_json()) == T
+        for T in [make_reyd("A2", 3, 2, -2, [0, 0, 1, 1, 2]), *enumerate_reyd("A2", 4, 3, 4)]:
+            assert RevisedEYD.from_json(T.to_json()) == T
 
 
 class TestValueObject:
@@ -170,10 +170,6 @@ class TestValueObject:
             T.k = 3
         with pytest.raises(AttributeError):
             T.extra = 1
-
-    def test_json_round_trip_every_small_diagram(self):
-        for T in enumerate_reyd("A2", 4, 3, 4):
-            assert RevisedEYD.from_json(T.to_json()) == T
 
 
 class TestClassification:
