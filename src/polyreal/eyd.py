@@ -208,7 +208,7 @@ def enumerate_eyd(charge: int, max_boxes: int) -> List[ExtendedYoungDiagram]:
     """All diagrams of the given charge with at most max_boxes boxes, built
     with no check from the partitions of 0, 1, ... boxes, each in _partitions'
     order; none for a negative max_boxes."""
-    charge = exact_int(charge, EYDError)
+    charge, max_boxes = exact_int(charge, EYDError), exact_int(max_boxes, EYDError)
     return [
         ExtendedYoungDiagram(charge, tuple([charge - d for d in depths]))
         for m in range(max_boxes + 1)

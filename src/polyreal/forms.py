@@ -205,6 +205,7 @@ def walk(
     object's moves are those of walk([obj], read, toggle, None, 0, every=True).
     """
     grows = key is not None
+    bound = exact_int(bound, RootDataError)
     listed = list(seeds) if bound >= 0 else []
     sizes = {0: [(key(obj) if grows else i, 0, obj) for i, obj in enumerate(listed)]}
     seen = set(listed)
@@ -289,11 +290,6 @@ def s_prime(seq: AdaptedSequence, form: LinearForm, d: Pair) -> LinearForm:
     return LinearForm._of(_accumulate(dict(form._terms), beta, sign))
 
 
-def max_single_index(seq: AdaptedSequence, form: LinearForm) -> int:
-    """Largest single index carrying a nonzero coefficient (0 for the zero form)."""
-    return max((pair_to_index(seq, s, l) for (s, l), _ in form.items()), default=0)
-
-
 def _top_index(code: int, width: int) -> int:
     """The top field J of a code at field width W: the largest field f with
     c_f != 0, 0 for the zero code.  It is bit_length(|code|) // W.
@@ -354,6 +350,7 @@ def closure_codes(
     occurrences, as beta_index lists them.  beta_{s-1,l} ends at j itself.
     """
     seeds = list(seeds)
+    depth = exact_int(depth, RootDataError)
     most = max((abs(c) for f in seeds for _, c in f.items()), default=0)
     width = code_width(max(most + max(depth, 0) * _beta_most(seq), coeff_bound))
     lowest = min((s for f in seeds for (s, _), _ in f.items()), default=1) - max(depth, 0)

@@ -271,6 +271,7 @@ def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeEl
     above m, is the key with (p, 1) appended.  Each kept child is wrapped
     into an element once, by `_element`, as it joins the image.
     """
+    max_word_length = exact_int(max_word_length, RootDataError)
     word, L = seq.word, seq.L
     colors = [(i, seq._row[i], seq._next[i]) for i in seq.root_system.index_set]
     level = [()]

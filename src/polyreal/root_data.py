@@ -170,6 +170,7 @@ def weight_counts(rs: RootSystem, max_height: int) -> Dict[Tuple[int, ...], int]
     gamma has height at most max_height, and so every digit stays below the
     base.
     """
+    max_height = exact_int(max_height, RootDataError)
     if max_height < 0:
         return {}
     n, cartan, zero = rs.n, rs.cartan, (0,) * rs.n
@@ -213,22 +214,21 @@ def fold(map_kind: str, n: int, t: int) -> int:
     """Fold an integer t onto the index set {1, ..., n}.
 
     overline has period n; pi and pi_prime have period 2n-2; pi1 has period
-    2n-1; pi2 has period 2n.  pi_prime is pi restricted to t >= 1.
+    2n-1; pi2 has period 2n.  pi_prime is pi restricted to t >= 1.  A
+    RootDataError unless n and t are integers and the period is at least 1.
     """
-    if map_kind == "overline":
-        return (t - 1) % n + 1
-    if map_kind in ("pi", "pi_prime"):
-        if map_kind == "pi_prime" and t < 1:
-            raise RootDataError(f"pi_prime needs t >= 1, got {t}")
-        r = (t - 1) % (2 * n - 2) + 1
-        return r if r <= n else 2 * n - r
-    if map_kind == "pi1":
-        r = (t - 1) % (2 * n - 1) + 1
-        return r if r <= n else 2 * n - r
-    if map_kind == "pi2":
-        r = (t - 1) % (2 * n) + 1
-        return r if r <= n else 2 * n + 1 - r
-    raise RootDataError(f"unknown folding map {map_kind!r}, expected one of {FOLD_KINDS}")
+    if map_kind not in FOLD_KINDS:
+        raise RootDataError(f"unknown folding map {map_kind!r}, expected one of {FOLD_KINDS}")
+    n, t = exact_int(n, RootDataError), exact_int(t, RootDataError)
+    period = {"overline": n, "pi1": 2 * n - 1, "pi2": 2 * n}.get(map_kind, 2 * n - 2)
+    if period < 1:
+        raise RootDataError(f"{map_kind} at n={n} has period {period}, need at least 1")
+    if map_kind == "pi_prime" and t < 1:
+        raise RootDataError(f"pi_prime needs t >= 1, got {t}")
+    r = (t - 1) % period + 1
+    if map_kind == "overline" or r <= n:
+        return r
+    return 2 * n + 1 - r if map_kind == "pi2" else 2 * n - r
 
 
 class ResidueTable(dict):
@@ -252,10 +252,14 @@ def fold_table(map_kind: str, n: int) -> ResidueTable:
     """fold(map_kind, n, t) as table[t % table.period], one table per map
     kind and rank, shared by every caller and filled by fold itself.
     pi_prime, defined only for t >= 1, has no table: its residue 0 stands for
-    t = 2n - 2, 4n - 4, ..., but fold would read it as t = 0."""
+    t = 2n - 2, 4n - 4, ..., but fold would read it as t = 0.  A RootDataError,
+    as fold raises it, unless n is an integer and the period is at least 1."""
+    n = exact_int(n, RootDataError)
     periods = {"overline": n, "pi": 2 * n - 2, "pi1": 2 * n - 1, "pi2": 2 * n}
     if map_kind not in periods:
         raise RootDataError(f"no table for folding map {map_kind!r}, expected one of {tuple(periods)}")
+    if periods[map_kind] < 1:
+        raise RootDataError(f"{map_kind} at n={n} has period {periods[map_kind]}, need at least 1")
     return ResidueTable(periods[map_kind], partial(fold, map_kind, n))
 
 

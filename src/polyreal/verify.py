@@ -221,9 +221,7 @@ def check_step_identities(
     forms at that s, and forms are built only for witnesses.  Each kind and
     charge is walked first, to a list of (object, sites, moves), each object
     read once by the walk; a target past the bound is then read once, by its
-    module's sites, so each object is read once per call.  Each object,
-    walked or target, is numbered in the order met, and each move records
-    its target's number, so the comparisons look up no object.
+    module's sites, so each object is read once per call.  Codes are kept by object.
 
     Each toggle is checked once, in site coordinates, because the identity
     holds at every s or at none.  An object's form at s is site_form(sites,
@@ -250,41 +248,36 @@ def check_step_identities(
         walls = kind == "wall"
         bound = wall_halves if walls and size_bound >= 0 else size_bound
         walked = generator_objects(seq, kind, k, bound, walls, True)
-        number = {obj: i for i, (obj, _, _) in enumerate(walked)}
-        read = [sites for _, sites, _ in walked]
-        targets: List[List[int]] = []
-        coeffs = set()
+        read = {obj: sites for obj, sites, _ in walked}
+        coeff_most = 0
         for _, _, moves in walked:
-            ends = []
             for obj2, coeff, _, _ in moves:
-                coeffs.add(coeff)
-                i = number.get(obj2)
-                if i is None:
-                    i = number[obj2] = len(read)
-                    read.append(MODULES[kind].sites(seq, obj2))
-                ends.append(i)
-            targets.append(ends)
-        width = code_width(_most(read) + max(map(abs, coeffs), default=0) * _beta_most(seq))
+                if coeff > coeff_most or -coeff > coeff_most:
+                    coeff_most = abs(coeff)
+                if obj2 not in read:
+                    read[obj2] = MODULES[kind].sites(seq, obj2)
+        width = code_width(_most(read.values()) + coeff_most * _beta_most(seq))
         fields: Dict[Pair, int] = {}
 
         def field_of(offset: int, color: int) -> int:
             return fields.setdefault((offset, color), len(fields))
 
         packed: Dict[Site, int] = {}
-        codes = [pack(sites, width, field_of, packed) for sites in read]
+        codes = {obj: pack(sites, width, field_of, packed) for obj, sites in read.items()}
         shifted: Dict[Pair, int] = {}
-        for (obj, sites, moves), code, ends in zip(walked, codes, targets):
+        for obj, sites, moves in walked:
             checked += len(s_values) * len(moves)
-            for (obj2, coeff, offset, color), i in zip(moves, ends):
+            code = codes[obj]
+            for obj2, coeff, offset, color in moves:
                 beta = shifted.get((offset, color))
                 if beta is None:
                     beta_shifted = [(b, offset + o, j) for b, o, j in beta_sites(seq, color)]
                     beta = shifted[offset, color] = pack(beta_shifted, width, field_of, packed)
-                if codes[i] == code - coeff * beta:
+                if codes[obj2] == code - coeff * beta:
                     continue
                 failed += len(s_values)
                 for s in s_values[: MAX_WITNESSES - len(witnesses)]:
-                    got = site_form(read[i], s)
+                    got = site_form(read[obj2], s)
                     expected = site_form(sites, s) - coeff * beta_pair(seq, s + offset, color)
                     witnesses.append(f"{obj} -> {obj2} s={s}: got {got}, expected {expected}")
 

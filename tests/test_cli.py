@@ -186,6 +186,9 @@ class TestCrystal:
         code, out, _ = run(capsys, "crystal", "e1")
         assert code == EXIT_OK
         assert out == "undefined: e1 raises at epsilon 0\n"
+        code, out, _ = run(capsys, "crystal", "e1", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"result": None, "undefined_at": "e1"}
 
     def test_lower_then_raise_returns_zero(self, capsys):
         code, out, _ = run(capsys, "crystal", "f2", "e2")
@@ -311,6 +314,12 @@ class TestRender:
             (("eyd", "charge", "1", "ys"), "eyd key 'ys' has no value"),
             (("eyd", "charge", "1", "charge", "2", "ys", "0"), "eyd key 'charge' given twice"),
             (("--family", "A2", "wall", "halves", "2", "flavor", "A2wall"), "unknown wall key"),
+            (("eyd", "ys", "1"), "missing charge\n"),
+            (("--family", "A1", "wall", "halves", "2"), "wall rendering needs --family A2 or C1\n"),
+            (
+                ("--family", "A1", "reyd", "k", "2", "ys", "1"),
+                "reyd rendering needs --family A2 or C1, or an explicit flavor\n",
+            ),
         ],
     )
     def test_only_the_kinds_keys_each_once_with_a_value(self, capsys, argv, message):

@@ -199,7 +199,7 @@ class TestAssignment:
         for k in (1, 2, 3):
             assert assign_d2(d2_n3, make_eyd(k, []), 1) == x(1, k)
 
-    def test_family_mismatch_rejected(self, a1_n3, d2_n3):
+    def test_family_mismatch_rejected(self, a1_n3, d2_n3, a2_n3):
         from polyreal import RootDataError
 
         T = make_eyd(1, [])
@@ -207,6 +207,8 @@ class TestAssignment:
             assign_d2(a1_n3, T, 1)
         with pytest.raises(RootDataError):
             assign_a1(d2_n3, T, 1)
+        with pytest.raises(RootDataError, match="^assignment needs family A1 or D2, got A2$"):
+            eyd.sites(a2_n3, T)
 
 
 def partition_count_oracle(max_boxes):

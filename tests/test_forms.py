@@ -15,14 +15,20 @@ from polyreal import (
     closure,
     evaluate,
     index_to_pair,
+    pair_to_index,
     s_prime,
 )
 from polyreal import forms, verify
-from polyreal.forms import max_single_index, site_form, window_solutions
+from polyreal.forms import site_form, window_solutions
 from polyreal.root_data import FAMILIES, MIN_RANK, reachable
 from conftest import adapted_words, make_seq, permutation_seqs
 
 x = LinearForm.x
+
+
+def top_index(seq, form):
+    """The largest single index of a nonzero term of the form, 0 for the zero form."""
+    return max((pair_to_index(seq, s, l) for (s, l), _ in form.items()), default=0)
 
 
 class TestLinearForm:
@@ -276,7 +282,6 @@ class TestClosure:
             return top_index(code, width)
 
         monkeypatch.setattr(forms, "_top_index", counted)
-        monkeypatch.setattr(forms, "max_single_index", None)
         for bound in (6, 9, 12):
             tested.clear()
             closed, pruned = closure(a1_n3, [x(1, 1)], 5, index_bound=bound)
@@ -326,11 +331,11 @@ class TestClosure:
             closed, pruned = closure(seq, seeds, 2)
             assert pruned == 0
             for f in closed:
-                top = max_single_index(seq, f) + seq.L
+                top = top_index(seq, f) + seq.L
                 for pair, _ in f.items():
                     g = s_prime(seq, f, pair)
                     applications += 1
-                    assert max_single_index(seq, g) <= top, (seq, f, pair, g)
+                    assert top_index(seq, g) <= top, (seq, f, pair, g)
         assert applications == 33828
 
     def test_equal_to_the_reference(self):
@@ -390,10 +395,6 @@ class TestClosure:
             closed, pruned = closure(a1_n3, seeds, 5, index_bound=bound)
             assert len(built) == len(closed) - len(set(seeds))
             assert pruned or bound in (None, 12)
-
-    def test_max_single_index(self, a1_n3):
-        assert max_single_index(a1_n3, LinearForm.zero()) == 0
-        assert max_single_index(a1_n3, x(1, 1) + x(2, 3)) == 6
 
 
 class TestEvaluate:
@@ -569,7 +570,7 @@ def reference_closure(seq, seeds, depth, index_bound=None):
         for pair, _ in f.items():
             g = reference_s_prime(seq, f, pair)
             if g not in seen and g not in pruned:
-                if index_bound is None or max_single_index(seq, g) <= index_bound:
+                if index_bound is None or top_index(seq, g) <= index_bound:
                     yield g
                 else:
                     pruned.add(g)

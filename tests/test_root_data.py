@@ -235,6 +235,28 @@ class TestFold:
         with pytest.raises(RootDataError):
             fold("pi_prime", 3, 0)
 
+    @pytest.mark.parametrize(
+        "kind,n,t,message",
+        [
+            ("overline", 3, 1.5, "expected an integer, got 1.5"),
+            ("pi", 3, 2.5, "expected an integer, got 2.5"),
+            ("pi1", 3.5, 1, "expected an integer, got 3.5"),
+            ("pi1", 0, 1, "pi1 at n=0 has period -1"),
+            ("overline", -3, 2, "overline at n=-3 has period -3"),
+            ("pi", 1, 1, "pi at n=1 has period 0"),
+            ("overline", 0, 1, "overline at n=0 has period 0"),
+            ("bogus", 3, 1, "unknown folding map 'bogus'"),
+        ],
+    )
+    def test_bad_input_rejected(self, kind, n, t, message):
+        # a non-integral n or t, a period below 1 or an unknown map is an
+        # error, never a non-color
+        with pytest.raises(RootDataError, match=message):
+            fold(kind, n, t)
+
+    def test_integral_floats_accepted(self):
+        assert fold("overline", 3.0, 4.0) == 1 and fold("pi2", 3.0, 4) == 3
+
 
 class TestFoldTable:
     """fold_table(kind, n)[t % period] is fold(kind, n, t), and so is the
@@ -258,6 +280,19 @@ class TestFoldTable:
         with pytest.raises(RootDataError, match="no table"):
             fold_table(kind, 3)
 
+    @pytest.mark.parametrize(
+        "kind,n,message",
+        [
+            ("pi1", 0, "pi1 at n=0 has period -1"),
+            ("pi", 1, "pi at n=1 has period 0"),
+            ("overline", 0, "overline at n=0 has period 0"),
+            ("overline", 2.5, "expected an integer, got 2.5"),
+        ],
+    )
+    def test_no_table_below_period_one(self, kind, n, message):
+        with pytest.raises(RootDataError, match=message):
+            fold_table(kind, n)
+
     def test_a_large_rank_fills_only_what_is_read(self):
         table = fold_table("pi2", 2**62)
         assert table[5] == 5 and table[-1] == 2 and len(table) == 2
@@ -270,6 +305,9 @@ class TestAdapted:
         make_seq("A2", 3)
         make_seq("C1", 4)
         make_seq("D2", 4)
+
+    def test_repr(self):
+        assert repr(make_seq("A2", 3)) == "AdaptedSequence(A2, n=3, word=[2, 1, 3])"
 
     def test_repeated_letter_rejected(self):
         rs = build_root_system(AlgebraType("A1", 3))

@@ -8,7 +8,7 @@ import pytest
 
 from polyreal import (
     LatticeElement, LinearForm, closure, enumerate_image, evaluate, eyd, forms, lattice_crystal,
-    verify,
+    reyd, verify, young_wall,
 )
 from polyreal.root_data import (
     FAMILIES,
@@ -946,6 +946,41 @@ class TestCrystalAxioms:
         for kind, k in generator_kinds(seq):
             for halves in (False, True):
                 assert generator_objects(seq, kind, k, -1, halves) == []
+
+
+# (entry point, whether its result at 2.0 is compared with that at 2), reaching
+# each owner of a bound: forms.walk, enumerate_eyd, enumerate_image,
+# closure_codes and weight_counts
+_BOUNDED = {
+    "enumerate_reyd": (lambda b: reyd.enumerate_reyd("A2", 3, 2, b), True),
+    "enumerate_walls": (
+        lambda b: young_wall.enumerate_walls(young_wall.WallKind("A2wall", 3, 1), b), True
+    ),
+    "enumerate_eyd": (lambda b: eyd.enumerate_eyd(1, b), True),
+    "enumerate_image": (lambda b: enumerate_image(make_seq("A1", 3), b), True),
+    "weight_counts": (lambda b: weight_counts(make_seq("A1", 3).root_system, b), True),
+    "closure": (lambda b: closure(make_seq("A1", 3), [x(1, 1)], b), True),
+    "steps-eyd": (lambda b: check_step_identities(make_seq("A1", 3), b), False),
+    "steps-walk": (lambda b: check_step_identities(make_seq("A2", 3), b), False),
+    "closure-equality": (lambda b: check_closure_equality(make_seq("A1", 3), 1, b), False),
+    "image-equality": (lambda b: check_image_equality(make_seq("A1", 3), b), False),
+    "crystal-axioms": (lambda b: check_crystal_axioms(make_seq("A1", 3), b), False),
+    "positivity": (lambda b: check_positivity(make_seq("A1", 3), b), False),
+}
+
+
+class TestNonIntegralBounds:
+    @pytest.mark.parametrize("name", list(_BOUNDED))
+    def test_rejected_not_truncated(self, name):
+        # each bound is read by exact_int where it is owned, so 2.5 is a
+        # typed ValueError at every entry point, and an enumerator or the
+        # closure reads 2.0 as 2
+        call, integral = _BOUNDED[name]
+        with pytest.raises(ValueError, match="expected an integer, got 2.5") as raised:
+            call(2.5)
+        assert raised.type is not ValueError
+        if integral:
+            assert call(2.0) == call(2)
 
 
 class TestPositivity:
