@@ -28,6 +28,9 @@ from .root_data import AdaptedSequence, RootDataError, check_family, exact_int, 
 from .forms import LinearForm, Point, Site, site_form
 
 
+_new = tuple.__new__  # a diagram from its fields, built in C with no check
+
+
 class EYDError(ValueError):
     """Invalid extended Young diagram data."""
 
@@ -160,13 +163,14 @@ def toggle_corner(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagr
 
 
 def _toggle(T: ExtendedYoungDiagram, corner: Corner) -> ExtendedYoungDiagram:
+    charge, ys = T
     kind, x, _ = corner
     t, delta = (x, -1) if kind == "concave" else (x - 1, 1)
-    vals = list(T.ys) + [T.charge] * (t + 1 - len(T.ys))
+    vals = list(ys) + [charge] * (t + 1 - len(ys))
     vals[t] += delta
-    while vals and vals[-1] == T.charge:
+    while vals and vals[-1] == charge:
         vals.pop()
-    return ExtendedYoungDiagram(T.charge, tuple(vals))
+    return _new(ExtendedYoungDiagram, (charge, tuple(vals)))
 
 
 def _partitions(m: int) -> Iterator[List[int]]:
@@ -210,7 +214,7 @@ def enumerate_eyd(charge: int, max_boxes: int) -> List[ExtendedYoungDiagram]:
     order; none for a negative max_boxes."""
     charge, max_boxes = exact_int(charge, EYDError), exact_int(max_boxes, EYDError)
     return [
-        ExtendedYoungDiagram(charge, tuple([charge - d for d in depths]))
+        _new(ExtendedYoungDiagram, (charge, tuple([charge - d for d in depths])))
         for m in range(max_boxes + 1)
         for depths in _partitions(m)
     ]

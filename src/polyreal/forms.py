@@ -177,9 +177,20 @@ def pack(sites: Iterable[Site], width: int, field: Callable[[int, int], int], pa
     return code
 
 
-def _most(site_lists: Iterable[Sequence[Site]]) -> int:
-    """The largest sum of |coeff| over one site list: no entry of its site map is larger."""
-    return max((sum(abs(c) for c, _, _ in sites) for sites in site_lists), default=0)
+def _most(site_lists: Iterable[Sequence[Site]]) -> Tuple[int, int]:
+    """(most, lowest): the largest sum of |coeff| over one site list, which no
+    entry of its site map passes, and the lowest offset of a site, 0 when
+    there is none; one pass over the sites."""
+    most, lowest = 0, float("inf")
+    for sites in site_lists:
+        total = 0
+        for c, offset, _ in sites:
+            total += c if c > 0 else -c
+            if offset < lowest:
+                lowest = offset
+        if total > most:
+            most = total
+    return most, (0 if lowest == float("inf") else lowest)
 
 
 def walk(

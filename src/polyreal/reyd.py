@@ -35,6 +35,9 @@ from .forms import LinearForm, Point, Site, site_form, walk
 FLAVORS = {"A2": ("A2", "pi1"), "D2target": ("C1", "pi2")}
 
 
+_new = tuple.__new__  # a diagram or point from its fields, built in C with no check
+
+
 class REYDError(ValueError):
     """Invalid revised extended Young diagram data."""
 
@@ -175,7 +178,7 @@ def _trimmed(flavor: str, n: int, k: int, t_lo: int, ys: Tuple[int, ...]) -> Rev
     while u >= 0 and vals[u - start] == k:
         u -= 1
     lo, hi = min(t - 1, 0), max(u + 1, 0)
-    return RevisedEYD(flavor, n, k, lo, vals[lo - start : hi - start + 1])
+    return _new(RevisedEYD, (flavor, n, k, lo, vals[lo - start : hi - start + 1]))
 
 
 def _validate(T: RevisedEYD) -> RevisedEYD:
@@ -238,10 +241,10 @@ def classify_points(T: RevisedEYD) -> List[MarkedPoint]:
         flat_ok = b != c or (i < 1 and special[r - 1])
         if flat_ok and (d != c + 1 or (i > 0 and special[r])):
             double = b < c == d and ((i > 0 and special[r]) or (i < 0 and special[r - 1]))
-            out.append(MarkedPoint("admissible", i, c, 2 if double else 1, colors[r]))
+            out.append(_new(MarkedPoint, ("admissible", i, c, 2 if double else 1, colors[r])))
         if flat_ok and (b != a + 1 or (i > 2 and special[r - 2])):
             double = a == b < c and ((i > 1 and special[r - 2]) or (i < 1 and special[r - 1]))
-            out.append(MarkedPoint("removable", i, b, 2 if double else 1, colors[r - 1]))
+            out.append(_new(MarkedPoint, ("removable", i, b, 2 if double else 1, colors[r - 1])))
     return out
 
 
@@ -253,17 +256,23 @@ def _read(seq: AdaptedSequence, T: RevisedEYD) -> Tuple[List[Site], List[Point]]
     A point's column t is x when admissible and x - 1 when removable.  Its
     site is (+mult or -mult, P^k(t + k) + min(t, 0) + k - y, color).
     """
-    check_family(seq, FLAVORS[T.flavor][0], T.n, f"flavor {T.flavor}")
-    variant, k = FLAVORS[T.flavor][1], T.k
+    flavor, n, k = T.flavor, T.n, T.k
+    family, variant = FLAVORS[flavor]
+    rs = seq.root_system
+    if rs.algebra.family != family or rs.n != n:  # the check raises, naming the flavor
+        check_family(seq, family, n, f"flavor {flavor}")
     row = p_row(seq, variant, k)
     sites: List[Site] = []
     points: List[Point] = []
     for pt in classify_points(T):
         role, x, y, multiplicity, color = pt
-        t, coeff = (x, 1) if role == "admissible" else (x - 1, -1)
-        site = (coeff * multiplicity, row[t + k] + min(t, 0) + k - y, color)
+        if role == "admissible":  # t = x
+            site = (multiplicity, row[x + k] + (x if x < 0 else 0) + k - y, color)
+            points.append((pt, 1, site))
+        else:  # t = x - 1
+            site = (-multiplicity, row[x - 1 + k] + (x - 1 if x < 1 else 0) + k - y, color)
+            points.append((pt, -1, site))
         sites.append(site)
-        points.append((pt, coeff, site))
     return sites, points
 
 
@@ -294,12 +303,14 @@ def _toggle(T: RevisedEYD, point: MarkedPoint) -> RevisedEYD:
     from the charge (at t_hi - 1 when t_hi > 0) stay where they are, so only
     a move near an end is trimmed.
     """
-    t, delta = (point.x, -1) if point.role == "admissible" else (point.x - 1, 1)
-    i = t - T.t_lo
-    ys = T.ys[:i] + (point.y + delta,) + T.ys[i + 1 :]
+    flavor, n, k, t_lo, ys = T
+    role, x, y, _, _ = point
+    t, delta = (x, -1) if role == "admissible" else (x - 1, 1)
+    i = t - t_lo
+    ys = ys[:i] + (y + delta,) + ys[i + 1 :]
     if 1 < i < len(ys) - 2:
-        return RevisedEYD(T.flavor, T.n, T.k, T.t_lo, ys)
-    return _trimmed(T.flavor, T.n, T.k, T.t_lo, ys)
+        return _new(RevisedEYD, (flavor, n, k, t_lo, ys))
+    return _trimmed(flavor, n, k, t_lo, ys)
 
 
 def _seeds(flavor: str, n: int, k: int, bound: int) -> List[RevisedEYD]:

@@ -19,7 +19,7 @@ from math import comb
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .root_data import AdaptedSequence, RootDataError, index_to_pair, weight_counts
+from .root_data import AdaptedSequence, RootDataError, exact_int, index_to_pair, weight_counts
 from .lattice_crystal import (
     LatticeElement,
     _bumped,
@@ -241,6 +241,8 @@ def check_step_identities(
     coeff_most is the largest |coeff| of a move and beta_most bounds a
     beta's shift of an entry (forms._beta_most).
     """
+    size_bound = exact_int(size_bound, RootDataError)
+    wall_halves = exact_int(wall_halves, RootDataError)
     s_values = (1, 2)
     checked = failed = 0
     witnesses: List[str] = []
@@ -256,7 +258,7 @@ def check_step_identities(
                     coeff_most = abs(coeff)
                 if obj2 not in read:
                     read[obj2] = MODULES[kind].sites(seq, obj2)
-        width = code_width(_most(read.values()) + coeff_most * _beta_most(seq))
+        width = code_width(_most(read.values())[0] + coeff_most * _beta_most(seq))
         fields: Dict[Pair, int] = {}
 
         def field_of(offset: int, color: int) -> int:
@@ -306,21 +308,22 @@ def check_closure_equality(
     depth compares two empty sets and is inconclusive.
 
     The two sets are compared as packed codes, and forms are built only for
-    the witnesses.  The generators are walked first, and forms._most of their
-    sites, a bound on the image forms' coefficients, is passed to
-    closure_codes with the image's lowest occurrence, so that its width and
+    the witnesses.  The generators are walked first, and one forms._most pass
+    over their sites gives a bound on the image forms' coefficients and the
+    image's lowest occurrence, both passed to closure_codes, so that its width and
     index reader then pack each object's sites at s (forms.pack) one-to-one
     too, with fields counted from the lowest single index either side
     reaches.  Only the codes in the symmetric difference are built as forms,
     the closure's from its terms and the image's by site_form from the first
     object of the code.
     """
+    k, depth, s = (exact_int(v, RootDataError) for v in (k, depth, s))
+    if index_bound is not None:
+        index_bound = exact_int(index_bound, RootDataError)
     seeds = [LinearForm.x(s, k)] if depth >= 0 else []
     walked = [sites for _, sites, _ in generator_objects(seq, charge_kind(seq, k), k, depth)]
-    floor = s + min((offset for sites in walked for _, offset, _ in sites), default=0)
-    closed, pruned, width, index = closure_codes(
-        seq, seeds, depth, index_bound, _most(walked), floor
-    )
+    most, lowest = _most(walked)
+    closed, pruned, width, index = closure_codes(seq, seeds, depth, index_bound, most, s + lowest)
 
     def field_of(offset: int, color: int) -> int:
         return index(s + offset, color)
@@ -382,8 +385,8 @@ def check_image_equality(
     witness names the first form, in sorted order, that the element violates:
     only then are the forms built as LinearForms and sorted.
     """
-    if size_bound is None:
-        size_bound = max_weight + 2
+    max_weight = exact_int(max_weight, RootDataError)
+    size_bound = max_weight + 2 if size_bound is None else exact_int(size_bound, RootDataError)
     s_bound = max_weight + 1
     image = enumerate_image(seq, max_weight)
     forms = generator_forms(seq, size_bound, range(1, s_bound + 1))
@@ -461,6 +464,7 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
     per weight from the same weight reads, and each weight whose count
     differs from K is one more failure.
     """
+    depth = exact_int(depth, RootDataError)
     image = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
     cartan = seq.root_system.cartan
     failures: List[str] = []
@@ -521,6 +525,7 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
 def check_positivity(seq: AdaptedSequence, depth: int = 6) -> VerificationReport:
     """No closure form of a seed x[s,k], s = 1 or 2, carries a negative
     coefficient at a first occurrence."""
+    depth = exact_int(depth, RootDataError)
     failures: List[str] = []
     total = 0
     for k in seq.root_system.index_set:

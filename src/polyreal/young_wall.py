@@ -19,12 +19,17 @@ move with no test); only make_wall, from_json and validate_proper scan a
 whole wall.  The assignment map sends a slot at column i (0-based from the
 right) in row l to +x_{s+P^k(l)+i, c(l)} and a removable block to
 -x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity; _read takes each row's
-color and split flag from the kind's table, and addresses each legal move once.
+color and split flag from the table of the kind's family and rank (_rows),
+and addresses each legal move once.
+
+A WallKind, like a YoungWall, is a tuple of its fields, hashed and compared
+in C; built by name it validates them.  The moves build walls and sites
+from fields already valid with tuple.__new__, which skips that check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .root_data import AdaptedSequence, ResidueTable, check_family, exact_int, fold, p_row
@@ -33,34 +38,35 @@ from .forms import LinearForm, Point, Site, site_form, walk
 # Each wall family's sequence family.
 WALL_FAMILIES = {"A2wall": "A2", "D2wall": "C1"}
 _NO_BOUND = float("inf")  # the height bound right of column 1
+_new = tuple.__new__  # a wall, kind or site from its fields, built in C with no check
 
 
 class WallError(ValueError):
     """Invalid Young wall data."""
 
 
-@dataclass(frozen=True)
-class WallKind:
-    """Wall family, rank parameter, and ground row."""
-
+class _KindFields(NamedTuple):
     family: str
     n: int
     ground: int
 
-    def __post_init__(self) -> None:
-        if self.family not in WALL_FAMILIES:
-            raise WallError(f"unknown wall family {self.family!r}")
-        object.__setattr__(self, "n", exact_int(self.n, WallError))
-        object.__setattr__(self, "ground", exact_int(self.ground, WallError))
-        if self.n < 3:
-            raise WallError(f"need n >= 3, got {self.n}")
-        allowed = (1,) if self.family == "A2wall" else (1, self.n)
-        if self.ground not in allowed:
-            raise WallError(f"family {self.family} allows ground in {allowed}, got {self.ground}")
-        # (row_color(l), is_split(l)) by (l - 1) mod 2n - 2, the period of pi_prime,
-        # each entry filled on its first read, so a large n builds nothing up front
-        rows = ResidueTable(2 * self.n - 2, lambda r: (self.row_color(r + 1), self.is_split(r + 1)))
-        object.__setattr__(self, "_rows", rows)
+
+class WallKind(_KindFields):
+    """Wall family, rank parameter, and ground row: a tuple of the three,
+    checked when built by name, and compared and hashed as its field tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, n: int, ground: int) -> "WallKind":
+        if family not in WALL_FAMILIES:
+            raise WallError(f"unknown wall family {family!r}")
+        n, ground = exact_int(n, WallError), exact_int(ground, WallError)
+        if n < 3:
+            raise WallError(f"need n >= 3, got {n}")
+        allowed = (1,) if family == "A2wall" else (1, n)
+        if ground not in allowed:
+            raise WallError(f"family {family} allows ground in {allowed}, got {ground}")
+        return _new(cls, (family, n, ground))
 
     def row_color(self, l: int) -> int:
         return fold("pi_prime", self.n, l)
@@ -70,12 +76,23 @@ class WallKind:
         return color == 1 or (self.family == "D2wall" and color == self.n)
 
     def row(self, l: int) -> Tuple[int, bool]:
-        """row_color(l) and is_split(l) for a row l >= 1, read from the kind's table."""
-        return self._rows[(l - 1) % self._rows.period]
+        """row_color(l) and is_split(l) for a row l >= 1, read from the table
+        of the kind's family and rank."""
+        rows = _rows(self.family, self.n)
+        return rows[(l - 1) % rows.period]
 
     def row_of_half(self, m: int) -> int:
         """The row containing half-unit level m >= 1 (the ground half is m = 1)."""
         return self.ground + (m - 1) // 2
+
+
+@lru_cache(maxsize=None)
+def _rows(family: str, n: int) -> ResidueTable:
+    """(row_color(l), is_split(l)) by (l - 1) mod 2n - 2, the period of
+    pi_prime, one table per family and rank; each entry is filled on its
+    first read, so a large n builds nothing up front."""
+    kind = WallKind(family, n, 1)
+    return ResidueTable(2 * n - 2, lambda r: (kind.row_color(r + 1), kind.is_split(r + 1)))
 
 
 class YoungWall(NamedTuple):
@@ -182,18 +199,24 @@ def _column_move(Y: YoungWall, j: int, remove: bool) -> Tuple[Optional[WallSite]
 
     A single move is a unit block or one half of a split row, a double both halves
     of a split row at even height; _fits alone decides legality, bare columns
-    included.  The column and its neighbours are read once for both moves.
+    included.  The column and its neighbours are read once for both moves,
+    from Y.halves, and the row table once; a column past the stored ones,
+    such as toggle_block may name, has height 1.
     """
-    kind, h, left = Y.kind, Y.height(j), Y.height(j + 1)
-    right = Y.height(j - 1) if j > 1 else _NO_BOUND
-    l = kind.row_of_half(h if remove else h + 1)
-    c, split_row = kind.row(l)
+    kind, halves = Y
+    last = len(halves)  # columns past it are bare, of height 1
+    h = halves[j - 1] if j <= last else 1
+    left = halves[j] if j < last else 1
+    right = _NO_BOUND if j == 1 else halves[j - 2] if j <= last + 1 else 1
+    l = kind.ground + (h - 1 if remove else h) // 2  # the row of the half moved first
+    rows = _rows(kind.family, kind.n)
+    c, split_row = rows[(l - 1) % rows.period]
     split = h % 2 == 0 and split_row
     sign, delta = (-1 if remove else 1), (1 if split or h % 2 else 2)
     role, one, two = ("block" if remove else "slot"), h + sign * delta, h + 2 * sign
-    single = WallSite(role, j, l, 1, c, delta) if _fits(kind, one, left, right) else None
-    double = WallSite(role, j, l, 2, c, 2) if split and _fits(kind, two, left, right) else None
-    return single, double
+    single = _new(WallSite, (role, j, l, 1, c, delta)) if _fits(kind, one, left, right) else None
+    fits = split and _fits(kind, two, left, right)
+    return single, (_new(WallSite, (role, j, l, 2, c, 2)) if fits else None)
 
 
 def _column_moves(Y: YoungWall, remove: bool) -> List[Tuple[Optional[WallSite], ...]]:
@@ -229,9 +252,10 @@ def toggle_block(Y: YoungWall, site: WallSite) -> YoungWall:
 def _toggle(Y: YoungWall, site: WallSite) -> YoungWall:
     # a legal move is at most one column past the stored ones, and only the
     # last stored column can fall to the bare ground, which is trimmed
-    j = site.column
-    h = Y.height(j) + (site.halves if site.role == "slot" else -site.halves)
-    return YoungWall(Y.kind, Y.halves[: j - 1] + ((h,) if h > 1 else ()) + Y.halves[j:])
+    kind, halves = Y
+    role, j, _, _, _, moved = site
+    h = (halves[j - 1] if j <= len(halves) else 1) + (moved if role == "slot" else -moved)
+    return _new(YoungWall, (kind, halves[: j - 1] + ((h,) if h > 1 else ()) + halves[j:]))
 
 
 def _read(seq: AdaptedSequence, Y: YoungWall) -> Tuple[List[Site], List[Point]]:
@@ -240,8 +264,11 @@ def _read(seq: AdaptedSequence, Y: YoungWall) -> Tuple[List[Site], List[Point]]:
     column.  Each legal move is addressed once: a slot at column j in row l
     is +multiplicity x_{s + P^k(l) + j - 1, c(l)}, and a block is
     -multiplicity at the offset one higher."""
-    check_family(seq, WALL_FAMILIES[Y.kind.family], Y.kind.n, f"wall family {Y.kind.family}")
-    row = p_row(seq, "pi_prime", Y.kind.ground)
+    kind, rs = Y.kind, seq.root_system
+    family = WALL_FAMILIES[kind.family]
+    if rs.algebra.family != family or rs.n != kind.n:  # the check raises, naming the wall
+        check_family(seq, family, kind.n, f"wall family {kind.family}")
+    row = p_row(seq, "pi_prime", kind.ground)
 
     def address(site: WallSite) -> Site:
         pk = row[site.row]

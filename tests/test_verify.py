@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from polyreal.root_data import (
     FAMILIES,
     AlgebraType,
     NotAdaptedError,
+    RootDataError,
     build_adapted,
     build_root_system,
     pair_to_index,
@@ -969,7 +971,40 @@ _BOUNDED = {
 }
 
 
+# (check, family at n = 3, other keywords, the bound, an integral value): each
+# integer bound of each check, which the check reads once at entry
+_CHECK_BOUNDS = {
+    "step-identities-size_bound": (check_step_identities, "A2", {}, "size_bound", 2),
+    "step-identities-wall_halves": (
+        check_step_identities, "A2", {"size_bound": 2}, "wall_halves", 2
+    ),
+    "closure-equality-k": (check_closure_equality, "A1", {"depth": 2}, "k", 1),
+    "closure-equality-depth": (check_closure_equality, "A1", {"k": 1}, "depth", 2),
+    "closure-equality-s": (check_closure_equality, "A1", {"k": 1, "depth": 2}, "s", 1),
+    "closure-equality-index_bound": (
+        check_closure_equality, "A1", {"k": 1, "depth": 2}, "index_bound", 12
+    ),
+    "image-equality-max_weight": (check_image_equality, "A1", {}, "max_weight", 2),
+    "image-equality-size_bound": (
+        check_image_equality, "A1", {"max_weight": 2}, "size_bound", 3
+    ),
+    "crystal-axioms-depth": (check_crystal_axioms, "A1", {}, "depth", 2),
+    "positivity-depth": (check_positivity, "A1", {}, "depth", 2),
+}
+
+
 class TestNonIntegralBounds:
+    @pytest.mark.parametrize("name", list(_CHECK_BOUNDS))
+    def test_check_reads_its_bounds_as_ints(self, name):
+        # an integral float gives the int's report, params included, and a
+        # fraction is a RootDataError before any work
+        check, family, others, bound, value = _CHECK_BOUNDS[name]
+        seq = make_seq(family, 3)
+        report = json.dumps(check(seq, **others, **{bound: value}).to_json())
+        assert json.dumps(check(seq, **others, **{bound: float(value)}).to_json()) == report
+        with pytest.raises(RootDataError, match=f"expected an integer, got {value + 0.5}"):
+            check(seq, **others, **{bound: value + 0.5})
+
     @pytest.mark.parametrize("name", list(_BOUNDED))
     def test_rejected_not_truncated(self, name):
         # each bound is read by exact_int where it is owned, so 2.5 is a

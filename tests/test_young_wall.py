@@ -81,6 +81,46 @@ class TestWallKind:
         assert deep.row_of_half(1) == 3 and deep.row_of_half(3) == 4
 
 
+class TestWallKindValueObject:
+    """A kind is an immutable tuple of its fields, checked when built by name."""
+
+    def test_equal_and_hashed_as_its_field_tuple(self):
+        kind = WallKind("D2wall", 4, 4)
+        assert kind == ("D2wall", 4, 4) and hash(kind) == hash(("D2wall", 4, 4))
+        assert kind == WallKind("D2wall", 4.0, 4) and len({kind, WallKind("D2wall", 4, 4)}) == 1
+        assert kind != WallKind("D2wall", 4, 1) and tuple(kind) == ("D2wall", 4, 4)
+
+    def test_repr(self):
+        assert repr(A2_KIND) == "WallKind(family='A2wall', n=3, ground=1)"
+
+    def test_fields_cannot_be_assigned(self):
+        kind = WallKind("A2wall", 3, 1)
+        with pytest.raises(AttributeError):
+            kind.n = 4
+        with pytest.raises(AttributeError):
+            kind.ground = 2
+        with pytest.raises(AttributeError):
+            kind.extra = 1
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("C1wall", 3, 1), "unknown wall family 'C1wall'"),
+            (("A2wall", 2, 1), "need n >= 3, got 2"),
+            (("A2wall", 3.5, 1), "expected an integer, got 3.5"),
+            (("D2wall", 3, 1.5), "expected an integer, got 1.5"),
+            (("A2wall", "3", 1), "expected an integer, got '3'"),
+            (("A2wall", 3, 3), r"family A2wall allows ground in \(1,\), got 3"),
+            (("D2wall", 3, 2), r"family D2wall allows ground in \(1, 3\), got 2"),
+        ],
+    )
+    def test_bad_input_rejected(self, args, message):
+        with pytest.raises(WallError, match=f"^{message}$"):
+            WallKind(*args)
+        with pytest.raises(WallError, match=f"^{message}$"):
+            WallKind(family=args[0], n=args[1], ground=args[2])
+
+
 class TestConstruction:
     def test_trailing_ground_columns_trimmed(self):
         assert make_wall(A2_KIND, [2, 1, 1]).halves == (2,)
@@ -474,7 +514,9 @@ class TestRowTableKernels:
     """_column_move reads the kind's row table and each column once, and
     toggle_block splices the one changed height; both agree with the
     references on every wall up to 6 blocks of every ground at n = 3 and 4,
-    on every column of each, and moves on every permutation word."""
+    on every column of each and on the three bare columns past it (which
+    toggle_block may name, and which read height 1), and moves on every
+    permutation word."""
 
     @pytest.mark.parametrize("family", ["A2wall", "D2wall"])
     @pytest.mark.parametrize("n", [3, 4])
@@ -484,7 +526,7 @@ class TestRowTableKernels:
             walls = enumerate_walls(WallKind(family, n, ground), 12)
             for Y in [Y for Y in walls if Y.block_count() <= 6]:
                 listed = []
-                for j in range(1, len(Y.halves) + 3):
+                for j in range(1, len(Y.halves) + 4):
                     for remove in (False, True):
                         pair = young_wall._column_move(Y, j, remove)
                         assert pair == reference_column_move(Y, j, remove), (Y, j, remove)
