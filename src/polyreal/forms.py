@@ -252,14 +252,19 @@ def _beta_most(seq: AdaptedSequence) -> int:
     return max(abs(c) for sites in seq._beta.values() for c, _, _ in sites)
 
 
-def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:
-    """beta_{s,l} in double-index coordinates."""
+def _occurrence(seq: AdaptedSequence, s: int, l: int) -> Pair:
+    """(s, l) as ints, an occurrence s >= 1 of a color l of seq; a RootDataError otherwise."""
     s = exact_int(s, RootDataError)
     if s < 1:
         raise RootDataError(f"beta needs s >= 1, got {s}")
+    return s, seq.check_color(l)
+
+
+def beta_pair(seq: AdaptedSequence, s: int, l: int) -> LinearForm:
+    """beta_{s,l} in double-index coordinates."""
+    s, l = _occurrence(seq, s, l)
     # the neighbor sites have distinct colors j != l, so no two sites meet
-    sites = seq._beta[seq.check_color(l)]
-    return LinearForm._of({(s + offset, j): c for c, offset, j in sites})
+    return LinearForm._of({(s + offset, j): c for c, offset, j in seq._beta[l]})
 
 
 def beta_index(seq: AdaptedSequence, j: int) -> LinearForm:
@@ -290,9 +295,9 @@ def _s_prime_rule(s: int, c: int) -> Optional[Tuple[int, int]]:
 
 
 def s_prime(seq: AdaptedSequence, form: LinearForm, d: Pair) -> LinearForm:
-    """Apply S'_d: subtract beta_d, add the predecessor beta, or do nothing.
-    beta's sites go straight into a copy of the form's terms, sorted once."""
-    s, l = d
+    """Apply S'_d, d read as beta_pair reads (s, l): subtract beta_d, add the
+    predecessor beta, or do nothing; beta's sites go into a copy of the terms."""
+    s, l = _occurrence(seq, *d)
     rule = _s_prime_rule(s, form.coeff(s, l))
     if rule is None:
         return form

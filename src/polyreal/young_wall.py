@@ -18,9 +18,9 @@ double move, to _read and to toggle_block alike (_toggle makes a listed
 move with no test); only make_wall, from_json and validate_proper scan a
 whole wall.  The assignment map sends a slot at column i (0-based from the
 right) in row l to +x_{s+P^k(l)+i, c(l)} and a removable block to
--x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity; _read takes each row's
-color and split flag from the table of the kind's family and rank (_rows),
-and addresses each legal move once.
+-x_{s+P^k(l)+i+1, c(l)}, weighted by multiplicity; _column_move reads each
+row's color and split flag from the table of the kind's family and rank
+(_rows), and _read addresses each legal move once.
 
 A WallKind, like a YoungWall, is a tuple of its fields, hashed and compared
 in C; built by name it validates them.  The moves build walls and sites
@@ -74,12 +74,6 @@ class WallKind(_KindFields):
     def is_split(self, l: int) -> bool:
         color = self.row_color(l)
         return color == 1 or (self.family == "D2wall" and color == self.n)
-
-    def row(self, l: int) -> Tuple[int, bool]:
-        """row_color(l) and is_split(l) for a row l >= 1, read from the table
-        of the kind's family and rank."""
-        rows = _rows(self.family, self.n)
-        return rows[(l - 1) % rows.period]
 
     def row_of_half(self, m: int) -> int:
         """The row containing half-unit level m >= 1 (the ground half is m = 1)."""
@@ -183,15 +177,10 @@ def validate_proper(Y: YoungWall) -> List[str]:
     return _violations(Y.kind, Y.halves)
 
 
-def _fits(kind: WallKind, h: int, left: int, right: float) -> bool:
-    """Whether a column of height h keeps a proper wall proper between columns
-    of heights left and right: heights weakly decrease there (so h >= 1), an
-    odd h > 1 ends in a split row, and an even h equals neither neighbour."""
-    if not right >= h >= left:
-        return False
-    if h % 2:
-        return h == 1 or kind.row(kind.row_of_half(h))[1]
-    return h != left and h != right
+def _fits(h: int, left: int, right: float) -> bool:
+    """Whether column height h keeps a proper wall proper between heights left
+    and right; an odd h, a target of _column_move, ends in a split row (see there)."""
+    return right >= h >= left and (h % 2 == 1 or (h != left and h != right))
 
 
 def _column_move(Y: YoungWall, j: int, remove: bool) -> Tuple[Optional[WallSite], ...]:
@@ -202,6 +191,11 @@ def _column_move(Y: YoungWall, j: int, remove: bool) -> Tuple[Optional[WallSite]
     included.  The column and its neighbours are read once for both moves,
     from Y.halves, and the row table once; a column past the stored ones,
     such as toggle_block may name, has height 1.
+
+    An odd target needs no row read: a double, from an even h, stays even,
+    and a single is odd only as one half from an even h in a split row l
+    (see delta), and its top half is in l: adding half h + 1 gives row
+    ground + h/2 = l; removing half h leaves half h - 1, in ground + h/2 - 1 = l.
     """
     kind, halves = Y
     last = len(halves)  # columns past it are bare, of height 1
@@ -214,8 +208,8 @@ def _column_move(Y: YoungWall, j: int, remove: bool) -> Tuple[Optional[WallSite]
     split = h % 2 == 0 and split_row
     sign, delta = (-1 if remove else 1), (1 if split or h % 2 else 2)
     role, one, two = ("block" if remove else "slot"), h + sign * delta, h + 2 * sign
-    single = _new(WallSite, (role, j, l, 1, c, delta)) if _fits(kind, one, left, right) else None
-    fits = split and _fits(kind, two, left, right)
+    single = _new(WallSite, (role, j, l, 1, c, delta)) if _fits(one, left, right) else None
+    fits = split and _fits(two, left, right)
     return single, (_new(WallSite, (role, j, l, 2, c, 2)) if fits else None)
 
 

@@ -5,6 +5,8 @@ import functools
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -708,3 +710,25 @@ class TestModuleEntry:
     def test_import_leaves_the_entry_module_out(self):
         done = self.python("-c", "import sys, polyreal; print('polyreal.__main__' in sys.modules)")
         assert done.returncode == 0 and done.stdout == "False\n"
+
+
+def readme_examples():
+    """The `polyreal ...` lines of README's sh blocks, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("polyreal ")]
+
+
+class TestReadmeExamples:
+    """Every command README shows runs and exits 0, so no example drifts from the cli."""
+
+    def test_examples_exit_ok(self, capsys):
+        examples = readme_examples()
+        assert examples
+        failed = []
+        for line in examples:
+            code = main(shlex.split(line, comments=True)[1:])
+            err = capsys.readouterr().err
+            if code != EXIT_OK:
+                failed.append((line, code, err))
+        assert not failed

@@ -216,6 +216,17 @@ class TestSPrime:
         f = x(1, 1)
         assert s_prime(a1_n2, f, (3, 2)) == f
 
+    @pytest.mark.parametrize(
+        "d", [(1, 9), (1.5, 1), ("a", 1), (0, 1)], ids=["color-9", "s-1.5", "s-a", "s-0"]
+    )
+    def test_index_read_as_beta_pair_reads_it(self, a1_n3, d):
+        # a color outside the index set, a non-integral or non-numeric
+        # occurrence, and an occurrence below 1 each raise, as beta_pair does
+        with pytest.raises(RootDataError):
+            s_prime(a1_n3, LinearForm({(1, 9): 1}), d)
+        with pytest.raises(RootDataError):
+            beta_pair(a1_n3, *d)
+
 
 def field_code(vector, width):
     """The code of a coefficient vector, entry f at field f, packed as the

@@ -124,6 +124,36 @@ ROWS = {
         {"step-identities", "closure-equality", "image-equality"},
         ("C1", "A2"),
     ),
+    # a convex corner of an extended Young diagram listed one column left of
+    # where it is, so its site is addressed and its move made there
+    "eyd-convex-corner-one-left": (
+        eyd,
+        "_corners",
+        '("convex", x, before)',
+        '("convex", x - 1, before)',
+        {"step-identities", "closure-equality"},
+        ("A1", "D2"),
+    ),
+    # the moves beside a flat step y_{i-1} = y_i of a revised diagram dropped
+    # also at a negative position of special residue, where the rule allows them
+    "reyd-flat-needs-unequal-sides": (
+        reyd,
+        "classify_points",
+        "flat_ok = b != c or (i < 1 and special[r - 1])",
+        "flat_ok = b != c",
+        {"step-identities", "closure-equality"},
+        ("C1", "A2"),
+    ),
+    # a wall column of even height allowed to equal its right neighbour, so
+    # a move can leave two full columns of one height
+    "wall-even-height-meets-right": (
+        young_wall,
+        "_fits",
+        "h != left and h != right",
+        "h != left",
+        {"step-identities", "closure-equality"},
+        ("C1", "A2"),
+    ),
     # beta's neighbour sites one occurrence up, in the table that beta_pair,
     # s_prime and the step check read; beta_index does not read it
     "beta-neighbour-offset-plus-one": (

@@ -453,13 +453,20 @@ def _full_scan_can_set(Y, j, new_h):
     return not young_wall._violations(Y.kind, vals)
 
 
+def _ends_in_split_row(kind, h):
+    return h % 2 == 0 or h == 1 or kind.is_split(kind.row_of_half(h))
+
+
 class TestLocalProperness:
-    """_fits tests only the changed column's neighbours; it must answer as
-    the full scan does on every proper wall."""
+    """_fits tests only the changed column's neighbours and decides by
+    heights alone; with the split-row condition for an odd height above 1,
+    it must answer as the full scan does on every proper wall.  That
+    condition holds for every odd height that _column_move proposes."""
 
     @pytest.mark.parametrize("family", ["A2wall", "D2wall"])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_equal_to_the_full_scan(self, family, n):
+        odd = 0
         for ground in (1,) if family == "A2wall" else (1, n):
             walls = enumerate_walls(WallKind(family, n, ground), 12 if n == 3 else 10)
             for Y in walls:
@@ -467,10 +474,17 @@ class TestLocalProperness:
                     h = Y.height(j)
                     for new_h in range(h - 2, h + 3):
                         right = Y.height(j - 1) if j > 1 else young_wall._NO_BOUND
-                        fits = young_wall._fits(Y.kind, new_h, Y.height(j + 1), right)
+                        fits = young_wall._fits(new_h, Y.height(j + 1), right)
+                        fits = fits and _ends_in_split_row(Y.kind, new_h)
                         assert fits == _full_scan_can_set(
                             Y, j, new_h
                         ), (Y.halves, j, new_h)
+                    for remove in (False, True):
+                        for site in filter(None, young_wall._column_move(Y, j, remove)):
+                            new_h = h - site.halves if remove else h + site.halves
+                            odd += new_h % 2
+                            assert _ends_in_split_row(Y.kind, new_h), (Y.halves, j, site)
+        assert odd
 
 
 def reference_can_set(Y, j, h):
@@ -538,5 +552,6 @@ class TestRowTableKernels:
 
     def test_row_table_is_the_fold(self):
         for kind in (WallKind("A2wall", 4, 1), WallKind("D2wall", 4, 4)):
+            rows = young_wall._rows(kind.family, kind.n)
             for l in range(1, 20):
-                assert kind.row(l) == (kind.row_color(l), kind.is_split(l))
+                assert rows[(l - 1) % rows.period] == (kind.row_color(l), kind.is_split(l))
