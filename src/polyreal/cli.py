@@ -102,12 +102,7 @@ def default_word(n: int) -> List[int]:
 
 
 def build_sequence(args: argparse.Namespace) -> AdaptedSequence:
-    algebra = AlgebraType(args.family, args.n)
-    try:
-        system = build_root_system(algebra)
-    except MemoryError:
-        # its Cartan matrix has n * n entries
-        raise UsageError(f"--n {args.n} is too large a rank to build") from None
+    system = build_root_system(AlgebraType(args.family, args.n))
     word = default_word(args.n) if args.word is None else _parse_ints(args.word, "--word")
     return build_adapted(system, word)
 

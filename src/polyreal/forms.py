@@ -246,12 +246,6 @@ def beta_sites(seq: AdaptedSequence, l: int) -> Tuple[Site, ...]:
     return seq._beta[l]
 
 
-def _beta_most(seq: AdaptedSequence) -> int:
-    """The most that adding or subtracting one beta moves a coefficient: the
-    largest |c| of a beta site, as its neighbors have distinct colors j != l."""
-    return max(abs(c) for sites in seq._beta.values() for c, _, _ in sites)
-
-
 def _occurrence(seq: AdaptedSequence, s: int, l: int) -> Pair:
     """(s, l) as ints, an occurrence s >= 1 of a color l of seq; a RootDataError otherwise."""
     s = exact_int(s, RootDataError)
@@ -334,13 +328,13 @@ def closure_codes(
     distinct codes dropped at index_bound.  A form's code is the pack of its
     terms c x_{s,l}, as sites (c, s, l) with field index(s, l), the single
     index less an origin.  W is code_width(max(C0 + depth * Bmax,
-    coeff_bound)), with C0 the largest |c| of a seed and Bmax that of a beta
-    (_beta_most): a form of round r <= depth, kept or dropped, has every
-    |c| <= C0 + r * Bmax.  So two forms of the closure, or of a caller's
-    whose every |c| is at most coeff_bound and whose every occurrence is at
-    least floor, are equal exactly when their codes are, and a caller can
-    compare its own forms, packed with W and index, against the closure's
-    without building either.
+    coeff_bound)), with C0 the largest |c| of a seed and Bmax that of a
+    beta (AdaptedSequence._beta_most): a form of round r <= depth, kept or
+    dropped, has every |c| <= C0 + r * Bmax.  So two forms of the closure,
+    or of a caller's whose every |c| is at most coeff_bound and whose every
+    occurrence is at least floor, are equal exactly when their codes are,
+    and a caller can compare its own forms, packed with W and index, against
+    the closure's without building either.
 
     The origin is one below the lowest single index of the lowest occurrence
     either side reaches, so a code has about W * (J - origin) bits for a form
@@ -368,7 +362,7 @@ def closure_codes(
     seeds = list(seeds)
     depth = exact_int(depth, RootDataError)
     most = max((abs(c) for f in seeds for _, c in f.items()), default=0)
-    width = code_width(max(most + max(depth, 0) * _beta_most(seq), coeff_bound))
+    width = code_width(max(most + max(depth, 0) * seq._beta_most, coeff_bound))
     lowest = min((s for f in seeds for (s, _), _ in f.items()), default=1) - max(depth, 0)
     lowest = max(1, lowest if floor is None else min(lowest, floor))
     # single index 1 is the first occurrence of its color

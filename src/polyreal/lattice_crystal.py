@@ -160,7 +160,7 @@ def _reach(seq: AdaptedSequence, key: Key, i: int) -> Tuple[int, int, int]:
     i-position are read; a supported i-position j reads a_j + s.
     """
     L = seq.L
-    row, nxt, prv = seq._row[i], seq._next[i], seq._prev[i]
+    row, nxt, prv = seq._sweep[i]
     # hi is the lowest position above the current gap; the gap above the
     # support is hi..hi+L-1, where sigma is 0
     hi = key[-1][0] + 1 if key else 1
@@ -212,7 +212,7 @@ def weight_coeffs(seq: AdaptedSequence, a: LatticeElement) -> Dict[int, int]:
 
 def weight_pairing(seq: AdaptedSequence, a: LatticeElement, i: int) -> int:
     """<h_i, wt(a)> = -sum_l a_{i,l} c_l."""
-    row = seq.root_system.cartan[seq.check_color(i) - 1]
+    row = seq.root_system.row(seq.check_color(i))
     return -sum(map(mul, row, _weight(seq, a.items())))
 
 
@@ -260,11 +260,11 @@ def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeEl
     `_reach`.  For any other color i the one question is whether p > m.
     sigma is 0 at every i-position above m, and one of them lies in
     m+1..m+L, so p > m iff sigma < 0 at every i-position <= m, and then p is
-    that first i-position above m, m + 1 + `seq._next[i][m % L]`.  So a pass
-    from the right, like `_reach`'s, stops at the first i-position <= m
-    whose sigma is >= 0, and each element takes one full sweep.  At a = 0,
-    m = 0: no position is read and every color lowers at its first
-    i-position.
+    that first i-position above m, m + 1 + nxt[m % L], with nxt the
+    distances of `seq._sweep[i]`.  So a pass from the right, like
+    `_reach`'s, stops at the first i-position <= m whose sigma is >= 0, and
+    each element takes one full sweep.  At a = 0, m = 0: no position is
+    read and every color lowers at its first i-position.
 
     The walk runs on keys: the top color's child is `_bumped` at the
     sweep's first position, and any other kept child, whose new entry lies
@@ -273,7 +273,7 @@ def enumerate_image(seq: AdaptedSequence, max_word_length: int) -> Set[LatticeEl
     """
     max_word_length = exact_int(max_word_length, RootDataError)
     word, L = seq.word, seq.L
-    colors = [(i, seq._row[i], seq._next[i]) for i in seq.root_system.index_set]
+    colors = [(i, *seq._sweep[i][:2]) for i in seq.root_system.index_set]
     level = [()]
     image = {LatticeElement.zero()}
     for _ in range(max_word_length):

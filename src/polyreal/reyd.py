@@ -122,7 +122,7 @@ def _residues(flavor: str, n: int) -> Tuple[ResidueTable, ResidueTable]:
     D2target."""
     colors = fold_table(FLAVORS[flavor][1], n)
     special = (0, n) if flavor == "D2target" else (0,)
-    return colors, ResidueTable(colors.period, lambda r: r % colors.period in special)
+    return colors, ResidueTable(lambda r: r % colors.period in special, colors.period)
 
 
 def _special(T: RevisedEYD, value: int) -> bool:

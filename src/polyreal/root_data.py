@@ -2,25 +2,29 @@
 
 The supported families are labeled A1, C1, A2, D2.  Each comes with a rank
 parameter n, an index set I = {1, ..., n}, and an integer Cartan matrix
-(a_{i,j}).  A cyclic word on I induces the crystal lattice; the word must be
-"adapted": its restriction to any Dynkin-neighbor pair strictly alternates.
-The alternation is recorded by the orientation data p_{i,j} in {0, 1} with
-p_{i,j} + p_{j,i} = 1, and accumulated along folded color paths by the
-P^k tables that every assignment map uses for its s-offsets.  `reachable`, a
-breadth-first search, grows the S' closures.
+(a_{i,j}), kept as its Dynkin edges.  A cyclic word on I induces the crystal
+lattice; the word must be "adapted": its restriction to any Dynkin-neighbor
+pair strictly alternates.  The alternation is recorded by the orientation
+data p_{i,j} in {0, 1} with p_{i,j} + p_{j,i} = 1, and accumulated along
+folded color paths by the P^k tables that every assignment map uses for its
+s-offsets.  `reachable`, a breadth-first search, grows the S' closures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, partial
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 FAMILIES = ("A1", "C1", "A2", "D2")
 
 FOLD_KINDS = ("overline", "pi", "pi1", "pi2", "pi_prime")
 
 MIN_RANK = {"A1": 2, "C1": 3, "A2": 3, "D2": 3}
+
+# The largest rank of every family, refused before anything of its size is built
+MAX_RANK = 200_000
 
 
 class RootDataError(ValueError):
@@ -67,10 +71,10 @@ class AlgebraType:
         if self.family not in FAMILIES:
             raise RootDataError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         object.__setattr__(self, "n", exact_int(self.n, RootDataError))
-        if self.n < MIN_RANK[self.family]:
-            raise RootDataError(
-                f"family {self.family} needs n >= {MIN_RANK[self.family]}, got {self.n}"
-            )
+        low = MIN_RANK[self.family]
+        if not low <= self.n <= MAX_RANK:
+            bound = f">= {low}" if self.n < low else f"<= {MAX_RANK}"
+            raise RootDataError(f"family {self.family} needs n {bound}, got {self.n}")
 
     def to_json(self) -> dict:
         return {"family": self.family, "n": self.n}
@@ -91,10 +95,13 @@ _END_ARROWS = {
 
 @dataclass(frozen=True)
 class RootSystem:
-    """An algebra type together with its Cartan matrix."""
+    """An algebra type together with its Dynkin diagram: neighbors[i - 1]
+    lists the neighbors of color i as (j, a_{i,j}), a_{i,j} < 0, in
+    increasing j.  a_{i,i} = 2 and every other entry is 0, so no n x n table
+    is kept."""
 
     algebra: AlgebraType
-    cartan: Tuple[Tuple[int, ...], ...]
+    neighbors: Tuple[Tuple[Tuple[int, int], ...], ...]
 
     @property
     def n(self) -> int:
@@ -105,42 +112,50 @@ class RootSystem:
         # kept in the instance dict, outside the fields, equality and hash
         return tuple(range(1, self.n + 1))
 
+    def _slot(self, i: int) -> int:
+        """i - 1 for a color i, an int; a RootDataError otherwise, with no scan of the index set."""
+        if i.__class__ is int and 0 < i <= self.algebra.n:
+            return i - 1
+        raise RootDataError(f"color {i!r} not in index set 1..{self.algebra.n}")
+
     def a(self, i: int, j: int) -> int:
-        """Cartan entry a_{i,j} = <h_i, alpha_j>."""
-        return self.cartan[i - 1][j - 1]
+        """Cartan entry a_{i,j} = <h_i, alpha_j>; a RootDataError unless i and j are colors."""
+        n = self.algebra.n
+        if i.__class__ is j.__class__ is int and 0 < i <= n and 0 < j <= n:
+            for k, c in self.neighbors[i - 1]:
+                if k == j:
+                    return c
+            return 2 if i == j else 0
+        raise RootDataError(f"Cartan entry a({i!r}, {j!r}) needs colors in 1..{n}")
+
+    def row(self, i: int) -> List[int]:
+        """Row i of the Cartan matrix, a_{i,1}..a_{i,n}, built on each read."""
+        slot = self._slot(i)
+        row = [0] * self.n
+        row[slot] = 2
+        for j, c in self.neighbors[slot]:
+            row[j - 1] = c
+        return row
 
     def neighbor_pairs(self) -> List[Tuple[int, int]]:
-        """Unordered Dynkin edges as pairs (i, j) with i < j."""
-        n = self.n
-        return [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if self.a(i, j) < 0
-        ]
+        """Unordered Dynkin edges as pairs (i, j) with i < j, in increasing order."""
+        return [(i, j) for i, edges in enumerate(self.neighbors, 1) for j, _ in edges if i < j]
 
 
 def build_root_system(algebra: AlgebraType) -> RootSystem:
-    """Construct the Cartan matrix of the given algebra type."""
+    """The Dynkin diagram of the given algebra type: a cycle for A1, with a
+    double edge at n = 2, and a chain with the _END_ARROWS otherwise."""
     n = algebra.n
-    fam = algebra.family
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = 2
-    if fam == "A1":
-        if n == 2:
-            a[0][1] = a[1][0] = -2
-        else:
-            for i in range(n):
-                j = (i + 1) % n
-                a[i][j] = a[j][i] = -1
+    if (algebra.family, n) == ("A1", 2):
+        return RootSystem(algebra, (((2, -2),), ((1, -2),)))
+    edges = [[(i - 1, -1), (i + 1, -1)] for i in range(1, n + 1)]
+    if algebra.family == "A1":  # the cycle joins n and 1
+        edges[0], edges[-1] = [(2, -1), (n, -1)], [(1, -1), (n - 1, -1)]
     else:
-        for i in range(n - 1):
-            a[i][i + 1] = a[i + 1][i] = -1
-        (a12, a21), (afl, alf) = _END_ARROWS[fam]
-        a[0][1], a[1][0] = a12, a21
-        a[n - 2][n - 1], a[n - 1][n - 2] = afl, alf
-    return RootSystem(algebra, tuple(tuple(row) for row in a))
+        (a12, a21), (afl, alf) = _END_ARROWS[algebra.family]
+        edges[0], edges[1][0] = [(2, a12)], (1, a21)
+        edges[-1], edges[-2][1] = [(n - 1, alf)], (n, afl)
+    return RootSystem(algebra, tuple(map(tuple, edges)))
 
 
 def weight_counts(rs: RootSystem, max_height: int) -> Dict[Tuple[int, ...], int]:
@@ -173,7 +188,12 @@ def weight_counts(rs: RootSystem, max_height: int) -> Dict[Tuple[int, ...], int]
     max_height = exact_int(max_height, RootDataError)
     if max_height < 0:
         return {}
-    n, cartan, zero = rs.n, rs.cartan, (0,) * rs.n
+    n, zero = rs.n, (0,) * rs.n
+    # column i of the Cartan matrix by its nonzero entries (j - 1, a_{j,i})
+    columns = [
+        [(i - 1, 2)] + [(j - 1, rs.a(j, i)) for j, _ in edges]
+        for i, edges in enumerate(rs.neighbors, 1)
+    ]
     denominator: Dict[Tuple[int, ...], int] = {}
     level, sign = {zero: (1,) * n}, 1  # level: beta -> lambda, for w of one length
     while level:
@@ -184,7 +204,10 @@ def weight_counts(rs: RootSystem, max_height: int) -> Dict[Tuple[int, ...], int]
                 if li > 0 and sum(beta) + li <= max_height:
                     up = beta[:i] + (beta[i] + li,) + beta[i + 1 :]
                     if up not in grown:
-                        grown[up] = tuple(lj - li * row[i] for lj, row in zip(lam, cartan))
+                        reflected = list(lam)
+                        for j, c in columns[i]:
+                            reflected[j] -= li * c
+                        grown[up] = tuple(reflected)
         level, sign = grown, -sign
     del denominator[zero]
     # alpha_1 is the most significant digit, so codes sort as the tuples do
@@ -232,13 +255,13 @@ def fold(map_kind: str, n: int, t: int) -> int:
 
 
 class ResidueTable(dict):
-    """The values of a rule of the given period, kept by key: table[r] is
-    rule(r), computed on the first read of r and then kept.  A reader passes
-    t % table.period, or a key next to it such as r - 1, which the rule's
-    period makes equal; so a read is one dict lookup, and a table holds one
-    entry per key read, however long the period."""
+    """The values of a rule, kept by key: table[r] is rule(r), computed on
+    the first read of r and then kept; so a read is one dict lookup, and a
+    table holds one entry per key read, however many keys there are.  A rule
+    of a period is read at t % table.period, or at a key next to it such as
+    r - 1, which the period makes equal; a table by color has no period."""
 
-    def __init__(self, period: int, rule: Callable[[int], Any]):
+    def __init__(self, rule: Callable[[int], Any], period: Optional[int] = None):
         super().__init__()
         self.period, self.rule = period, rule
 
@@ -260,7 +283,7 @@ def fold_table(map_kind: str, n: int) -> ResidueTable:
         raise RootDataError(f"no table for folding map {map_kind!r}, expected one of {tuple(periods)}")
     if periods[map_kind] < 1:
         raise RootDataError(f"{map_kind} at n={n} has period {periods[map_kind]}, need at least 1")
-    return ResidueTable(periods[map_kind], partial(fold, map_kind, n))
+    return ResidueTable(partial(fold, map_kind, n), periods[map_kind])
 
 
 class AdaptedSequence:
@@ -275,63 +298,65 @@ class AdaptedSequence:
         self.word = tuple(exact_int(c, RootDataError) for c in word)
         self.L = len(self.word)
         self._validate()
-        self._occ: Dict[int, Tuple[int, ...]] = {
-            i: tuple(m for m, c in enumerate(self.word) if c == i)
-            for i in root_system.index_set
-        }
-        self.p = self._orientation()
-        # For each color i and residue r = (j-1) mod L: a_{i,c(j)}, and the
-        # distances from position j to the nearest i-position at or after it
-        # and at or before it (the sigma sweep of lattice_crystal reads these)
-        self._row: Dict[int, Tuple[int, ...]] = {}
-        self._next: Dict[int, Tuple[int, ...]] = {}
-        self._prev: Dict[int, Tuple[int, ...]] = {}
-        # For each color i, the sites of beta_{s,i} relative to s (forms.beta_sites)
-        self._beta: Dict[int, Tuple[Tuple[int, int, int], ...]] = {}
-        for i in root_system.index_set:
-            self._row[i] = tuple(root_system.a(i, c) for c in self.word)
-            self._next[i] = _distances(self.word, i)
-            self._prev[i] = _distances(self.word[::-1], i)[::-1]
-            # a_{i,i} = 2, so the negative entries of row i are its neighbors
-            self._beta[i] = ((1, 0, i), (1, 1, i)) + tuple(
-                (c, self.p[(j, i)], j) for j, c in enumerate(root_system.cartan[i - 1], 1) if c < 0
+        self._occ: Dict[int, List[int]] = {i: [] for i in root_system.index_set}
+        for m, c in enumerate(self.word):
+            self._occ[c].append(m)
+        # p_{i,j} = 1 when i occurs before its neighbor j in the word, else 0
+        pairs = [(i, j) for i, edges in enumerate(root_system.neighbors, 1) for j, _ in edges]
+        self.p = {(i, j): 1 if self._occ[i][0] < self._occ[j][0] else 0 for i, j in pairs}
+
+        def sweep(i: int) -> Tuple[Tuple[int, ...], ...]:
+            # by residue r = (j-1) mod L: a_{i,c(j)}, and the distances from r to the
+            # nearest i-position at or after it and at or before it, perhaps a lap away
+            occ, L = self._occ[i], self.L
+            up, down = occ + [occ[0] + L], [occ[-1] - L] + occ
+            return (
+                tuple(root_system.a(i, c) for c in self.word),
+                tuple(up[bisect_left(up, r)] - r for r in range(L)),
+                tuple(r - down[bisect_right(down, r) - 1] for r in range(L)),
             )
+
+        # the sigma sweep's tables (lattice_crystal._reach), filled per color on first read
+        self._sweep = ResidueTable(sweep)
+        # For each color i, the sites of beta_{s,i} relative to s (forms.beta_sites)
+        self._beta: Dict[int, Tuple[Tuple[int, int, int], ...]] = {
+            i: ((1, 0, i), (1, 1, i)) + tuple((c, self.p[(j, i)], j) for j, c in edges)
+            for i, edges in enumerate(root_system.neighbors, 1)
+        }
+        # the largest |c| of a beta site: the most one beta moves a coefficient
+        self._beta_most = max(abs(c) for sites in self._beta.values() for c, _, _ in sites)
         self._pt_cache: Dict[Tuple[str, int], PRow] = {}
 
     def _validate(self) -> None:
-        n = self.root_system.n
+        n, L = self.root_system.n, self.L
         if not self.word:
             raise RootDataError("word must be nonempty")
         bad = [c for c in self.word if not 1 <= c <= n]
         if bad:
             raise RootDataError(f"letters {sorted(set(bad))} outside index set 1..{n}")
-        missing = set(range(1, n + 1)) - set(self.word)
+        missing = sorted(set(range(1, n + 1)) - set(self.word))
         if missing:
-            raise RootDataError(f"indices {sorted(missing)} missing from word")
-        L = self.L
+            more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+            raise RootDataError(f"indices {missing[:10]}{more} missing from word")
         for m in range(L):
             if self.word[m] == self.word[(m + 1) % L]:
                 raise RootDataError(
                     f"color {self.word[m]} repeats at cyclic positions {m + 1},{(m + 1) % L + 1}"
                 )
-        doubled = self.word * 2
-        for i, j in self.root_system.neighbor_pairs():
-            sub = [(m, c) for m, c in enumerate(doubled) if c in (i, j)]
-            for (m1, c1), (m2, c2) in zip(sub, sub[1:]):
-                if c1 == c2:
-                    raise NotAdaptedError(
-                        f"word is not adapted: neighbor pair ({i},{j}) sees color {c1} "
-                        f"twice in a row at cyclic positions {m1 % L + 1},{m2 % L + 1}"
-                    )
-
-    def _orientation(self) -> Dict[Tuple[int, int], int]:
-        p: Dict[Tuple[int, int], int] = {}
-        for i, j in self.root_system.neighbor_pairs():
-            first_i = self.word.index(i)
-            first_j = self.word.index(j)
-            p[(i, j)] = 1 if first_i < first_j else 0
-            p[(j, i)] = 1 - p[(i, j)]
-        return p
+        # one pass: pair (c, j) sees c twice at m when c's last position is after j's
+        last = [-1] * (n + 1)
+        first: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+        for m, c in enumerate(self.word * 2):
+            for j, _ in self.root_system.neighbors[c - 1]:
+                if last[c] > last[j]:
+                    first.setdefault((min(c, j), max(c, j)), (c, last[c], m))
+            last[c] = m
+        if first:
+            (i, j), (c, m1, m2) = min(first.items())
+            raise NotAdaptedError(
+                f"word is not adapted: neighbor pair ({i},{j}) sees color {c} "
+                f"twice in a row at cyclic positions {m1 % L + 1},{m2 % L + 1}"
+            )
 
     def color_of(self, j: int) -> int:
         """Color of position j >= 1; a RootDataError unless j is an integer."""
@@ -344,9 +369,7 @@ class AdaptedSequence:
 
     def check_color(self, i: int) -> int:
         """i as an int, when it is a color of the index set; a RootDataError otherwise."""
-        if i not in self.root_system.index_set:
-            raise RootDataError(f"color {i!r} not in index set {self.root_system.index_set}")
-        return int(i)
+        return self.root_system._slot(i if i.__class__ is int else exact_int(i, RootDataError)) + 1
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -364,19 +387,6 @@ class AdaptedSequence:
 
     def to_json(self) -> dict:
         return {"word": list(self.word)}
-
-
-def _distances(word: Tuple[int, ...], i: int) -> Tuple[int, ...]:
-    """For each cyclic position of word, the distance to the next i at or after it."""
-    L = len(word)
-    out = [0] * L
-    d = 0
-    # the first lap only finds an i; every color occurs in the word
-    for r in range(2 * L - 1, -1, -1):
-        d = 0 if word[r % L] == i else d + 1
-        if r < L:
-            out[r] = d
-    return tuple(out)
 
 
 def build_adapted(root_system: RootSystem, word: Sequence[int]) -> AdaptedSequence:

@@ -13,6 +13,7 @@ reports the forms pruned at it as failures.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
@@ -36,7 +37,6 @@ from .forms import (
     Pair,
     Site,
     _accumulate,
-    _beta_most,
     _most,
     beta_index,
     beta_pair,
@@ -239,7 +239,7 @@ def check_step_identities(
     and charge, W is code_width(most + coeff_most * beta_most): most bounds
     an object's entries (forms._most, over the objects walked or target),
     coeff_most is the largest |coeff| of a move and beta_most bounds a
-    beta's shift of an entry (forms._beta_most).
+    beta's shift of an entry (AdaptedSequence._beta_most).
     """
     size_bound = exact_int(size_bound, RootDataError)
     wall_halves = exact_int(wall_halves, RootDataError)
@@ -258,7 +258,7 @@ def check_step_identities(
                     coeff_most = abs(coeff)
                 if obj2 not in read:
                     read[obj2] = MODULES[kind].sites(seq, obj2)
-        width = code_width(_most(read.values())[0] + coeff_most * _beta_most(seq))
+        width = code_width(_most(read.values())[0] + coeff_most * seq._beta_most)
         fields: Dict[Pair, int] = {}
 
         def field_of(offset: int, color: int) -> int:
@@ -466,18 +466,15 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
     """
     depth = exact_int(depth, RootDataError)
     image = sorted(enumerate_image(seq, depth), key=LatticeElement.items)
-    cartan = seq.root_system.cartan
-    failures: List[str] = []
-    checked = 0
-    found: Dict[Tuple[int, ...], int] = {}
-    for a in image:
-        key = a.items()
-        ca = _weight(seq, key)
-        weight = tuple(ca)
-        found[weight] = found.get(weight, 0) + 1
-        for i in seq.root_system.index_set:
-            checked += 1
-            row = cartan[i - 1]
+    weights = [_weight(seq, a.items()) for a in image]
+    found = Counter(map(tuple, weights))
+    # color by color, so that one Cartan row is built at a time; each element
+    # keeps its own failures, and they are listed element by element
+    failed: List[List[str]] = [[] for _ in image]
+    for i in seq.root_system.index_set:
+        row = seq.root_system.row(i)
+        for a, ca, failures in zip(image, weights, failed):
+            key = a.items()
             eps, first, last = _reach(seq, key, i)
             ph = eps - sum(map(mul, row, ca))
             b = _bumped(key, first, 1)
@@ -506,6 +503,8 @@ def check_crystal_axioms(seq: AdaptedSequence, depth: int = 4) -> VerificationRe
                         raises += 1
             if raises != eps:
                 failures.append(f"epsilon_{i}({a}) = {eps} but {raises} raises apply")
+    failures = [f for fs in failed for f in fs]
+    checked = len(image) * seq.root_system.n
     expected = weight_counts(seq.root_system, max(depth, 0))
     for weight in sorted(found.keys() | expected.keys()):
         got, want = found.get(weight, 0), expected.get(weight, 0)

@@ -86,7 +86,7 @@ def _rows(family: str, n: int) -> ResidueTable:
     pi_prime, one table per family and rank; each entry is filled on its
     first read, so a large n builds nothing up front."""
     kind = WallKind(family, n, 1)
-    return ResidueTable(2 * n - 2, lambda r: (kind.row_color(r + 1), kind.is_split(r + 1)))
+    return ResidueTable(lambda r: (kind.row_color(r + 1), kind.is_split(r + 1)), 2 * n - 2)
 
 
 class YoungWall(NamedTuple):

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from polyreal.cli import (
     main,
 )
 from polyreal.eyd import ExtendedYoungDiagram
+from polyreal.root_data import MAX_RANK
 from polyreal.young_wall import YoungWall
 
 
@@ -466,16 +468,13 @@ class TestUsage:
         assert err == "error: color 9223372036854775807 outside index set (1, 2, 3)\n"
 
     @pytest.mark.parametrize("subcommand", ["verify", "enumerate"])
-    def test_rank_too_large_to_build_is_usage_error(self, capsys, monkeypatch, subcommand):
-        # a rank whose n * n Cartan matrix does not fit in memory; the build
-        # is patched, so that no test allocates anything of that size
-        def build(algebra):
-            raise MemoryError
-
-        monkeypatch.setattr(cli, "build_root_system", build)
-        code, out, err = run(capsys, subcommand, "--n", "1099511627776")
-        assert code == EXIT_USAGE and out == ""
-        assert err == "error: --n 1099511627776 is too large a rank to build\n"
+    def test_rank_too_large_to_build_is_usage_error(self, subcommand):
+        # a rank past MAX_RANK is refused before anything of its size is
+        # built: one line and exit 2, fast, in a child whose memory is limited
+        for n in (MAX_RANK + 1, 1099511627776):
+            done = limited_child(subcommand, "--n", str(n), gate=1)
+            assert done.returncode == EXIT_USAGE and done.stdout == ""
+            assert done.stderr == f"error: family A1 needs n <= {MAX_RANK}, got {n}\n"
 
     def test_options_read_subscript_digits(self, capsys):
         assert run(capsys, "enumerate", "--depth", "₂", "--n", "₃") == run(capsys, "enumerate")
@@ -685,6 +684,38 @@ class TestProfile:
             argv = [sys.executable, "-c", script, "verify", "beta", *flags]
             done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
             assert done.returncode == 0 and done.stdout.splitlines()[-1] == loaded
+
+
+# The address-space limit of limited_child: a run at rank 20000 needs less
+# than 100 MB, and one that builds an n x n table at that rank 3.2 GB.
+CHILD_MEMORY = 512 * 2**20
+
+
+def limited_child(*argv, gate):
+    """`python -m polyreal argv` in a child under CHILD_MEMORY of address
+    space; a subprocess.TimeoutExpired, which fails the test, unless it exits
+    within gate seconds."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "polyreal", *argv]
+    return subprocess.run(
+        argv, capture_output=True, text=True, env=env, timeout=gate, preexec_fn=limit
+    )
+
+
+class TestLargeRank:
+    """The root data, the adapted word and the step check are linear in the
+    rank, so a large rank runs in bounded time and memory."""
+
+    @pytest.mark.parametrize("family", ["A1", "C1"])
+    def test_steps_at_rank_20000(self, family):
+        argv = ("verify", "--family", family, "--n", "20000", "steps", "--size", "0")
+        done = limited_child(*argv, gate=10)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("step-identities: pass")
 
 
 class TestModuleEntry:

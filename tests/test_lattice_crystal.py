@@ -289,10 +289,10 @@ class TestOneSweep:
         for a in enumerate_image(seq, 4):
             ca = weight_coeffs(seq, a)
             for i in seq.root_system.index_set:
-                row = seq.root_system.cartan[i - 1]
                 eps, first, last = _reach(seq, a.items(), i)
                 assert epsilon(seq, a, i) == eps
-                assert phi(seq, a, i) == -sum(row[l - 1] * c for l, c in ca.items()) + eps
+                pairing = -sum(seq.root_system.a(i, l) * c for l, c in ca.items())
+                assert phi(seq, a, i) == pairing + eps
                 assert ftilde(seq, a, i) == a.bump(first, 1)
                 assert etilde(seq, a, i) == (a.bump(last, -1) if eps else None)
 

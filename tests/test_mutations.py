@@ -164,12 +164,13 @@ ROWS = {
         {"step-identities", "closure-equality", "beta-agreement"},
         ALL,
     ),
-    # every neighbour pair oriented the other way round
+    # every neighbour pair oriented the other way round, in the p_{i,j}
+    # that beta's sites and the P^k tables read
     "orientation-flipped": (
         root_data,
-        "AdaptedSequence._orientation",
-        "p[(i, j)] = 1 if first_i < first_j else 0",
-        "p[(i, j)] = 0 if first_i < first_j else 1",
+        "AdaptedSequence.__init__",
+        "1 if self._occ[i][0] < self._occ[j][0] else 0",
+        "0 if self._occ[i][0] < self._occ[j][0] else 1",
         {"image-equality", "beta-agreement"},
         ALL,
     ),

@@ -1,6 +1,8 @@
 """Root data: algebra types, Cartan matrices, folds, adaptedness, p and P tables."""
 
 from collections import Counter
+from itertools import product
+from operator import ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,14 @@ from polyreal import (
     pair_to_index,
 )
 from polyreal import enumerate_image, weight_coeffs
-from polyreal.root_data import check_family, fold_table, reachable, weight_counts
+from polyreal.root_data import (
+    MAX_RANK,
+    MIN_RANK,
+    check_family,
+    fold_table,
+    reachable,
+    weight_counts,
+)
 from conftest import make_seq
 
 
@@ -49,6 +58,13 @@ class TestAlgebraType:
             AlgebraType("A1", None)
         with pytest.raises(RootDataError):
             AlgebraType.from_json({"family": "A1", "n": 3.7})
+
+    def test_rank_above_the_largest_rejected(self):
+        # refused before anything of size n is built
+        for fam in ("A1", "C1", "A2", "D2"):
+            assert AlgebraType(fam, MAX_RANK).n == MAX_RANK
+            with pytest.raises(RootDataError, match=f"needs n <= {MAX_RANK}"):
+                AlgebraType(fam, MAX_RANK + 1)
 
     def test_integral_float_rank_accepted(self):
         t = AlgebraType("A1", 3.0)
@@ -128,6 +144,48 @@ class TestCartan:
         rs = build_root_system(AlgebraType("A2", 3))
         assert set(rs.neighbor_pairs()) == {(1, 2), (2, 3)}
 
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_edges_are_the_dense_matrix(self, family):
+        # every entry, row and neighbor pair read off the Dynkin edges
+        # equals the dense Cartan matrix built entry by entry
+        for n in range(max(2, MIN_RANK[family]), 8):
+            rs = build_root_system(AlgebraType(family, n))
+            dense = reference_cartan(family, n)
+            assert [[rs.a(i, j) for j in rs.index_set] for i in rs.index_set] == dense
+            assert [rs.row(i) for i in rs.index_set] == dense
+            pairs = [(i, j) for i, j in product(rs.index_set, repeat=2) if i < j and rs.a(i, j)]
+            assert rs.neighbor_pairs() == pairs
+
+    @pytest.mark.parametrize(
+        "i,j",
+        [(0, 1), (1, 0), (4, 1), (1, 4), (1.5, 1), (1, 1.5), (-2, 1), ("1", 1), (None, 1)],
+    )
+    def test_entry_reads_only_colors(self, i, j):
+        # a(0, 1) would wrap to a_{3,1} in a dense read, a(4, 1) overrun it
+        # and a(1.5, 1) fail to index it
+        rs = build_root_system(AlgebraType("A1", 3))
+        with pytest.raises(RootDataError, match="needs colors in 1..3"):
+            rs.a(i, j)
+        if j == 1:
+            with pytest.raises(RootDataError, match="not in index set 1..3"):
+                rs.row(i)
+
+
+def reference_cartan(family, n):
+    """The n x n Cartan matrix of a family, entry by entry."""
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        a[i][i + 1] = a[i + 1][i] = -1
+    if family == "A1":
+        if n == 2:
+            a[0][1] = a[1][0] = -2
+        else:
+            a[0][n - 1] = a[n - 1][0] = -1
+        return a
+    ends = {"C1": (-1, -2, -2, -1), "A2": (-1, -2, -1, -2), "D2": (-2, -1, -1, -2)}[family]
+    a[0][1], a[1][0], a[n - 2][n - 1], a[n - 1][n - 2] = ends
+    return a
+
 
 WEIGHT_COUNT_CASES = (
     [("A1", 2, 7)]
@@ -142,7 +200,8 @@ def reference_weight_counts(rs, max_height):
     sums over every denominator term gamma <= beta."""
     if max_height < 0:
         return {}
-    n, cartan, zero = rs.n, rs.cartan, (0,) * rs.n
+    n, zero = rs.n, (0,) * rs.n
+    cartan = [[rs.a(i, j) for j in rs.index_set] for i in rs.index_set]
     denominator = {}
     level, sign = {zero: (1,) * n}, 1
     while level:
@@ -334,6 +393,35 @@ class TestAdapted:
         with pytest.raises(RootDataError):
             build_adapted(rs, [2.5, 1, 3])
         assert build_adapted(rs, [2.0, 1, 3.0]).word == (2, 1, 3)
+
+    def test_missing_indices_listed_up_to_ten(self):
+        for n, tail in ((13, "13]"), (14, "13] and 1 more"), (400, "13] and 387 more")):
+            rs = build_root_system(AlgebraType("A1", n))
+            with pytest.raises(RootDataError) as info:
+                build_adapted(rs, [1, 2, 3])
+            message = f"indices [4, 5, 6, 7, 8, 9, 10, 11, 12, {tail} missing from word"
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "family,n", [("A1", 2), ("A1", 3), ("C1", 3), ("A2", 3), ("D2", 3), ("A1", 4)]
+    )
+    def test_alternation_error_is_the_rescan_error(self, family, n):
+        # the one pass raises what a rescan of the doubled word per neighbor
+        # pair, in increasing pair order, raises first
+        rs = build_root_system(AlgebraType(family, n))
+        colors = range(1, n + 1)
+        for size in range(n, 7 if n < 4 else 6):
+            for word in product(colors, repeat=size):
+                if set(word) == set(colors) and all(map(ne, word, word[1:] + word[:1])):
+                    check_alternation_error(rs, word)
+
+    def test_tables_fill_by_color_on_first_read(self):
+        seq = make_seq("C1", 5)
+        assert not seq._sweep
+        # word 2, 1, 3, 4, 5: a_{4,c(j)}, then the distances to the next and
+        # the previous 4
+        assert seq._sweep[4] == ((0, 0, -1, 2, -2), (3, 2, 1, 0, 4), (2, 3, 4, 0, 1))
+        assert list(seq._sweep) == [4]
 
     def test_color_of_is_periodic(self, a1_n3):
         for j in range(1, 20):
@@ -548,3 +636,26 @@ class TestSequenceBasics:
         s2 = make_seq("A1", 3)
         assert s1 == s2 and hash(s1) == hash(s2)
         assert s1 != make_seq("A1", 3, [1, 2, 3])
+
+
+def check_alternation_error(rs, word):
+    """build_adapted raises, for a word with every color and no cyclic
+    repeat, the first alternation error that a scan of the doubled word once
+    per neighbor pair, in increasing pair order, finds; or nothing if none."""
+    L, doubled, expected = len(word), word * 2, None
+    for i, j in sorted(rs.neighbor_pairs()):
+        sub = [(m, c) for m, c in enumerate(doubled) if c in (i, j)]
+        bad = [(m1, m2, c1) for (m1, c1), (m2, c2) in zip(sub, sub[1:]) if c1 == c2]
+        if bad:
+            m1, m2, c = bad[0]
+            expected = (
+                f"word is not adapted: neighbor pair ({i},{j}) sees color {c} "
+                f"twice in a row at cyclic positions {m1 % L + 1},{m2 % L + 1}"
+            )
+            break
+    try:
+        build_adapted(rs, word)
+    except NotAdaptedError as exc:
+        assert str(exc) == expected, word
+    else:
+        assert expected is None, word
