@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 inconclusive-only verification.  A suite that raises on valid input
-fails its report, with the exception as witness, and the other suites run.
+fails its report, with the exception as witness, and the other suites run;
+one that runs out of memory decided nothing, so its report is inconclusive.
 Output is deterministic for a given invocation; --json switches every
 subcommand to machine-readable form.
 """
@@ -149,6 +150,15 @@ def _fault_report(
     return verify_mod._report(name, seq, params, {}, witnesses, failed=1, examined=0)
 
 
+def _out_of_memory_report(
+    name: str, seq: AdaptedSequence, params: dict
+) -> verify_mod.VerificationReport:
+    """An inconclusive report for a suite that ran out of memory, naming it and its bounds."""
+    bounds = ", ".join(f"{key}={value}" for key, value in params.items()) or "default bounds"
+    witness = f"MemoryError: {name} ran out of memory at n={seq.root_system.n}, {bounds}"
+    return verify_mod._report(name, seq, params, {}, [witness], failed=0, examined=0)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     names = {alias: [short] for short, (name, _, _) in SUITES.items() for alias in (short, name)}
     names["all"] = list(SUITES)
@@ -198,11 +208,17 @@ def _run_suites(
         calls = [((k,), {"k": k}) for k in charges] if short == "closure" else [((), {})]
         for positional, params in calls:
             try:
-                reports.append(check(seq, *positional, **kwargs))
+                report = check(seq, *positional, **kwargs)
+            except MemoryError:
+                # the machine's memory, not the engine, stopped the suite: it
+                # decided nothing, and the other suites still run.  Its report
+                # is made past the handler, once the suite's frames are freed.
+                report = None
             except Exception as exc:
                 # the input was valid, so a raise is a fault of the engine:
                 # its suite fails and the other suites still run
-                reports.append(_fault_report(name, seq, {**params, **kwargs}, exc))
+                report = _fault_report(name, seq, {**params, **kwargs}, exc)
+            reports.append(report or _out_of_memory_report(name, seq, {**params, **kwargs}))
         index_set = list(seq.root_system.index_set)
         if short == "closure" and args.k is None and sorted(set(charges)) != index_set:
             # the closure argument needs the closure of x_{s,k} for every k in I
@@ -235,8 +251,8 @@ def cmd_crystal(args: argparse.Namespace) -> int:
         if op[0] not in ("f", "e"):
             raise UsageError(error)
         i = _integer(op[1:], error, f"the color of {op!r}")
-        if i not in seq.root_system.index_set:
-            raise UsageError(f"color {i} outside index set {seq.root_system.index_set}")
+        if not 1 <= i <= seq.root_system.n:
+            raise UsageError(f"color {i} outside index set 1..{seq.root_system.n}")
         if op[0] == "f":
             a = ftilde(seq, a, i)
         else:

@@ -12,10 +12,9 @@ s-offsets.  `reachable`, a breadth-first search, grows the S' closures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
-from functools import cached_property, lru_cache, partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 FAMILIES = ("A1", "C1", "A2", "D2")
 
@@ -60,21 +59,27 @@ def reachable(seen: set, step: Callable[[Any], Iterable], depth: int) -> set:
     return seen
 
 
-@dataclass(frozen=True)
-class AlgebraType:
-    """One of the four supported affine families at rank parameter n."""
-
+class _AlgebraFields(NamedTuple):
     family: str
     n: int
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise RootDataError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        object.__setattr__(self, "n", exact_int(self.n, RootDataError))
-        low = MIN_RANK[self.family]
-        if not low <= self.n <= MAX_RANK:
-            bound = f">= {low}" if self.n < low else f"<= {MAX_RANK}"
-            raise RootDataError(f"family {self.family} needs n {bound}, got {self.n}")
+
+class AlgebraType(_AlgebraFields):
+    """One of the four supported affine families at rank parameter n: a
+    tuple of the two, checked when built, and compared and hashed as its
+    field tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, n: int) -> "AlgebraType":
+        if family not in FAMILIES:
+            raise RootDataError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        n = exact_int(n, RootDataError)
+        low = MIN_RANK[family]
+        if not low <= n <= MAX_RANK:
+            bound = f">= {low}" if n < low else f"<= {MAX_RANK}"
+            raise RootDataError(f"family {family} needs n {bound}, got {n}")
+        return tuple.__new__(cls, (family, n))
 
     def to_json(self) -> dict:
         return {"family": self.family, "n": self.n}
@@ -93,24 +98,40 @@ _END_ARROWS = {
 }
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """An algebra type together with its Dynkin diagram: neighbors[i - 1]
     lists the neighbors of color i as (j, a_{i,j}), a_{i,j} < 0, in
     increasing j.  a_{i,i} = 2 and every other entry is 0, so no n x n table
-    is kept."""
+    is kept.  Immutable, and compared and hashed by algebra and neighbors;
+    index_set, the colors 1..n, is kept beside them."""
 
-    algebra: AlgebraType
-    neighbors: Tuple[Tuple[Tuple[int, int], ...], ...]
+    __slots__ = ("algebra", "neighbors", "index_set")
+
+    def __init__(self, algebra: AlgebraType, neighbors: Tuple[Tuple[Tuple[int, int], ...], ...]):
+        index_set = tuple(range(1, algebra.n + 1))
+        for name, value in zip(self.__slots__, (algebra, neighbors, index_set)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.algebra == other.algebra and self.neighbors == other.neighbors
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.neighbors))
+
+    def __repr__(self) -> str:
+        return f"RootSystem(algebra={self.algebra!r}, neighbors={self.neighbors!r})"
 
     @property
     def n(self) -> int:
         return self.algebra.n
-
-    @cached_property
-    def index_set(self) -> Tuple[int, ...]:
-        # kept in the instance dict, outside the fields, equality and hash
-        return tuple(range(1, self.n + 1))
 
     def _slot(self, i: int) -> int:
         """i - 1 for a color i, an int; a RootDataError otherwise, with no scan of the index set."""

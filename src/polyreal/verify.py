@@ -12,9 +12,7 @@ reports the forms pruned at it as failures.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from math import comb
 from operator import mul
@@ -58,26 +56,40 @@ from . import young_wall as wall_mod
 MAX_WITNESSES = 10
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    params: dict
-    status: str
-    counts: Dict[str, int] = field(default_factory=dict)
-    witnesses: List[str] = field(default_factory=list)
+    """A check's name, parameters, status, counters and witnesses; mutable,
+    compared by value and unhashable.  counts and witnesses default to a
+    new empty dict and list."""
+
+    __slots__ = ("check", "params", "status", "counts", "witnesses")
+
+    def __init__(
+        self,
+        check: str,
+        params: dict,
+        status: str,
+        counts: Optional[Dict[str, int]] = None,
+        witnesses: Optional[List[str]] = None,
+    ):
+        self.check, self.params, self.status = check, params, status
+        self.counts = {} if counts is None else counts
+        self.witnesses = [] if witnesses is None else witnesses
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.to_json().items())
+        return f"VerificationReport({fields})"
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "status": self.status,
-            "counts": self.counts,
-            "witnesses": self.witnesses,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def summary(self) -> str:
         counts = " ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
@@ -568,6 +580,8 @@ def check_beta_agreement(seq: AdaptedSequence) -> VerificationReport:
 def check_sigma_difference(seq: AdaptedSequence) -> VerificationReport:
     """beta_j(a) = sigma_j(a) - sigma_{j+}(a) on 100 elements drawn, with
     seed 7, from the image of depth 6."""
+    import random  # only here, so that importing polyreal stays cheap
+
     rng = random.Random(7)
     pool = sorted(enumerate_image(seq, 6), key=LatticeElement.items)
     failures: List[str] = []

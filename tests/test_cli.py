@@ -219,6 +219,12 @@ class TestCrystal:
         assert code == EXIT_USAGE
         assert "outside index set" in err
 
+    def test_color_error_at_a_large_rank_is_one_short_line(self, capsys):
+        # the index set is named by its range, not listed color by color
+        code, out, err = run(capsys, "crystal", "--n", "20000", "f20001")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: color 20001 outside index set 1..20000\n"
+
 
 class TestEnumerate:
     def test_depth_one_listing(self, capsys):
@@ -465,7 +471,7 @@ class TestUsage:
     def test_largest_integer_is_parsed(self, capsys):
         code, out, err = run(capsys, "crystal", "f9223372036854775807")
         assert code == EXIT_USAGE and out == ""
-        assert err == "error: color 9223372036854775807 outside index set (1, 2, 3)\n"
+        assert err == "error: color 9223372036854775807 outside index set 1..3\n"
 
     @pytest.mark.parametrize("subcommand", ["verify", "enumerate"])
     def test_rank_too_large_to_build_is_usage_error(self, subcommand):
@@ -499,7 +505,8 @@ class TestUsage:
 
 
 class TestSuiteFault:
-    """A suite that raises on valid input fails its report; the others still run."""
+    """A suite that raises on valid input fails its report, one that runs out
+    of memory is inconclusive; the others still run."""
 
     @staticmethod
     def raising(exc):
@@ -537,6 +544,31 @@ class TestSuiteFault:
         assert out.count("closure-equality: fail") == 3
         assert "  witness: KeyError: 'x'" in out
         assert "sigma-difference: pass" in out
+
+    def test_out_of_memory_is_inconclusive(self, capsys, monkeypatch):
+        # running out of memory decides nothing: the suite's report is
+        # inconclusive with one witness naming it and its bounds, and the
+        # other suites still run
+        monkeypatch.setattr(verify, "check_crystal_axioms", self.raising(MemoryError()))
+        code, out, err = run(capsys, "verify", "--json", "axioms", "beta", "--depth", "2")
+        assert code == EXIT_INCONCLUSIVE and err == ""
+        axioms, beta = json.loads(out)
+        assert axioms["check"] == "crystal-axioms" and axioms["status"] == "inconclusive"
+        assert axioms["witnesses"] == ["MemoryError: crystal-axioms ran out of memory at n=3, depth=2"]
+        assert axioms["counts"] == {} and axioms["params"]["depth"] == 2
+        assert beta["check"] == "beta-agreement" and beta["status"] == "pass"
+
+    def test_out_of_memory_names_the_charge_or_the_default_bounds(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "check_closure_equality", self.raising(MemoryError()))
+        monkeypatch.setattr(verify, "check_sigma_difference", self.raising(MemoryError()))
+        code, out, _ = run(capsys, "verify", "closure", "sigma", "--k", "2")
+        assert code == EXIT_INCONCLUSIVE
+        assert out.splitlines() == [
+            "closure-equality: inconclusive ()",
+            "  witness: MemoryError: closure-equality ran out of memory at n=3, k=2",
+            "sigma-difference: inconclusive ()",
+            "  witness: MemoryError: sigma-difference ran out of memory at n=3, default bounds",
+        ]
 
     def test_bad_word_is_still_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--word", "1,2,1,3")

@@ -1,8 +1,11 @@
 """The runtime is stdlib-only: polyreal imports nothing outside the standard
-library and itself, though numpy and scipy may be installed.  Every source,
-test and benchmark file parses at the requires-python floor."""
+library and itself, though numpy and scipy may be installed.  Importing it
+loads none of the slow standard modules.  Every source, test and benchmark
+file parses at the requires-python floor."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +47,22 @@ def test_every_file_parses_at_the_python_floor():
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(), str(path), feature_version=floor)
+
+
+def test_import_loads_no_slow_module():
+    # in a child, whose modules are compared before and after the import,
+    # since an interpreter's site may already have loaded some of them
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import polyreal\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert {"polyreal", "polyreal.cli", "polyreal.verify"} <= loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "random"})

@@ -11,6 +11,7 @@ from polyreal import (
     AlgebraType,
     NotAdaptedError,
     RootDataError,
+    RootSystem,
     build_adapted,
     build_root_system,
     fold,
@@ -70,6 +71,39 @@ class TestAlgebraType:
         t = AlgebraType("A1", 3.0)
         assert t == AlgebraType("A1", 3) and type(t.n) is int
         assert build_root_system(t) == build_root_system(AlgebraType("A1", 3))
+
+    def test_value_semantics(self):
+        # immutable, compared and hashed by value
+        t = AlgebraType("C1", 4)
+        assert t == AlgebraType("C1", 4.0) and hash(t) == hash(AlgebraType("C1", 4))
+        assert t != AlgebraType("C1", 5) and t != AlgebraType("D2", 4)
+        assert len({t, AlgebraType("C1", 4), AlgebraType("D2", 4)}) == 2
+        for name in ("family", "n", "other"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, 3)
+        assert repr(t) == "AlgebraType(family='C1', n=4)"
+
+
+class TestRootSystem:
+    def test_value_semantics(self):
+        # immutable, compared and hashed by algebra and neighbors
+        rs, same = (build_root_system(AlgebraType("A2", 4)) for _ in range(2))
+        assert rs is not same and rs == same and hash(rs) == hash(same)
+        assert RootSystem(rs.algebra, rs.neighbors) == rs
+        assert rs != build_root_system(AlgebraType("D2", 4)) and rs != rs.neighbors
+        assert len({rs, same, build_root_system(AlgebraType("A2", 5))}) == 2
+        for name in ("algebra", "neighbors", "index_set", "other"):
+            with pytest.raises(AttributeError):
+                setattr(rs, name, None)
+        with pytest.raises(AttributeError):
+            del rs.algebra
+        assert repr(build_root_system(AlgebraType("A1", 2))) == (
+            "RootSystem(algebra=AlgebraType(family='A1', n=2), neighbors=(((2, -2),), ((1, -2),)))"
+        )
+
+    def test_index_set_kept_once(self):
+        rs = build_root_system(AlgebraType("C1", 5))
+        assert rs.index_set == (1, 2, 3, 4, 5) and rs.index_set is rs.index_set
 
 
 class TestReachable:

@@ -65,6 +65,27 @@ class TestReport:
             "witnesses": ["w"],
         }
 
+    def test_value_semantics(self):
+        # compared by value, mutable, and so unhashable
+        r = VerificationReport("c", {"n": 3}, "pass", {"k": 1}, ["w"])
+        assert r == VerificationReport("c", {"n": 3}, "pass", {"k": 1}, ["w"])
+        assert r != VerificationReport("c", {"n": 3}, "fail", {"k": 1}, ["w"])
+        assert r != r.to_json()
+        with pytest.raises(TypeError):
+            hash(r)
+        r.status = "fail"
+        assert not r.ok
+        assert repr(VerificationReport("c", {}, "pass")) == (
+            "VerificationReport(check='c', params={}, status='pass', counts={}, witnesses=[])"
+        )
+
+    def test_default_counts_and_witnesses_not_shared(self):
+        a, b = VerificationReport("c", {}, "pass"), VerificationReport("c", {}, "pass")
+        a.counts["k"] = 1
+        a.witnesses.append("w")
+        assert b.counts == {} and b.witnesses == []
+        assert VerificationReport("c", {}, "pass").to_json()["counts"] == {}
+
     def test_summary(self):
         r = VerificationReport("closure-equality", {}, "pass", {"b": 2, "a": 1})
         assert r.summary() == "closure-equality: pass (a=1 b=2)"
