@@ -205,7 +205,7 @@ def _run_suites(
         name, function, keywords = SUITES[short]
         check = getattr(verify_mod, function)
         kwargs = {kw: getattr(args, kw) for kw in keywords if getattr(args, kw) is not None}
-        calls = [((k,), {"k": k}) for k in charges] if short == "closure" else [((), {})]
+        calls = [((k,), {"k": k, **kwargs}) for k in charges] if short == "closure" else [((), kwargs)]
         for positional, params in calls:
             try:
                 report = check(seq, *positional, **kwargs)
@@ -217,8 +217,8 @@ def _run_suites(
             except Exception as exc:
                 # the input was valid, so a raise is a fault of the engine:
                 # its suite fails and the other suites still run
-                report = _fault_report(name, seq, {**params, **kwargs}, exc)
-            reports.append(report or _out_of_memory_report(name, seq, {**params, **kwargs}))
+                report = _fault_report(name, seq, params, exc)
+            reports.append(report or _out_of_memory_report(name, seq, params))
         index_set = list(seq.root_system.index_set)
         if short == "closure" and args.k is None and sorted(set(charges)) != index_set:
             # the closure argument needs the closure of x_{s,k} for every k in I
