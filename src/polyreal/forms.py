@@ -1,5 +1,6 @@
 """Integer linear forms in the variables x_{s,l}, beta forms, the S' closure,
-and the one walk over generator objects.
+the one walk over generator objects, and the window search over a sampled
+system of forms.
 
 A form is a finite integer combination of coordinates x_{s,l} addressed by
 double indices (s, l): the s-th occurrence of color l.  The beta form at
@@ -30,6 +31,11 @@ Move = Tuple[object, int, int, int]
 # (point, coeff, site): a move read but not made, with its toggle's argument.
 Point = Tuple[object, int, Site]
 Terms = Union[Dict[Pair, int], Iterable[Tuple[Pair, int]], None]
+# A sampled inequality system: each site key, the sorted ((offset, color),
+# coeff) items of a form shifted to lowest offset 0, with the set of first
+# occurrences at which the system holds it (system_forms).
+Key = Tuple[Tuple[Pair, int], ...]
+System = Dict[Key, Set[int]]
 
 
 def _occurring(terms: List[Tuple[Pair, int]]) -> List[Tuple[Pair, int]]:
@@ -147,6 +153,15 @@ def site_move(obj2: object, coeff: int, site: Site) -> Move:
     """
     _, offset, color = site
     return obj2, coeff, (offset if coeff > 0 else offset - 1), color
+
+
+def _site_map(sites: List[Site]) -> Dict[Pair, int]:
+    """Sites merged to {(offset, color): coeff}, a sum of 0 kept as 0."""
+    merged: Dict[Pair, int] = {}
+    for c, offset, l in sites:
+        pair = offset, l
+        merged[pair] = merged[pair] + c if pair in merged else c
+    return merged
 
 
 def code_width(most: int) -> int:
@@ -275,7 +290,8 @@ def beta_index(seq: AdaptedSequence, j: int) -> LinearForm:
         if c:
             pair = index_to_pair(seq, j2)
             terms[pair] = terms.get(pair, 0) + c
-    return LinearForm(terms)
+    # index_to_pair gives int pairs at s >= 1, one per index, and every c is nonzero
+    return LinearForm._of(terms)
 
 
 def _s_prime_rule(s: int, c: int) -> Optional[Tuple[int, int]]:
@@ -442,6 +458,42 @@ def evaluate(seq: AdaptedSequence, form: LinearForm, a: LatticeElement) -> int:
     return sum(c * a.get(pair_to_index(seq, s, l)) for (s, l), c in form.items())
 
 
+def system_forms(system: System) -> Set[Key]:
+    """The forms of a system, as term tuples: each key shifted to each of its
+    firsts, (offset, color) -> (first + offset, color).  A shift keeps the
+    key's order, so a tuple is what LinearForm.items() gives; the empty key
+    is the zero form, ()."""
+    return {
+        tuple([((first + o, l), c) for (o, l), c in key])
+        for key, firsts in system.items()
+        for first in firsts
+    }
+
+
+def system_rows(
+    seq: AdaptedSequence, system: System, window: Sequence[int]
+) -> Iterator[List[Tuple[int, int]]]:
+    """The window rows (window_search) of a system's forms, made from each
+    key and first with no term tuple.  Each window position is read once, by
+    index_to_pair, into tables[color][occurrence], so the term ((offset,
+    color), c) lies at position tables[color].get(first + offset), None off
+    the window.
+
+    window_search drops a row without a negative term, so none is made past
+    a key's limit, the largest top - offset over its negative terms, with
+    top the color's highest occurrence on the window."""
+    tables: Dict[int, Dict[int, int]] = {l: {} for l in seq._occ}
+    top = dict.fromkeys(tables, 0)
+    for p, j in enumerate(window):  # a color's occurrences rise along the window
+        s, l = index_to_pair(seq, j)
+        tables[l][s], top[l] = p, s
+    for key, firsts in system.items():
+        limit = max((top[l] - o for (o, l), c in key if c < 0), default=0)
+        for first in firsts:
+            if first <= limit:
+                yield [(p, c) for (o, l), c in key if (p := tables[l].get(first + o)) is not None]
+
+
 def window_solutions(
     seq: AdaptedSequence,
     forms: Iterable[Sequence[Tuple[Pair, int]]],
@@ -451,23 +503,33 @@ def window_solutions(
     """The nonnegative vectors on the window with total <= max_total on which
     every form is >= 0, as tuples of window values in lexicographic order.
     Each form is given by its ((s, l), c) terms, as LinearForm.items() gives
-    them, with no pair repeated.
+    them, with no pair repeated.  A form is the system key that system_forms
+    shifts to itself at first 0, so its row, its terms at window positions
+    (a term off the window reads 0), is system_rows' row of that key."""
+    rows = system_rows(seq, dict.fromkeys(map(tuple, forms), {0}), window)
+    return window_search(rows, len(window), max_total)
 
-    Each form is compiled once to its terms at window positions (a term off
-    the window reads 0), with each pair's position read once per call; a
-    form without a negative term is dropped, and so is a repeated term list.
-    A depth-first search then assigns the window in order, holding every
-    form in a field of W bits of one int: form k's field, at bit k*W, holds
-    2^(W-1) plus the form's partial sum over the values assigned so far.
-    Position p has a column, the form coefficients at p packed the same way,
-    so raising the value at p by one is the one add `acc += column[p]`.  A
-    form that ends at p is >= 0 once p is assigned exactly when its field's
+
+def window_search(
+    rows: Iterable[Sequence[Tuple[int, int]]], size: int, max_total: int
+) -> List[Tuple[int, ...]]:
+    """The nonnegative vectors of the given size with total <= max_total on
+    which every row, a form given by its (position, coeff) terms with no
+    position repeated, is >= 0, as tuples in lexicographic order.
+
+    A row without a negative term is dropped, and so is a repeated term
+    list.  A depth-first search then assigns the positions in order, holding
+    every row in a field of W bits of one int: row k's field, at bit k*W,
+    holds 2^(W-1) plus the row's partial sum over the values assigned so
+    far.  Position p has a column, the row coefficients at p packed the same
+    way, so raising the value at p by one is the one add `acc += column[p]`.
+    A row that ends at p is >= 0 once p is assigned exactly when its field's
     top bit is set.  So p also has the mask of those top bits (`need`), and
-    within it the top bits of the forms whose coefficient at p is negative
+    within it the top bits of the rows whose coefficient at p is negative
     (`cap`).  The search scans the values at p upward from 0: it enters a
     value at which every bit of `need` is set, and stops at the first value
-    that clears a bit of `cap`, since a larger value only lowers those forms.
-    An empty window holds one vector, the empty tuple, whatever max_total is.
+    that clears a bit of `cap`, since a larger value only lowers those rows.
+    Size 0 holds one vector, the empty tuple, whatever max_total is.
 
     No carry or borrow crosses a field.  The values assigned sum to at most
     max_total, and the scan adds at most one value past it, so every partial
@@ -478,23 +540,12 @@ def window_solutions(
     base-2^W expansion, so each field's bits are exactly its value, and its
     top bit is set exactly when the field is >= 2^(W-1), the sum >= 0.
     """
-    place = {j: p for p, j in enumerate(window)}
-    at: Dict[Pair, Optional[int]] = {}
-    compiled: Set[Tuple[Tuple[int, int], ...]] = set()
-    for form in forms:
-        terms = []
-        for pair, c in form:
-            if pair not in at:
-                at[pair] = place.get(pair_to_index(seq, *pair))
-            if at[pair] is not None:
-                terms.append((at[pair], c))
-        # a form without a negative term is >= 0 on every nonnegative vector
-        if any(c < 0 for _, c in terms):
-            compiled.add(tuple(sorted(terms)))
+    # a row without a negative term is >= 0 on every nonnegative vector
+    compiled = {tuple(sorted(row)) for row in rows if any(c < 0 for _, c in row)}
     most = max((abs(c) for terms in compiled for _, c in terms), default=0)
     width = (most * (max_total + 1)).bit_length() + 2
     top = 1 << (width - 1)
-    column, need, cap = [0] * len(window), [0] * len(window), [0] * len(window)
+    column, need, cap = [0] * size, [0] * size, [0] * size
     start = 0
     for k, terms in enumerate(compiled):
         shift = k * width
@@ -505,11 +556,11 @@ def window_solutions(
         need[last] |= top << shift
         if c < 0:
             cap[last] |= top << shift
-    values = [0] * len(window)
+    values = [0] * size
     found: List[Tuple[int, ...]] = []
 
     def search(p: int, remaining: int, acc: int) -> None:
-        if p == len(values):
+        if p == size:
             found.append(tuple(values))
             return
         step, needed, capped = column[p], need[p], cap[p]

@@ -30,12 +30,14 @@ from .lattice_crystal import (
     sigma,
 )
 from .forms import (
+    Key,
     LinearForm,
     Move,
     Pair,
     Site,
-    _accumulate,
+    System,
     _most,
+    _site_map,
     beta_index,
     beta_pair,
     beta_sites,
@@ -46,8 +48,10 @@ from .forms import (
     evaluate,
     pack,
     site_form,
+    system_forms,
+    system_rows,
     walk,
-    window_solutions,
+    window_search,
 )
 from . import eyd as eyd_mod
 from . import reyd as reyd_mod
@@ -176,50 +180,41 @@ def generator_objects(
     return list(walk(seeds, reader, module._toggle, module._key, bound, halves, every))
 
 
-def _site_map(sites: List[Site]) -> Dict[Pair, int]:
-    """Sites merged to {(offset, color): coeff}."""
-    return _accumulate({}, (((offset, l), c) for c, offset, l in sites))
-
-
-def generator_forms(
-    seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]
-) -> Set[Tuple[Tuple[Pair, int], ...]]:
+def generator_system(seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]) -> System:
     """The sampled inequality system over all kinds, charges, and base
-    offsets, as the set of its forms' term tuples: each is the form's sorted
-    ((s, color), coeff) items, as LinearForm.items() gives them.
+    offsets, as {site key: set of first occurrences} (forms.system_forms).
 
     s_values is read once.  Each object's sites, from one walk per kind and
     charge, are merged once, to a key of sorted ((offset, color), coeff)
-    items shifted so that its lowest offset is 0, and the objects are grouped
-    by key, keeping the set of their lowest merged offsets.  An object's form
-    at s is its key shifted to first occurrence s + low, where low is its
-    lowest merged offset, so each distinct key is expanded once, at each
-    first occurrence low + s of its group.  A shift keeps the key's order, so
-    no form is sorted again, and a nonzero form determines its key and first
-    occurrence, so each distinct form is built once.  A ValueError is raised,
-    as site_form raises it, at the first (object, s) whose unmerged sites
-    reach an occurrence below 1.
+    items shifted so that its lowest offset is 0.  Its form at s is the key
+    at first occurrence low + s, low its lowest merged offset, and a nonzero
+    form determines its key and first.  A ValueError is raised, as site_form
+    raises it, at the first (object, s) whose sites reach an occurrence below 1.
     """
     s_values = list(s_values)
     if not s_values:
-        return set()
+        return {}
     smallest = min(s_values)
-    lows: Dict[tuple, Set[int]] = {}
+    lows: System = {}
     for kind, k in generator_kinds(seq):
         for _, sites, _ in generator_objects(seq, kind, k, size_bound):
-            lowest = min((offset for _, offset, _ in sites), default=0)
-            if sites and smallest + lowest < 1:
+            terms = _site_map(sites)
+            merged = sorted(terms.items())
+            lowest = merged[0][0][0] if merged else 0
+            if merged and smallest + lowest < 1:
                 s = next(s for s in s_values if s + lowest < 1)
                 raise ValueError(f"occurrence index must be >= 1, got {s + lowest}")
-            merged = sorted(_site_map(sites).items())
+            if 0 in terms.values():
+                merged = [term for term in merged if term[1]]
             low = merged[0][0][0] if merged else 0
             key = tuple([((offset - low, l), c) for (offset, l), c in merged])
             lows.setdefault(key, set()).add(low)
-    forms = set()
-    for key, offsets in lows.items():
-        for first in {low + s for low in offsets for s in s_values}:
-            forms.add(tuple([((first + o, l), c) for (o, l), c in key]))
-    return forms
+    return {key: {low + s for low in offsets for s in s_values} for key, offsets in lows.items()}
+
+
+def generator_forms(seq: AdaptedSequence, size_bound: int, s_values: Iterable[int]) -> Set[Key]:
+    """generator_system's forms, as term tuples, as LinearForm.items() gives them."""
+    return system_forms(generator_system(seq, size_bound, s_values))
 
 
 def check_step_identities(
@@ -389,19 +384,20 @@ def check_image_equality(
 
     The box is every nonnegative vector on the window with total at most
     max_weight; `candidates` counts it in closed form, C(max_weight + m, m)
-    for a window of length m, and `window_solutions` lists the solutions in
-    it without walking the whole box.  Each image element's tuple is filled
-    from its entries through a window position dict.  The sampled forms stay
-    term tuples; `forms` counts them.
+    for a window of length m, and `forms.window_search` lists the solutions
+    in it, from the system's window rows (forms.system_rows), without walking
+    the whole box.  `forms` counts the system's (key, first) pairs, the empty
+    key once.  Each image element's tuple is filled from its entries.
     Witnesses come in the lexicographic order of the box, and a forward
     witness names the first form, in sorted order, that the element violates:
-    only then are the forms built as LinearForms and sorted.
+    only then is the system expanded to LinearForms, and they are sorted.
     """
     max_weight = exact_int(max_weight, RootDataError)
     size_bound = max_weight + 2 if size_bound is None else exact_int(size_bound, RootDataError)
     s_bound = max_weight + 1
     image = enumerate_image(seq, max_weight)
-    forms = generator_forms(seq, size_bound, range(1, s_bound + 1))
+    system = generator_system(seq, size_bound, range(1, s_bound + 1))
+    forms = sum(len(firsts) if key else 1 for key, firsts in system.items())
     # Every image element lies in the box: it is nonnegative, its total is at
     # most max_weight (each lowering step adds 1), and its support lies in the
     # window.
@@ -413,7 +409,7 @@ def check_image_equality(
         for j, v in a.items():
             values[place[j]] = v
         reached[tuple(values)] = a
-    solved = set(window_solutions(seq, forms, window, max_weight))
+    solved = set(window_search(system_rows(seq, system, window), len(window), max_weight))
     forward = [t for t in reached if t not in solved]
     converse = [t for t in solved if t not in reached]
     witnesses: List[str] = []
@@ -422,12 +418,13 @@ def check_image_equality(
         if t in reached:
             a = reached[t]
             if not ordered:
-                ordered = sorted((LinearForm._of(dict(f)) for f in forms), key=LinearForm.sort_key)
+                expanded = (LinearForm._of(dict(f)) for f in system_forms(system))
+                ordered = sorted(expanded, key=LinearForm.sort_key)
             bad = next(f for f in ordered if evaluate(seq, f, a) < 0)
             witnesses.append(f"reachable {a} violates {bad}")
         else:
             a = LatticeElement(zip(window, t))
-            witnesses.append(f"unreachable {a} satisfies all {len(forms)} sampled forms")
+            witnesses.append(f"unreachable {a} satisfies all {forms} sampled forms")
     # A negative max_weight leaves the window empty, and the box then holds
     # the zero vector alone, as the search finds.
     m = len(window)
@@ -437,14 +434,14 @@ def check_image_equality(
         {"max_weight": max_weight, "size_bound": size_bound, "s_bound": s_bound},
         {
             "image_size": len(image),
-            "forms": len(forms),
+            "forms": forms,
             "candidates": comb(max(max_weight, 0) + m, m),
             "forward_violations": len(forward),
             "converse_misses": len(converse),
         },
         witnesses,
         len(forward),
-        len(forms),
+        forms,
         doubtful=bool(converse),
     )
 

@@ -2,10 +2,22 @@
 
 from functools import partial
 from itertools import permutations
+from math import comb
 
 import pytest
 
-from polyreal import AlgebraType, RootDataError, build_adapted, build_root_system, forms, verify
+from polyreal import (
+    AlgebraType,
+    LatticeElement,
+    LinearForm,
+    RootDataError,
+    build_adapted,
+    build_root_system,
+    enumerate_image,
+    evaluate,
+    forms,
+    verify,
+)
 from polyreal.root_data import AdaptedSequence, NotAdaptedError
 
 
@@ -44,6 +56,43 @@ def shift_one_neighbour(monkeypatch, seq):
     c, offset, j = sites[i]
     sites[i] = (c, offset + 1, j)
     monkeypatch.setitem(seq._beta, 1, tuple(sites))
+
+
+def reference_image_report(seq, max_weight: int, size_bound: int, forms_of=None):
+    """The image check over the sampled forms as term tuples: the set that
+    forms_of(seq, size_bound, s_values) gives (verify.generator_forms by
+    default), solved by forms.window_solutions, each forward witness naming
+    the first violated form in sorted order, the report made by
+    verify._report."""
+    forms_of = forms_of or verify.generator_forms
+    s_bound = max_weight + 1
+    image = enumerate_image(seq, max_weight)
+    sampled = forms_of(seq, size_bound, range(1, s_bound + 1))
+    window = sorted({j for a in image for j in a.support()})
+    reached = {tuple(a.get(j) for j in window): a for a in image}
+    solved = set(forms.window_solutions(seq, sampled, window, max_weight))
+    forward = [t for t in reached if t not in solved]
+    converse = [t for t in solved if t not in reached]
+    ordered = sorted((LinearForm(t) for t in sampled), key=LinearForm.sort_key)
+    witnesses = []
+    for t in sorted(forward + converse)[: verify.MAX_WITNESSES]:
+        if t in reached:
+            bad = next(f for f in ordered if evaluate(seq, f, reached[t]) < 0)
+            witnesses.append(f"reachable {reached[t]} violates {bad}")
+        else:
+            a = LatticeElement(zip(window, t))
+            witnesses.append(f"unreachable {a} satisfies all {len(sampled)} sampled forms")
+    counts = {
+        "image_size": len(image),
+        "forms": len(sampled),
+        "candidates": comb(max(max_weight, 0) + len(window), len(window)),
+        "forward_violations": len(forward),
+        "converse_misses": len(converse),
+    }
+    params = {"max_weight": max_weight, "size_bound": size_bound, "s_bound": s_bound}
+    return verify._report(
+        "image-equality", seq, params, counts, witnesses, len(forward), len(sampled), bool(converse)
+    )
 
 
 def reference_partitions(m: int, largest: int):

@@ -44,6 +44,7 @@ from conftest import (
     make_seq,
     object_moves,
     permutation_seqs,
+    reference_image_report,
 )
 
 x = LinearForm.x
@@ -599,6 +600,21 @@ class TestClosureEqualityAsTheReference:
         assert str(got.value) == str(want.value) == "occurrence index must be >= 1, got 0"
 
 
+def add_to_system(monkeypatch, extra):
+    """Patch verify.generator_system to add the firsts of each key of extra,
+    a system {key: firsts} as forms.system_forms reads it: -x[s,l] is the
+    key (((0, l), -1),) at first s."""
+    system = verify.generator_system
+
+    def patched(*args):
+        out = system(*args)
+        for key, firsts in extra.items():
+            out[key] = out.get(key, set()) | firsts
+        return out
+
+    monkeypatch.setattr(verify, "generator_system", patched)
+
+
 def reference_image_check(seq, max_weight, size_bound):
     """The image check by brute force: every sampled form on every vector of
     the weight box, the box walked in lexicographic order of window values."""
@@ -679,9 +695,7 @@ IMAGE_IDS = [
 class TestImageEquality:
     @pytest.mark.parametrize("family,n,w,size_bound,negated,word", IMAGE_CASES, ids=IMAGE_IDS)
     def test_matches_reference(self, family, n, w, size_bound, negated, word, monkeypatch):
-        forms = verify.generator_forms
-        extra = {(-x(s, l)).items() for s, l in negated}
-        monkeypatch.setattr(verify, "generator_forms", lambda *args: forms(*args) | extra)
+        add_to_system(monkeypatch, {(((0, l), -1),): {s} for s, l in negated})
         seq = make_seq(family, n, word)
         size_bound = w + 2 if size_bound is None else size_bound
         r = check_image_equality(seq, max_weight=w, size_bound=size_bound)
@@ -707,10 +721,7 @@ class TestImageEquality:
 
     def test_forward_violation_fails(self, a1_n2, monkeypatch):
         # a sampled form that the reachable elements with a_1 > 0 violate
-        forms = verify.generator_forms
-        monkeypatch.setattr(
-            verify, "generator_forms", lambda *args: forms(*args) | {(-x(1, 1)).items()}
-        )
+        add_to_system(monkeypatch, {(((0, 1), -1),): {1}})
         r = check_image_equality(a1_n2, max_weight=2)
         assert r.status == "fail"
         assert r.counts["forward_violations"] == 3
@@ -838,6 +849,33 @@ class TestImageReadSide:
         assert window_solutions(seq, forms, window, w) == reference_window_solutions(
             seq, forms, window, w
         ), seq
+
+    @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
+    def test_reports_equal_to_the_forms_path(self, family, monkeypatch):
+        # the check on its system's window rows against the same check over
+        # generator_forms' term tuples and window_solutions, at every weight
+        # 0..5, with an empty sample and the default one; both sides list
+        # the same objects, so list them once
+        objects = functools.lru_cache(maxsize=None)(verify.generator_objects)
+        monkeypatch.setattr(verify, "generator_objects", objects)
+        seqs = permutation_seqs(family, 3) + [make_seq(family, 4, [1, 2, 3, 4])]
+        seqs += [make_seq(family, 3, list(word)) for word in adapted_words(family, 3, 6)]
+        for seq in seqs:
+            for w in range(6):
+                for size_bound in (0, w + 2):
+                    got = check_image_equality(seq, max_weight=w, size_bound=size_bound)
+                    want = reference_image_report(seq, w, size_bound)
+                    assert got.to_json() == want.to_json(), (seq, w, size_bound)
+
+    def test_empty_key_is_one_form(self, a1_n2, monkeypatch):
+        # the zero form at several firsts is one form, beside one form per
+        # first of a nonzero key
+        system = {(): {1, 2, 3}, (((0, 1), -1),): {1, 2}}
+        monkeypatch.setattr(verify, "generator_system", lambda *args: system)
+        assert forms.system_forms(system) == {(), (((1, 1), -1),), (((2, 1), -1),)}
+        r = check_image_equality(a1_n2, max_weight=2)
+        assert r.counts["forms"] == 3
+        assert r.to_json() == reference_image_report(a1_n2, 2, 4).to_json()
 
     def test_one_shot_s_values(self):
         seq = make_seq("A1", 3, [2, 1, 3])
