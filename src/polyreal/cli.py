@@ -41,6 +41,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout's reader closed the pipe
 
 # The verification suites in the order of "all": short name to report name,
 # verify function name, and the keywords it takes from the verify flags (each
@@ -415,13 +416,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         return args.func(args)
+    except SystemExit as exc:  # from argparse, which has printed its message
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # stdout's reader has gone, so the output ends here, as SIGPIPE would
+        # end it; stdout is pointed at devnull so that the interpreter's
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

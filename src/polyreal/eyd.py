@@ -40,10 +40,6 @@ class Corner(NamedTuple):
     x: int
     y: int
 
-    @property
-    def diagonal(self) -> int:
-        return self.x + self.y
-
 
 class ExtendedYoungDiagram(NamedTuple):
     """Charge plus the stored column values, trimmed of trailing charges."""

@@ -494,22 +494,6 @@ def system_rows(
                 yield [(p, c) for (o, l), c in key if (p := tables[l].get(first + o)) is not None]
 
 
-def window_solutions(
-    seq: AdaptedSequence,
-    forms: Iterable[Sequence[Tuple[Pair, int]]],
-    window: Sequence[int],
-    max_total: int,
-) -> List[Tuple[int, ...]]:
-    """The nonnegative vectors on the window with total <= max_total on which
-    every form is >= 0, as tuples of window values in lexicographic order.
-    Each form is given by its ((s, l), c) terms, as LinearForm.items() gives
-    them, with no pair repeated.  A form is the system key that system_forms
-    shifts to itself at first 0, so its row, its terms at window positions
-    (a term off the window reads 0), is system_rows' row of that key."""
-    rows = system_rows(seq, dict.fromkeys(map(tuple, forms), {0}), window)
-    return window_search(rows, len(window), max_total)
-
-
 def window_search(
     rows: Iterable[Sequence[Tuple[int, int]]], size: int, max_total: int
 ) -> List[Tuple[int, ...]]:

@@ -18,7 +18,7 @@ from polyreal import (
     forms,
     verify,
 )
-from polyreal.root_data import AdaptedSequence, NotAdaptedError
+from polyreal.root_data import AdaptedSequence, NotAdaptedError, pair_to_index
 
 
 def make_seq(family: str, n: int, word=None):
@@ -58,10 +58,63 @@ def shift_one_neighbour(monkeypatch, seq):
     monkeypatch.setitem(seq._beta, 1, tuple(sites))
 
 
+def reference_window_search(seq, forms, window, max_total):
+    """The window search with one accumulator per form in a Python list, as
+    it was before the packed fields, over forms given as ((s, l), c) term
+    tuples, a term off the window reading 0."""
+    place = {j: p for p, j in enumerate(window)}
+    compiled = set()
+    for f in forms:
+        terms = sorted(
+            (place[j], c) for (s, l), c in f if (j := pair_to_index(seq, s, l)) in place
+        )
+        if any(c < 0 for _, c in terms):
+            compiled.add(tuple(terms))
+    ending = [[] for _ in window]
+    touching = [[] for _ in window]
+    for k, (*before, (last, c)) in enumerate(compiled):
+        ending[last].append((k, c))
+        for p, d in before:
+            touching[p].append((k, d))
+    acc = [0] * len(compiled)
+    values = [0] * len(window)
+    found = []
+
+    def walk(p, remaining):
+        if p == len(values):
+            found.append(tuple(values))
+            return
+        lo, hi = 0, remaining
+        for k, c in ending[p]:
+            if c > 0:
+                least = -(acc[k] // c)
+                if least > lo:
+                    lo = least
+            else:
+                most = acc[k] // -c
+                if most < hi:
+                    hi = most
+        steps = touching[p]
+        held = 0  # the value at p that the accumulators include
+        for v in range(lo, hi + 1):
+            if v != held:
+                for k, c in steps:
+                    acc[k] += (v - held) * c
+                held = v
+            values[p] = v
+            walk(p + 1, remaining - v)
+        if held:
+            for k, c in steps:
+                acc[k] -= held * c
+
+    walk(0, max_total)
+    return found
+
+
 def reference_image_report(seq, max_weight: int, size_bound: int, forms_of=None):
     """The image check over the sampled forms as term tuples: the set that
     forms_of(seq, size_bound, s_values) gives (verify.generator_forms by
-    default), solved by forms.window_solutions, each forward witness naming
+    default), solved by reference_window_search, each forward witness naming
     the first violated form in sorted order, the report made by
     verify._report."""
     forms_of = forms_of or verify.generator_forms
@@ -70,7 +123,7 @@ def reference_image_report(seq, max_weight: int, size_bound: int, forms_of=None)
     sampled = forms_of(seq, size_bound, range(1, s_bound + 1))
     window = sorted({j for a in image for j in a.support()})
     reached = {tuple(a.get(j) for j in window): a for a in image}
-    solved = set(forms.window_solutions(seq, sampled, window, max_weight))
+    solved = set(reference_window_search(seq, sampled, window, max_weight))
     forward = [t for t in reached if t not in solved]
     converse = [t for t in solved if t not in reached]
     ordered = sorted((LinearForm(t) for t in sampled), key=LinearForm.sort_key)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyreal import LatticeElement, LinearForm, cli, verify
 from polyreal.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -773,6 +774,21 @@ class TestModuleEntry:
     def test_import_leaves_the_entry_module_out(self):
         done = self.python("-c", "import sys, polyreal; print('polyreal.__main__' in sys.modules)")
         assert done.returncode == 0 and done.stdout == "False\n"
+
+    @pytest.mark.parametrize("argv", [["verify", "--json", "beta"], ["enumerate", "--depth", "6"]])
+    def test_closed_stdout_exits_141_quietly(self, argv):
+        # stdout is a pipe whose reader has already closed, as under `| head`
+        # once head has exited; a suite that passes must not read as exit 1
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "polyreal", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=self.ENV, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, "")
 
 
 def readme_examples():

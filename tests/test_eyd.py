@@ -145,9 +145,6 @@ class TestCorners:
         assert concave == {(0, -3), (1, -2), (2, -1), (4, 0), (5, 1)}
         assert convex == {(1, -3), (2, -2), (4, -1), (5, 0)}
 
-    def test_diagonal(self):
-        assert Corner("concave", 2, -1).diagonal == 1
-
 
 class TestToggles:
     @pytest.mark.parametrize("ys", [[], [0], [-1, 0], [-2, -1, -1]])

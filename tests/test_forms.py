@@ -19,7 +19,7 @@ from polyreal import (
     s_prime,
 )
 from polyreal import forms, verify
-from polyreal.forms import site_form, window_solutions
+from polyreal.forms import site_form
 from polyreal.root_data import FAMILIES, MIN_RANK, reachable
 from conftest import adapted_words, make_seq, permutation_seqs
 
@@ -427,14 +427,6 @@ class TestEvaluate:
         assert evaluate(seq, c1 * f + c2 * g, a) == c1 * evaluate(seq, f, a) + c2 * evaluate(seq, g, a)
 
 
-SEARCH_SEQ = make_seq("A1", 3)
-
-
-def indexed(terms):
-    """The form with coefficient c at single index j for each (j, c) of terms."""
-    return LinearForm({index_to_pair(SEARCH_SEQ, j): c for j, c in terms.items()})
-
-
 def box(m, total):
     """The nonnegative vectors of length m with sum at most total, in
     lexicographic order, walked by the total left after each position."""
@@ -446,105 +438,81 @@ def box(m, total):
             yield (v,) + rest
 
 
-def box_solutions(forms, window, max_total):
-    """The weight box walked in lexicographic order, kept where every form is
-    >= 0, each vector's element built once; an empty window holds the empty
-    tuple alone, whatever max_total is."""
-    if not window:
-        return [()]
-    kept = []
-    for v in box(len(window), max_total):
-        a = LatticeElement(zip(window, v))
-        if all(evaluate(SEARCH_SEQ, f, a) >= 0 for f in forms):
-            kept.append(v)
-    return kept
+def box_filter(rows, size, max_total):
+    """The weight box walked in lexicographic order, kept where every row,
+    read straight off its (position, coeff) terms, is >= 0; size 0 holds the
+    empty tuple alone, whatever max_total is."""
+    return [
+        v for v in box(size, max_total) if all(sum(c * v[p] for p, c in row) >= 0 for row in rows)
+    ]
 
 
 @st.composite
-def search_systems(draw):
-    """A window in 1..8, forms with terms in 1..10 (so some lie off the
-    window), some of them repeated, and a total bound from -1 up."""
-    window = sorted(draw(st.sets(st.integers(1, 8), max_size=6)))
-    coeffs = st.sampled_from([-2, -1, 1, 2])
-    terms = st.dictionaries(st.integers(1, 10), coeffs, min_size=1, max_size=4)
-    forms = [indexed(t) for t in draw(st.lists(terms, max_size=6))]
-    if forms:
-        forms += draw(st.lists(st.sampled_from(forms), max_size=3))
-    return window, forms, draw(st.integers(-1, 4))
+def search_systems(draw, coeffs, max_total):
+    """A size up to 6, up to 6 rows of (position, coeff) terms at distinct
+    positions below it, in the order drawn, some of them repeated with their
+    terms reversed, and a total bound from -1 to max_total."""
+    size = draw(st.integers(0, 6))
+    terms = st.dictionaries(st.integers(0, max(size - 1, 0)), coeffs, max_size=min(size, 4))
+    rows = [list(t.items()) for t in draw(st.lists(terms, max_size=6))]
+    if rows:
+        rows += [row[::-1] for row in draw(st.lists(st.sampled_from(rows), max_size=3))]
+    return size, rows, draw(st.integers(-1, max_total))
 
 
-def box_filter(terms, window, max_total):
-    """The weight box walked in lexicographic order, kept where every form,
-    read straight off its {single index: coefficient} terms, is >= 0."""
-    kept = []
-    for v in box(len(window), max_total):
-        at = dict(zip(window, v))
-        if all(sum(c * at.get(j, 0) for j, c in t.items()) >= 0 for t in terms):
-            kept.append(v)
-    return kept
-
-
-@st.composite
-def wide_search_systems(draw):
-    """A window of up to 6 positions in 1..8, the terms of up to 6 forms with
-    coefficients up to +-7 at indices in 1..10, and a total bound from -1 to 7."""
-    window = sorted(draw(st.sets(st.integers(1, 8), max_size=6)))
-    coeffs = st.integers(-7, 7).filter(bool)
-    terms = st.dictionaries(st.integers(1, 10), coeffs, min_size=1, max_size=4)
-    return window, draw(st.lists(terms, max_size=6)), draw(st.integers(-1, 7))
-
-
-class TestWindowSolutions:
+class TestWindowSearch:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(search_systems())
+    @given(search_systems(st.sampled_from([-2, -1, 1, 2]), 4))
     # an empty window, whatever the bound
-    @example(([], [indexed({1: 1, 2: -1})], 2))
-    @example(([], [], -1))
+    @example((0, [[]], 2))
+    @example((0, [], -1))
     # a negative bound on a nonempty window
-    @example(([1, 2], [indexed({1: -1, 2: 1})], -1))
-    # three forms ending at position 3, one of them twice, a form with no
-    # negative term, and one whose only negative term is off the window
+    @example((2, [[(0, -1), (1, 1)]], -1))
+    # three rows ending at position 2, one of them twice, its terms
+    # reversed, and two rows with no negative term
     @example(
         (
-            [1, 2, 3],
+            3,
             [
-                indexed({1: 1, 3: -1}),
-                indexed({2: 2, 3: -1}),
-                indexed({1: -1, 2: 1, 3: 1}),
-                indexed({1: 1, 3: -1}),
-                indexed({1: 1, 2: 1}),
-                indexed({3: 1, 9: -1}),
+                [(0, 1), (2, -1)],
+                [(1, 2), (2, -1)],
+                [(0, -1), (1, 1), (2, 1)],
+                [(2, -1), (0, 1)],
+                [(0, 1), (1, 1)],
+                [(2, 1)],
             ],
             4,
         )
     )
+    # x_0 = x_1: at x_0 = 1 the value 0 at position 1 fails the first row
+    # while the second, negative there, holds, so the scan must go on to 1
+    @example((2, [[(0, -1), (1, 1)], [(0, 1), (1, -1)]], 2))
     def test_matches_box_filter(self, system):
-        window, forms, max_total = system
-        terms = [f.items() for f in forms]
-        assert window_solutions(SEARCH_SEQ, terms, window, max_total) == box_solutions(
-            forms, window, max_total
-        )
+        size, rows, max_total = system
+        assert forms.window_search(rows, size, max_total) == box_filter(rows, size, max_total)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(wide_search_systems())
+    @given(search_systems(st.integers(-7, 7).filter(bool), 7))
     # At the width bound: max|c| = 7 and total 7.  Values summing to 7 take
-    # the form ending at 6 to -7 * 7 at position 1 and the one ending at 3 to
-    # +7 * 7 at position 2, the scan's last add takes them to -7 * 8 and
+    # the row ending at 5 to -7 * 7 at position 0 and the one ending at 2 to
+    # +7 * 7 at position 1, the scan's last add takes them to -7 * 8 and
     # +7 * 8, and a carry or borrow would land in a neighbouring field.
     @example(
         (
-            [1, 2, 3, 4, 5, 6],
-            [{1: -7, 6: 7}, {1: 7, 2: 7, 3: -1}, {2: -7, 5: 7, 6: -1}, {1: -7, 2: 1, 4: 7}],
+            6,
+            [
+                [(0, -7), (5, 7)],
+                [(0, 7), (1, 7), (2, -1)],
+                [(1, -7), (4, 7), (5, -1)],
+                [(0, -7), (1, 1), (3, 7)],
+            ],
             7,
         )
     )
-    @example(([1, 2], [{1: 7, 2: -7}, {1: -7, 2: 7}, {1: -7, 9: 1}], 7))
+    @example((2, [[(0, 7), (1, -7)], [(0, -7), (1, 7)], [(0, -7)]], 7))
     def test_wide_coefficients_match_box_filter(self, system):
-        window, terms, max_total = system
-        forms = [indexed(t).items() for t in terms]
-        assert window_solutions(SEARCH_SEQ, forms, window, max_total) == box_filter(
-            terms, window, max_total
-        )
+        size, rows, max_total = system
+        assert forms.window_search(rows, size, max_total) == box_filter(rows, size, max_total)
 
 
 class TestXiPositivity:

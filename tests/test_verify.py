@@ -21,7 +21,7 @@ from polyreal.root_data import (
     pair_to_index,
     weight_counts,
 )
-from polyreal.forms import beta_pair, beta_sites, site_form, site_move, window_solutions
+from polyreal.forms import beta_pair, beta_sites, site_form, site_move, system_rows, window_search
 from polyreal.lattice_crystal import epsilon, etilde, ftilde, phi, weight_coeffs
 from polyreal.verify import (
     VerificationReport,
@@ -35,6 +35,7 @@ from polyreal.verify import (
     generator_forms,
     generator_kinds,
     generator_objects,
+    generator_system,
 )
 from conftest import (
     NOT_ADAPTED,
@@ -45,6 +46,7 @@ from conftest import (
     object_moves,
     permutation_seqs,
     reference_image_report,
+    reference_window_search,
 )
 
 x = LinearForm.x
@@ -766,58 +768,6 @@ def reference_generator_forms(seq, size_bound, s_values):
     return out
 
 
-def reference_window_solutions(seq, forms, window, max_total):
-    """The window search with one accumulator per form in a Python list, as
-    it was before the packed fields."""
-    place = {j: p for p, j in enumerate(window)}
-    compiled = set()
-    for f in forms:
-        terms = sorted(
-            (place[j], c) for (s, l), c in f if (j := pair_to_index(seq, s, l)) in place
-        )
-        if any(c < 0 for _, c in terms):
-            compiled.add(tuple(terms))
-    ending = [[] for _ in window]
-    touching = [[] for _ in window]
-    for k, (*before, (last, c)) in enumerate(compiled):
-        ending[last].append((k, c))
-        for p, d in before:
-            touching[p].append((k, d))
-    acc = [0] * len(compiled)
-    values = [0] * len(window)
-    found = []
-
-    def walk(p, remaining):
-        if p == len(values):
-            found.append(tuple(values))
-            return
-        lo, hi = 0, remaining
-        for k, c in ending[p]:
-            if c > 0:
-                least = -(acc[k] // c)
-                if least > lo:
-                    lo = least
-            else:
-                most = acc[k] // -c
-                if most < hi:
-                    hi = most
-        steps = touching[p]
-        held = 0  # the value at p that the accumulators include
-        for v in range(lo, hi + 1):
-            if v != held:
-                for k, c in steps:
-                    acc[k] += (v - held) * c
-                held = v
-            values[p] = v
-            walk(p + 1, remaining - v)
-        if held:
-            for k, c in steps:
-                acc[k] -= held * c
-
-    walk(0, max_total)
-    return found
-
-
 class TestImageReadSide:
     @pytest.mark.parametrize("n,w", [(3, 5), (4, 4)])
     @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
@@ -846,14 +796,15 @@ class TestImageReadSide:
         forms = generator_forms(seq, w + 2, range(1, w + 2))
         assert forms == reference_generator_forms(seq, w + 2, range(1, w + 2)), seq
         window = sorted({j for a in enumerate_image(seq, w) for j in a.support()})
-        assert window_solutions(seq, forms, window, w) == reference_window_solutions(
+        rows = system_rows(seq, generator_system(seq, w + 2, range(1, w + 2)), window)
+        assert window_search(rows, len(window), w) == reference_window_search(
             seq, forms, window, w
         ), seq
 
     @pytest.mark.parametrize("family", ["A1", "C1", "A2", "D2"])
     def test_reports_equal_to_the_forms_path(self, family, monkeypatch):
         # the check on its system's window rows against the same check over
-        # generator_forms' term tuples and window_solutions, at every weight
+        # generator_forms' term tuples and the reference search, at every weight
         # 0..5, with an empty sample and the default one; both sides list
         # the same objects, so list them once
         objects = functools.lru_cache(maxsize=None)(verify.generator_objects)
