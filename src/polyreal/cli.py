@@ -416,7 +416,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # a short output still sits in stdout's buffer; a reader that has gone
+        # is met here rather than in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # from argparse, which has printed its message
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (UsageError, ValueError, OverflowError) as exc:
